@@ -15,10 +15,10 @@ from .dirichlet import (MinimizeReport, SolveOptions, StageReport,
 from .errors import (ConsistencyError, GraphFormatError, GraphValidationError,
                      PotentialError, ResourceLimitError, SolverError,
                      VerificationError)
-from .flows import (ChainReport, CheckRecord, PathMeasure, UnitFlow,
-                    decompose_paths, edge_marginals, empirical_lower_bound,
-                    first_exit_indices, flow_checks, orient_flow,
-                    parallel_sum, path_hardy_check)
+from .flows import (BallAnalysis, ChainReport, CheckRecord, PathMeasure,
+                    UnitFlow, analyze_ball, decompose_paths, edge_marginals,
+                    empirical_lower_bound, first_exit_indices, flow_checks,
+                    orient_flow, parallel_sum, path_hardy_check)
 from .graphs import (BallProfile, WeightedGraph, ball_profile, build_lattice,
                      build_radial_model, build_tree, load_graph, save_graph)
 from .green import (LOOKS_NON_PARABOLIC, LOOKS_PARABOLIC, GreenFunction,
@@ -39,22 +39,22 @@ from .verify import (IDENTICALLY_ZERO, STRICTLY_POSITIVE, SandwichReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallProfile", "ChainReport", "CheckRecord", "ConsistencyError",
-    "CONVERGES", "DIVERGES", "DyadicReport", "ExponentParams",
-    "GraphFormatError", "GraphValidationError", "GreenFunction",
-    "IDENTICALLY_ZERO", "INCONCLUSIVE", "LOOKS_NON_PARABOLIC",
+    "BallAnalysis", "BallProfile", "ChainReport", "CheckRecord",
+    "ConsistencyError", "CONVERGES", "DIVERGES", "DyadicReport",
+    "ExponentParams", "GraphFormatError", "GraphValidationError",
+    "GreenFunction", "IDENTICALLY_ZERO", "INCONCLUSIVE", "LOOKS_NON_PARABOLIC",
     "LOOKS_PARABOLIC", "MidrangeRow", "MinimizeReport", "PathMeasure",
     "PotentialError", "ProbeReport", "ResourceLimitError", "SandwichReport",
     "SeriesReport", "ShootReport", "SolveOptions", "SolverError",
     "StageReport", "STRICTLY_POSITIVE", "SuiteReport", "TailEstimate",
     "TemplateFit", "UnitFlow", "VerificationError", "VertexFunction",
-    "WeightedGraph", "as_values", "ball_profile", "build_lattice",
-    "build_radial_model", "build_tree", "capacity", "classify", "compute_L",
-    "cut_series_terms", "cut_volume_check", "decompose_paths",
-    "defect_tolerance", "dirichlet_pairing", "dyadic_blocks",
-    "edge_marginals", "empirical_lower_bound", "exponent_identity",
-    "extrapolate_cut_tail", "first_exit_indices", "flow_checks",
-    "green_normalization_check", "hardy_check", "hardy_suite",
+    "WeightedGraph", "analyze_ball", "as_values", "ball_profile",
+    "build_lattice", "build_radial_model", "build_tree", "capacity",
+    "classify", "compute_L", "cut_series_terms", "cut_volume_check",
+    "decompose_paths", "defect_tolerance", "dirichlet_pairing",
+    "dyadic_blocks", "edge_marginals", "empirical_lower_bound",
+    "exponent_identity", "extrapolate_cut_tail", "first_exit_indices",
+    "flow_checks", "green_normalization_check", "hardy_check", "hardy_suite",
     "is_p_superharmonic", "load_graph", "load_vertex_function",
     "midrange_cut_bound", "minimize_p_dirichlet", "orient_flow", "p_energy",
     "p_laplacian", "p_laplacian_all", "parabolicity_probe", "parallel_sum",

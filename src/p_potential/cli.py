@@ -1,8 +1,12 @@
 """Command line entry point.
 
-Subcommands: gen (graph files), green (one Dirichlet solve), flow (orient
-and decompose the unit current), criterion (series reports), verify
-(property suites), report (the full pipeline over a radius ladder).
+Subcommands: gen (graph files), green (one Dirichlet solve), flow (the
+lower-bound chain on one ball: orient and decompose the unit current and
+audit the chain), criterion (series reports), verify (property suites),
+report (the same chain over a radius ladder, with the probe, the upper
+bound from radial shooting, the series and the suites).  flow and report
+both run flows.analyze_ball and only serialize its fields; report derives
+capacity_center = g_center^(1-p) and the probe from the ladder's solves.
 
 Determinism contract: identical argv and --seed produce byte-identical
 output files.  All JSON is written with sorted keys and no timestamps;
@@ -21,18 +25,18 @@ from dataclasses import asdict
 import numpy as np
 
 from . import criterion as crit
-from . import verify as ver
 from .errors import PotentialError
-from .flows import (decompose_paths, edge_marginals, empirical_lower_bound,
-                    flow_checks, orient_flow)
-from .graphs import (WeightedGraph, ball_profile, build_lattice,
+from .flows import BallAnalysis, analyze_ball
+from .graphs import (BallProfile, ball_profile, build_lattice,
                      build_radial_model, build_tree, load_graph, save_graph)
-from .green import (capacity, compute_L, green_normalization_check,
-                    parabolicity_probe, sandwich_upper_bound, solve_green)
+from .green import (green_normalization_check, parabolicity_probe,
+                    sandwich_upper_bound, solve_green)
 from .operators import ExponentParams, save_vertex_function
-from .verify import run_suites, shoot_radial_supersolution
+from .verify import SHOOT_STARTS, run_suites, shoot_with_fallback
 
-DEFAULT_SHOOT_STARTS = (0.1, 0.05, 0.01)
+REPORT_CSV_COLUMNS = ("R", "g_center", "residual", "capacity_center", "L",
+                      "lower_bound", "upper_bound", "path_count",
+                      "conservation_defect")
 
 
 def _jsonable(obj):
@@ -42,12 +46,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()  # numpy scalar -> the Python float, int or bool
     return obj
 
 
@@ -62,28 +62,40 @@ def _print_json(payload) -> None:
     sys.stdout.write("\n")
 
 
+def _csv_cell(value):
+    """Integers as they are, None as an empty cell, other numbers in full."""
+    if value is None:
+        return ""
+    return value if isinstance(value, int) else repr(float(value))
+
+
 def _check_rows(checks) -> list:
     return [{"name": c.name, "lower": c.lower, "upper": c.upper,
              "margin": c.margin, "ok": c.ok} for c in checks]
 
 
-def _parse_int_list(text: str) -> list:
-    try:
-        values = [int(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
-    if not values:
-        raise ValueError("empty integer list")
-    return values
+def _ball_fields(ball: BallAnalysis) -> dict:
+    """The fields that flow and report both write for one analyzed ball."""
+    return {
+        "retained_edges": ball.flow.edge_count,
+        "path_count": len(ball.measure),
+        "probability_sum": float(ball.measure.probabilities.sum()),
+        "max_marginal_deviation": ball.marginal_deviation,
+        "conservation_defect": ball.margins["conservation_defect"],
+        "L": ball.chain.L,
+        "lower_bound": ball.chain.rhs,
+        "chain": _check_rows(ball.chain.checks),
+    }
 
 
-def _parse_float_list(text: str) -> list:
+def _parse_list(text: str, kind, noun: str) -> list:
+    """Comma-separated values of type `kind`; noun names one in errors."""
     try:
-        values = [float(part) for part in text.split(",") if part != ""]
+        values = [kind(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise ValueError(f"expected comma-separated {noun}s, got {text!r}") from exc
     if not values:
-        raise ValueError("empty number list")
+        raise ValueError(f"empty {noun} list")
     return values
 
 
@@ -97,8 +109,8 @@ def _cmd_gen(args) -> int:
     elif args.family == "tree":
         graph = build_tree(args.branching, args.depth)
     else:
-        sizes = _parse_int_list(args.sphere_sizes)
-        weights = _parse_float_list(args.weights)
+        sizes = _parse_list(args.sphere_sizes, int, "integer")
+        weights = _parse_list(args.weights, float, "number")
         graph = build_radial_model(sizes, weights)
     save_graph(graph, args.out)
     _print_json({"family": args.family, "out": args.out,
@@ -136,13 +148,8 @@ def _cmd_flow(args) -> int:
     graph = load_graph(args.graph)
     profile = ball_profile(graph)
     params = ExponentParams(p=args.p, sigma=args.sigma)
-    green = solve_green(graph, profile, args.R, args.p)
-    flow = orient_flow(graph, profile, green)
-    measure = decompose_paths(flow)
-    chain = empirical_lower_bound(graph, profile, green, flow, measure, params)
-    structural = flow_checks(graph, profile, flow)
-    marginal_dev = float(np.abs(edge_marginals(flow, measure)
-                                - flow.theta).max())
+    ball = analyze_ball(graph, profile, args.R, params)
+    flow, margins = ball.flow, ball.margins
 
     paths_path = args.out_prefix + ".paths.json"
     report_path = args.out_prefix + ".report.json"
@@ -150,26 +157,19 @@ def _cmd_flow(args) -> int:
         "R": flow.R, "p": flow.p, "sigma": params.sigma,
         "center": flow.center, "boundary": flow.boundary_id,
         "paths": [{"vertices": list(path), "probability": float(prob)}
-                  for path, prob in measure.items()],
+                  for path, prob in ball.measure.items()],
     })
     _dump_json(report_path, {
+        **_ball_fields(ball),
         "R": flow.R, "p": flow.p, "sigma": params.sigma,
-        "retained_edges": flow.edge_count,
-        "path_count": len(measure),
-        "probability_sum": float(measure.probabilities.sum()),
-        "max_marginal_deviation": marginal_dev,
-        "conservation_defect": structural["conservation_defect"],
-        "min_tail_slack": structural["min_tail_slack"],
-        "cut_margin": structural["cut_margin"],
-        "boundary_tails_at_rim": structural["boundary_tails_at_rim"],
-        "L": chain.L,
-        "lower_bound": chain.rhs,
-        "chain": _check_rows(chain.checks),
-        "per_n": chain.per_n,
+        "min_tail_slack": margins["min_tail_slack"],
+        "cut_margin": margins["cut_margin"],
+        "boundary_tails_at_rim": margins["boundary_tails_at_rim"],
+        "per_n": ball.chain.per_n,
     })
     _print_json({"paths": paths_path, "report": report_path,
-                 "path_count": len(measure), "L": chain.L,
-                 "lower_bound": chain.rhs})
+                 "path_count": len(ball.measure), "L": ball.chain.L,
+                 "lower_bound": ball.chain.rhs})
     return 0
 
 
@@ -194,9 +194,10 @@ def _load_profile_csv(path: str) -> np.ndarray:
     return W
 
 
-def _criterion_payload(graph: WeightedGraph | None, W: np.ndarray,
+def _criterion_payload(W: np.ndarray, profile: BallProfile | None,
                        params: ExponentParams, horizon: int,
                        terms_path: str) -> dict:
+    """Volume series of W; with a graph's profile, also its cut series."""
     horizon = min(horizon, W.size - 1)
     terms = crit.volume_series_terms(W, params)[:horizon]
     series = crit.classify(terms, horizon=horizon)
@@ -218,8 +219,7 @@ def _criterion_payload(graph: WeightedGraph | None, W: np.ndarray,
         "cut_series": None, "dyadic": None,
         "cut_volume_margin": None, "midrange": None,
     }
-    if graph is not None:
-        profile = ball_profile(graph)
+    if profile is not None:
         R = profile.R_max
         if R >= 1:
             s_terms = crit.cut_series_terms(profile.b, params, R)
@@ -250,13 +250,13 @@ def _criterion_payload(graph: WeightedGraph | None, W: np.ndarray,
 def _cmd_criterion(args) -> int:
     params = ExponentParams(p=args.p, sigma=args.sigma)
     if args.graph is not None:
-        graph = load_graph(args.graph)
-        W = ball_profile(graph).W
+        profile = ball_profile(load_graph(args.graph))
+        W = profile.W
     else:
-        graph = None
+        profile = None
         W = _load_profile_csv(args.profile)
     terms_path = args.out_prefix + ".terms.csv"
-    payload = _criterion_payload(graph, W, params, args.horizon, terms_path)
+    payload = _criterion_payload(W, profile, params, args.horizon, terms_path)
     payload["source"] = {"graph": args.graph, "profile": args.profile}
     out = args.out_prefix + ".json"
     _dump_json(out, payload)
@@ -268,11 +268,7 @@ def _cmd_criterion(args) -> int:
 def _cmd_verify(args) -> int:
     reports = run_suites(args.suite, trials=args.trials, seed=args.seed)
     payload = {
-        "suites": [{
-            "name": rep.name, "trials": rep.trials,
-            "violations": rep.violations, "worst_margin": rep.worst_margin,
-            "ok": rep.ok, "details": rep.details,
-        } for rep in reports],
+        "suites": [asdict(rep) for rep in reports],
         "ok": all(rep.ok for rep in reports),
     }
     _print_json(payload)
@@ -283,75 +279,56 @@ def _cmd_report(args) -> int:
     graph = load_graph(args.graph)
     profile = ball_profile(graph)
     params = ExponentParams(p=args.p, sigma=args.sigma)
-    radii = _parse_int_list(args.R)
+    radii = _parse_list(args.R, int, "integer")
     if any(R < 0 or R > profile.R_max for R in radii):
         raise ValueError(f"radii must lie in [0, {profile.R_max}]")
 
-    shoot_info: dict
     shot = None
     try:
-        for u0 in DEFAULT_SHOOT_STARTS:
-            attempt = shoot_radial_supersolution(graph, params, u0,
-                                                 profile=profile)
-            if attempt.success:
-                shot = attempt
-                shoot_info = {"success": True, "u0": u0,
-                              "interior_radius": attempt.interior_radius,
-                              "worst_defect": attempt.worst_defect}
-                break
+        u0, attempt = shoot_with_fallback(graph, params, profile)
+    except ValueError as exc:
+        shoot_info = {"success": False, "reason": str(exc)}
+    else:
+        if attempt.success:
+            shot = attempt
+            shoot_info = {"success": True, "u0": u0,
+                          "interior_radius": attempt.interior_radius,
+                          "worst_defect": attempt.worst_defect}
         else:
             shoot_info = {"success": False,
                           "break_radius": attempt.break_radius,
-                          "tried_u0": list(DEFAULT_SHOOT_STARTS)}
-    except ValueError as exc:
-        shoot_info = {"success": False, "reason": str(exc)}
+                          "tried_u0": list(SHOOT_STARTS)}
 
     ladder = []
     for R in radii:
-        green = solve_green(graph, profile, R, params.p)
+        ball = analyze_ball(graph, profile, R, params)
+        green = ball.green
+        g_center = float(green.values.values[green.center])
         row = {
+            **_ball_fields(ball),
             "R": R,
-            "g_center": float(green.values.values[green.center]),
+            "g_center": g_center,
             "residual": green.residual,
             "iterations": green.solver_report.total_iterations,
-            "normalization_dev": green_normalization_check(
-                graph, green, trials=100, seed=args.seed),
-            "capacity_center": capacity(graph, profile, [green.center],
-                                        R, params.p),
-            "L": compute_L(graph, profile, green, params.sigma),
-        }
-        flow = orient_flow(graph, profile, green)
-        structural = flow_checks(graph, profile, flow)
-        measure = decompose_paths(flow)
-        chain = empirical_lower_bound(graph, profile, green, flow, measure,
-                                      params)
-        row.update({
-            "retained_edges": flow.edge_count,
-            "path_count": len(measure),
-            "probability_sum": float(measure.probabilities.sum()),
-            "max_marginal_deviation": float(
-                np.abs(edge_marginals(flow, measure) - flow.theta).max()),
-            "conservation_defect": structural["conservation_defect"],
-            "lower_bound": chain.rhs,
-            "chain_ok": chain.ok,
-            "chain": _check_rows(chain.checks),
+            "normalization_dev": green_normalization_check(graph, green),
+            "capacity_center": g_center ** (1.0 - params.p),
+            "chain_ok": ball.chain.ok,
             "upper_bound": None,
-        })
+        }
         if shot is not None and R <= shot.interior_radius:
-            _, upper = sandwich_upper_bound(graph, profile, green,
-                                            shot.values, params)
-            row["upper_bound"] = upper
+            _, row["upper_bound"] = sandwich_upper_bound(
+                graph, profile, green, shot.values, params)
         ladder.append(row)
 
     probe = None
     if len(radii) >= 3 and all(b > a for a, b in zip(radii, radii[1:])):
-        pr = parabolicity_probe(graph, profile, params.p, radii)
-        probe = {"radii": pr.radii, "g_root": pr.g_root,
-                 "cap_root": pr.cap_root, "increments": pr.increments,
-                 "label": pr.label}
+        pr = parabolicity_probe(radii, [row["g_center"] for row in ladder],
+                                params.p)
+        probe = {key: value for key, value in asdict(pr).items()
+                 if key != "fits"}
 
     terms_path = args.out_prefix + ".terms.csv"
-    criterion_payload = _criterion_payload(graph, profile.W, params,
+    criterion_payload = _criterion_payload(profile.W, profile, params,
                                            args.horizon, terms_path)
 
     suite_reports = run_suites("all", trials=args.trials, seed=args.seed)
@@ -364,11 +341,8 @@ def _cmd_report(args) -> int:
         "ladder": ladder,
         "probe": probe,
         "criterion": criterion_payload,
-        "verify": [{
-            "name": rep.name, "trials": rep.trials,
-            "violations": rep.violations, "worst_margin": rep.worst_margin,
-            "ok": rep.ok,
-        } for rep in suite_reports],
+        "verify": [{key: value for key, value in asdict(rep).items()
+                    if key != "details"} for rep in suite_reports],
         "ok": (all(rep.ok for rep in suite_reports)
                and all(row["chain_ok"] for row in ladder)),
     }
@@ -378,18 +352,9 @@ def _cmd_report(args) -> int:
     csv_path = args.out_prefix + ".csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["R", "g_center", "residual", "capacity_center", "L",
-                         "lower_bound", "upper_bound", "path_count",
-                         "conservation_defect"])
+        writer.writerow(REPORT_CSV_COLUMNS)
         for row in ladder:
-            upper = "" if row["upper_bound"] is None else repr(float(row["upper_bound"]))
-            writer.writerow([row["R"], repr(float(row["g_center"])),
-                             repr(float(row["residual"])),
-                             repr(float(row["capacity_center"])),
-                             repr(float(row["L"])),
-                             repr(float(row["lower_bound"])), upper,
-                             row["path_count"],
-                             repr(float(row["conservation_defect"]))])
+            writer.writerow([_csv_cell(row[key]) for key in REPORT_CSV_COLUMNS])
     _print_json({"out": json_path, "csv": csv_path, "ok": payload["ok"]})
     return 0 if payload["ok"] else 1
 

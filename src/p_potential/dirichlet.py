@@ -23,6 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .graphs import WeightedGraph
+from .operators import check_p
 
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 60
@@ -205,9 +206,7 @@ def minimize_p_dirichlet(graph: WeightedGraph, free_mask, fixed_values,
     """
     if options is None:
         options = SolveOptions()
-    p = float(p)
-    if not np.isfinite(p) or p <= 1.0:
-        raise ValueError(f"p must be finite and > 1, got {p!r}")
+    p = check_p(p)
     free_mask = np.asarray(free_mask, dtype=bool)
     if free_mask.shape != (graph.vertex_count,):
         raise ValueError("free_mask has wrong length")

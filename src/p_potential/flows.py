@@ -12,7 +12,8 @@ yields
     L_R >= c * sum_{n=1}^R n^r (sum_{k=n}^R b_k^(-1/r))^eta
 
 entirely in terms of the ball profile's cut conductances b_k.  Every
-intermediate inequality is checked numerically, not assumed.
+intermediate inequality is checked numerically, not assumed.  analyze_ball
+runs the whole chain on one ball: solve, orient, decompose, audit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ConsistencyError, VerificationError
 from .graphs import BallProfile, WeightedGraph
-from .green import GreenFunction, compute_L
+from .green import GreenFunction, compute_L, solve_green
 from .operators import ExponentParams
 
 # residual flow below this fraction of the largest edge flow is treated as
@@ -39,6 +40,8 @@ class UnitFlow:
     theta[i] = conductance[i] * delta[i]^(p-1), where delta[i] is the
     drop of the Green function along the edge.  The boundary vertex is a
     sentinel id equal to the host graph's vertex count.
+    conservation_defect is the largest net-flow imbalance over all
+    vertices, the source and the sink included.
     """
 
     graph: WeightedGraph
@@ -52,17 +55,12 @@ class UnitFlow:
     delta: np.ndarray
     conductance: np.ndarray
     residual: float
+    conservation_defect: float
     drop_threshold: float
 
     @property
     def edge_count(self) -> int:
         return self.tails.size
-
-    @property
-    def directed_edges(self) -> list:
-        return [(int(t), int(h), float(f), float(d), float(c))
-                for t, h, f, d, c in zip(self.tails, self.heads, self.theta,
-                                         self.delta, self.conductance)]
 
 
 def _collapse_edges(graph: WeightedGraph, ball: np.ndarray, g: np.ndarray):
@@ -172,7 +170,7 @@ def orient_flow(graph: WeightedGraph, profile: BallProfile,
     return UnitFlow(graph=graph, R=R, p=green.p, center=green.center,
                     boundary_id=boundary, tails=tails, heads=heads,
                     theta=theta, delta=drops, conductance=conds,
-                    residual=green.residual,
+                    residual=green.residual, conservation_defect=worst,
                     drop_threshold=float(zero_drop_threshold))
 
 
@@ -180,18 +178,12 @@ def flow_checks(graph: WeightedGraph, profile: BallProfile,
                 flow: UnitFlow) -> dict:
     """Structural margins of a unit flow, for reports and tests.
 
-    Returns conservation defect, per-tail conductance slack (retained
-    outgoing conductance never exceeds the vertex measure), boundary-edge
-    tail radii, and per-cut margins b_k - (retained conductance crossing
-    cut k outward).
+    Returns the conservation defect orient_flow measured, per-tail
+    conductance slack (retained outgoing conductance never exceeds the
+    vertex measure), boundary-edge tail radii, and per-cut margins
+    b_k - (retained conductance crossing cut k outward).
     """
     boundary = flow.boundary_id
-    net = np.zeros(boundary + 1)
-    np.add.at(net, flow.tails, flow.theta)
-    np.subtract.at(net, flow.heads, flow.theta)
-    net[flow.center] -= 1.0
-    net[boundary] += 1.0
-
     out_cond = np.bincount(flow.tails, weights=flow.conductance,
                            minlength=boundary + 1)[:boundary]
     tail_slack = graph.vertex_measure - out_cond
@@ -209,7 +201,7 @@ def flow_checks(graph: WeightedGraph, profile: BallProfile,
 
     boundary_tails_at_rim = bool(np.all(tail_rad[flow.heads == boundary] == R))
     return {
-        "conservation_defect": float(np.abs(net).max()),
+        "conservation_defect": flow.conservation_defect,
         "min_tail_slack": float(tail_slack.min()),
         "cut_margin": cut_margin,
         "boundary_tails_at_rim": boundary_tails_at_rim,
@@ -232,22 +224,21 @@ class PathMeasure:
         return zip(self.paths, self.probabilities)
 
 
-def decompose_paths(flow: UnitFlow,
-                    crumb_threshold: float | None = None) -> PathMeasure:
+def decompose_paths(flow: UnitFlow) -> PathMeasure:
     """Greedy path decomposition of an acyclic unit flow.
 
     Repeatedly walks from the center choosing the outgoing edge with the
     largest residual flow (ties broken by smaller head id), extracts the
     path with probability equal to the minimum residual along it, and
     subtracts.  Each extraction zeroes at least one edge exactly, so at
-    most edge_count paths come out.  Residual dust below crumb_threshold
-    (default 1e-13 * max flow) is dropped.
+    most edge_count paths come out.  Residual dust at or below
+    CRUMB_FRACTION * max flow is dropped: a walk that reaches only dust
+    zeroes the edge it came in on.
     """
     m = flow.edge_count
     if m == 0:
         raise ConsistencyError("flow has no retained edges to decompose")
-    if crumb_threshold is None:
-        crumb_threshold = CRUMB_FRACTION * float(flow.theta.max())
+    crumb_threshold = CRUMB_FRACTION * float(flow.theta.max())
 
     # tails are sorted, so out-edges of v occupy indptr[v]:indptr[v+1]
     indptr = np.searchsorted(flow.tails, np.arange(flow.boundary_id + 2))
@@ -545,3 +536,38 @@ def empirical_lower_bound(graph: WeightedGraph, profile: BallProfile,
         raise VerificationError(
             "lower-bound chain failed at: " + ", ".join(report.failures))
     return report
+
+
+@dataclass(frozen=True)
+class BallAnalysis:
+    """The lower-bound chain on one ball B_R, with its by-products.
+
+    margins is flow_checks' dict; marginal_deviation is the largest
+    |edge marginal of the path measure - edge flow| over retained edges.
+    """
+
+    green: GreenFunction
+    flow: UnitFlow
+    measure: PathMeasure
+    chain: ChainReport
+    margins: dict
+    marginal_deviation: float
+
+
+def analyze_ball(graph: WeightedGraph, profile: BallProfile, R: int,
+                 params: ExponentParams) -> BallAnalysis:
+    """Solve g_R, orient its unit current, decompose it into paths and
+    audit the lower-bound chain for L_R.
+
+    Raises what each step raises: SolverError from the solve,
+    ConsistencyError from orientation or decomposition, VerificationError
+    from the audit.
+    """
+    green = solve_green(graph, profile, R, params.p)
+    flow = orient_flow(graph, profile, green)
+    measure = decompose_paths(flow)
+    chain = empirical_lower_bound(graph, profile, green, flow, measure, params)
+    deviation = np.abs(edge_marginals(flow, measure) - flow.theta).max()
+    return BallAnalysis(green=green, flow=flow, measure=measure, chain=chain,
+                        margins=flow_checks(graph, profile, flow),
+                        marginal_deviation=float(deviation))

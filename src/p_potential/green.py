@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .criterion import INCONCLUSIVE
 from .dirichlet import MinimizeReport, SolveOptions, minimize_p_dirichlet
 from .errors import ConsistencyError, SolverError
 from .graphs import BallProfile, WeightedGraph
 from .operators import (ExponentParams, VertexFunction, as_values,
-                        defect_tolerance, dirichlet_pairing, p_energy,
+                        defect_tolerance, p_energy, p_laplacian_all,
                         supersolution_defect)
 
 # Reported residuals never drop below this: at machine-precision convergence
@@ -35,7 +36,6 @@ RESIDUAL_FLOOR = 1e-13
 
 LOOKS_PARABOLIC = "looks-parabolic"
 LOOKS_NON_PARABOLIC = "looks-non-parabolic"
-INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -92,24 +92,22 @@ def solve_green(graph: WeightedGraph, profile: BallProfile, R: int, p: float,
     return green
 
 
-def green_normalization_check(graph: WeightedGraph, green: GreenFunction,
-                              trials: int = 100, seed: int = 0) -> float:
-    """Max over random test functions psi (supported in B_R by projection)
-    of |pairing(g, psi) - psi(center)| / max(1, sup|psi|)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    profile_mask = np.zeros(graph.vertex_count, dtype=bool)
-    profile_mask[np.abs(green.values.values) > 0.0] = True
-    profile_mask[green.center] = True  # support of g is exactly B_R
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        psi = rng.uniform(-1.0, 1.0, size=graph.vertex_count)
-        psi[~profile_mask] = 0.0
-        dev = abs(dirichlet_pairing(graph, green.values, psi, green.p)
-                  - psi[green.center])
-        worst = max(worst, dev / max(1.0, np.abs(psi).max()))
-    return worst
+def green_normalization_check(graph: WeightedGraph,
+                              green: GreenFunction) -> float:
+    """sup of |pairing(g, psi) - psi(center)| over test functions psi
+    supported in B_R with sup|psi| <= 1.
+
+    Summation by parts gives pairing(g, psi) - psi(center) = sum over B_R
+    of defect * psi with defect = mu (-lap_p g) - 1_{center}, so the
+    supremum is the l1 norm of that defect on B_R, attained at
+    psi = sign(defect).
+    """
+    ball = green.values.values != 0.0
+    ball[green.center] = True  # support of g is exactly B_R
+    defect = -p_laplacian_all(graph, green.values, green.p) \
+        * graph.vertex_measure
+    defect[green.center] -= 1.0
+    return float(np.abs(defect[ball]).sum())
 
 
 def capacity(graph: WeightedGraph, profile: BallProfile, target_set, R: int,
@@ -250,9 +248,12 @@ def _fit_power(r: np.ndarray, v: np.ndarray) -> TemplateFit:
     return TemplateFit("power", (a, b, beta), sse, float(rel), growth)
 
 
-def parabolicity_probe(graph: WeightedGraph, profile: BallProfile, p: float,
-                       radii, options: SolveOptions | None = None) -> ProbeReport:
-    """Solve g_R and cap_R({o}) on a ladder of radii and label the growth.
+def parabolicity_probe(radii, g_root, p: float) -> ProbeReport:
+    """Label the growth of g_R(o) over a ladder of radii.
+
+    g_root holds the Green values at the center, solved on B_R for each
+    radius of the ladder; cap_root is derived from them exactly, as
+    cap_R({o}) = g_R(o)^(1-p).
 
     Label rule (a calibrated reading of "which template wins"; the
     2-parameter templates nest the constant one, so raw SSE cannot pick it):
@@ -263,17 +264,14 @@ def parabolicity_probe(graph: WeightedGraph, profile: BallProfile, p: float,
     otherwise inconclusive.
     """
     radii = [int(R) for R in radii]
+    g_root = np.asarray(g_root, dtype=np.float64)
     if len(radii) < 3:
         raise ValueError("need at least three radii to fit growth templates")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
-
-    g_root = np.empty(len(radii))
-    cap_root = np.empty(len(radii))
-    for i, R in enumerate(radii):
-        green = solve_green(graph, profile, R, p, options=options)
-        g_root[i] = green.values.values[graph.root]
-        cap_root[i] = capacity(graph, profile, [graph.root], R, p, options=options)
+    if g_root.shape != (len(radii),):
+        raise ValueError("need one Green value per radius")
+    cap_root = g_root ** (1.0 - p)
     increments = np.diff(g_root)
 
     # fit on the largest half of the radii, at least three points

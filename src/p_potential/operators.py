@@ -41,9 +41,7 @@ class ExponentParams:
     sigma: float
 
     def __post_init__(self):
-        p, sigma = float(self.p), float(self.sigma)
-        if not np.isfinite(p) or p <= 1.0:
-            raise ValueError(f"p must be finite and > 1, got {p!r}")
+        p, sigma = check_p(self.p), float(self.sigma)
         if not np.isfinite(sigma) or sigma <= p - 1.0:
             raise ValueError(f"sigma must be finite and > p - 1 = {p - 1}, got {sigma!r}")
         object.__setattr__(self, "p", p)
@@ -146,7 +144,8 @@ def load_vertex_function(graph: WeightedGraph, path) -> VertexFunction:
     return VertexFunction(graph, values)
 
 
-def _check_p(p: float) -> float:
+def check_p(p: float) -> float:
+    """The one validation of the exponent: p as a float, finite and > 1."""
     p = float(p)
     if not np.isfinite(p) or p <= 1.0:
         raise ValueError(f"p must be finite and > 1, got {p!r}")
@@ -155,7 +154,7 @@ def _check_p(p: float) -> float:
 
 def phi_p(t, p: float):
     """phi_p(t) = |t|^(p-2) t, elementwise; odd and (p-1)-homogeneous."""
-    p = _check_p(p)
+    p = check_p(p)
     t = np.asarray(t, dtype=np.float64)
     result = np.sign(t) * np.abs(t) ** (p - 1.0)
     return result if result.ndim else float(result)
@@ -169,7 +168,7 @@ def _edge_currents(graph: WeightedGraph, values: np.ndarray, p: float) -> np.nda
 
 def p_laplacian_all(graph: WeightedGraph, f, p: float) -> np.ndarray:
     """lap_p f at every vertex (vectorized over edges)."""
-    p = _check_p(p)
+    p = check_p(p)
     values = as_values(f, graph)
     currents = _edge_currents(graph, values, p)
     n = graph.vertex_count
@@ -181,7 +180,7 @@ def p_laplacian_all(graph: WeightedGraph, f, p: float) -> np.ndarray:
 
 def p_laplacian(graph: WeightedGraph, f, x: int, p: float) -> float:
     """lap_p f(x) = (1/mu(x)) sum_y w(x,y) phi_p(f(y) - f(x))."""
-    p = _check_p(p)
+    p = check_p(p)
     values = as_values(f, graph)
     if not 0 <= x < graph.vertex_count:
         raise ValueError(f"vertex {x} outside 0..{graph.vertex_count - 1}")
@@ -192,7 +191,7 @@ def p_laplacian(graph: WeightedGraph, f, x: int, p: float) -> float:
 
 def dirichlet_pairing(graph: WeightedGraph, f, psi, p: float) -> float:
     """sum over edges of w * phi_p(f(u) - f(v)) * (psi(u) - psi(v))."""
-    p = _check_p(p)
+    p = check_p(p)
     values = as_values(f, graph)
     test = as_values(psi, graph)
     currents = _edge_currents(graph, values, p)
@@ -201,7 +200,7 @@ def dirichlet_pairing(graph: WeightedGraph, f, psi, p: float) -> float:
 
 def p_energy(graph: WeightedGraph, f, p: float) -> float:
     """sum over edges of w * |f(u) - f(v)|^p (always >= 0)."""
-    p = _check_p(p)
+    p = check_p(p)
     values = as_values(f, graph)
     drops = values[graph.edge_tails] - values[graph.edge_heads]
     return float(np.dot(graph.edge_weights, np.abs(drops) ** p))

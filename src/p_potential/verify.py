@@ -14,16 +14,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, VerificationError
-from .flows import decompose_paths, empirical_lower_bound, orient_flow
+from .flows import analyze_ball
 from .graphs import (BallProfile, WeightedGraph, ball_profile, build_lattice,
                      build_tree)
-from .green import GreenFunction, sandwich_upper_bound, solve_green
+from .green import sandwich_upper_bound, solve_green
 from .operators import (ExponentParams, VertexFunction, as_values,
                         defect_tolerance, p_laplacian_all, phi_p,
                         supersolution_defect)
 
 STRICTLY_POSITIVE = "strictly positive"
 IDENTICALLY_ZERO = "identically zero on component"
+
+# starting values u(o) for radial shooting, tried in this order
+SHOOT_STARTS = (0.1, 0.05, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +251,21 @@ def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
                        interior_radius=interior_radius, worst_defect=worst)
 
 
+def shoot_with_fallback(graph: WeightedGraph, params: ExponentParams,
+                        profile: BallProfile) -> tuple:
+    """Shoot from each u0 in SHOOT_STARTS until one succeeds.
+
+    Returns (u0, ShootReport) for the first start that succeeds, or for the
+    last start when none does.  A graph that is not spherically symmetric
+    raises ValueError at the first start.
+    """
+    for u0 in SHOOT_STARTS:
+        shot = shoot_radial_supersolution(graph, params, u0, profile=profile)
+        if shot.success:
+            break
+    return u0, shot
+
+
 # ---------------------------------------------------------------------------
 # the two-sided sandwich
 
@@ -272,36 +290,35 @@ class SandwichReport:
 
 
 def sandwich_demo(graph: WeightedGraph, params: ExponentParams, R: int,
-                  u0: float = 0.1,
                   profile: BallProfile | None = None) -> SandwichReport:
     """Squeeze L_R between the cut-series lower bound and the
     supersolution upper bound on one instance.
 
-    Requires radial shooting to succeed on the whole graph (the shot
-    function is then a verified supersolution on B_R for R below the
-    eccentricity); raises ValueError otherwise, and VerificationError
-    naming the side if either inequality fails.
+    The supersolution comes from radial shooting (shoot_with_fallback); the
+    lower bound from analyze_ball.  Raises ValueError unless shooting
+    succeeds from some start in SHOOT_STARTS (the shot function is then a
+    verified supersolution on B_R for R below the eccentricity), and
+    VerificationError naming the side if either inequality fails.
     """
     if profile is None:
         profile = ball_profile(graph)
-    shot = shoot_radial_supersolution(graph, params, u0, profile=profile)
+    u0, shot = shoot_with_fallback(graph, params, profile)
     if not shot.success:
         raise ValueError(
             f"shooting failed at radius {shot.break_radius}; no radial "
-            f"supersolution available at u0 = {u0}")
+            f"supersolution available for u0 in {SHOOT_STARTS}")
     if R > shot.interior_radius:
         raise ValueError(
             f"R = {R} exceeds the verified interior radius "
             f"{shot.interior_radius}")
 
-    green = solve_green(graph, profile, R, params.p)
-    flow = orient_flow(graph, profile, green)
-    measure = decompose_paths(flow)
-    chain = empirical_lower_bound(graph, profile, green, flow, measure, params)
-    L, upper = sandwich_upper_bound(graph, profile, green, shot.values, params)
+    ball = analyze_ball(graph, profile, R, params)
+    L, upper = sandwich_upper_bound(graph, profile, ball.green, shot.values,
+                                    params)
 
     report = SandwichReport(R=int(R), p=params.p, sigma=params.sigma,
-                            u0=float(u0), lower=chain.rhs, L=L, upper=upper)
+                            u0=float(u0), lower=ball.chain.rhs, L=L,
+                            upper=upper)
     slack = 1e-8 * max(1.0, abs(L))
     if report.lower > L + slack:
         raise VerificationError(
@@ -468,15 +485,9 @@ def sandwich_suite(trials: int = 0, seed: int = 0) -> SuiteReport:
     worst = np.inf
     for params, R in cases:
         key = f"p{params.p}-sigma{params.sigma}-R{R}"
-        report = None
-        for u0 in (0.1, 0.05, 0.01):
-            try:
-                report = sandwich_demo(graph, params, R, u0=u0,
-                                       profile=profile)
-                break
-            except ValueError:
-                continue  # shooting failed; try a smaller start
-        if report is None:
+        try:
+            report = sandwich_demo(graph, params, R, profile=profile)
+        except ValueError:
             violations += 1
             details[key] = "shooting failed for all tried u0"
             continue

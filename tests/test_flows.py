@@ -12,6 +12,7 @@ from p_potential import (
     VerificationError,
     VertexFunction,
     WeightedGraph,
+    analyze_ball,
     ball_profile,
     build_lattice,
     build_radial_model,
@@ -93,6 +94,18 @@ def test_oriented_flow_is_conservative_and_acyclic():
     assert checks["boundary_tails_at_rim"]
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_conservation_defect_is_the_largest_net_imbalance(p):
+    graph = build_lattice(2, 5)
+    _, _, flow = _solve_flow(graph, 3, p)
+    net = np.zeros(flow.boundary_id + 1)
+    np.add.at(net, flow.tails, flow.theta)
+    np.subtract.at(net, flow.heads, flow.theta)
+    net[flow.center] -= 1.0
+    net[flow.boundary_id] += 1.0
+    assert flow.conservation_defect == float(np.abs(net).max())
+
+
 def test_chain_flow_saturates_every_cut():
     # on the path all conductance is used, so the cut margins vanish
     graph = build_lattice(1, 4)
@@ -152,7 +165,8 @@ def test_exact_ties_break_toward_smaller_head():
                     tails=np.array([0, 0, 1, 2]),
                     heads=np.array([1, 2, 5, 5]),
                     theta=np.full(4, 0.5), delta=ones * 0.5,
-                    conductance=ones, residual=1e-13, drop_threshold=0.0)
+                    conductance=ones, residual=1e-13,
+                    conservation_defect=0.0, drop_threshold=0.0)
     measure = decompose_paths(flow)
     assert measure.paths == [(0, 1, 5), (0, 2, 5)]
     assert measure.probabilities.tolist() == [0.5, 0.5]
@@ -422,3 +436,39 @@ def test_chain_rejects_tampered_measure():
                          boundary_id=measure.boundary_id)
     with pytest.raises(VerificationError, match="path mass identity"):
         empirical_lower_bound(graph, prof, green, flow, shaved, params)
+
+
+# ---------------------------------------------------------------------------
+# the pipeline on one ball
+
+
+@pytest.mark.parametrize("p, sigma", [(2.0, 3.0), (1.5, 2.0), (3.0, 4.0)])
+def test_analyze_ball_runs_the_chain_step_by_step(p, sigma):
+    graph = build_tree(2, 5)
+    params = ExponentParams(p=p, sigma=sigma)
+    prof = ball_profile(graph)
+    ball = analyze_ball(graph, prof, 3, params)
+
+    green = solve_green(graph, prof, 3, p)
+    flow = orient_flow(graph, prof, green)
+    measure = decompose_paths(flow)
+    chain = empirical_lower_bound(graph, prof, green, flow, measure, params)
+    np.testing.assert_array_equal(ball.green.values.values,
+                                  green.values.values)
+    np.testing.assert_array_equal(ball.flow.theta, flow.theta)
+    assert ball.measure.paths == measure.paths
+    assert ball.chain.ok and ball.chain.checks == chain.checks
+    assert ball.chain.L == compute_L(graph, prof, green, sigma)
+    margins = flow_checks(graph, prof, flow)
+    assert ball.margins["conservation_defect"] == flow.conservation_defect
+    np.testing.assert_array_equal(ball.margins["cut_margin"],
+                                  margins["cut_margin"])
+    assert ball.marginal_deviation == float(
+        np.abs(edge_marginals(flow, measure) - flow.theta).max())
+
+
+def test_analyze_ball_propagates_a_failed_step():
+    graph = build_tree(2, 3)
+    with pytest.raises(ValueError, match="radius"):
+        analyze_ball(graph, ball_profile(graph), -1,
+                     ExponentParams(p=2.0, sigma=3.0))

@@ -1,5 +1,7 @@
 """Green functions on balls: closed forms, capacity, L, and the probe."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,15 @@ from p_potential import (
     LOOKS_PARABOLIC,
     SolveOptions,
     SolverError,
+    VertexFunction,
     ball_profile,
     build_lattice,
     build_tree,
     capacity,
     compute_L,
+    dirichlet_pairing,
     green_normalization_check,
+    p_laplacian_all,
     parabolicity_probe,
     sandwich_upper_bound,
     solve_green,
@@ -107,10 +112,45 @@ def test_normalization_check_small():
     prof = ball_profile(graph)
     for p in (2.0, 3.0):
         green = solve_green(graph, prof, 3, p)
-        dev = green_normalization_check(graph, green, trials=50, seed=1)
+        dev = green_normalization_check(graph, green)
         assert dev <= 1e-8
-    with pytest.raises(ValueError):
-        green_normalization_check(graph, green, trials=0)
+
+
+def _perturbed_green(p: float):
+    """A Green function of tree(2, 5) on B_4 with its values jittered by
+    up to 1%, so that the normalization defect is far above rounding."""
+    graph = build_tree(2, 5)
+    prof = ball_profile(graph)
+    green = solve_green(graph, prof, 4, p)
+    jitter = np.random.default_rng(5).uniform(0.99, 1.01, graph.vertex_count)
+    values = VertexFunction(graph, green.values.values * jitter)
+    return graph, prof, dataclasses.replace(green, values=values)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_normalization_check_is_attained_at_the_defect_sign(p):
+    graph, prof, green = _perturbed_green(p)
+    dev = green_normalization_check(graph, green)
+    defect = (-p_laplacian_all(graph, green.values, p)
+              * graph.vertex_measure)
+    defect[green.center] -= 1.0
+    psi = np.where(prof.ball_mask(4), np.sign(defect), 0.0)
+    pairing = dirichlet_pairing(graph, green.values, psi, p)
+    assert dev > 1e-3
+    assert pairing - psi[green.center] == pytest.approx(dev, rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_normalization_check_bounds_random_test_functions(p):
+    graph, prof, green = _perturbed_green(p)
+    dev = green_normalization_check(graph, green)
+    ball = prof.ball_mask(4)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        psi = np.where(ball, rng.uniform(-1.0, 1.0, graph.vertex_count), 0.0)
+        sampled = abs(dirichlet_pairing(graph, green.values, psi, p)
+                      - psi[green.center])
+        assert sampled <= dev * (1.0 + 1e-10)
 
 
 def test_center_outside_ball_rejected():
@@ -237,29 +277,30 @@ def test_sandwich_upper_bound_rejects_bad_candidates():
 # parabolicity probe
 
 
-def test_probe_labels_line_as_parabolic():
-    graph = build_lattice(1, 26)
+def _probe(graph, p, radii):
     prof = ball_profile(graph)
-    report = parabolicity_probe(graph, prof, 2.0, (4, 8, 12, 16, 20, 24))
+    g_root = [solve_green(graph, prof, R, p).values[graph.root]
+              for R in radii]
+    return parabolicity_probe(radii, g_root, p)
+
+
+def test_probe_labels_line_as_parabolic():
+    report = _probe(build_lattice(1, 26), 2.0, (4, 8, 12, 16, 20, 24))
     assert report.label == LOOKS_PARABOLIC
     assert np.all(report.increments > 0.0)
     assert np.all(np.diff(report.cap_root) <= 1e-10)
 
 
 def test_probe_labels_square_lattice_as_parabolic():
-    graph = build_lattice(2, 13)
-    prof = ball_profile(graph)
-    report = parabolicity_probe(graph, prof, 2.0, (2, 4, 6, 8, 10, 12))
+    report = _probe(build_lattice(2, 13), 2.0, (2, 4, 6, 8, 10, 12))
     assert report.label == LOOKS_PARABOLIC
 
 
 def test_probe_labels_tree_as_transient():
     # g_R(o) = 15/16, 31/32, ... saturates toward 1; the ladder must run
     # deep enough for the increments to drop under the 1e-3 cutoff
-    graph = build_tree(2, 11)
-    prof = ball_profile(graph)
     radii = (3, 4, 5, 6, 7, 8, 9, 10)
-    report = parabolicity_probe(graph, prof, 2.0, radii)
+    report = _probe(build_tree(2, 11), 2.0, radii)
     assert report.label == LOOKS_NON_PARABOLIC
     assert list(report.radii) == list(radii)
     assert np.all(np.diff(report.g_root) > 0.0)
@@ -268,9 +309,9 @@ def test_probe_labels_tree_as_transient():
 
 
 def test_probe_needs_increasing_ladder():
-    graph = build_lattice(1, 8)
-    prof = ball_profile(graph)
     with pytest.raises(ValueError):
-        parabolicity_probe(graph, prof, 2.0, (1, 2))
+        parabolicity_probe((1, 2), (1.0, 2.0), 2.0)
     with pytest.raises(ValueError):
-        parabolicity_probe(graph, prof, 2.0, (1, 3, 2))
+        parabolicity_probe((1, 3, 2), (1.0, 3.0, 2.0), 2.0)
+    with pytest.raises(ValueError):
+        parabolicity_probe((1, 2, 3), (1.0, 2.0), 2.0)
