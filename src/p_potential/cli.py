@@ -316,7 +316,7 @@ def _cmd_report(args) -> int:
             "upper_bound": None,
         }
         if shot is not None and R <= shot.interior_radius:
-            _, row["upper_bound"] = sandwich_upper_bound(
+            row["upper_bound"] = sandwich_upper_bound(
                 graph, profile, green, shot.values, params)
         ladder.append(row)
 

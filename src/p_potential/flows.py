@@ -14,10 +14,15 @@ yields
 entirely in terms of the ball profile's cut conductances b_k.  Every
 intermediate inequality is checked numerically, not assumed.  analyze_ball
 runs the whole chain on one ball: solve, orient, decompose, audit.
+
+A PathMeasure holds its paths packed: one flat vertex array, path offsets
+and probabilities, the layout the audit and the edge marginals read in
+whole-array passes; tuples of vertex ids are a derived view.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,18 +215,37 @@ def flow_checks(graph: WeightedGraph, profile: BallProfile,
 
 @dataclass(frozen=True)
 class PathMeasure:
-    """Probability measure on center-to-boundary paths."""
+    """Probability measure on center-to-boundary paths, packed as CSR arrays.
 
-    paths: list
+    Path i is vertices[offsets[i]:offsets[i + 1]] (vertex ids from the
+    center to the boundary sentinel) and carries probabilities[i].  paths
+    and items() are derived read-only views with each path a tuple of
+    Python ints; they are rebuilt on every call, not stored.
+    """
+
+    vertices: np.ndarray
+    offsets: np.ndarray
     probabilities: np.ndarray
     center: int
     boundary_id: int
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return self.offsets.size - 1
+
+    @property
+    def paths(self) -> list:
+        flat, cuts = self.vertices.tolist(), self.offsets.tolist()
+        return [tuple(flat[a:b]) for a, b in zip(cuts, cuts[1:])]
 
     def items(self):
         return zip(self.paths, self.probabilities)
+
+
+def _step_starts(offsets: np.ndarray) -> np.ndarray:
+    """Flat indices i whose step i -> i + 1 stays inside one packed path."""
+    inside = np.ones(int(offsets[-1]), dtype=bool)
+    inside[offsets[1:] - 1] = False
+    return np.flatnonzero(inside)
 
 
 def decompose_paths(flow: UnitFlow) -> PathMeasure:
@@ -233,7 +257,9 @@ def decompose_paths(flow: UnitFlow) -> PathMeasure:
     subtracts.  Each extraction zeroes at least one edge exactly, so at
     most edge_count paths come out.  Residual dust at or below
     CRUMB_FRACTION * max flow is dropped: a walk that reaches only dust
-    zeroes the edge it came in on.
+    zeroes the edge it came in on.  The walk runs on Python lists (the
+    same float arithmetic as on arrays) and writes the packed arrays of
+    PathMeasure directly.
     """
     m = flow.edge_count
     if m == 0:
@@ -241,11 +267,13 @@ def decompose_paths(flow: UnitFlow) -> PathMeasure:
     crumb_threshold = CRUMB_FRACTION * float(flow.theta.max())
 
     # tails are sorted, so out-edges of v occupy indptr[v]:indptr[v+1]
-    indptr = np.searchsorted(flow.tails, np.arange(flow.boundary_id + 2))
-    residual = flow.theta.copy()
-    heads = flow.heads
+    indptr = np.searchsorted(flow.tails, np.arange(flow.boundary_id + 2)).tolist()
+    residual = flow.theta.tolist()
+    heads = flow.heads.tolist()
+    center, boundary = int(flow.center), int(flow.boundary_id)
 
-    paths: list = []
+    vertices: list = []
+    offsets = [0]
     probs: list = []
     rounds = 0
     while True:
@@ -253,20 +281,19 @@ def decompose_paths(flow: UnitFlow) -> PathMeasure:
         if rounds > 2 * m + 4:
             raise ConsistencyError(
                 "residual flow not exhausted after edge-count rounds")
-        cur = flow.center
+        cur = center
         edge_idx: list = []
-        vertices = [cur]
         dead_end = False
-        while cur != flow.boundary_id:
-            lo, hi = indptr[cur], indptr[cur + 1]
-            seg = residual[lo:hi]
-            if hi == lo or seg.max() <= crumb_threshold:
+        while cur != boundary:
+            lo = indptr[cur]
+            seg = residual[lo:indptr[cur + 1]]
+            best = max(seg) if seg else 0.0
+            if best <= crumb_threshold:
                 dead_end = True
                 break
-            pick = lo + int(np.argmax(seg))
+            pick = lo + seg.index(best)  # first maximum: the smaller head
             edge_idx.append(pick)
-            cur = int(heads[pick])
-            vertices.append(cur)
+            cur = heads[pick]
             if len(edge_idx) > m:
                 raise ConsistencyError("walk exceeded edge count; flow not acyclic")
         if dead_end:
@@ -274,30 +301,46 @@ def decompose_paths(flow: UnitFlow) -> PathMeasure:
                 break  # center exhausted: decomposition complete
             residual[edge_idx[-1]] = 0.0  # conservation says this is dust
             continue
-        idx = np.asarray(edge_idx)
-        prob = float(residual[idx].min())
-        residual[idx] -= prob
-        paths.append(tuple(vertices))
+        prob = min(map(residual.__getitem__, edge_idx))
+        for e in edge_idx:
+            residual[e] -= prob
+        vertices.append(center)
+        vertices.extend(map(heads.__getitem__, edge_idx))
+        offsets.append(len(vertices))
         probs.append(prob)
-        if len(paths) > m:
+        if len(probs) > m:
             raise ConsistencyError(
                 "residual flow not exhausted after edge-count rounds")
 
-    probabilities = np.asarray(probs)
-    probabilities.setflags(write=False)
-    return PathMeasure(paths=paths, probabilities=probabilities,
-                       center=flow.center, boundary_id=flow.boundary_id)
+    packed = (np.asarray(vertices, dtype=np.int64),
+              np.asarray(offsets, dtype=np.int64),
+              np.asarray(probs, dtype=np.float64))
+    for arr in packed:
+        arr.setflags(write=False)
+    return PathMeasure(*packed, center=center, boundary_id=boundary)
 
 
 def edge_marginals(flow: UnitFlow, measure: PathMeasure) -> np.ndarray:
-    """Per-edge mass sum_{paths through e} prob, aligned with flow arrays."""
-    index = {(int(t), int(h)): i
-             for i, (t, h) in enumerate(zip(flow.tails, flow.heads))}
-    out = np.zeros(flow.edge_count)
-    for path, prob in measure.items():
-        for t, h in zip(path[:-1], path[1:]):
-            out[index[(t, h)]] += prob
-    return out
+    """Per-edge mass sum_{paths through e} prob, aligned with flow arrays.
+
+    Raises ConsistencyError naming the first path step that is not a
+    retained edge of the flow.
+    """
+    # orient_flow sorts edges by (tail, head), so these keys are sorted
+    width = flow.boundary_id + 1
+    keys = flow.tails * width + flow.heads
+    starts = _step_starts(measure.offsets)
+    tails, heads = measure.vertices[starts], measure.vertices[starts + 1]
+    wanted = tails * width + heads
+    ids = np.searchsorted(keys, wanted)
+    missing = keys[np.minimum(ids, keys.size - 1)] != wanted
+    if missing.any():
+        i = int(np.argmax(missing))
+        raise ConsistencyError(
+            f"path step {tails[i]} -> {heads[i]} is not a retained edge "
+            f"of the flow")
+    weights = np.repeat(measure.probabilities, np.diff(measure.offsets) - 1)
+    return np.bincount(ids, weights=weights, minlength=flow.edge_count)
 
 
 def path_hardy_check(values, params: ExponentParams):
@@ -336,11 +379,22 @@ def parallel_sum(values, r: float) -> float:
     return float(np.sum(y ** (-1.0 / r)) ** (-r))
 
 
-def _path_radii(path, profile: BallProfile, R: int, boundary_id: int) -> np.ndarray:
-    rad = np.empty(len(path), dtype=np.int64)
-    for i, v in enumerate(path):
-        rad[i] = R + 1 if v == boundary_id else profile.radius_of[v]
-    return rad
+def _first_exits(radii: np.ndarray, offsets: np.ndarray, R: int) -> np.ndarray:
+    """alpha[i, k], k = 0..R: flat index of the first step of packed path i
+    from radius k to radius k + 1, or -1 where the path has none.
+
+    radii holds the radius of every packed vertex, in [0, R + 1].  Shifting
+    path i's radii by i * (R + 2) lets one running maximum restart at each
+    path; with radii moving by at most one per step, the running maximum
+    rises exactly at these first outward steps.
+    """
+    owner = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    level = np.maximum.accumulate(radii + owner * (R + 2))
+    rises = np.flatnonzero((level[1:] > level[:-1]) & (owner[1:] == owner[:-1]))
+    rises = rises[radii[rises] <= R]
+    alpha = np.full((offsets.size - 1, R + 1), -1, dtype=np.int64)
+    alpha[owner[rises], radii[rises]] = rises
+    return alpha
 
 
 def first_exit_indices(path, profile: BallProfile, n: int, R: int,
@@ -349,30 +403,44 @@ def first_exit_indices(path, profile: BallProfile, n: int, R: int,
     the path's first visit to radius n.
 
     alpha_k is the first index i >= tau_n with radius(x_i) <= k <
-    radius(x_{i+1}).  Since radii move by at most one per step the indices
-    are distinct across k and each such edge crosses cut k outward.
+    radius(x_{i+1}).  Since radii move by at most one per step, that is the
+    first step from radius k to k + 1 after tau_n, and the indices are
+    distinct across k.  On a path from the center no such step comes
+    before tau_n, so alpha_k does not depend on n; empirical_lower_bound
+    runs the same pass (_first_exits) over all paths at once.
     """
     if boundary_id is None:
         boundary_id = profile.graph.vertex_count
     if not 1 <= n <= R:
         raise ValueError(f"need 1 <= n <= R, got n={n}, R={R}")
-    rad = _path_radii(path, profile, R, boundary_id)
-    hits = np.flatnonzero(rad == n)
+    radii = np.array([R + 1 if v == boundary_id else profile.radius_of[v]
+                      for v in path], dtype=np.int64)
+    hits = np.flatnonzero(radii == n)
     if hits.size == 0:
         raise ValueError(f"path never reaches radius {n}")
     tau = int(hits[0])
-    alphas = np.empty(R - n + 1, dtype=np.int64)
-    for k in range(n, R + 1):
-        found = -1
-        for i in range(tau, len(path) - 1):
-            if rad[i] <= k < rad[i + 1]:
-                found = i
-                break
-        if found < 0:
-            raise ConsistencyError(
-                f"path reached radius {n} but never exits B_{k}")
-        alphas[k - n] = found
-    return alphas
+    alphas = _first_exits(radii[tau:], np.array([0, radii.size - tau]), R)[0, n:]
+    if np.any(alphas < 0):
+        k = n + int(np.argmax(alphas < 0))
+        raise ConsistencyError(
+            f"path reached radius {n} but never exits B_{k}")
+    return tau + alphas
+
+
+def _path_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each consecutive run of counts[i] entries of terms.
+
+    Each run is added exactly as np.sum adds a 1-D array of that length
+    (pairwise): runs of one length are stacked into a contiguous 2-D block
+    and summed along rows.  Sequential sums (reduceat, cumsum) would round
+    differently.
+    """
+    starts = np.cumsum(counts) - counts
+    out = np.zeros(counts.size)
+    for width in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == width)
+        out[rows] = terms[starts[rows, None] + np.arange(width)].sum(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -408,8 +476,9 @@ class ChainReport:
 
 
 def _record(checks: list, name: str, lower: float, upper: float) -> None:
+    lower, upper = float(lower), float(upper)
     scale = max(1.0, abs(lower), abs(upper))
-    checks.append(CheckRecord(name=name, lower=float(lower), upper=float(upper),
+    checks.append(CheckRecord(name=name, lower=lower, upper=upper,
                               ok=lower <= upper + 1e-8 * scale))
 
 
@@ -427,29 +496,39 @@ def empirical_lower_bound(graph: WeightedGraph, profile: BallProfile,
 
         L_R >= c * sum_n n^r (sum_{k=n}^R b_k^(-1/r))^eta.
 
+    Every path starts at the center, the profile's root.  The first exit
+    alpha_k across cut k (first step from radius k to k + 1) then does not
+    depend on n, and the first reach of radius n is tau_n = alpha_{n-1} + 1,
+    so one pass over the packed paths finds every alpha_k, and the exit
+    moment E[delta_{alpha_k}^-r] is checked once per k.  The one-path lhs
+    is the per-path mass.  Each record is bitwise what a loop over
+    (path, n) gives, since exact ties decide several witnesses: per-path
+    sums add pairwise like np.sum, powers of single values use math.pow
+    (scalar pow, as the loop did) and powers of arrays stay array powers,
+    and each witness is the first minimum in the loop's order (path-major,
+    then n; ascending k; ascending n).
+
     Raises VerificationError naming the first failing step.
     """
     if params.p != green.p:
         raise ValueError("params.p differs from the Green function's p")
     R, r, sigma, eta = green.R, params.r, params.sigma, params.eta
     g = green.values.values
-    boundary = flow.boundary_id
     probs = measure.probabilities
+    offsets = measure.offsets
+    lengths = np.diff(offsets)
     checks: list = []
 
-    def value_at(vertex: int) -> float:
-        return 0.0 if vertex == boundary else float(g[vertex])
+    # packed per-vertex values (the boundary sentinel is vertex_count: 0)
+    # and drops[i] = values[i] - values[i + 1] for every step start i
+    values = np.append(g, 0.0)[measure.vertices]
+    drops = -np.diff(values)
+    starts = _step_starts(offsets)
+    step_drops = drops[starts]
+    if np.any(step_drops <= 0.0):
+        raise ValueError("path values must be strictly decreasing")
 
-    # per-path quantities
-    path_values = []
-    path_drops = []
-    for path in measure.paths:
-        vals = np.array([value_at(v) for v in path])
-        path_values.append(vals)
-        path_drops.append(-np.diff(vals))
-
-    mass = np.array([np.sum(v[:-1] ** sigma / d ** r)
-                     for v, d in zip(path_values, path_drops)])
+    mass = _path_sums(values[starts] ** sigma / step_drops ** r, lengths - 1)
     expected_mass = float(np.dot(probs, mass))
     L = compute_L(graph, profile, green, sigma)
     _record(checks, "path mass expectation <= L", expected_mass, L)
@@ -460,61 +539,52 @@ def empirical_lower_bound(graph: WeightedGraph, profile: BallProfile,
     _record(checks, "path mass identity (1e-9 relative)", identity_gap,
             1e-9 * max(1.0, abs(edge_mass)))
 
-    hardy_worst = None
-    for vals in path_values:
-        lhs, rhs_h = path_hardy_check(vals, params)
-        if hardy_worst is None or lhs - rhs_h < hardy_worst[0] - hardy_worst[1]:
-            hardy_worst = (lhs, rhs_h)
-    _record(checks, "one-path estimate (worst path)", hardy_worst[1],
-            hardy_worst[0])
+    # sum_{j=1}^{m-2} j^r V_j^eta per path: the one-path rhs without c
+    j = (np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths)
+         ).astype(np.float64)
+    inner = starts[j[starts] > 0.0]
+    steps = _path_sums(j[inner] ** r * values[inner] ** eta, lengths - 2)
+    hardy_rhs = params.c_hardy * steps
+    w = int(np.argmin(mass - hardy_rhs))
+    _record(checks, "one-path estimate (worst path)", hardy_rhs[w], mass[w])
 
-    # first exits, per starting radius n
     if R >= 1:
-        n_range = range(1, R + 1)
-        g_tau = np.empty((R, len(measure.paths)))
-        drop_tail_ok_lower = None
-        index_dom_worst = None
-        exit_drop = {}
-        for pi, path in enumerate(measure.paths):
-            rad = _path_radii(path, profile, R, boundary)
-            vals = path_values[pi]
-            drops = path_drops[pi]
-            dominated = 0.0
-            for n in n_range:
-                tau = int(np.flatnonzero(rad == n)[0])
-                g_tau[n - 1, pi] = vals[tau]
-                alphas = first_exit_indices(path, profile, n, R, boundary)
-                sub = float(drops[alphas].sum())
-                if (drop_tail_ok_lower is None
-                        or vals[tau] - sub < drop_tail_ok_lower[1] - drop_tail_ok_lower[0]):
-                    drop_tail_ok_lower = (sub, vals[tau])
-                exit_drop[(n, pi)] = drops[alphas]
-                dominated += float(n) ** r * vals[tau] ** eta
-            j = np.arange(1, vals.size - 1, dtype=np.float64)
-            steps = float(np.sum(j ** r * vals[1:-1] ** eta))
-            if index_dom_worst is None or steps - dominated < index_dom_worst[1] - index_dom_worst[0]:
-                index_dom_worst = (dominated, steps)
-        _record(checks, "exit drops form a sub-sum (worst path, n)",
-                drop_tail_ok_lower[0], drop_tail_ok_lower[1])
-        _record(checks, "step indices dominate radii (worst path)",
-                index_dom_worst[0], index_dom_worst[1])
+        radii = np.append(profile.radius_of, R + 1)[measure.vertices]
+        alpha = _first_exits(radii, offsets, R)
+        if np.any(alpha < 0):
+            raise ConsistencyError(
+                "a path from the center never crosses some cut k <= R outward")
+        g_tau = values[alpha[:, :-1].T + 1]       # (R, paths): V at tau_n
+        exit_drop = drops[alpha[:, 1:]]            # (paths, R): k = 1..R
 
-        moment_worst = None
-        for n in n_range:
-            for k in range(n, R + 1):
-                y = np.array([exit_drop[(n, pi)][k - n] ** (-r)
-                              for pi in range(len(measure.paths))])
-                ey = float(np.dot(probs, y))
-                bound = float(profile.b[k])
-                if moment_worst is None or bound - ey < moment_worst[1] - moment_worst[0]:
-                    moment_worst = (ey, bound)
+        sub = np.empty((len(measure), R))
+        for n in range(1, R + 1):
+            sub[:, n - 1] = np.ascontiguousarray(exit_drop[:, n - 1:]).sum(axis=1)
+        w = int(np.argmin(g_tau.T - sub))
+        pi, n_w = divmod(w, R)
+        _record(checks, "exit drops form a sub-sum (worst path, n)",
+                sub[pi, n_w], g_tau[n_w, pi])
+
+        eta_pow = np.array([math.pow(v, eta) for v in g_tau.ravel().tolist()])
+        dominated = np.zeros(len(measure))
+        for n, row in enumerate(eta_pow.reshape(R, -1), start=1):
+            dominated += float(n) ** r * row
+        w = int(np.argmin(steps - dominated))
+        _record(checks, "step indices dominate radii (worst path)",
+                dominated[w], steps[w])
+
+        y = np.array([math.pow(d, -r) for d in exit_drop.T.ravel().tolist()])
+        ey = np.array([float(np.dot(probs, row))
+                       for row in y.reshape(R, -1)])
+        bounds = profile.b[1:R + 1]
+        w = int(np.argmin(bounds - ey))
         _record(checks, "exit moment <= cut conductance (worst n, k)",
-                moment_worst[0], moment_worst[1])
+                ey[w], bounds[w])
 
         per_n = []
         jensen_worst = None
         rhs = 0.0
-        for n in n_range:
+        for n in range(1, R + 1):
             tail = np.sum(profile.b[n:R + 1] ** (-1.0 / r)) ** eta
             moment = float(np.dot(probs, g_tau[n - 1] ** eta))
             if jensen_worst is None or moment - tail < jensen_worst[1] - jensen_worst[0]:

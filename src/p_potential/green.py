@@ -161,7 +161,8 @@ def compute_L(graph: WeightedGraph, profile: BallProfile,
 
 def sandwich_upper_bound(graph: WeightedGraph, profile: BallProfile,
                          green: GreenFunction, u, params: ExponentParams):
-    """(L_R, (sigma/eta) * (g_R(o)/u(o))^eta) for a verified supersolution u.
+    """The upper bound (sigma/eta) * (g_R(o)/u(o))^eta on L_R, for a
+    verified supersolution u.
 
     u must be nonnegative everywhere, strictly positive on B_R, and satisfy
     -lap_p u >= u^sigma on B_R (checked via supersolution_defect); otherwise
@@ -182,10 +183,8 @@ def sandwich_upper_bound(graph: WeightedGraph, profile: BallProfile,
     if u_values[ball].min() <= 0.0:
         raise ValueError("u must be strictly positive on the ball")
 
-    L = compute_L(graph, profile, green, params.sigma)
     ratio = green.values.values[green.center] / u_values[green.center]
-    bound = (params.sigma / params.eta) * ratio ** params.eta
-    return L, bound
+    return (params.sigma / params.eta) * ratio ** params.eta
 
 
 # ---------------------------------------------------------------------------

@@ -313,8 +313,9 @@ def sandwich_demo(graph: WeightedGraph, params: ExponentParams, R: int,
             f"{shot.interior_radius}")
 
     ball = analyze_ball(graph, profile, R, params)
-    L, upper = sandwich_upper_bound(graph, profile, ball.green, shot.values,
-                                    params)
+    L = ball.chain.L
+    upper = sandwich_upper_bound(graph, profile, ball.green, shot.values,
+                                 params)
 
     report = SandwichReport(R=int(R), p=params.p, sigma=params.sigma,
                             u0=float(u0), lower=ball.chain.rhs, L=L,

@@ -4,8 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p_potential import (
+    CheckRecord,
     ConsistencyError,
     ExponentParams,
     PathMeasure,
@@ -28,6 +31,7 @@ from p_potential import (
     path_hardy_check,
     solve_green,
 )
+from p_potential.flows import CRUMB_FRACTION, _first_exits
 
 CHAIN_CHECK_NAMES = [
     "path mass expectation <= L",
@@ -182,6 +186,56 @@ def test_unbalanced_diamond_paths_match_branch_flows():
                                atol=1e-12)
 
 
+def _decompose_by_array_walk(flow):
+    """Reference walk on numpy slices: (paths, probabilities)."""
+    crumb = CRUMB_FRACTION * float(flow.theta.max())
+    indptr = np.searchsorted(flow.tails, np.arange(flow.boundary_id + 2))
+    residual = flow.theta.copy()
+    paths, probs = [], []
+    while True:
+        cur, edges = flow.center, []
+        while cur != flow.boundary_id:
+            lo, hi = indptr[cur], indptr[cur + 1]
+            if hi == lo or residual[lo:hi].max() <= crumb:
+                break
+            edges.append(lo + int(np.argmax(residual[lo:hi])))
+            cur = int(flow.heads[edges[-1]])
+        if cur != flow.boundary_id:
+            if not edges:
+                return paths, probs
+            residual[edges[-1]] = 0.0
+            continue
+        prob = float(residual[edges].min())
+        residual[edges] -= prob
+        paths.append((flow.center, *flow.heads[edges].tolist()))
+        probs.append(prob)
+
+
+@pytest.mark.parametrize("graph_factory, R, p", [
+    (lambda: build_lattice(2, 12), 9, 3.0),
+    (lambda: build_lattice(3, 5), 4, 1.5),
+    (lambda: build_tree(2, 7), 6, 1.5),
+])
+def test_decomposition_equals_the_array_walk(graph_factory, R, p):
+    _, _, flow = _solve_flow(graph_factory(), R, p)
+    measure = decompose_paths(flow)
+    paths, probs = _decompose_by_array_walk(flow)
+    assert measure.paths == paths
+    assert measure.probabilities.tolist() == probs
+    assert measure.offsets.tolist() == np.cumsum(
+        [0] + [len(path) for path in paths]).tolist()
+
+
+def test_edge_marginals_name_a_step_off_the_flow():
+    _, _, flow = _solve_flow(build_lattice(1, 4), 2, 2.0)
+    bad = PathMeasure(vertices=np.array([flow.center, flow.boundary_id]),
+                      offsets=np.array([0, 2]), probabilities=np.ones(1),
+                      center=flow.center, boundary_id=flow.boundary_id)
+    step = f"path step {flow.center} -> {flow.boundary_id} "
+    with pytest.raises(ConsistencyError, match=step):
+        edge_marginals(flow, bad)
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_marginals_recover_the_flow_exactly(p):
     graph = build_tree(2, 5)
@@ -245,6 +299,17 @@ def test_path_hardy_holds_on_random_descents():
         sigma = float(rng.uniform(p - 1.0 + 0.05, 6.0))
         lhs, rhs = path_hardy_check(values, ExponentParams(p=p, sigma=sigma))
         assert lhs >= rhs * (1.0 - 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drops=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=15),
+       tail=st.floats(0.0, 10.0), p=st.floats(1.1, 5.0),
+       eta=st.floats(0.05, 5.0))
+def test_path_hardy_holds_on_decreasing_sequences(drops, tail, p, eta):
+    values = tail + np.concatenate([[0.0], np.cumsum(drops)])[::-1]
+    lhs, rhs = path_hardy_check(values,
+                                ExponentParams(p=p, sigma=eta + p - 1.0))
+    assert lhs >= rhs * (1.0 - 1e-12)
 
 
 def test_path_hardy_input_validation():
@@ -365,6 +430,39 @@ def test_first_exit_validation():
         first_exit_indices(path, prof, 3, 2)
     with pytest.raises(ValueError):
         first_exit_indices((0, 2), prof, 2, 3)  # never reaches radius 2
+    with pytest.raises(ConsistencyError, match="never exits B_2"):
+        first_exit_indices((0, 2, 4), prof, 1, 3)
+
+
+@st.composite
+def _radius_walks(draw):
+    """R and a few radius walks from 0: steps of -1, 0 or +1 (none below 0)
+    up to the first reach of R + 1, padded with outward steps."""
+    R = draw(st.integers(1, 6))
+    walks = []
+    for steps in draw(st.lists(st.lists(st.sampled_from((-1, 0, 1)),
+                                        max_size=30), min_size=1, max_size=4)):
+        radii = [0]
+        for step in steps:
+            if radii[-1] == R + 1:
+                break
+            radii.append(max(0, radii[-1] + step))
+        radii.extend(range(radii[-1] + 1, R + 2))
+        walks.append(radii)
+    return R, walks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_radius_walks())
+def test_packed_first_exits_match_the_scan(case):
+    R, walks = case
+    offsets = np.cumsum([0] + [len(w) for w in walks])
+    alpha = _first_exits(np.concatenate(walks), offsets, R)
+    for i, radii in enumerate(walks):
+        local = (alpha[i] - offsets[i]).tolist()
+        for n in range(1, R + 1):
+            assert local[n:] == _exits_by_scan(radii, n, R)
+            assert radii.index(n) == local[n - 1] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +521,126 @@ def test_chain_exit_moment_is_tight_on_the_line():
     assert moment.lower == pytest.approx(moment.upper, rel=1e-9)
 
 
+def _chain_by_loops(graph, prof, green, flow, measure, params):
+    """Reference audit: the per-(path, n) loop with first exits found by
+    scanning each path's radii.  Returns (checks, per_n, L, rhs)."""
+    R, r, sigma, eta = green.R, params.r, params.sigma, params.eta
+    g = green.values.values
+    boundary = flow.boundary_id
+    probs = measure.probabilities
+    checks = []
+
+    def record(name, lower, upper):
+        scale = max(1.0, abs(lower), abs(upper))
+        checks.append(CheckRecord(name=name, lower=float(lower),
+                                  upper=float(upper),
+                                  ok=lower <= upper + 1e-8 * scale))
+
+    path_values = [np.array([0.0 if v == boundary else float(g[v])
+                             for v in path]) for path in measure.paths]
+    path_drops = [-np.diff(vals) for vals in path_values]
+    mass = np.array([np.sum(v[:-1] ** sigma / d ** r)
+                     for v, d in zip(path_values, path_drops)])
+    expected_mass = float(np.dot(probs, mass))
+    L = compute_L(graph, prof, green, sigma)
+    record(CHAIN_CHECK_NAMES[0], expected_mass, L)
+    edge_mass = float(np.sum(flow.theta * g[flow.tails] ** sigma
+                             / flow.delta ** r))
+    record(CHAIN_CHECK_NAMES[1], abs(expected_mass - edge_mass),
+           1e-9 * max(1.0, abs(edge_mass)))
+
+    hardy_worst = None
+    for vals in path_values:
+        lhs, rhs_h = path_hardy_check(vals, params)
+        if hardy_worst is None or lhs - rhs_h < hardy_worst[0] - hardy_worst[1]:
+            hardy_worst = (lhs, rhs_h)
+    record(CHAIN_CHECK_NAMES[2], hardy_worst[1], hardy_worst[0])
+
+    per_n, rhs = [], 0.0
+    if R >= 1:
+        g_tau = np.empty((R, len(measure.paths)))
+        sub_worst = dom_worst = None
+        exit_drop = {}
+        for pi, path in enumerate(measure.paths):
+            radii = [R + 1 if v == boundary else int(prof.radius_of[v])
+                     for v in path]
+            vals, drops = path_values[pi], path_drops[pi]
+            dominated = 0.0
+            for n in range(1, R + 1):
+                tau = radii.index(n)
+                g_tau[n - 1, pi] = vals[tau]
+                alphas = np.array(_exits_by_scan(radii, n, R))
+                sub = float(drops[alphas].sum())
+                if sub_worst is None or vals[tau] - sub < sub_worst[1] - sub_worst[0]:
+                    sub_worst = (sub, vals[tau])
+                exit_drop[(n, pi)] = drops[alphas]
+                dominated += float(n) ** r * vals[tau] ** eta
+            j = np.arange(1, vals.size - 1, dtype=np.float64)
+            steps = float(np.sum(j ** r * vals[1:-1] ** eta))
+            if dom_worst is None or steps - dominated < dom_worst[1] - dom_worst[0]:
+                dom_worst = (dominated, steps)
+        record(CHAIN_CHECK_NAMES[3], *sub_worst)
+        record(CHAIN_CHECK_NAMES[4], *dom_worst)
+
+        moment_worst = None
+        for n in range(1, R + 1):
+            for k in range(n, R + 1):
+                y = np.array([exit_drop[(n, pi)][k - n] ** (-r)
+                              for pi in range(len(measure.paths))])
+                ey = float(np.dot(probs, y))
+                bound = float(prof.b[k])
+                if moment_worst is None or bound - ey < moment_worst[1] - moment_worst[0]:
+                    moment_worst = (ey, bound)
+        record(CHAIN_CHECK_NAMES[5], *moment_worst)
+
+        jensen_worst = None
+        for n in range(1, R + 1):
+            tail = np.sum(prof.b[n:R + 1] ** (-1.0 / r)) ** eta
+            moment = float(np.dot(probs, g_tau[n - 1] ** eta))
+            if jensen_worst is None or moment - tail < jensen_worst[1] - jensen_worst[0]:
+                jensen_worst = (tail, moment)
+            term = params.c_hardy * float(n) ** r * tail
+            rhs += term
+            per_n.append({"n": n, "cut_tail": float(tail),
+                          "exit_moment": moment, "term": term})
+        record(CHAIN_CHECK_NAMES[6], *jensen_worst)
+    record(CHAIN_CHECK_NAMES[7], rhs, L)
+    return checks, per_n, L, float(rhs)
+
+
+@pytest.mark.parametrize("graph_factory, R, p, sigma", [
+    (lambda: build_lattice(1, 12), 9, 1.5, 2.5),
+    (lambda: build_lattice(1, 12), 1, 3.0, 4.0),
+    (lambda: build_lattice(2, 20), 6, 3.0, 4.0),
+    (lambda: build_lattice(2, 20), 12, 3.0, 4.0),
+    (lambda: build_lattice(2, 10), 7, 2.0, 2.5),
+    (lambda: build_lattice(2, 10), 5, 1.5, 3.2),
+    (lambda: build_lattice(3, 6), 4, 1.5, 2.0),
+    (lambda: build_lattice(3, 6), 5, 2.0, 2.5),
+    (lambda: build_lattice(3, 5), 3, 3.0, 4.7),
+    (lambda: build_tree(2, 7), 5, 1.5, 2.0),
+    (lambda: build_tree(2, 6), 4, 2.0, 3.0),
+    (lambda: build_tree(3, 5), 4, 3.0, 3.5),
+])
+def test_chain_records_equal_the_loop_audit(graph_factory, R, p, sigma):
+    # bitwise: several "worst" checks pick their witness among exact ties
+    # (telescoping sub-sums, E delta^-r == b_k on lattices), which any
+    # rounding difference would break
+    graph = graph_factory()
+    params = ExponentParams(p=p, sigma=sigma)
+    prof = ball_profile(graph)
+    green = solve_green(graph, prof, R, p)
+    flow = orient_flow(graph, prof, green)
+    measure = decompose_paths(flow)
+    report = empirical_lower_bound(graph, prof, green, flow, measure, params)
+    checks, per_n, L, rhs = _chain_by_loops(graph, prof, green, flow,
+                                            measure, params)
+    assert report.checks == checks
+    assert report.per_n == per_n
+    assert report.L == L
+    assert report.rhs == rhs
+
+
 def test_chain_rejects_tampered_measure():
     graph = build_tree(2, 4)
     params = ExponentParams(p=2, sigma=3)
@@ -430,10 +648,8 @@ def test_chain_rejects_tampered_measure():
     green = solve_green(graph, prof, 2, 2.0)
     flow = orient_flow(graph, prof, green)
     measure = decompose_paths(flow)
-    shaved = PathMeasure(paths=measure.paths,
-                         probabilities=measure.probabilities * 0.5,
-                         center=measure.center,
-                         boundary_id=measure.boundary_id)
+    shaved = dataclasses.replace(measure,
+                                 probabilities=measure.probabilities * 0.5)
     with pytest.raises(VerificationError, match="path mass identity"):
         empirical_lower_bound(graph, prof, green, flow, shaved, params)
 

@@ -24,6 +24,7 @@ from p_potential import (
     sandwich_upper_bound,
     solve_green,
 )
+from p_potential.verify import shoot_radial_supersolution
 
 PS = (1.5, 2.0, 3.0)
 
@@ -271,6 +272,12 @@ def test_sandwich_upper_bound_rejects_bad_candidates():
     with pytest.raises(ValueError, match="params.p"):
         sandwich_upper_bound(graph, prof, green, ones,
                              ExponentParams(p=3, sigma=4))
+    # a shot supersolution passes, and the return value is the bound alone
+    shot = shoot_radial_supersolution(graph, params, 0.1, profile=prof)
+    bound = sandwich_upper_bound(graph, prof, green, shot.values, params)
+    ratio = green.values.values[graph.root] / shot.values.values[graph.root]
+    assert bound == (params.sigma / params.eta) * ratio ** params.eta
+    assert compute_L(graph, prof, green, params.sigma) < bound
 
 
 # ---------------------------------------------------------------------------
