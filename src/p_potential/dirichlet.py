@@ -97,6 +97,28 @@ class _Smoothing:
 
 
 class _Problem:
+    """The objective, gradient and Hessian of one constrained solve.
+
+    The Hessian is a reweighted Laplacian of the free vertices, so its
+    sparsity pattern is fixed for the whole solve; the constructor works it
+    out once and every Newton step only fills `data`.  The pattern and the
+    order of every sum reproduce, bit for bit, the assembly as one COO
+    matrix (diagonal terms of the edges' tails, then of their heads, then
+    the two off-diagonal blocks) converted with `tocsc()`.  That matters:
+    a last-bit change in g moves which of several exactly tied candidates
+    the path audit reports and which path the decomposition takes, so the
+    written outputs would change.
+
+    - Gradient: one `np.bincount` over the tail terms and then the negated
+      head terms, the additions `np.add.at` then `np.subtract.at` make, in
+      the same order.
+    - Hessian: only diagonal slots receive several terms (the graph is
+      simple).  They are summed in the order in which `tocsc()` sums them:
+      COO order after scipy's in-column index sort, which is not stable in
+      columns of more than 16 entries, so the order is read off that sort
+      once, here.  Off-diagonal entries are placed directly.
+    """
+
     def __init__(self, graph: WeightedGraph, free_mask: np.ndarray,
                  source: np.ndarray):
         self.graph = graph
@@ -116,6 +138,45 @@ class _Problem:
         self.v_free = self.pv >= 0
         self.source_free = source[self.free_ids]
 
+        # diagonal terms in COO order: (edge, free position) per term
+        tail_terms = np.flatnonzero(self.u_free)
+        head_terms = np.flatnonzero(self.v_free)
+        self._n_tail_terms = tail_terms.size
+        self._term_edges = np.concatenate([tail_terms, head_terms])
+        self._term_rows = np.concatenate([self.pu[tail_terms], self.pv[head_terms]])
+        self._build_hessian_pattern()
+
+    def _build_hessian_pattern(self):
+        both = np.flatnonzero(self.u_free & self.v_free)
+        rows = np.concatenate([self._term_rows, self.pu[both], self.pv[both]])
+        cols = np.concatenate([self._term_rows, self.pv[both], self.pu[both]])
+        n, n_terms = self.n_free, self._term_rows.size
+        index_dtype = np.int32 if max(rows.size, n) <= np.iinfo(np.int32).max else np.int64
+        # what tocsc() does to the COO entries: a stable bucket by column,
+        # then scipy's in-column sort; the data carry the COO entry numbers
+        by_col = np.argsort(cols, kind="stable")
+        indptr = np.zeros(n + 1, dtype=index_dtype)
+        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+        sorted_entries = sp.csc_matrix(
+            (by_col.astype(np.float64), rows[by_col].astype(index_dtype), indptr),
+            shape=(n, n))
+        sorted_entries.sort_indices()
+        entry = sorted_entries.data.astype(np.int64)
+        row_of, col_of = rows[entry], cols[entry]
+        first = np.ones(entry.size, dtype=bool)
+        first[1:] = (row_of[1:] != row_of[:-1]) | (col_of[1:] != col_of[:-1])
+        slot = np.cumsum(first) - 1
+
+        self._nnz = int(first.sum())
+        self._indices = row_of[first].astype(index_dtype)
+        self._indptr = np.zeros(n + 1, dtype=index_dtype)
+        np.cumsum(np.bincount(col_of[first], minlength=n), out=self._indptr[1:])
+        is_term = entry < n_terms
+        self._diag_slots = slot[is_term]
+        self._diag_edges = self._term_edges[entry[is_term]]
+        self._off_slots = slot[~is_term]
+        self._off_edges = np.concatenate([both, both])[entry[~is_term] - n_terms]
+
     def objective(self, values: np.ndarray, sm: _Smoothing) -> float:
         drops = values[self.eu] - values[self.ev]
         return (float(np.dot(self.ew, sm.density(drops))) / sm.p
@@ -123,25 +184,21 @@ class _Problem:
 
     def gradient(self, values: np.ndarray, sm: _Smoothing) -> np.ndarray:
         drops = values[self.eu] - values[self.ev]
-        flux = self.ew * sm.phi(drops)
-        grad = np.zeros(self.n_free)
-        np.add.at(grad, self.pu[self.u_free], flux[self.u_free])
-        np.subtract.at(grad, self.pv[self.v_free], flux[self.v_free])
+        terms = (self.ew * sm.phi(drops))[self._term_edges]
+        np.negative(terms[self._n_tail_terms:], out=terms[self._n_tail_terms:])
+        grad = np.bincount(self._term_rows, weights=terms, minlength=self.n_free)
         return grad - self.source_free
 
     def hessian(self, values: np.ndarray, sm: _Smoothing) -> sp.csc_matrix:
         drops = values[self.eu] - values[self.ev]
         coeff = self.ew * sm.second(drops)
-        rows, cols, vals = [], [], []
-        uf, vf = self.u_free, self.v_free
-        both = uf & vf
-        rows.append(self.pu[uf]); cols.append(self.pu[uf]); vals.append(coeff[uf])
-        rows.append(self.pv[vf]); cols.append(self.pv[vf]); vals.append(coeff[vf])
-        rows.append(self.pu[both]); cols.append(self.pv[both]); vals.append(-coeff[both])
-        rows.append(self.pv[both]); cols.append(self.pu[both]); vals.append(-coeff[both])
-        return sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_free, self.n_free)).tocsc()
+        data = np.bincount(self._diag_slots, weights=coeff[self._diag_edges],
+                           minlength=self._nnz)
+        data[self._off_slots] = -coeff[self._off_edges]
+        hess = sp.csc_matrix((data, self._indices, self._indptr),
+                             shape=(self.n_free, self.n_free))
+        hess.has_canonical_format = True
+        return hess
 
 
 def _newton_stage(problem: _Problem, values: np.ndarray, sm: _Smoothing,

@@ -135,7 +135,16 @@ def orient_flow(graph: WeightedGraph, profile: BallProfile,
     acyclicity, and the source/sink facts (nothing enters the center,
     nothing leaves the boundary) are checked; violations beyond
     100 * residual signal a bad solve and raise ConsistencyError.
+
+    The Green function must be centered at the graph's root: B_R and the
+    audit's radii are measured from the root, so a chain from any other
+    center could never pass.  Another center raises ValueError.
     """
+    if green.center != graph.root:
+        raise ValueError(
+            f"the Green function is centered at vertex {green.center}, not at "
+            f"the root {graph.root}; the flow and its audit measure radii "
+            f"from the root")
     R = green.R
     ball = profile.ball_mask(R)
     g = green.values.values

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
+from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,47 +46,118 @@ def max_vertex_budget() -> int:
     return value
 
 
+def _integer_type(kind: type) -> bool:
+    """The type rule for vertex ids: an int or a numpy integer, never a bool."""
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def _number_type(kind: type) -> bool:
+    """The type rule for edge weights: an int or a float (Python or numpy),
+    never a bool."""
+    return (issubclass(kind, (int, float, np.integer, np.floating))
+            and not issubclass(kind, bool))
+
+
+def _column_is(column, rule) -> bool:
+    """Whether every item of a column has a type that passes the rule; one
+    C-level scan of the types, then the rule once per distinct type."""
+    return all(map(rule, set(map(type, column))))
+
+
+_EDGE_FIELDS = (itemgetter(0), itemgetter(1), itemgetter(2))
+
+
+def _edge_error(i: int, edge, vertex_count: int):
+    """What is wrong with edge i, as the constructor words it, or None."""
+    try:
+        if len(edge) != 3:
+            raise ValueError
+        u, v, w = edge[0], edge[1], edge[2]
+    except (TypeError, KeyError, IndexError, ValueError):
+        return f"edge {i}: expected (u, v, weight)"
+    if not (_integer_type(type(u)) and _integer_type(type(v))):
+        return f"edge {i}: endpoints must be integers, got ({u!r}, {v!r})"
+    if not _number_type(type(w)):
+        return f"edge {i}: weight must be an int or a float, got {w!r}"
+    u, v = int(u), int(v)
+    try:
+        w = float(w)
+    except OverflowError:
+        w = math.inf
+    if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+        return f"edge {i}: endpoint outside 0..{vertex_count - 1}: ({u}, {v})"
+    if u == v:
+        return f"edge {i}: self loop at {u}"
+    if not math.isfinite(w) or w <= 0.0:
+        return f"edge {i}: weight must be finite and > 0, got {w}"
+    return None
+
+
+def _first_edge_error(edge_list, vertex_count: int) -> str:
+    """_edge_error's words for the first bad edge of a list that has one."""
+    for i, edge in enumerate(edge_list):
+        message = _edge_error(i, edge, vertex_count)
+        if message is not None:
+            return message
+
+
+def _edge_columns(edge_list, vertex_count: int):
+    """The edges as canonical (tails, heads, weights) arrays, validated as
+    arrays; a bad edge raises GraphValidationError with _edge_error's words
+    for the first bad edge in list order."""
+    count = len(edge_list)
+    try:
+        if set(map(len, edge_list)) != {3}:
+            raise ValueError("not all edges have three fields")
+        columns = [list(map(field, edge_list)) for field in _EDGE_FIELDS]
+        if not (_column_is(columns[0], _integer_type)
+                and _column_is(columns[1], _integer_type)
+                and _column_is(columns[2], _number_type)):
+            raise TypeError("an endpoint or a weight has the wrong type")
+        tails = np.fromiter(columns[0], dtype=np.int64, count=count)
+        heads = np.fromiter(columns[1], dtype=np.int64, count=count)
+        weights = np.fromiter(columns[2], dtype=np.float64, count=count)
+    except (TypeError, KeyError, IndexError, ValueError, OverflowError):
+        raise GraphValidationError(_first_edge_error(edge_list, vertex_count)) from None
+    bad = ((tails < 0) | (tails >= vertex_count) | (heads < 0)
+           | (heads >= vertex_count) | (tails == heads)
+           | ~(np.isfinite(weights) & (weights > 0.0)))
+    if bad.any():
+        i = int(bad.argmax())
+        raise GraphValidationError(_edge_error(i, edge_list[i], vertex_count))
+    return np.minimum(tails, heads), np.maximum(tails, heads), weights
+
+
 class WeightedGraph:
     """Immutable connected weighted graph with dense vertex ids 0..n-1.
 
     Edges are stored once in canonical form (u < v, sorted lexicographically).
     The constructor validates structure and precomputes the symmetric CSR
     adjacency and the vertex measure.
+
+    Each edge is a sequence (u, v, weight).  The endpoints, vertex_count and
+    root are ints or numpy integers, never bools; a weight is an int or a
+    float (Python or numpy), never a bool, finite and > 0.  Nothing is
+    truncated or parsed: (0.7, 1, 1.0) and (0, 1, True) are rejected.  The
+    edges are checked as three arrays at once, and a GraphValidationError
+    names the first bad edge.
     """
 
     __slots__ = ("vertex_count", "root", "edge_tails", "edge_heads",
                  "edge_weights", "adjacency", "vertex_measure")
 
     def __init__(self, vertex_count: int, edges, root: int = 0):
-        if not isinstance(vertex_count, (int, np.integer)) or vertex_count < 2:
+        if not _integer_type(type(vertex_count)) or vertex_count < 2:
             raise GraphValidationError(
                 f"vertex_count must be an integer >= 2, got {vertex_count!r}")
         vertex_count = int(vertex_count)
-        if not isinstance(root, (int, np.integer)) or not 0 <= root < vertex_count:
+        if not _integer_type(type(root)) or not 0 <= root < vertex_count:
             raise GraphValidationError(f"root {root!r} outside 0..{vertex_count - 1}")
 
         edge_list = list(edges)
         if not edge_list:
             raise GraphValidationError("graph has no edges")
-        tails = np.empty(len(edge_list), dtype=np.int64)
-        heads = np.empty(len(edge_list), dtype=np.int64)
-        weights = np.empty(len(edge_list), dtype=np.float64)
-        for i, edge in enumerate(edge_list):
-            try:
-                u, v, w = edge
-            except (TypeError, ValueError) as exc:
-                raise GraphValidationError(f"edge {i}: expected (u, v, weight)") from exc
-            u, v, w = int(u), int(v), float(w)
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise GraphValidationError(
-                    f"edge {i}: endpoint outside 0..{vertex_count - 1}: ({u}, {v})")
-            if u == v:
-                raise GraphValidationError(f"edge {i}: self loop at {u}")
-            if not np.isfinite(w) or w <= 0.0:
-                raise GraphValidationError(f"edge {i}: weight must be finite and > 0, got {w}")
-            if u > v:
-                u, v = v, u
-            tails[i], heads[i], weights[i] = u, v, w
+        tails, heads, weights = _edge_columns(edge_list, vertex_count)
 
         order = np.lexsort((heads, tails))
         tails, heads, weights = tails[order], heads[order], weights[order]
@@ -126,8 +199,8 @@ class WeightedGraph:
     @property
     def edges(self):
         """Canonical edge list as (u, v, weight) tuples with u < v."""
-        return [(int(u), int(v), float(w)) for u, v, w
-                in zip(self.edge_tails, self.edge_heads, self.edge_weights)]
+        return list(zip(self.edge_tails.tolist(), self.edge_heads.tolist(),
+                        self.edge_weights.tolist()))
 
     def neighbors(self, x: int):
         """Neighbor ids and the corresponding edge weights of vertex x."""
@@ -339,16 +412,25 @@ def save_graph(graph: WeightedGraph, path) -> None:
     payload = {
         "vertex_count": graph.vertex_count,
         "root": graph.root,
-        "edges": [[int(u), int(v), float(w)] for u, v, w
-                  in zip(graph.edge_tails, graph.edge_heads, graph.edge_weights)],
+        "edges": graph.edges,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+
+
+def _json_edge_ok(item) -> bool:
+    return (type(item) is list and len(item) == 3 and _integer_type(type(item[0]))
+            and _integer_type(type(item[1])) and _number_type(type(item[2])))
 
 
 def load_graph(path) -> WeightedGraph:
     """Read a graph written by save_graph, validating structure.
+
+    vertex_count, root and the edge endpoints must be JSON integers (not
+    true/false), the weights JSON numbers (not true/false): the
+    constructor's type rule.  The types are checked a column at a time;
+    only a file that fails that check is walked item by item, to name the
+    first bad edge.
 
     Raises GraphFormatError naming the offending field on malformed input,
     GraphValidationError on structural problems.
@@ -364,18 +446,19 @@ def load_graph(path) -> WeightedGraph:
     for key in ("vertex_count", "root", "edges"):
         if key not in raw:
             raise GraphFormatError(f"{path}: missing key {key!r}")
-    if not isinstance(raw["vertex_count"], int):
+    if not _integer_type(type(raw["vertex_count"])):
         raise GraphFormatError(f"{path}: vertex_count must be an integer")
-    if not isinstance(raw["root"], int):
+    if not _integer_type(type(raw["root"])):
         raise GraphFormatError(f"{path}: root must be an integer")
-    if not isinstance(raw["edges"], list):
+    edges = raw["edges"]
+    if not isinstance(edges, list):
         raise GraphFormatError(f"{path}: edges must be a list")
-    edges = []
-    for i, item in enumerate(raw["edges"]):
-        if (not isinstance(item, list) or len(item) != 3
-                or not isinstance(item[0], int) or not isinstance(item[1], int)
-                or not isinstance(item[2], (int, float)) or isinstance(item[2], bool)):
-            raise GraphFormatError(
-                f"{path}: edges[{i}] must be [int, int, number], got {item!r}")
-        edges.append((item[0], item[1], float(item[2])))
+    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {3}
+            and _column_is(map(_EDGE_FIELDS[0], edges), _integer_type)
+            and _column_is(map(_EDGE_FIELDS[1], edges), _integer_type)
+            and _column_is(map(_EDGE_FIELDS[2], edges), _number_type)):
+        i, item = next((i, item) for i, item in enumerate(edges)
+                       if not _json_edge_ok(item))
+        raise GraphFormatError(
+            f"{path}: edges[{i}] must be [int, int, number], got {item!r}")
     return WeightedGraph(raw["vertex_count"], edges, root=raw["root"])

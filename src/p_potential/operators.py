@@ -118,12 +118,14 @@ def as_values(f, graph: WeightedGraph) -> np.ndarray:
 
 
 def save_vertex_function(f: VertexFunction, path) -> None:
-    """Write a vertex function as CSV with header vertex,value (full precision)."""
+    """Write a vertex function as CSV with header vertex,value (full precision).
+
+    One write of the bytes csv.writer's excel dialect gives these rows
+    (CRLF line ends; an int and a float repr never need quoting).
+    """
+    rows = "".join(f"{i},{v!r}\r\n" for i, v in enumerate(f.values.tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", "value"])
-        for i, v in enumerate(f.values):
-            writer.writerow([i, repr(float(v))])
+        fh.write("vertex,value\r\n" + rows)
 
 
 def load_vertex_function(graph: WeightedGraph, path) -> VertexFunction:

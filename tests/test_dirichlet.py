@@ -9,10 +9,12 @@ from p_potential import (
     SolveOptions,
     ball_profile,
     build_lattice,
+    build_radial_model,
     build_tree,
     minimize_p_dirichlet,
     p_laplacian_all,
 )
+from p_potential.dirichlet import _Problem, _Smoothing
 
 
 def _linear_oracle(graph, ball, center):
@@ -121,3 +123,85 @@ def test_energy_beats_zero_function():
                                          np.zeros(graph.vertex_count),
                                          source, p, SolveOptions())
         assert report.energy < 0.0
+
+
+# ---------------------------------------------------------------------------
+# Newton assembly against the COO / np.add.at assembly it replaced
+
+
+def _hessian_by_coo(problem, values, sm):
+    """The Hessian as one COO matrix converted with tocsc(), kept as the
+    reference for the fixed-pattern assembly."""
+    drops = values[problem.eu] - values[problem.ev]
+    coeff = problem.ew * sm.second(drops)
+    rows, cols, vals = [], [], []
+    uf, vf = problem.u_free, problem.v_free
+    both = uf & vf
+    rows.append(problem.pu[uf]); cols.append(problem.pu[uf]); vals.append(coeff[uf])
+    rows.append(problem.pv[vf]); cols.append(problem.pv[vf]); vals.append(coeff[vf])
+    rows.append(problem.pu[both]); cols.append(problem.pv[both]); vals.append(-coeff[both])
+    rows.append(problem.pv[both]); cols.append(problem.pu[both]); vals.append(-coeff[both])
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(problem.n_free, problem.n_free)).tocsc()
+
+
+def _gradient_by_add_at(problem, values, sm):
+    """The gradient scattered with np.add.at / np.subtract.at (reference)."""
+    drops = values[problem.eu] - values[problem.ev]
+    flux = problem.ew * sm.phi(drops)
+    grad = np.zeros(problem.n_free)
+    np.add.at(grad, problem.pu[problem.u_free], flux[problem.u_free])
+    np.subtract.at(grad, problem.pv[problem.v_free], flux[problem.v_free])
+    return grad - problem.source_free
+
+
+# (graph, R); the radial models give the root 12 and 40 children, so its
+# Hessian column holds more than 16 COO entries
+ASSEMBLY_BALLS = {
+    "lattice1": (lambda: build_lattice(1, 8), 6),
+    "lattice2": (lambda: build_lattice(2, 6), 4),
+    "lattice3": (lambda: build_lattice(3, 4), 3),
+    "tree": (lambda: build_tree(2, 6), 4),
+    "radial": (lambda: build_radial_model([1, 12, 24, 24], [1.0, 1 / 3, 2.5]), 2),
+    "radial-fan": (lambda: build_radial_model([1, 40, 40], [0.7, 1.3]), 1),
+}
+
+
+def _assembly_iterates(name, p):
+    """(problem, values) at the warm start (all free values 0), at the
+    converged Green iterate and at a seeded random iterate, for the ball
+    and for the ball without its center."""
+    make, R = ASSEMBLY_BALLS[name]
+    graph = make()
+    ball = ball_profile(graph).ball_mask(R)
+    n = graph.vertex_count
+    source = np.zeros(n)
+    source[graph.root] = 1.0
+    converged, _ = minimize_p_dirichlet(graph, ball, np.zeros(n), source, p)
+    rng = np.random.default_rng(7)
+    shaken = np.where(ball, rng.uniform(0.0, 1.0, n), 0.0)
+    rimless = ball.copy()
+    rimless[graph.root] = False
+    root_at_one = np.where(ball & ~rimless, 1.0, 0.0)
+    for free, start in ((ball, np.zeros(n)), (rimless, root_at_one)):
+        problem = _Problem(graph, free, source)
+        for values in (start, converged, shaken):
+            yield problem, values
+
+
+@pytest.mark.parametrize("name", list(ASSEMBLY_BALLS))
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_assembly_is_bitwise_the_coo_assembly(name, p):
+    for problem, values in _assembly_iterates(name, p):
+        for eps in (1e-2, 1e-6, 1e-10, 0.0):
+            sm = _Smoothing(p, eps)
+            ref = _hessian_by_coo(problem, values, sm)
+            hess = problem.hessian(values, sm)
+            assert hess.format == "csc" and hess.shape == ref.shape
+            for attr in ("indptr", "indices", "data"):
+                got, want = getattr(hess, attr), getattr(ref, attr)
+                assert got.dtype == want.dtype, attr
+                assert got.tobytes() == want.tobytes(), attr
+            grad = problem.gradient(values, sm)
+            assert grad.tobytes() == _gradient_by_add_at(problem, values, sm).tobytes()

@@ -688,3 +688,14 @@ def test_analyze_ball_propagates_a_failed_step():
     with pytest.raises(ValueError, match="radius"):
         analyze_ball(graph, ball_profile(graph), -1,
                      ExponentParams(p=2.0, sigma=3.0))
+
+
+def test_orient_flow_rejects_an_off_root_center():
+    # B_R and the audit's radii are measured from the root, so a Green
+    # function centered elsewhere is refused before any work
+    graph = build_lattice(2, 10)
+    profile = ball_profile(graph)
+    center = int(profile.sphere(1)[0])
+    green = solve_green(graph, profile, 5, 2.0, center=center)
+    with pytest.raises(ValueError, match=rf"vertex {center}, not at the root 0"):
+        orient_flow(graph, profile, green)

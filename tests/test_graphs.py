@@ -1,8 +1,13 @@
 """Graph construction, radial profiles, generators, and (de)serialization."""
 
+import io
+import json
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import p_potential.graphs as graphs_module
 from p_potential import (
     BallProfile,
     GraphFormatError,
@@ -63,10 +68,43 @@ def test_graph_is_immutable():
     dict(vertex_count=2, edges=[(0, 1, 1.0), (1, 0, 2.0)]),  # duplicate
     dict(vertex_count=4, edges=[(0, 1, 1.0), (2, 3, 1.0)]),  # disconnected
     dict(vertex_count=2, edges=[(0, 1, 1.0)], root=5),
+    dict(vertex_count=3, edges=[(0.7, 1, 1.0), (1, 2.9, 2.0)]),  # float endpoints
+    dict(vertex_count=2, edges=[(np.float64(0), 1, 1.0)]),
+    dict(vertex_count=2, edges=[(0, 1, True)]),          # bool weight
+    dict(vertex_count=2, edges=[(False, True, 1.0)]),    # bool endpoints
+    dict(vertex_count=2, edges=[(0, 1, "1.0")]),         # string weight
+    dict(vertex_count=2, edges=[(0, 1)]),                # short edge
+    dict(vertex_count=2, edges=[(0, 1, 1.0, 2.0)]),      # long edge
+    dict(vertex_count=2, edges=[(0, 2 ** 70, 1.0)]),     # beyond int64
+    dict(vertex_count=2, edges=[(0, 1, 10 ** 400)]),     # beyond float64
+    dict(vertex_count=2, edges=[(0, 1, 1.0)], root=True),
 ])
 def test_constructor_rejects_bad_input(bad):
     with pytest.raises(GraphValidationError):
         WeightedGraph(bad["vertex_count"], bad["edges"], root=bad.get("root", 0))
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1, 1.0), (1, 2, 0.0), (0, 5, 1.0)],
+     "edge 1: weight must be finite and > 0, got 0.0"),
+    ([(0, 1, 1.0), (1, 2, 1.0), (2, 2, 1.0), (0.5, 1, 1.0)], "edge 2: self loop at 2"),
+    ([(0, 1, 1.0), (0.5, 1, 1.0), (2, 2, 1.0)],
+     "edge 1: endpoints must be integers, got (0.5, 1)"),
+    ([(0, 1, 1.0), (1, 2, True)], "edge 1: weight must be an int or a float, got True"),
+    ([(0, 1, 1.0), (1, 3, 1.0)], "edge 1: endpoint outside 0..2: (1, 3)"),
+    ([(0, 1, 1.0), (1, 2)], "edge 1: expected (u, v, weight)"),
+])
+def test_constructor_names_the_first_bad_edge(edges, message):
+    with pytest.raises(GraphValidationError) as info:
+        WeightedGraph(3, edges)
+    assert str(info.value) == message
+
+
+def test_constructor_accepts_numpy_integers_and_floats():
+    g = WeightedGraph(np.int64(3), [(np.int64(2), np.int32(1), np.float64(0.5)),
+                                    (np.uint8(1), 0, 2)], root=np.int64(1))
+    assert g.edges == [(0, 1, 2.0), (1, 2, 0.5)]
+    assert g.root == 1
 
 
 def test_validation_errors_are_value_errors():
@@ -229,6 +267,12 @@ def test_load_graph_format_errors(tmp_path):
         "bad-edge-row.json": '{"vertex_count": 2, "root": 0, "edges": [[0, 1]]}',
         "bool-weight.json": '{"vertex_count": 2, "root": 0, "edges": [[0, 1, true]]}',
         "float-endpoint.json": '{"vertex_count": 2, "root": 0, "edges": [[0.5, 1, 1.0]]}',
+        "bool-endpoints.json": '{"vertex_count": 2, "root": 0, "edges": [[false, true, 1.0]]}',
+        "bool-count.json": '{"vertex_count": true, "root": 0, "edges": [[0, 1, 1.0]]}',
+        "bool-root.json": '{"vertex_count": 2, "root": false, "edges": [[0, 1, 1.0]]}',
+        "string-weight.json": '{"vertex_count": 2, "root": 0, "edges": [[0, 1, "1.0"]]}',
+        "long-edge-row.json": '{"vertex_count": 2, "root": 0, "edges": [[0, 1, 1.0, 1]]}',
+        "edge-not-a-list.json": '{"vertex_count": 2, "root": 0, "edges": [{"u": 0}]}',
     }
     for name, text in cases.items():
         path = tmp_path / name
@@ -237,9 +281,127 @@ def test_load_graph_format_errors(tmp_path):
             load_graph(path)
 
 
+def test_load_graph_names_the_first_bad_edge(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{"vertex_count": 3, "root": 0,'
+                    ' "edges": [[0, 1, 1.0], [1, 2, 2], [true, 2, 1.0], [0, 2]]}')
+    with pytest.raises(GraphFormatError,
+                       match=r"edges\[2\] must be \[int, int, number\], got \[True, 2, 1.0\]"):
+        load_graph(path)
+
+
 def test_load_graph_structural_errors(tmp_path):
     path = tmp_path / "dup.json"
     path.write_text('{"vertex_count": 2, "root": 0,'
                     ' "edges": [[0, 1, 1.0], [1, 0, 1.0]]}')
     with pytest.raises(GraphValidationError):
         load_graph(path)
+
+
+# ---------------------------------------------------------------------------
+# array constructor and writer against the per-edge code they replaced
+
+
+def _graph_by_edge_loop(vertex_count, edges, root=0):
+    """The per-edge constructor loop, kept as the reference: the same
+    arrays, built one edge at a time, in an instance made without
+    WeightedGraph.__init__."""
+    edge_list = list(edges)
+    tails = np.empty(len(edge_list), dtype=np.int64)
+    heads = np.empty(len(edge_list), dtype=np.int64)
+    weights = np.empty(len(edge_list), dtype=np.float64)
+    for i, edge in enumerate(edge_list):
+        u, v, w = edge
+        u, v, w = int(u), int(v), float(w)
+        assert 0 <= u < vertex_count and 0 <= v < vertex_count and u != v
+        assert np.isfinite(w) and w > 0.0
+        if u > v:
+            u, v = v, u
+        tails[i], heads[i], weights[i] = u, v, w
+    order = np.lexsort((heads, tails))
+    tails, heads, weights = tails[order], heads[order], weights[order]
+    adjacency = sp.csr_matrix((np.concatenate([weights, weights]),
+                               (np.concatenate([tails, heads]),
+                                np.concatenate([heads, tails]))),
+                              shape=(vertex_count, vertex_count))
+    graph = object.__new__(WeightedGraph)
+    for name, value in (("vertex_count", vertex_count), ("root", root),
+                        ("edge_tails", tails), ("edge_heads", heads),
+                        ("edge_weights", weights), ("adjacency", adjacency),
+                        ("vertex_measure",
+                         np.asarray(adjacency.sum(axis=1)).ravel())):
+        object.__setattr__(graph, name, value)
+    return graph
+
+
+def _save_by_json_dump(graph) -> bytes:
+    """save_graph's bytes as json.dump wrote them (reference)."""
+    payload = {
+        "vertex_count": graph.vertex_count,
+        "root": graph.root,
+        "edges": [[int(u), int(v), float(w)] for u, v, w
+                  in zip(graph.edge_tails, graph.edge_heads, graph.edge_weights)],
+    }
+    buf = io.StringIO()
+    json.dump(payload, buf, sort_keys=True)
+    buf.write("\n")
+    return buf.getvalue().encode("utf-8")
+
+
+def _assert_same_graph(graph, ref):
+    assert graph == ref
+    for name in ("edge_tails", "edge_heads", "edge_weights", "vertex_measure"):
+        got, want = getattr(graph, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(graph.adjacency, name), getattr(ref.adjacency, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+GENERATOR_CALLS = [
+    (build_lattice, (1, 5)),
+    (build_lattice, (2, 4)),
+    (build_lattice, (3, 3)),
+    (build_lattice, (4, 2)),
+    (build_tree, (2, 5)),
+    (build_tree, (3, 3)),
+    (build_radial_model, ([1, 3, 3, 6], [1 / 3, 1e-7, 123.456])),
+]
+
+
+@pytest.mark.parametrize("factory, args", GENERATOR_CALLS)
+def test_generators_build_the_edge_loop_graph(monkeypatch, factory, args):
+    calls = []
+    real = graphs_module.WeightedGraph
+
+    def recording(vertex_count, edges, root=0):
+        edges = list(edges)
+        calls.append((vertex_count, edges, root))
+        return real(vertex_count, edges, root)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs_module, "WeightedGraph", recording)
+        graph = factory(*args)
+    (vertex_count, edges, root), = calls
+    _assert_same_graph(graph, _graph_by_edge_loop(vertex_count, edges, root))
+
+
+def test_shuffled_reversed_edges_build_the_edge_loop_graph():
+    rng = np.random.default_rng(3)
+    base = build_lattice(2, 4)
+    edges = [(v, u, w) if k % 2 else (u, v, w) for k, (u, v, _) in enumerate(base.edges)
+             for w in [float(rng.uniform(1e-3, 1e3))]]
+    order = rng.permutation(len(edges))
+    edges = [edges[k] for k in order]
+    assert any(u > v for u, v, _ in edges)
+    graph = WeightedGraph(base.vertex_count, edges, root=5)
+    _assert_same_graph(graph, _graph_by_edge_loop(base.vertex_count, edges, 5))
+
+
+@pytest.mark.parametrize("factory, args", GENERATOR_CALLS)
+def test_save_graph_writes_the_json_dump_bytes(tmp_path, factory, args):
+    graph = factory(*args)
+    path = tmp_path / "g.json"
+    save_graph(graph, path)
+    assert path.read_bytes() == _save_by_json_dump(graph)
+    assert load_graph(path) == graph

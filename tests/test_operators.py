@@ -1,5 +1,8 @@
 """Exponent bookkeeping, the nonlinearity, and the discrete operators."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -139,6 +142,22 @@ def test_vertex_function_csv_round_trip(tmp_path):
 
 # ---------------------------------------------------------------------------
 # operators on tiny graphs
+
+
+def test_vertex_function_csv_is_the_csv_writer_bytes(tmp_path):
+    # the bytes csv.writer (excel dialect, \r\n rows) wrote, kept as the reference
+    g = build_tree(2, 3)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(g.vertex_count) * 10.0 ** rng.integers(-300, 300, g.vertex_count)
+    values[:4] = [0.0, -0.0, 1 / 3, 5e-324]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["vertex", "value"])
+    for i, v in enumerate(values):
+        writer.writerow([i, repr(float(v))])
+    path = tmp_path / "f.csv"
+    save_vertex_function(VertexFunction(g, values), path)
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def test_p_laplacian_single_edge():
