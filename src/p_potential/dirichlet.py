@@ -12,6 +12,19 @@ iteration runs through a decreasing eps schedule, warm started from the
 p = 2 solution (one exact Newton step of the quadratic problem), and a
 final unsmoothed stage with a floored Hessian coefficient polishes the
 iterate so the reported defect refers to the exact phi_p operator.
+
+Factorization rule: every Newton direction is bit for bit the one
+`splu(H).solve(rhs)` gives.  The Hessian's sparsity pattern is fixed for the
+whole solve, so the first factorization (the warm start, or the first step
+when a start is given) runs `splu(H)` and keeps its COLAMD column order,
+postordered.  Every later step factors the Hessian with its columns already
+in that order and `permc_spec="NATURAL"`.  SuperLU's threshold pivoting
+prefers the diagonal (Demmel et al., SIAM J. Matrix Anal. Appl. 20(3),
+1999), so when every pivot of that factor is the original diagonal, the
+pivots `splu(H)` would choose are the same and so are the factors.  A factor
+with a pivot off the diagonal (an exact diagonal/off-diagonal tie, as at a
+vertex of degree 1 inside the ball) is discarded, and that step and the
+rest of the solve call `splu(H)`.
 """
 
 from __future__ import annotations
@@ -51,17 +64,36 @@ class SolveOptions:
 
 @dataclass
 class StageReport:
+    """One smoothing level of the continuation, with the fallbacks it took.
+
+    pivot_fallbacks: factors in the first factorization's column order
+        discarded for a pivot off the diagonal (at most one per solve).
+    shift_retries: singular Hessians refactored with a diagonal shift.
+    steepest_descent_steps: steps along -grad, the Newton direction being
+        non-finite or not a descent direction.
+    stalled_line_searches: Armijo searches that found no step, which ends
+        the stage.
+    """
+
     eps: float          # 0.0 marks the exact stage
     iterations: int
     grad_inf: float
+    pivot_fallbacks: int = 0
+    shift_retries: int = 0
+    steepest_descent_steps: int = 0
+    stalled_line_searches: int = 0
 
 
 @dataclass
 class MinimizeReport:
+    """warm_start_failed: the p = 2 warm-start Hessian was singular, so the
+    stages started from the fixed values with zeros on the free set."""
+
     p: float
     stages: list = field(default_factory=list)
     grad_inf: float = np.inf
     energy: float = np.nan
+    warm_start_failed: bool = False
 
     @property
     def total_iterations(self) -> int:
@@ -117,6 +149,11 @@ class _Problem:
       COO order after scipy's in-column index sort, which is not stable in
       columns of more than 16 entries, so the order is read off that sort
       once, here.  Off-diagonal entries are placed directly.
+    - Newton directions: see the factorization rule in the module
+      docstring.  The first `splu(H)` fixes `order`; the diagonal and
+      off-diagonal slots are then remapped once into the pattern of
+      `H[:, order]`, and each later step fills that matrix's `data`.
+      Relabelling the slots keeps every sum's order.
     """
 
     def __init__(self, graph: WeightedGraph, free_mask: np.ndarray,
@@ -145,6 +182,9 @@ class _Problem:
         self._term_edges = np.concatenate([tail_terms, head_terms])
         self._term_rows = np.concatenate([self.pu[tail_terms], self.pv[head_terms]])
         self._build_hessian_pattern()
+        self._order = None       # the first factorization's column order
+        self._reordered = None   # H[:, order], while its pivots hold
+        self.pivot_fallbacks = 0
 
     def _build_hessian_pattern(self):
         both = np.flatnonzero(self.u_free & self.v_free)
@@ -189,58 +229,114 @@ class _Problem:
         grad = np.bincount(self._term_rows, weights=terms, minlength=self.n_free)
         return grad - self.source_free
 
-    def hessian(self, values: np.ndarray, sm: _Smoothing) -> sp.csc_matrix:
+    def _hessian_data(self, values: np.ndarray, sm: _Smoothing,
+                      diag_slots: np.ndarray, off_slots: np.ndarray) -> np.ndarray:
         drops = values[self.eu] - values[self.ev]
         coeff = self.ew * sm.second(drops)
-        data = np.bincount(self._diag_slots, weights=coeff[self._diag_edges],
+        data = np.bincount(diag_slots, weights=coeff[self._diag_edges],
                            minlength=self._nnz)
-        data[self._off_slots] = -coeff[self._off_edges]
+        data[off_slots] = -coeff[self._off_edges]
+        return data
+
+    def hessian(self, values: np.ndarray, sm: _Smoothing) -> sp.csc_matrix:
+        data = self._hessian_data(values, sm, self._diag_slots, self._off_slots)
         hess = sp.csc_matrix((data, self._indices, self._indptr),
                              shape=(self.n_free, self.n_free))
         hess.has_canonical_format = True
         return hess
 
+    def _reorder(self, perm_c: np.ndarray) -> None:
+        """Fix the column order and the slots of H[:, order]."""
+        order = np.argsort(perm_c)
+        counts = np.diff(self._indptr)[order]
+        indptr = np.zeros_like(self._indptr)
+        np.cumsum(counts, out=indptr[1:])
+        # slot k of the reordered matrix holds slot source[k] of H
+        source = (np.repeat(self._indptr[order] - indptr[:-1], counts)
+                  + np.arange(self._nnz, dtype=self._indptr.dtype))
+        slot_of = np.empty(self._nnz, dtype=np.int64)
+        slot_of[source] = np.arange(self._nnz)
+        self._order = order
+        self._reordered = sp.csc_matrix(
+            (np.zeros(self._nnz), self._indices[source], indptr),
+            shape=(self.n_free, self.n_free))
+        self._reordered.has_canonical_format = True
+        self._reordered_diag = slot_of[self._diag_slots]
+        self._reordered_off = slot_of[self._off_slots]
+
+    def newton_direction(self, values: np.ndarray, sm: _Smoothing,
+                         rhs: np.ndarray) -> np.ndarray:
+        """Solve H x = rhs for the Hessian H at `values`: bit for bit
+        `splu(H).solve(rhs)`, and RuntimeError where `splu(H)` raises it."""
+        if self._reordered is not None:
+            self._reordered.data = self._hessian_data(
+                values, sm, self._reordered_diag, self._reordered_off)
+            try:
+                lu = spla.splu(self._reordered, permc_spec="NATURAL")
+                diagonal = np.array_equal(lu.perm_r[self._order],
+                                          np.arange(self.n_free))
+            except RuntimeError:
+                diagonal = False
+            if diagonal:
+                step = np.empty_like(rhs)
+                step[self._order] = lu.solve(rhs)
+                return step
+            self._reordered = None
+            self.pivot_fallbacks += 1
+        lu = spla.splu(self.hessian(values, sm))
+        if self._order is None:
+            self._reorder(lu.perm_c)
+        return lu.solve(rhs)
+
 
 def _newton_stage(problem: _Problem, values: np.ndarray, sm: _Smoothing,
                   grad_tol: float, max_iterations: int) -> StageReport:
     """Damped Newton on one smoothing level; mutates `values` in place."""
-    iterations = 0
+    report = StageReport(eps=sm.eps, iterations=0, grad_inf=0.0)
+    fallbacks_before = problem.pivot_fallbacks
     grad = problem.gradient(values, sm)
     grad_inf = float(np.abs(grad).max()) if grad.size else 0.0
     fp_slack = 4.0 * np.finfo(np.float64).eps
+    j0 = problem.objective(values, sm)
 
-    while grad_inf > grad_tol and iterations < max_iterations:
-        hess = problem.hessian(values, sm)
+    while grad_inf > grad_tol and report.iterations < max_iterations:
         try:
-            step = spla.splu(hess).solve(-grad)
+            step = problem.newton_direction(values, sm, -grad)
         except RuntimeError:
+            report.shift_retries += 1
+            hess = problem.hessian(values, sm)
             shift = 1e-12 * float(hess.diagonal().max()) + 1e-300
             step = spla.splu(hess + shift * sp.identity(problem.n_free,
                                                         format="csc")).solve(-grad)
         slope = float(np.dot(grad, step))
         if not np.all(np.isfinite(step)) or slope >= 0.0:
+            report.steepest_descent_steps += 1
             step = -grad
             slope = -float(np.dot(grad, grad))
 
-        j0 = problem.objective(values, sm)
         budget = fp_slack * max(1.0, abs(j0))
         t = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             trial = values.copy()
             trial[problem.free_ids] += t * step
-            if problem.objective(trial, sm) <= j0 + ARMIJO_SLOPE * t * slope + budget:
+            j_trial = problem.objective(trial, sm)
+            if j_trial <= j0 + ARMIJO_SLOPE * t * slope + budget:
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
+            report.stalled_line_searches += 1
             break  # below floating-point resolution; stop the stage
         values[:] = trial
-        iterations += 1
+        j0 = j_trial
+        report.iterations += 1
         grad = problem.gradient(values, sm)
         grad_inf = float(np.abs(grad).max()) if grad.size else 0.0
 
-    return StageReport(eps=sm.eps, iterations=iterations, grad_inf=grad_inf)
+    report.grad_inf = grad_inf
+    report.pivot_fallbacks = problem.pivot_fallbacks - fallbacks_before
+    return report
 
 
 def minimize_p_dirichlet(graph: WeightedGraph, free_mask, fixed_values,
@@ -296,11 +392,10 @@ def minimize_p_dirichlet(graph: WeightedGraph, free_mask, fixed_values,
     else:
         warm = _Smoothing(2.0, 0.0)
         grad2 = problem.gradient(values, warm)
-        hess2 = problem.hessian(values, warm)
         try:
-            values[problem.free_ids] += spla.splu(hess2).solve(-grad2)
+            values[problem.free_ids] += problem.newton_direction(values, warm, -grad2)
         except RuntimeError:
-            pass  # fall through; the damped stages still converge
+            report.warm_start_failed = True  # the damped stages still converge
 
     if p != 2.0:
         for eps in options.eps_schedule:

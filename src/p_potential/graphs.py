@@ -133,7 +133,9 @@ class WeightedGraph:
 
     Edges are stored once in canonical form (u < v, sorted lexicographically).
     The constructor validates structure and precomputes the symmetric CSR
-    adjacency and the vertex measure.
+    adjacency and the vertex measure.  Every array the graph holds (the
+    edge columns, `vertex_measure` and the `data`, `indices` and `indptr`
+    of `adjacency`) is read-only.
 
     Each edge is a sequence (u, v, weight).  The endpoints, vertex_count and
     root are ints or numpy integers, never bools; a weight is an int or a
@@ -183,10 +185,11 @@ class WeightedGraph:
         object.__setattr__(self, "edge_tails", tails)
         object.__setattr__(self, "edge_heads", heads)
         object.__setattr__(self, "edge_weights", weights)
+        vertex_measure = np.asarray(adjacency.sum(axis=1)).ravel()
         object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "vertex_measure",
-                           np.asarray(adjacency.sum(axis=1)).ravel())
-        for arr in (tails, heads, weights):
+        object.__setattr__(self, "vertex_measure", vertex_measure)
+        for arr in (tails, heads, weights, vertex_measure,
+                    adjacency.data, adjacency.indices, adjacency.indptr):
             arr.setflags(write=False)
 
     def __setattr__(self, name, value):

@@ -77,12 +77,16 @@ class ExponentParams:
 
 
 class VertexFunction:
-    """A real-valued function on the vertices of a fixed host graph."""
+    """A real-valued function on the vertices of a fixed host graph.
+
+    `values` is a private read-only copy: the caller's array stays writable,
+    and writing to it does not change the function.
+    """
 
     __slots__ = ("graph", "values")
 
     def __init__(self, graph: WeightedGraph, values):
-        values = np.asarray(values, dtype=np.float64)
+        values = np.array(values, dtype=np.float64)
         if values.shape != (graph.vertex_count,):
             raise ValueError(
                 f"values must have shape ({graph.vertex_count},), got {values.shape}")
@@ -128,20 +132,40 @@ def save_vertex_function(f: VertexFunction, path) -> None:
         fh.write("vertex,value\r\n" + rows)
 
 
+def _row_error(path, line: int, row: list, what: str) -> ValueError:
+    return ValueError(f"{path}: line {line}: row {row!r} {what}")
+
+
 def load_vertex_function(graph: WeightedGraph, path) -> VertexFunction:
-    """Read a CSV written by save_vertex_function onto the given host graph."""
-    values = np.full(graph.vertex_count, np.nan)
+    """Read a CSV written by save_vertex_function onto the given host graph.
+
+    Every vertex of the graph needs exactly one row; a row with an id
+    outside 0..n-1 or one that repeats an id is rejected, naming the row.
+    """
+    n = graph.vertex_count
+    values = np.empty(n)
+    seen = np.zeros(n, dtype=bool)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["vertex", "value"]:
             raise ValueError(f"{path}: expected header vertex,value, got {header!r}")
         for row in reader:
-            if len(row) != 2:
-                raise ValueError(f"{path}: malformed row {row!r}")
-            values[int(row[0])] = float(row[1])
-    if np.isnan(values).any():
-        missing = int(np.flatnonzero(np.isnan(values))[0])
+            try:
+                if len(row) != 2:
+                    raise ValueError
+                vertex, value = int(row[0]), float(row[1])
+            except ValueError:
+                raise _row_error(path, reader.line_num, row, "is malformed") from None
+            if not 0 <= vertex < n:
+                raise _row_error(path, reader.line_num, row,
+                                 f"names vertex {vertex} outside 0..{n - 1}")
+            if seen[vertex]:
+                raise _row_error(path, reader.line_num, row, f"repeats vertex {vertex}")
+            seen[vertex] = True
+            values[vertex] = value
+    if not seen.all():
+        missing = int(np.flatnonzero(~seen)[0])
         raise ValueError(f"{path}: no value for vertex {missing}")
     return VertexFunction(graph, values)
 

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 
 from p_potential import (
     SolveOptions,
+    WeightedGraph,
     ball_profile,
     build_lattice,
     build_radial_model,
@@ -205,3 +206,80 @@ def test_assembly_is_bitwise_the_coo_assembly(name, p):
                 assert got.tobytes() == want.tobytes(), attr
             grad = problem.gradient(values, sm)
             assert grad.tobytes() == _gradient_by_add_at(problem, values, sm).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Newton directions in the first factorization's column order against splu(H)
+
+
+def _pendant_lattice():
+    """lattice(2, 5) with a vertex of degree 1 hung on each vertex of
+    radius <= 2, so the ball of radius 3 holds 13 pendant vertices."""
+    base = build_lattice(2, 5)
+    near = np.flatnonzero(ball_profile(base).radius_of <= 2)
+    n = base.vertex_count
+    pendants = [(int(x), n + j, 1.0 + 0.25 * j) for j, x in enumerate(near)]
+    return WeightedGraph(n + near.size, base.edges + pendants, root=base.root)
+
+
+DIRECTION_BALLS = {**ASSEMBLY_BALLS, "pendant": (_pendant_lattice, 3)}
+
+
+@pytest.mark.parametrize("name", list(DIRECTION_BALLS))
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_newton_direction_is_bitwise_splu(name, p):
+    make, R = DIRECTION_BALLS[name]
+    graph = make()
+    ball = ball_profile(graph).ball_mask(R)
+    n = graph.vertex_count
+    source = np.zeros(n)
+    source[graph.root] = 1.0
+    problem = _Problem(graph, ball, source)
+    rng = np.random.default_rng(11)
+    iterates = [np.zeros(n)] + [np.where(ball, rng.uniform(0.0, 1.0, n), 0.0)
+                                for _ in range(4)]
+    smoothings = [_Smoothing(2.0, 0.0)] + [_Smoothing(p, eps)
+                                           for eps in (1e-2, 1e-10, 0.0)]
+    for values in iterates:
+        for sm in smoothings:
+            rhs = -problem.gradient(values, sm)
+            want = spla.splu(problem.hessian(values, sm)).solve(rhs)
+            got = problem.newton_direction(values, sm, rhs)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    if name == "pendant":
+        # exact ties between a pendant's diagonal and its one off-diagonal
+        assert problem.pivot_fallbacks == 1 and problem._reordered is None
+    else:
+        assert problem.pivot_fallbacks == 0 and problem._reordered is not None
+
+
+def test_fallback_counts():
+    graph = build_lattice(2, 6)
+    ball = ball_profile(graph).ball_mask(4)
+    source = np.zeros(graph.vertex_count)
+    source[graph.root] = 1.0
+    _, report = minimize_p_dirichlet(graph, ball, np.zeros(graph.vertex_count),
+                                     source, 1.5)
+    assert not report.warm_start_failed
+    assert all((st.pivot_fallbacks, st.shift_retries, st.steepest_descent_steps,
+                st.stalled_line_searches) == (0, 0, 0, 0) for st in report.stages)
+
+    graph = _pendant_lattice()
+    ball = ball_profile(graph).ball_mask(3)
+    source = np.zeros(graph.vertex_count)
+    source[graph.root] = 1.0
+    _, report = minimize_p_dirichlet(graph, ball, np.zeros(graph.vertex_count),
+                                     source, 1.5)
+    assert sum(st.pivot_fallbacks for st in report.stages) == 1
+    assert report.grad_inf <= 1e-9
+
+    # nothing held fixed: the Hessians are Laplacians, singular, so the
+    # warm start fails and the first step needs a diagonal shift
+    graph = build_lattice(1, 2)
+    source = np.zeros(graph.vertex_count)
+    source[[0, -1]] = 1.0, -1.0
+    _, report = minimize_p_dirichlet(graph, np.ones(graph.vertex_count, bool),
+                                     np.zeros(graph.vertex_count), source, 3.0)
+    assert report.warm_start_failed
+    assert report.stages[0].shift_retries == 1

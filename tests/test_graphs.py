@@ -56,6 +56,16 @@ def test_graph_is_immutable():
         g.edge_weights[0] = 2.0
 
 
+def test_graph_measure_and_adjacency_are_read_only():
+    g = build_lattice(2, 2)
+    for arr in (g.vertex_measure, g.adjacency.data, g.adjacency.indices,
+                g.adjacency.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 5
+    with pytest.raises(ValueError):
+        g.neighbors(0)[1][0] = 5.0
+
+
 @pytest.mark.parametrize("bad", [
     dict(vertex_count=1, edges=[(0, 0, 1.0)]),
     dict(vertex_count=2, edges=[]),

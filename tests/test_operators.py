@@ -119,6 +119,15 @@ def test_vertex_function_validation():
         f.values[0] = 3.0
 
 
+def test_vertex_function_keeps_a_private_copy():
+    g = WeightedGraph(2, [(0, 1, 1.0)])
+    u = np.array([1.0, 2.0])
+    f = VertexFunction(g, u)
+    u[0] = 5.0  # the caller's array stays writable
+    assert f.values.tolist() == [1.0, 2.0]
+    assert not f.values.flags.writeable
+
+
 def test_as_values_coercion():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     out = as_values([1, 2, 3], g)
@@ -138,6 +147,23 @@ def test_vertex_function_csv_round_trip(tmp_path):
     save_vertex_function(f, path)
     g2 = load_vertex_function(g, path)
     assert np.array_equal(f.values, g2.values)  # repr round-trips exactly
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("-1,3.0\r\n0,1.0\r\n1,2.0\r\n", r"line 2: row \['-1', '3.0'\] names vertex -1"),
+    ("0,1.0\r\n1,2.0\r\n1,4.0\r\n2,3.0\r\n", r"line 4: row \['1', '4.0'\] repeats vertex 1"),
+    ("0,1.0\r\n1,2.0\r\n2,3.0\r\n7,4.0\r\n", r"line 5: row \['7', '4.0'\] names vertex 7 outside 0..2"),
+    ("0,1.0\r\n1,2.0\r\n2.0,3.0\r\n", r"line 4: row \['2.0', '3.0'\] is malformed"),
+    ("0,1.0\r\n1,2.0\r\n2,3.0,4.0\r\n", r"line 4: .* is malformed"),
+    ("0,1.0\r\n2,3.0\r\n", r"no value for vertex 1"),
+], ids=["negative-id", "repeated-id", "id-out-of-range", "float-id",
+        "three-fields", "missing-vertex"])
+def test_load_vertex_function_rejects_bad_rows(tmp_path, rows, message):
+    g = build_lattice(1, 1)  # 3 vertices
+    path = tmp_path / "f.csv"
+    path.write_bytes(("vertex,value\r\n" + rows).encode("utf-8"))
+    with pytest.raises(ValueError, match=message):
+        load_vertex_function(g, path)
 
 
 # ---------------------------------------------------------------------------
