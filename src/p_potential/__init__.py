@@ -17,14 +17,13 @@ from .errors import (ConsistencyError, GraphFormatError, GraphValidationError,
                      VerificationError)
 from .flows import (BallAnalysis, ChainReport, CheckRecord, PathMeasure,
                     UnitFlow, analyze_ball, decompose_paths, edge_marginals,
-                    empirical_lower_bound, first_exit_indices, flow_checks,
-                    orient_flow, parallel_sum, path_hardy_check)
+                    empirical_lower_bound, flow_checks, orient_flow,
+                    parallel_sum, path_hardy_check)
 from .graphs import (BallProfile, WeightedGraph, ball_profile, build_lattice,
                      build_radial_model, build_tree, load_graph, save_graph)
 from .green import (LOOKS_NON_PARABOLIC, LOOKS_PARABOLIC, GreenFunction,
-                    ProbeReport, TemplateFit, capacity, compute_L,
-                    green_normalization_check, parabolicity_probe,
-                    sandwich_upper_bound, solve_green)
+                    ProbeReport, compute_L, green_normalization_check,
+                    parabolicity_probe, sandwich_upper_bound, solve_green)
 from .operators import (ExponentParams, VertexFunction, as_values,
                         defect_tolerance, dirichlet_pairing,
                         is_p_superharmonic, load_vertex_function, p_energy,
@@ -47,13 +46,12 @@ __all__ = [
     "PotentialError", "ProbeReport", "ResourceLimitError", "SandwichReport",
     "SeriesReport", "ShootReport", "SolveOptions", "SolverError",
     "StageReport", "STRICTLY_POSITIVE", "SuiteReport", "TailEstimate",
-    "TemplateFit", "UnitFlow", "VerificationError", "VertexFunction",
-    "WeightedGraph", "analyze_ball", "as_values", "ball_profile",
-    "build_lattice", "build_radial_model", "build_tree", "capacity",
-    "classify", "compute_L", "cut_series_terms", "cut_volume_check",
-    "decompose_paths", "defect_tolerance", "dirichlet_pairing",
-    "dyadic_blocks", "edge_marginals", "empirical_lower_bound",
-    "exponent_identity", "extrapolate_cut_tail", "first_exit_indices",
+    "UnitFlow", "VerificationError", "VertexFunction", "WeightedGraph",
+    "analyze_ball", "as_values", "ball_profile", "build_lattice",
+    "build_radial_model", "build_tree", "classify", "compute_L",
+    "cut_series_terms", "cut_volume_check", "decompose_paths",
+    "defect_tolerance", "dirichlet_pairing", "dyadic_blocks", "edge_marginals",
+    "empirical_lower_bound", "exponent_identity", "extrapolate_cut_tail",
     "flow_checks", "green_normalization_check", "hardy_check", "hardy_suite",
     "is_p_superharmonic", "load_graph", "load_vertex_function",
     "midrange_cut_bound", "minimize_p_dirichlet", "orient_flow", "p_energy",

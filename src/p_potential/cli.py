@@ -7,6 +7,10 @@ report (the same chain over a radius ladder, with the probe, the upper
 bound from radial shooting, the series and the suites).  flow and report
 both run flows.analyze_ball and only serialize its fields; report derives
 capacity_center = g_center^(1-p) and the probe from the ladder's solves.
+Beside its chain, every analyzed ball writes a nash_williams row with the
+chain rows' keys (name, lower, upper, margin, ok): the cut sum
+NW_R = sum_{k=0}^R b_k^(-1/(p-1)) as lower and g_R(o) as upper.  The probe
+labels growth from the extrapolated tail of that sum.
 
 Determinism contract: identical argv and --seed produce byte-identical
 output files.  All JSON is written with sorted keys and no timestamps;
@@ -31,7 +35,7 @@ from .graphs import (BallProfile, ball_profile, build_lattice,
                      build_radial_model, build_tree, load_graph, save_graph)
 from .green import (green_normalization_check, parabolicity_probe,
                     sandwich_upper_bound, solve_green)
-from .operators import ExponentParams, save_vertex_function
+from .operators import ExponentParams, _row_error, save_vertex_function
 from .verify import SHOOT_STARTS, run_suites, shoot_with_fallback
 
 REPORT_CSV_COLUMNS = ("R", "g_center", "residual", "capacity_center", "L",
@@ -85,6 +89,7 @@ def _ball_fields(ball: BallAnalysis) -> dict:
         "L": ball.chain.L,
         "lower_bound": ball.chain.rhs,
         "chain": _check_rows(ball.chain.checks),
+        "nash_williams": _check_rows([ball.nash_williams])[0],
     }
 
 
@@ -174,23 +179,36 @@ def _cmd_flow(args) -> int:
 
 
 def _load_profile_csv(path: str) -> np.ndarray:
-    """Volume profile CSV with header n,W -> array indexed by n."""
+    """Volume profile CSV with header n,W -> array indexed by n.
+
+    A row that does not start with an integer n and a number W, or that
+    repeats an n, raises ValueError naming the path, the line and the row.
+    """
+    volumes = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["n", "W"]:
             raise ValueError(f"{path}: expected header 'n,W'")
-        rows = [(int(row[0]), float(row[1])) for row in reader if row]
-    if not rows:
+        for row in reader:
+            if not row:
+                continue
+            try:
+                n, value = int(row[0]), float(row[1])
+            except (IndexError, ValueError):
+                raise _row_error(path, reader.line_num, row,
+                                 "is malformed") from None
+            if n in volumes:
+                raise _row_error(path, reader.line_num, row, f"repeats n = {n}")
+            volumes[n] = value
+    if not volumes:
         raise ValueError(f"{path}: no data rows")
-    rows.sort()
-    ns = [n for n, _ in rows]
+    ns = sorted(volumes)
     if ns[0] not in (0, 1) or ns != list(range(ns[0], ns[0] + len(ns))):
         raise ValueError(f"{path}: n must be contiguous from 0 or 1")
     W = np.empty(ns[-1] + 1)
-    W[0] = rows[0][1]  # placeholder when the file starts at n = 1
-    for n, value in rows:
-        W[n] = value
+    W[0] = volumes[ns[0]]  # placeholder when the file starts at n = 1
+    W[ns] = [volumes[n] for n in ns]
     return W
 
 
@@ -322,10 +340,8 @@ def _cmd_report(args) -> int:
 
     probe = None
     if len(radii) >= 3 and all(b > a for a, b in zip(radii, radii[1:])):
-        pr = parabolicity_probe(radii, [row["g_center"] for row in ladder],
-                                params.p)
-        probe = {key: value for key, value in asdict(pr).items()
-                 if key != "fits"}
+        probe = asdict(parabolicity_probe(
+            radii, [row["g_center"] for row in ladder], profile.b, params))
 
     terms_path = args.out_prefix + ".terms.csv"
     criterion_payload = _criterion_payload(profile.W, profile, params,

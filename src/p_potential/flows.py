@@ -13,7 +13,8 @@ yields
 
 entirely in terms of the ball profile's cut conductances b_k.  Every
 intermediate inequality is checked numerically, not assumed.  analyze_ball
-runs the whole chain on one ball: solve, orient, decompose, audit.
+runs the whole chain on one ball: solve, orient, decompose, audit, and
+then checks the Nash-Williams cut bound g_R(o) >= sum_{k=0}^R b_k^(-1/r).
 
 A PathMeasure holds its paths packed: one flat vertex array, path offsets
 and probabilities, the layout the audit and the edge marginals read in
@@ -406,36 +407,6 @@ def _first_exits(radii: np.ndarray, offsets: np.ndarray, R: int) -> np.ndarray:
     return alpha
 
 
-def first_exit_indices(path, profile: BallProfile, n: int, R: int,
-                       boundary_id: int | None = None) -> np.ndarray:
-    """Edge indices alpha_k, k = n..R: the first exit from B_k at or after
-    the path's first visit to radius n.
-
-    alpha_k is the first index i >= tau_n with radius(x_i) <= k <
-    radius(x_{i+1}).  Since radii move by at most one per step, that is the
-    first step from radius k to k + 1 after tau_n, and the indices are
-    distinct across k.  On a path from the center no such step comes
-    before tau_n, so alpha_k does not depend on n; empirical_lower_bound
-    runs the same pass (_first_exits) over all paths at once.
-    """
-    if boundary_id is None:
-        boundary_id = profile.graph.vertex_count
-    if not 1 <= n <= R:
-        raise ValueError(f"need 1 <= n <= R, got n={n}, R={R}")
-    radii = np.array([R + 1 if v == boundary_id else profile.radius_of[v]
-                      for v in path], dtype=np.int64)
-    hits = np.flatnonzero(radii == n)
-    if hits.size == 0:
-        raise ValueError(f"path never reaches radius {n}")
-    tau = int(hits[0])
-    alphas = _first_exits(radii[tau:], np.array([0, radii.size - tau]), R)[0, n:]
-    if np.any(alphas < 0):
-        k = n + int(np.argmax(alphas < 0))
-        raise ConsistencyError(
-            f"path reached radius {n} but never exits B_{k}")
-    return tau + alphas
-
-
 def _path_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum of each consecutive run of counts[i] entries of terms.
 
@@ -484,11 +455,15 @@ class ChainReport:
         return [c.name for c in self.checks if not c.ok]
 
 
-def _record(checks: list, name: str, lower: float, upper: float) -> None:
+def _check(name: str, lower: float, upper: float) -> CheckRecord:
     lower, upper = float(lower), float(upper)
     scale = max(1.0, abs(lower), abs(upper))
-    checks.append(CheckRecord(name=name, lower=lower, upper=upper,
-                              ok=lower <= upper + 1e-8 * scale))
+    return CheckRecord(name=name, lower=lower, upper=upper,
+                       ok=lower <= upper + 1e-8 * scale)
+
+
+def _record(checks: list, name: str, lower: float, upper: float) -> None:
+    checks.append(_check(name, lower, upper))
 
 
 def empirical_lower_bound(graph: WeightedGraph, profile: BallProfile,
@@ -622,7 +597,8 @@ class BallAnalysis:
     """The lower-bound chain on one ball B_R, with its by-products.
 
     margins is flow_checks' dict; marginal_deviation is the largest
-    |edge marginal of the path measure - edge flow| over retained edges.
+    |edge marginal of the path measure - edge flow| over retained edges;
+    nash_williams is the check NW_R = sum_{k=0}^R b_k^(-1/r) <= g_R(o).
     """
 
     green: GreenFunction
@@ -631,22 +607,33 @@ class BallAnalysis:
     chain: ChainReport
     margins: dict
     marginal_deviation: float
+    nash_williams: CheckRecord
 
 
 def analyze_ball(graph: WeightedGraph, profile: BallProfile, R: int,
                  params: ExponentParams) -> BallAnalysis:
     """Solve g_R, orient its unit current, decompose it into paths and
-    audit the lower-bound chain for L_R.
+    audit the lower-bound chain for L_R; then check the Nash-Williams cut
+    bound g_R(o) >= NW_R = sum_{k=0}^R b_k^(-1/r), Holder's inequality for
+    the unit current on each of the disjoint cuts k = 0..R.
 
     Raises what each step raises: SolverError from the solve,
     ConsistencyError from orientation or decomposition, VerificationError
-    from the audit.
+    from the audit or the cut bound.
     """
     green = solve_green(graph, profile, R, params.p)
     flow = orient_flow(graph, profile, green)
     measure = decompose_paths(flow)
     chain = empirical_lower_bound(graph, profile, green, flow, measure, params)
     deviation = np.abs(edge_marginals(flow, measure) - flow.theta).max()
+    nash_williams = _check("Nash-Williams cut sum <= g_R(o)",
+                           np.sum(profile.b[:R + 1] ** (-1.0 / params.r)),
+                           green.values.values[green.center])
+    if not nash_williams.ok:
+        raise VerificationError(
+            f"Nash-Williams cut sum {nash_williams.lower!r} exceeds "
+            f"g_R(o) = {nash_williams.upper!r} on B_{R}")
     return BallAnalysis(green=green, flow=flow, measure=measure, chain=chain,
                         margins=flow_checks(graph, profile, flow),
-                        marginal_deviation=float(deviation))
+                        marginal_deviation=float(deviation),
+                        nash_williams=nash_williams)

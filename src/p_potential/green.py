@@ -9,19 +9,26 @@ is p-harmonic on B_R minus the center and carries a unit point source at
 the center, i.e. mu(x) * (-lap_p v)(x) = 1_{x = center}; the reported
 residual is the maximum absolute defect of that equation over B_R.
 
-Also here: the p-capacity of a set inside B_R, a finite-scale parabolicity
-probe (bounded vs unbounded g_R(o)), the weighted power sum
-L_R = sum_{B_R} g_R^sigma mu, and the supersolution upper bound
-L_R <= (sigma/eta) (g_R(o)/u(o))^eta.
+Also here: the p-capacity of a set inside B_R, the weighted power sum
+L_R = sum_{B_R} g_R^sigma mu, the supersolution upper bound
+L_R <= (sigma/eta) (g_R(o)/u(o))^eta, and a finite-scale parabolicity
+probe.  The probe reads the Nash-Williams cut bound
+
+    g_R(o) >= NW_R = sum_{k=0}^R b_k^(-1/(p-1)),
+
+Holder's inequality applied to the unit current on each cut between B_k
+and its complement: an infinite extrapolated tail of NW means g_R(o) is
+unbounded (looks-parabolic); a finite tail with shrinking increments of
+g_R(o) reads looks-non-parabolic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import INCONCLUSIVE
+from .criterion import INCONCLUSIVE, TailEstimate, extrapolate_cut_tail
 from .dirichlet import MinimizeReport, SolveOptions, minimize_p_dirichlet
 from .errors import ConsistencyError, SolverError
 from .graphs import BallProfile, WeightedGraph
@@ -117,6 +124,11 @@ def capacity(graph: WeightedGraph, profile: BallProfile, target_set, R: int,
     Minimizes the p-energy over v with v = 1 on the set and v = 0 outside
     B_R; returns the energy of the minimizer (which lies in [0, 1]).
     Nonincreasing in R.
+
+    Not exported by the package: report derives cap_R({o}) = g_R(o)^(1-p)
+    from its own solves.  It stays because the benchmark's tracer
+    (bench/spans.py) wraps green.capacity by name, and the traced
+    bench self-test fails without it.
     """
     if options is None:
         options = SolveOptions()
@@ -187,25 +199,21 @@ def sandwich_upper_bound(graph: WeightedGraph, profile: BallProfile,
     return (params.sigma / params.eta) * ratio ** params.eta
 
 
+
+
 # ---------------------------------------------------------------------------
 # parabolicity probe
 
 
 @dataclass
-class TemplateFit:
-    name: str
-    params: tuple
-    sse: float
-    rel_err: float
-    growth_per_doubling: float
-
-
-@dataclass
 class ProbeReport:
-    """Finite-scale parabolicity probe: data, fits, and a three-way label.
+    """Finite-scale parabolicity probe: the ladder's data, the extrapolated
+    Nash-Williams tail and a three-way label.
 
-    This suggests, it does not decide: boundedness of g_R(o) over all R is
-    not observable from finitely many radii.
+    tail is extrapolate_cut_tail's estimate of sum_{k>R} b_k^(-1/(p-1))
+    at the last radius R of the ladder, or None when R < 4.  The label
+    suggests, it does not decide: boundedness of g_R(o) over all R is not
+    observable from finitely many radii.
     """
 
     radii: list
@@ -213,91 +221,44 @@ class ProbeReport:
     cap_root: np.ndarray
     increments: np.ndarray
     label: str
-    fits: dict = field(default_factory=dict)
+    tail: TailEstimate | None
 
 
-def _fit_constant(r: np.ndarray, v: np.ndarray) -> TemplateFit:
-    c = float(v.mean())
-    sse = float(np.sum((v - c) ** 2))
-    rel = np.sqrt(sse / np.sum(v ** 2))
-    return TemplateFit("constant", (c,), sse, float(rel), 0.0)
-
-
-def _fit_log(r: np.ndarray, v: np.ndarray) -> TemplateFit:
-    design = np.column_stack([np.ones_like(r), np.log(r)])
-    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-    a, b = float(coef[0]), float(coef[1])
-    sse = float(np.sum((design @ coef - v) ** 2))
-    rel = np.sqrt(sse / np.sum(v ** 2))
-    return TemplateFit("log", (a, b), sse, float(rel), b * np.log(2.0))
-
-
-def _fit_power(r: np.ndarray, v: np.ndarray) -> TemplateFit:
-    best = None
-    for beta in np.arange(0.1, 3.01, 0.05):
-        design = np.column_stack([np.ones_like(r), r ** beta])
-        coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-        sse = float(np.sum((design @ coef - v) ** 2))
-        if best is None or sse < best[0]:
-            best = (sse, beta, float(coef[0]), float(coef[1]))
-    sse, beta, a, b = best
-    r_last = float(r[-1])
-    growth = b * ((2.0 * r_last) ** beta - r_last ** beta)
-    rel = np.sqrt(sse / np.sum(v ** 2))
-    return TemplateFit("power", (a, b, beta), sse, float(rel), growth)
-
-
-def parabolicity_probe(radii, g_root, p: float) -> ProbeReport:
-    """Label the growth of g_R(o) over a ladder of radii.
+def parabolicity_probe(radii, g_root, b, params: ExponentParams) -> ProbeReport:
+    """Label the growth of g_R(o) over a ladder of radii by the
+    Nash-Williams cut bound.
 
     g_root holds the Green values at the center, solved on B_R for each
     radius of the ladder; cap_root is derived from them exactly, as
-    cap_R({o}) = g_R(o)^(1-p).
+    cap_R({o}) = g_R(o)^(1-p).  b holds the cut conductances (b[k]
+    separates B_k from its complement).
 
-    Label rule (a calibrated reading of "which template wins"; the
-    2-parameter templates nest the constant one, so raw SSE cannot pick it):
-    looks-non-parabolic when the constant template fits to < 1% relative
-    error and the last increment is < 1e-3 * g(o); looks-parabolic when an
-    unbounded template fits to < 10% relative error with positive slope and
-    predicted growth per doubling of R at least 1% of the last value;
-    otherwise inconclusive.
+    Holder on each cut k gives g_R(o) >= NW_R = sum_{k=0}^R b_k^(-1/(p-1)),
+    so an unbounded NW_R forces g_R(o) -> infinity, and a bounded g_R(o)
+    needs a finite NW tail.  Label: looks-parabolic when the tail
+    extrapolated from the last radius is infinite; looks-non-parabolic
+    when it is finite and the increments of g_R(o) per unit radius
+    strictly decrease along the ladder; inconclusive otherwise, and
+    whenever the last radius is below 4.
     """
     radii = [int(R) for R in radii]
     g_root = np.asarray(g_root, dtype=np.float64)
     if len(radii) < 3:
-        raise ValueError("need at least three radii to fit growth templates")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("need at least three radii to compare increments")
+    if any(hi <= lo for lo, hi in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     if g_root.shape != (len(radii),):
         raise ValueError("need one Green value per radius")
-    cap_root = g_root ** (1.0 - p)
     increments = np.diff(g_root)
 
-    # fit on the largest half of the radii, at least three points
-    start = min(len(radii) // 2, len(radii) - 3)
-    window_r = np.asarray(radii[start:], dtype=np.float64)
-    window_v = g_root[start:]
-    fits = {
-        "constant": _fit_constant(window_r, window_v),
-        "log": _fit_log(window_r, window_v),
-        "power": _fit_power(window_r, window_v),
-    }
-
-    g_last = float(g_root[-1])
-    last_inc = float(g_root[-1] - g_root[-2])
-    const_ok = fits["constant"].rel_err < 0.01
-    inc_small = last_inc < 1e-3 * g_last
-
-    if const_ok and inc_small:
-        label = LOOKS_NON_PARABOLIC
-    else:
-        unbounded = min((fits["log"], fits["power"]), key=lambda f: f.sse)
-        slope = unbounded.params[1]
-        if (unbounded.rel_err < 0.10 and slope > 0.0
-                and unbounded.growth_per_doubling >= 0.01 * g_last):
+    tail = None
+    label = INCONCLUSIVE
+    if radii[-1] >= 4:
+        tail = extrapolate_cut_tail(b, params, radii[-1])
+        if np.isinf(tail.extra):
             label = LOOKS_PARABOLIC
-        else:
-            label = INCONCLUSIVE
-
-    return ProbeReport(radii=radii, g_root=g_root, cap_root=cap_root,
-                       increments=increments, label=label, fits=fits)
+        elif np.all(np.diff(increments / np.diff(radii)) < 0.0):
+            label = LOOKS_NON_PARABOLIC
+    return ProbeReport(radii=radii, g_root=g_root,
+                       cap_root=g_root ** (1.0 - params.p),
+                       increments=increments, label=label, tail=tail)

@@ -18,7 +18,7 @@ from p_potential.cli import main
 CHAIN_ROW_KEYS = {"name", "lower", "upper", "margin", "ok"}
 SHARED_BALL_KEYS = {"retained_edges", "path_count", "probability_sum",
                     "max_marginal_deviation", "conservation_defect", "L",
-                    "lower_bound", "chain"}
+                    "lower_bound", "chain", "nash_williams"}
 FLOW_REPORT_KEYS = SHARED_BALL_KEYS | {
     "R", "p", "sigma", "min_tail_slack", "cut_margin",
     "boundary_tails_at_rim", "per_n"}
@@ -31,6 +31,7 @@ CRITERION_KEYS = {"p", "sigma", "horizon", "classification", "fitted_beta",
                   "cut_volume_margin", "midrange", "source"}
 REPORT_KEYS = {"graph", "p", "sigma", "seed", "shoot", "ladder", "probe",
                "criterion", "verify", "ok"}
+PROBE_KEYS = {"radii", "g_root", "cap_root", "increments", "label", "tail"}
 
 
 @pytest.fixture
@@ -101,6 +102,8 @@ def test_flow_writes_paths_and_audited_report(workdir, capsys):
     assert set(report) == FLOW_REPORT_KEYS
     assert all(set(row) == CHAIN_ROW_KEYS and row["ok"]
                for row in report["chain"])
+    assert set(report["nash_williams"]) == CHAIN_ROW_KEYS
+    assert report["nash_williams"]["ok"] is True
     assert report["path_count"] == len(paths["paths"]) == summary["path_count"]
     assert sum(p["probability"] for p in paths["paths"]) == pytest.approx(1.0)
     assert report["probability_sum"] == pytest.approx(1.0, abs=1e-12)
@@ -167,8 +170,13 @@ def test_report_on_a_symmetric_graph(workdir, capsys):
         assert row["capacity_center"] == pytest.approx(
             row["g_center"] ** -1.0, rel=1e-9)
         assert row["normalization_dev"] <= 1e-9
+        assert set(row["nash_williams"]) == CHAIN_ROW_KEYS
+        assert row["nash_williams"]["ok"] is True
     probe = payload["probe"]
+    assert set(probe) == PROBE_KEYS
     assert probe["radii"] == [2, 3, 4]
+    assert probe["label"] == "looks-non-parabolic"
+    assert probe["tail"]["model"] == "geometric"
     assert probe["g_root"] == [row["g_center"] for row in payload["ladder"]]
     np.testing.assert_allclose(probe["cap_root"],
                                [row["capacity_center"]
@@ -196,28 +204,61 @@ def test_report_on_an_asymmetric_graph_has_no_upper_bound(workdir, capsys):
         assert fh.read().splitlines()[1].split(",")[6] == ""
 
 
+def test_report_labels_the_binary_tree_non_parabolic(workdir, capsys):
+    # g_R(o) = 1 - 2^-(R+1) stays bounded; the template fits the probe
+    # used to run labelled this ladder looks-parabolic
+    assert main(["gen", "--family", "tree", "--branching", "2", "--depth",
+                 "12", "--out", "tree12.json"]) == 0
+    code, _, _ = run(["report", "--graph", "tree12.json", "--p", "2",
+                      "--sigma", "3", "--R", "3,5,7,9", "--trials", "200",
+                      "--out-prefix", "r"], capsys)
+    assert code == 0
+    payload = read_json("r.json")
+    assert payload["probe"]["label"] == "looks-non-parabolic"
+    assert payload["probe"]["tail"]["extra"] == pytest.approx(2.0 ** -10)
+    for row in payload["ladder"]:
+        # the tree is the equality case of the cut bound
+        nash_williams = row["nash_williams"]
+        assert nash_williams["lower"] == pytest.approx(
+            1.0 - 2.0 ** -(row["R"] + 1), rel=1e-12)
+        assert nash_williams["upper"] == pytest.approx(
+            nash_williams["lower"], rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # error paths: exit status 1 and one JSON object on stderr
 
 
-def _malformed_profile():
-    with open("bad.csv", "w", encoding="utf-8") as fh:
-        fh.write("radius,volume\n0,1\n1,5\n")
+def _write(name, text):
+    def prepare():
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return prepare
 
 
-@pytest.mark.parametrize("argv, prepare, error", [
+_malformed_profile = _write("bad.csv", "radius,volume\n0,1\n1,5\n")
+PROFILE_ARGV = ["criterion", "--profile", "bad.csv", "--p", "2", "--sigma", "3"]
+
+
+@pytest.mark.parametrize("argv, prepare, error, message", [
     (["report", "--graph", "tree.json", "--p", "2", "--sigma", "3",
-      "--R", "2,x"], None, "ValueError"),
+      "--R", "2,x"], None, "ValueError", None),
     (["report", "--graph", "tree.json", "--p", "2", "--sigma", "3",
-      "--R", "2,99"], None, "ValueError"),
+      "--R", "2,99"], None, "ValueError", None),
     (["green", "--graph", "missing.json", "--R", "2", "--p", "2",
-      "--out", "g.csv"], None, "FileNotFoundError"),
-    (["criterion", "--profile", "bad.csv", "--p", "2", "--sigma", "3"],
-     _malformed_profile, "ValueError"),
+      "--out", "g.csv"], None, "FileNotFoundError", None),
+    (PROFILE_ARGV, _malformed_profile, "ValueError", None),
+    (PROFILE_ARGV, _write("bad.csv", "n,W\n1,4\n2\n"), "ValueError",
+     "bad.csv: line 3: row ['2'] is malformed"),
+    (PROFILE_ARGV, _write("bad.csv", "n,W\n1,4\n2,x\n"), "ValueError",
+     "bad.csv: line 3: row ['2', 'x'] is malformed"),
+    (PROFILE_ARGV, _write("bad.csv", "n,W\n1,4\n2,9\n2,9\n"), "ValueError",
+     "bad.csv: line 4: row ['2', '9'] repeats n = 2"),
 ], ids=["bad-radius-list", "radius-above-R_max", "missing-graph",
-        "malformed-profile"])
+        "malformed-profile", "short-profile-row", "unparsed-profile-row",
+        "repeated-profile-n"])
 def test_errors_exit_1_with_json_on_stderr(workdir, capsys, argv, prepare,
-                                           error):
+                                           error, message):
     if prepare is not None:
         prepare()
     code, out, err = run(argv, capsys)
@@ -227,6 +268,8 @@ def test_errors_exit_1_with_json_on_stderr(workdir, capsys, argv, prepare,
     assert set(payload) == {"error", "message"}
     assert payload["error"] == error
     assert payload["message"]
+    if message is not None:
+        assert payload["message"] == message
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from p_potential import (
     decompose_paths,
     edge_marginals,
     empirical_lower_bound,
-    first_exit_indices,
     flow_checks,
     orient_flow,
     parallel_sum,
@@ -358,6 +357,34 @@ def test_parallel_sum_validation():
 # first exits
 
 
+def first_exit_indices(path, profile, n, R, boundary_id=None):
+    """Per-path oracle over _first_exits: edge indices alpha_k, k = n..R,
+    the first exit from B_k at or after the path's first visit to radius n.
+
+    alpha_k is the first index i >= tau_n with radius(x_i) <= k <
+    radius(x_{i+1}).  Since radii move by at most one per step, that is the
+    first step from radius k to k + 1 after tau_n, and the indices are
+    distinct across k.  On a path from the center no such step comes
+    before tau_n, so alpha_k does not depend on n.
+    """
+    if boundary_id is None:
+        boundary_id = profile.graph.vertex_count
+    if not 1 <= n <= R:
+        raise ValueError(f"need 1 <= n <= R, got n={n}, R={R}")
+    radii = np.array([R + 1 if v == boundary_id else profile.radius_of[v]
+                      for v in path], dtype=np.int64)
+    hits = np.flatnonzero(radii == n)
+    if hits.size == 0:
+        raise ValueError(f"path never reaches radius {n}")
+    tau = int(hits[0])
+    alphas = _first_exits(radii[tau:], np.array([0, radii.size - tau]), R)[0, n:]
+    if np.any(alphas < 0):
+        k = n + int(np.argmax(alphas < 0))
+        raise ConsistencyError(
+            f"path reached radius {n} but never exits B_{k}")
+    return tau + alphas
+
+
 def test_first_exits_on_monotone_path():
     graph = build_lattice(1, 5)
     prof = ball_profile(graph)
@@ -681,6 +708,37 @@ def test_analyze_ball_runs_the_chain_step_by_step(p, sigma):
                                   margins["cut_margin"])
     assert ball.marginal_deviation == float(
         np.abs(edge_marginals(flow, measure) - flow.theta).max())
+
+
+@pytest.mark.parametrize("p, R", [
+    (p, R) for p in (2.0, 3.0) for R in (1, 4, 7)] + [
+    (1.5, 1), (1.5, 4),
+    pytest.param(1.5, 7, marks=pytest.mark.xfail(
+        raises=ConsistencyError, strict=True,
+        reason="orient_flow's conservation alarm fires on this valid solve: "
+               "defect 1.06e-11 against 100 * residual = 1e-11"))])
+def test_nash_williams_is_tight_on_the_tree(p, R):
+    # each sphere's edges carry equal current, so Holder is an equality
+    # on every cut: g_R(o) = sum_{k=0}^R b_k^(-1/(p-1))
+    graph = build_tree(2, 8)
+    prof = ball_profile(graph)
+    ball = analyze_ball(graph, prof, R, ExponentParams(p=p, sigma=p))
+    check = ball.nash_williams
+    assert check.ok
+    assert check.upper == ball.green.values[graph.root]
+    assert check.lower == pytest.approx(check.upper, rel=1e-10)
+
+
+def test_nash_williams_failure_raises():
+    graph = build_tree(2, 5)
+    prof = ball_profile(graph)
+    # b_0 enters only the cut sum, not the chain: a thinner first cut
+    # makes the sum exceed g_R(o)
+    b = prof.b.copy()
+    b[0] /= 100.0
+    prof.b = b
+    with pytest.raises(VerificationError, match="Nash-Williams"):
+        analyze_ball(graph, prof, 3, ExponentParams(p=2.0, sigma=3.0))
 
 
 def test_analyze_ball_propagates_a_failed_step():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from p_potential import (
+    INCONCLUSIVE,
     ExponentParams,
     LOOKS_NON_PARABOLIC,
     LOOKS_PARABOLIC,
@@ -15,7 +16,6 @@ from p_potential import (
     ball_profile,
     build_lattice,
     build_tree,
-    capacity,
     compute_L,
     dirichlet_pairing,
     green_normalization_check,
@@ -24,6 +24,7 @@ from p_potential import (
     sandwich_upper_bound,
     solve_green,
 )
+from p_potential.green import capacity
 from p_potential.verify import shoot_radial_supersolution
 
 PS = (1.5, 2.0, 3.0)
@@ -288,12 +289,14 @@ def _probe(graph, p, radii):
     prof = ball_profile(graph)
     g_root = [solve_green(graph, prof, R, p).values[graph.root]
               for R in radii]
-    return parabolicity_probe(radii, g_root, p)
+    return parabolicity_probe(radii, g_root, prof.b,
+                              ExponentParams(p=p, sigma=p))
 
 
 def test_probe_labels_line_as_parabolic():
     report = _probe(build_lattice(1, 26), 2.0, (4, 8, 12, 16, 20, 24))
     assert report.label == LOOKS_PARABOLIC
+    assert report.tail.extra == np.inf
     assert np.all(report.increments > 0.0)
     assert np.all(np.diff(report.cap_root) <= 1e-10)
 
@@ -304,21 +307,40 @@ def test_probe_labels_square_lattice_as_parabolic():
 
 
 def test_probe_labels_tree_as_transient():
-    # g_R(o) = 15/16, 31/32, ... saturates toward 1; the ladder must run
-    # deep enough for the increments to drop under the 1e-3 cutoff
+    # g_R(o) = 15/16, 31/32, ... saturates toward 1, and the cut sum
+    # sum_k 2^-(k+1) has a finite tail
     radii = (3, 4, 5, 6, 7, 8, 9, 10)
     report = _probe(build_tree(2, 11), 2.0, radii)
     assert report.label == LOOKS_NON_PARABOLIC
+    assert report.tail.extra == pytest.approx(2.0 ** -11, rel=1e-9)
     assert list(report.radii) == list(radii)
     assert np.all(np.diff(report.g_root) > 0.0)
     expected = [tree_green_at_root(R, 2.0) for R in radii]
     np.testing.assert_allclose(report.g_root, expected, rtol=1e-10)
 
 
+@pytest.mark.parametrize("p", PS)
+@pytest.mark.parametrize("dimension, half_side, radii", [
+    (1, 26, (8, 16, 24)), (2, 13, (4, 8, 12)), (3, 8, (3, 5, 7))])
+def test_probe_reads_lattice_parabolicity(dimension, half_side, radii, p):
+    # Z^d is p-parabolic exactly when p >= d
+    report = _probe(build_lattice(dimension, half_side), p, radii)
+    expected = LOOKS_PARABOLIC if p >= dimension else LOOKS_NON_PARABOLIC
+    assert report.label == expected
+
+
+def test_probe_is_inconclusive_below_radius_4():
+    report = _probe(build_tree(2, 5), 2.0, (1, 2, 3))
+    assert report.label == INCONCLUSIVE
+    assert report.tail is None
+
+
 def test_probe_needs_increasing_ladder():
+    b = np.ones(8)
+    params = ExponentParams(p=2.0, sigma=2.0)
     with pytest.raises(ValueError):
-        parabolicity_probe((1, 2), (1.0, 2.0), 2.0)
+        parabolicity_probe((1, 2), (1.0, 2.0), b, params)
     with pytest.raises(ValueError):
-        parabolicity_probe((1, 3, 2), (1.0, 3.0, 2.0), 2.0)
+        parabolicity_probe((1, 3, 2), (1.0, 3.0, 2.0), b, params)
     with pytest.raises(ValueError):
-        parabolicity_probe((1, 2, 3), (1.0, 2.0), 2.0)
+        parabolicity_probe((1, 2, 3), (1.0, 2.0), b, params)

@@ -1,7 +1,10 @@
-"""Radial shooting and the sandwich suite."""
+"""Radial shooting, the sandwich suite, and the two scalar checks the
+random suites sample."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p_potential import (
     ExponentParams,
@@ -10,7 +13,8 @@ from p_potential import (
     build_tree,
     supersolution_defect,
 )
-from p_potential.verify import sandwich_suite, shoot_radial_supersolution
+from p_potential.verify import (hardy_check, picone_check, sandwich_suite,
+                                shoot_radial_supersolution)
 
 
 def test_shooting_gives_a_supersolution_on_the_interior():
@@ -61,3 +65,41 @@ def test_sandwich_suite_squeezes_L():
     assert report.worst_margin == pytest.approx(min(
         min(c["L"] - c["lower"], c["upper"] - c["L"])
         for c in report.details.values()))
+
+
+# ---------------------------------------------------------------------------
+# the scalar checks on the suites' parameter boxes; the slack is the
+# suites' own, 1e-12 * max(1, |lhs|, |rhs|)
+
+
+def _log_uniform():
+    """Magnitudes log-uniform on [1e-6, 1e3], as the suites draw them."""
+    return st.floats(np.log(1e-6), np.log(1e3)).map(np.exp)
+
+
+@st.composite
+def _picone_tuples(draw):
+    """p on (1, 4], sigma on (p - 1 + 1e-3, 6], a, b, s, t log-uniform,
+    and sometimes t = s, the equality case picone_suite also hits."""
+    p = draw(st.floats(1.0, 4.0, exclude_min=True))
+    sigma = draw(st.floats(p - 1.0 + 1e-3, 6.0))
+    a, b, s, t = (draw(_log_uniform()) for _ in range(4))
+    if draw(st.booleans()):
+        t = s
+    return ExponentParams(p=p, sigma=sigma), a, b, s, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(_picone_tuples())
+def test_picone_check_holds_on_the_suite_box(case):
+    params, a, b, s, t = case
+    lhs, rhs = picone_check(a, b, s, t, params)
+    assert lhs <= rhs + 1e-12 * max(1.0, abs(lhs), abs(rhs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.lists(_log_uniform(), min_size=1, max_size=200),
+       r=st.floats(0.001, 5.0))
+def test_hardy_check_holds_on_the_suite_box(a, r):
+    lhs, rhs = hardy_check(a, r)
+    assert lhs >= rhs - 1e-12 * max(1.0, lhs, rhs)
