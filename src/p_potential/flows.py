@@ -105,24 +105,24 @@ def _collapse_edges(graph: WeightedGraph, ball: np.ndarray, g: np.ndarray):
     return tails, heads, drops, conds
 
 
-def _assert_acyclic(tails: np.ndarray, heads: np.ndarray, n_ids: int) -> None:
-    indegree = np.bincount(heads, minlength=n_ids)
-    out_lists = [[] for _ in range(n_ids)]
-    for i, t in enumerate(tails):
-        out_lists[t].append(heads[i])
-    stack = list(np.flatnonzero(indegree == 0))
-    seen = 0
-    while stack:
-        x = stack.pop()
-        seen += 1
-        for h in out_lists[x]:
-            indegree[h] -= 1
-            if indegree[h] == 0:
-                stack.append(h)
-    if seen != n_ids:
+def _assert_acyclic(potential: np.ndarray, tails: np.ndarray,
+                    heads: np.ndarray) -> None:
+    """Certify that the directed edges (tails, heads) form no cycle.
+
+    orient_flow keeps only edges whose drop fl(g[tail] - g[head]) exceeds
+    a threshold >= 0, and for finite doubles fl(x - y) > 0 iff x > y.  So
+    the potential (g with the boundary sentinel at 0) strictly decreases
+    along every retained edge, and no directed cycle can close.  An edge
+    along which it does not decrease raises ConsistencyError naming it.
+    """
+    flat_or_rising = ~(potential[tails] > potential[heads])
+    if flat_or_rising.any():
+        i = int(flat_or_rising.argmax())
+        t, h = int(tails[i]), int(heads[i])
         raise ConsistencyError(
-            f"oriented flow contains a directed cycle "
-            f"({n_ids - seen} vertices unresolved)")
+            f"oriented flow edge ({t}, {h}) does not descend in g "
+            f"({potential[t]!r} -> {potential[h]!r}), so it may close a "
+            f"directed cycle")
 
 
 def orient_flow(graph: WeightedGraph, profile: BallProfile,
@@ -132,10 +132,11 @@ def orient_flow(graph: WeightedGraph, profile: BallProfile,
 
     Vertices outside B_R collapse to a single absorbing boundary vertex
     (sentinel id = vertex_count).  Edges whose drop is at or below the
-    threshold (default 1e-12 * max drop) are discarded.  Conservation,
-    acyclicity, and the source/sink facts (nothing enters the center,
-    nothing leaves the boundary) are checked; violations beyond
-    100 * residual signal a bad solve and raise ConsistencyError.
+    threshold (default 1e-12 * max drop; a negative one raises ValueError)
+    are discarded.  Conservation, acyclicity, and the source/sink facts
+    (nothing enters the center, nothing leaves the boundary) are checked;
+    violations beyond 100 * residual signal a bad solve and raise
+    ConsistencyError.
 
     The Green function must be centered at the graph's root: B_R and the
     audit's radii are measured from the root, so a chain from any other
@@ -155,6 +156,9 @@ def orient_flow(graph: WeightedGraph, profile: BallProfile,
         raise ConsistencyError("ball has no incident edges to orient")
     if zero_drop_threshold is None:
         zero_drop_threshold = 1e-12 * drops.max()
+    elif not zero_drop_threshold >= 0.0:
+        raise ValueError(f"zero_drop_threshold must be >= 0, got "
+                         f"{zero_drop_threshold!r}")
     keep = drops > zero_drop_threshold
     tails, heads, drops, conds = tails[keep], heads[keep], drops[keep], conds[keep]
 
@@ -178,7 +182,7 @@ def orient_flow(graph: WeightedGraph, profile: BallProfile,
         raise ConsistencyError("a retained edge enters the center")
     if np.any(tails == boundary):
         raise ConsistencyError("a retained edge leaves the boundary")
-    _assert_acyclic(tails, heads, boundary + 1)
+    _assert_acyclic(np.append(g, 0.0), tails, heads)
 
     for arr in (tails, heads, drops, conds, theta):
         arr.setflags(write=False)

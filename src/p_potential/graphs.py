@@ -15,6 +15,8 @@ radius whose ball still has a nonempty exterior in the truncation.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import json
 import math
@@ -331,17 +333,18 @@ def build_lattice(dimension: int, half_side: int) -> WeightedGraph:
     count = (2 * half_side + 1) ** dimension
     _check_budget(count, f"lattice({dimension}, {half_side})")
 
-    coords = sorted(itertools.product(range(-half_side, half_side + 1),
-                                      repeat=dimension),
-                    key=lambda c: (sum(abs(x) for x in c), c))
-    index = {c: i for i, c in enumerate(coords)}
-    edges = []
-    for c, i in index.items():
-        for axis in range(dimension):
-            shifted = list(c)
-            shifted[axis] += 1
-            if shifted[axis] <= half_side:
-                edges.append((i, index[tuple(shifted)], 1.0))
+    side = 2 * half_side + 1
+    # columns of coords run through the box in lexicographic order; a
+    # stable sort by l1 radius gives the ids
+    coords = np.indices((side,) * dimension).reshape(dimension, -1) - half_side
+    order = np.argsort(np.abs(coords).sum(axis=0), kind="stable")
+    ids = np.empty(count, dtype=np.int64)
+    ids[order] = np.arange(count)
+    # one step up along an axis moves the lexicographic index by a stride
+    strides = side ** np.arange(dimension - 1, -1, -1)
+    tails, axes = np.nonzero(coords[:, order].T < half_side)
+    heads = ids[order[tails] + strides[axes]]
+    edges = list(zip(tails.tolist(), heads.tolist(), itertools.repeat(1.0)))
     return WeightedGraph(count, edges, root=0)
 
 
@@ -409,16 +412,33 @@ def build_radial_model(sphere_sizes, edge_weight_profile) -> WeightedGraph:
     return WeightedGraph(count, edges, root=0)
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector while JSON builds or walks one
+    Python object per edge: none of them can form a cycle, and each
+    collection would scan them all again.  The collector's previous state
+    is restored on exit."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def save_graph(graph: WeightedGraph, path) -> None:
     """Write a graph as JSON: {"vertex_count", "root", "edges": [[u, v, w]...]}
     with the canonical (u < v, sorted) edge order and full float precision."""
-    payload = {
-        "vertex_count": graph.vertex_count,
-        "root": graph.root,
-        "edges": graph.edges,
-    }
+    with _collector_paused():
+        payload = {
+            "vertex_count": graph.vertex_count,
+            "root": graph.root,
+            "edges": graph.edges,
+        }
+        text = json.dumps(payload, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        fh.write(text + "\n")
 
 
 def _json_edge_ok(item) -> bool:
@@ -431,16 +451,17 @@ def load_graph(path) -> WeightedGraph:
 
     vertex_count, root and the edge endpoints must be JSON integers (not
     true/false), the weights JSON numbers (not true/false): the
-    constructor's type rule.  The types are checked a column at a time;
-    only a file that fails that check is walked item by item, to name the
-    first bad edge.
+    constructor's type rule, which the constructor checks in its one scan
+    of the edges.  Only a file the constructor rejects is walked item by
+    item, to name the first edge of the wrong JSON shape or type.
 
     Raises GraphFormatError naming the offending field on malformed input,
     GraphValidationError on structural problems.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            with _collector_paused():
+                raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"{path}: not valid JSON "
                                    f"(line {exc.lineno}, column {exc.colno})") from exc
@@ -456,12 +477,16 @@ def load_graph(path) -> WeightedGraph:
     edges = raw["edges"]
     if not isinstance(edges, list):
         raise GraphFormatError(f"{path}: edges must be a list")
-    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {3}
-            and _column_is(map(_EDGE_FIELDS[0], edges), _integer_type)
-            and _column_is(map(_EDGE_FIELDS[1], edges), _integer_type)
-            and _column_is(map(_EDGE_FIELDS[2], edges), _number_type)):
-        i, item = next((i, item) for i, item in enumerate(edges)
-                       if not _json_edge_ok(item))
+    try:
+        return WeightedGraph(raw["vertex_count"], edges, root=raw["root"])
+    except GraphValidationError:
+        # of JSON values the constructor takes exactly the [int, int,
+        # number] lists, so a rejected file either has a malformed edge,
+        # named here, or a bad value, raised as it is
+        bad = next(((i, item) for i, item in enumerate(edges)
+                    if not _json_edge_ok(item)), None)
+        if bad is None:
+            raise
+        i, item = bad
         raise GraphFormatError(
-            f"{path}: edges[{i}] must be [int, int, number], got {item!r}")
-    return WeightedGraph(raw["vertex_count"], edges, root=raw["root"])
+            f"{path}: edges[{i}] must be [int, int, number], got {item!r}") from None

@@ -30,7 +30,7 @@ from p_potential import (
     path_hardy_check,
     solve_green,
 )
-from p_potential.flows import CRUMB_FRACTION, _first_exits
+from p_potential.flows import CRUMB_FRACTION, _assert_acyclic, _first_exits
 
 CHAIN_CHECK_NAMES = [
     "path mass expectation <= L",
@@ -135,6 +135,31 @@ def test_orient_rejects_all_edges_below_threshold():
     green = solve_green(graph, prof, 1, 2.0)
     with pytest.raises(ConsistencyError):
         orient_flow(graph, prof, green, zero_drop_threshold=10.0)
+
+
+def test_orient_rejects_a_negative_threshold():
+    graph = build_lattice(1, 3)
+    prof = ball_profile(graph)
+    green = solve_green(graph, prof, 1, 2.0)
+    with pytest.raises(ValueError, match="zero_drop_threshold"):
+        orient_flow(graph, prof, green, zero_drop_threshold=-1.0)
+
+
+def test_acyclicity_certificate_rejects_every_potential_on_a_cycle():
+    # 0 -> 1 -> 2 -> 0 closes a cycle; 1 -> 3 leaves it
+    tails = np.array([0, 1, 2, 1])
+    heads = np.array([1, 2, 0, 3])
+    with pytest.raises(ConsistencyError, match=r"edge \(2, 0\) does not descend"):
+        _assert_acyclic(np.array([3.0, 2.0, 1.0, 0.0]), tails, heads)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        with pytest.raises(ConsistencyError, match="does not descend"):
+            _assert_acyclic(rng.uniform(size=4), tails, heads)
+    # a tie certifies nothing
+    with pytest.raises(ConsistencyError, match=r"edge \(0, 1\)"):
+        _assert_acyclic(np.array([1.0, 1.0]), np.array([0]), np.array([1]))
+    _assert_acyclic(np.array([3.0, 2.0, 1.0, 0.0]), tails[[0, 1, 3]],
+                    heads[[0, 1, 3]])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Graph construction, radial profiles, generators, and (de)serialization."""
 
+import gc
 import io
+import itertools
 import json
 
 import numpy as np
@@ -300,6 +302,18 @@ def test_load_graph_names_the_first_bad_edge(tmp_path):
         load_graph(path)
 
 
+def test_load_graph_names_a_bad_shape_before_a_bad_value(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{"vertex_count": 3, "root": 0,'
+                    ' "edges": [[0, 1, 1.0], [1, 1, 1.0], [0, 2, "x"]]}')
+    with pytest.raises(GraphFormatError, match=r"edges\[2\] must be"):
+        load_graph(path)
+    path.write_text('{"vertex_count": 3, "root": 0,'
+                    ' "edges": [[0, 1, 1.0], [1, 1, 1.0], [0, 2, 0]]}')
+    with pytest.raises(GraphValidationError, match="edge 1: self loop at 1"):
+        load_graph(path)
+
+
 def test_load_graph_structural_errors(tmp_path):
     path = tmp_path / "dup.json"
     path.write_text('{"vertex_count": 2, "root": 0,'
@@ -415,3 +429,62 @@ def test_save_graph_writes_the_json_dump_bytes(tmp_path, factory, args):
     save_graph(graph, path)
     assert path.read_bytes() == _save_by_json_dump(graph)
     assert load_graph(path) == graph
+
+
+def _lattice_by_sorted_tuples(dimension, half_side):
+    """build_lattice's edge list as it was built from coordinate tuples
+    (reference): ids by sorting (l1 radius, coordinates), neighbours by a
+    dict lookup."""
+    coords = sorted(itertools.product(range(-half_side, half_side + 1),
+                                      repeat=dimension),
+                    key=lambda c: (sum(abs(x) for x in c), c))
+    index = {c: i for i, c in enumerate(coords)}
+    edges = []
+    for c, i in index.items():
+        for axis in range(dimension):
+            shifted = list(c)
+            shifted[axis] += 1
+            if shifted[axis] <= half_side:
+                edges.append((i, index[tuple(shifted)], 1.0))
+    return edges
+
+
+@pytest.mark.parametrize("dimension, half_side", [
+    (1, 1), (1, 7), (2, 1), (2, 6), (3, 1), (3, 4), (4, 1), (4, 3)])
+def test_build_lattice_equals_the_sorted_tuple_build(monkeypatch, dimension,
+                                                     half_side):
+    calls = []
+    real = graphs_module.WeightedGraph
+
+    def recording(vertex_count, edges, root=0):
+        calls.append(edges)
+        return real(vertex_count, edges, root)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs_module, "WeightedGraph", recording)
+        graph = build_lattice(dimension, half_side)
+    edges = _lattice_by_sorted_tuples(dimension, half_side)
+    assert calls == [edges]
+    assert all(type(u) is int and type(v) is int for u, v, _ in calls[0])
+    _assert_same_graph(graph, real((2 * half_side + 1) ** dimension, edges))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_graph_io_restores_the_collector_state(tmp_path, enabled):
+    path = tmp_path / "g.json"
+    bad = tmp_path / "bad.json"
+    bad.write_text("{oops")
+    was_enabled = gc.isenabled()
+    try:
+        if not enabled:
+            gc.disable()
+        save_graph(build_tree(2, 3), path)
+        assert gc.isenabled() == enabled
+        load_graph(path)
+        assert gc.isenabled() == enabled
+        with pytest.raises(GraphFormatError):
+            load_graph(bad)
+        assert gc.isenabled() == enabled
+    finally:
+        if was_enabled:
+            gc.enable()
