@@ -43,26 +43,26 @@ REPORT_CSV_COLUMNS = ("R", "g_center", "residual", "capacity_center", "L",
                       "conservation_defect")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """json.dump's hook for the numpy values in a payload: an array as its
+    list, a numpy scalar as the Python float, int or bool.  (np.float64 is
+    a float and never reaches the hook.)  Every payload key is a str."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, np.generic):
-        return obj.item()  # numpy scalar -> the Python float, int or bool
-    return obj
+        return obj.item()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dump_json(path: str, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
         fh.write("\n")
 
 
 def _print_json(payload) -> None:
-    json.dump(_jsonable(payload), sys.stdout, sort_keys=True, indent=2)
+    json.dump(payload, sys.stdout, sort_keys=True, indent=2,
+              default=_json_default)
     sys.stdout.write("\n")
 
 

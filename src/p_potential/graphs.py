@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import itertools
+import io
 import json
 import math
 import os
+import re
 from operator import itemgetter
 
 import numpy as np
@@ -104,12 +105,13 @@ def _first_edge_error(edge_list, vertex_count: int) -> str:
 
 
 def _edge_columns(edge_list, vertex_count: int):
-    """The edges as canonical (tails, heads, weights) arrays, validated as
-    arrays; a bad edge raises GraphValidationError with _edge_error's words
-    for the first bad edge in list order."""
+    """The edges as (tails, heads, weights) arrays in list order and
+    orientation, type-checked in one scan; an edge of the wrong shape or
+    type raises GraphValidationError with _edge_error's words for the first
+    bad edge in list order."""
     count = len(edge_list)
     try:
-        if set(map(len, edge_list)) != {3}:
+        if not set(map(len, edge_list)) <= {3}:
             raise ValueError("not all edges have three fields")
         columns = [list(map(field, edge_list)) for field in _EDGE_FIELDS]
         if not (_column_is(columns[0], _integer_type)
@@ -121,13 +123,15 @@ def _edge_columns(edge_list, vertex_count: int):
         weights = np.fromiter(columns[2], dtype=np.float64, count=count)
     except (TypeError, KeyError, IndexError, ValueError, OverflowError):
         raise GraphValidationError(_first_edge_error(edge_list, vertex_count)) from None
-    bad = ((tails < 0) | (tails >= vertex_count) | (heads < 0)
-           | (heads >= vertex_count) | (tails == heads)
-           | ~(np.isfinite(weights) & (weights > 0.0)))
-    if bad.any():
-        i = int(bad.argmax())
-        raise GraphValidationError(_edge_error(i, edge_list[i], vertex_count))
-    return np.minimum(tails, heads), np.maximum(tails, heads), weights
+    return tails, heads, weights
+
+
+def _check_count_and_root(vertex_count, root) -> None:
+    if not _integer_type(type(vertex_count)) or vertex_count < 2:
+        raise GraphValidationError(
+            f"vertex_count must be an integer >= 2, got {vertex_count!r}")
+    if not _integer_type(type(root)) or not 0 <= root < vertex_count:
+        raise GraphValidationError(f"root {root!r} outside 0..{vertex_count - 1}")
 
 
 class WeightedGraph:
@@ -151,18 +155,37 @@ class WeightedGraph:
                  "edge_weights", "adjacency", "vertex_measure")
 
     def __init__(self, vertex_count: int, edges, root: int = 0):
-        if not _integer_type(type(vertex_count)) or vertex_count < 2:
-            raise GraphValidationError(
-                f"vertex_count must be an integer >= 2, got {vertex_count!r}")
-        vertex_count = int(vertex_count)
-        if not _integer_type(type(root)) or not 0 <= root < vertex_count:
-            raise GraphValidationError(f"root {root!r} outside 0..{vertex_count - 1}")
-
+        # the count is checked before the scan, whose messages name it
+        _check_count_and_root(vertex_count, root)
         edge_list = list(edges)
-        if not edge_list:
-            raise GraphValidationError("graph has no edges")
-        tails, heads, weights = _edge_columns(edge_list, vertex_count)
+        self._set_columns(vertex_count,
+                          *_edge_columns(edge_list, int(vertex_count)), root)
 
+    @classmethod
+    def _from_columns(cls, vertex_count: int, tails: np.ndarray,
+                      heads: np.ndarray, weights: np.ndarray,
+                      root: int = 0) -> "WeightedGraph":
+        """The graph of the edges (tails[i], heads[i], weights[i]), given as
+        int64 and float64 arrays in any order and orientation; the
+        constructor's checks, run on the arrays."""
+        graph = object.__new__(cls)
+        graph._set_columns(vertex_count, tails, heads, weights, root)
+        return graph
+
+    def _set_columns(self, vertex_count, tails, heads, weights, root):
+        _check_count_and_root(vertex_count, root)
+        vertex_count = int(vertex_count)
+        if tails.size == 0:
+            raise GraphValidationError("graph has no edges")
+        bad = ((tails < 0) | (tails >= vertex_count) | (heads < 0)
+               | (heads >= vertex_count) | (tails == heads)
+               | ~(np.isfinite(weights) & (weights > 0.0)))
+        if bad.any():
+            i = int(bad.argmax())
+            raise GraphValidationError(
+                _edge_error(i, (tails[i], heads[i], weights[i]), vertex_count))
+
+        tails, heads = np.minimum(tails, heads), np.maximum(tails, heads)
         order = np.lexsort((heads, tails))
         tails, heads, weights = tails[order], heads[order], weights[order]
         dup = (tails[1:] == tails[:-1]) & (heads[1:] == heads[:-1])
@@ -344,8 +367,8 @@ def build_lattice(dimension: int, half_side: int) -> WeightedGraph:
     strides = side ** np.arange(dimension - 1, -1, -1)
     tails, axes = np.nonzero(coords[:, order].T < half_side)
     heads = ids[order[tails] + strides[axes]]
-    edges = list(zip(tails.tolist(), heads.tolist(), itertools.repeat(1.0)))
-    return WeightedGraph(count, edges, root=0)
+    return WeightedGraph._from_columns(count, tails, heads,
+                                       np.ones(tails.size), root=0)
 
 
 def build_tree(branching: int, depth: int) -> WeightedGraph:
@@ -358,17 +381,11 @@ def build_tree(branching: int, depth: int) -> WeightedGraph:
     count = (branching ** (depth + 1) - 1) // (branching - 1)
     _check_budget(count, f"tree({branching}, {depth})")
 
-    edges = []
-    level_start, level_size = 0, 1
-    next_id = 1
-    for _ in range(depth):
-        for parent in range(level_start, level_start + level_size):
-            for _ in range(branching):
-                edges.append((parent, next_id, 1.0))
-                next_id += 1
-        level_start += level_size
-        level_size *= branching
-    return WeightedGraph(count, edges, root=0)
+    # in breadth-first order the children of vertex x are b*x+1 .. b*x+b
+    heads = np.arange(1, count, dtype=np.int64)
+    tails = (heads - 1) // branching
+    return WeightedGraph._from_columns(count, tails, heads,
+                                       np.ones(heads.size), root=0)
 
 
 def build_radial_model(sphere_sizes, edge_weight_profile) -> WeightedGraph:
@@ -403,21 +420,23 @@ def build_radial_model(sphere_sizes, edge_weight_profile) -> WeightedGraph:
     count = sum(sizes)
     _check_budget(count, "radial model")
 
+    sizes = np.array(sizes, dtype=np.int64)
     starts = np.concatenate([[0], np.cumsum(sizes)])
-    edges = []
-    for k, w in enumerate(weights):
-        parent_base, child_base = starts[k], starts[k + 1]
-        for j in range(sizes[k + 1]):
-            edges.append((parent_base + j % sizes[k], child_base + j, w))
-    return WeightedGraph(count, edges, root=0)
+    # every vertex but the root, layer by layer; child j of layer k + 1
+    # hangs from parent j mod sizes[k] of layer k
+    heads = np.arange(1, count, dtype=np.int64)
+    layer = np.repeat(np.arange(len(weights)), sizes[1:])
+    tails = starts[layer] + (heads - starts[layer + 1]) % sizes[layer]
+    return WeightedGraph._from_columns(count, tails, heads,
+                                       np.array(weights)[layer], root=0)
 
 
 @contextlib.contextmanager
 def _collector_paused():
-    """Pause the cyclic garbage collector while JSON builds or walks one
-    Python object per edge: none of them can form a cycle, and each
-    collection would scan them all again.  The collector's previous state
-    is restored on exit."""
+    """Pause the cyclic garbage collector while json.load builds one Python
+    object per edge: none of them can form a cycle, and each collection
+    would scan them all again.  The collector's previous state is restored
+    on exit."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -427,18 +446,142 @@ def _collector_paused():
             gc.enable()
 
 
+# ids of more than 18 digits may not fit an int64 and are left to json
+_ID_DIGITS = 18
+_HEAD = b'{"edges": ['
+# json.dumps writes "root" and "vertex_count" after "edges" under sort_keys
+_TAIL = re.compile(rb'\], "root": ([0-9]{1,%d}), "vertex_count": ([0-9]{1,%d})\}\n'
+                   % (_ID_DIGITS, _ID_DIGITS))
+# the longest float.__repr__, as of -2.2250738585072014e-308; a longer
+# weight token is not save_graph's
+_WEIGHT_CHARS = 24
+
+
+def _digits(values: np.ndarray) -> np.ndarray:
+    """The decimal digits of nonnegative integers as ASCII bytes, one row
+    per value, right-aligned and padded on the left with zero bytes."""
+    width = len(str(int(values.max())))
+    out = np.zeros((values.size, width), dtype=np.uint8)
+    rest = values
+    for column in range(width - 1, -1, -1):
+        out[:, column] = np.where(rest > 0, rest % 10 + 48, 0)
+        rest = rest // 10
+    out[values == 0, -1] = 48
+    return out
+
+
+def _graph_bytes(vertex_count: int, root: int, tails: np.ndarray,
+                 heads: np.ndarray, weights: np.ndarray) -> bytes:
+    """json.dumps({"vertex_count": vertex_count, "root": root, "edges":
+    [[u, v, w], ...]}, sort_keys=True) + "\n" as bytes, for nonnegative
+    integer endpoints and finite weights, made from the arrays.
+
+    json writes an int as its repr and a finite float with float.__repr__.
+    So the endpoints' digits come from integer arithmetic, and each
+    distinct weight is formatted once.  The rows are laid out in a
+    zero-padded byte matrix, and the padding is dropped.
+    """
+    distinct, which = np.unique(weights, return_inverse=True)
+    texts = np.array([float.__repr__(w) for w in distinct.tolist()], dtype="S")
+
+    def every_row(text: bytes) -> np.ndarray:
+        return np.broadcast_to(np.frombuffer(text, dtype=np.uint8),
+                               (tails.size, len(text)))
+
+    rows = np.hstack((every_row(b"["), _digits(tails), every_row(b", "),
+                      _digits(heads), every_row(b", "),
+                      texts.view(np.uint8).reshape(distinct.size, -1)[which],
+                      every_row(b"], ")))
+    body = rows[rows != 0].tobytes()[:-2]  # no ", " after the last row
+    return b"".join((_HEAD, body, b'], "root": %d, "vertex_count": %d}\n'
+                     % (root, vertex_count)))
+
+
+def _parse_ids(body: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """The decimal integers body[starts[i]:stops[i]], or None when a field
+    is empty, longer than _ID_DIGITS or holds a byte that is not a digit."""
+    lengths = stops - starts
+    if lengths.min() < 1 or lengths.max() > _ID_DIGITS:
+        return None
+    values = np.zeros(starts.size, dtype=np.int64)
+    for k in range(int(lengths.max())):
+        inside = k < lengths
+        digit = body[np.minimum(starts + k, body.size - 1)].astype(np.int64) - 48
+        if (inside & ((digit < 0) | (digit > 9))).any():
+            return None
+        values = np.where(inside, values * 10 + digit, values)
+    return values
+
+
+def _parse_weights(body: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """float() of each token body[starts[i]:stops[i]], each distinct token
+    parsed once, or None when a token is empty, longer than _WEIGHT_CHARS,
+    not a number to float() or not finite."""
+    lengths = stops - starts
+    if lengths.min() < 1 or lengths.max() > _WEIGHT_CHARS:
+        return None
+    width = int(lengths.max())
+    columns = np.arange(width)
+    tokens = body[np.minimum(starts[:, None] + columns, body.size - 1)]
+    tokens[columns >= lengths[:, None]] = 0
+    distinct, which = np.unique(tokens.view(f"S{width}").ravel(),
+                                return_inverse=True)
+    try:
+        values = np.array([float(token) for token in distinct.tolist()])
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values[which]
+
+
+def _canonical_columns(data: bytes):
+    """(vertex_count, tails, heads, weights, root) if data is exactly
+    _graph_bytes of them, else None.
+
+    The separators are found with numpy, the endpoints parsed by digit
+    arithmetic and each distinct weight token by float().  The parse is
+    then certified by writing the arrays back and comparing the bytes.
+    Certified data json-parses to exactly these values, because an int's
+    repr is exact and a finite float's repr round-trips.
+    """
+    end = data.rfind(b'], "root": ')
+    if end < len(_HEAD) or not data.startswith(_HEAD):
+        return None
+    tail = _TAIL.fullmatch(data, end)
+    if tail is None:
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, count=end - len(_HEAD),
+                         offset=len(_HEAD))
+    opens = np.flatnonzero(body == ord("["))
+    closes = np.flatnonzero(body == ord("]"))
+    commas = np.flatnonzero(body == ord(","))
+    count = opens.size
+    if count == 0 or closes.size != count or commas.size != 3 * count - 1:
+        return None
+    first, second = commas[0::3], commas[1::3]
+    tails = _parse_ids(body, opens + 1, first)
+    heads = _parse_ids(body, first + 2, second)
+    weights = _parse_weights(body, second + 2, closes)
+    if tails is None or heads is None or weights is None:
+        return None
+    vertex_count, root = int(tail[2]), int(tail[1])
+    if _graph_bytes(vertex_count, root, tails, heads, weights) != data:
+        return None
+    return vertex_count, tails, heads, weights, root
+
+
 def save_graph(graph: WeightedGraph, path) -> None:
     """Write a graph as JSON: {"vertex_count", "root", "edges": [[u, v, w]...]}
-    with the canonical (u < v, sorted) edge order and full float precision."""
-    with _collector_paused():
-        payload = {
-            "vertex_count": graph.vertex_count,
-            "root": graph.root,
-            "edges": graph.edges,
-        }
-        text = json.dumps(payload, sort_keys=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    with the canonical (u < v, sorted) edge order and full float precision.
+
+    The file holds the bytes of json.dumps(payload, sort_keys=True) and a
+    newline, made from the edge arrays without a Python object per edge.
+    """
+    data = _graph_bytes(graph.vertex_count, graph.root, graph.edge_tails,
+                        graph.edge_heads, graph.edge_weights)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _json_edge_ok(item) -> bool:
@@ -449,6 +592,11 @@ def _json_edge_ok(item) -> bool:
 def load_graph(path) -> WeightedGraph:
     """Read a graph written by save_graph, validating structure.
 
+    A file in save_graph's exact layout is parsed from its bytes and
+    certified by writing the parsed arrays back; it gives the graph, or the
+    error, that the JSON route below gives.  Any other file is parsed with
+    json.load.
+
     vertex_count, root and the edge endpoints must be JSON integers (not
     true/false), the weights JSON numbers (not true/false): the
     constructor's type rule, which the constructor checks in its one scan
@@ -458,7 +606,13 @@ def load_graph(path) -> WeightedGraph:
     Raises GraphFormatError naming the offending field on malformed input,
     GraphValidationError on structural problems.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    columns = _canonical_columns(data)
+    if columns is not None:
+        return WeightedGraph._from_columns(*columns)
+    # the text that open(path, "r", encoding="utf-8") reads
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         try:
             with _collector_paused():
                 raw = json.load(fh)

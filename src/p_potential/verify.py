@@ -364,6 +364,10 @@ def picone_suite(trials: int = 1_000_000, seed: int = 0) -> SuiteReport:
     the degenerate edge by 1e-3, magnitudes log-uniform on [1e-6, 1e3];
     every tenth tuple sets t = s to hit the equality case.  The tuples are
     drawn 200,000 at a time and evaluated _PICONE_BLOCK at a time.
+
+    At t = s both sides are exactly 0, so such a tuple is a violation
+    unless lhs == rhs == 0, and worst_margin is taken over the tuples with
+    s != t (inf when there are none).
     """
     rng = np.random.default_rng(seed)
     worst = np.inf
@@ -389,8 +393,9 @@ def picone_suite(trials: int = 1_000_000, seed: int = 0) -> SuiteReport:
 
 
 def _picone_block(p, sigma, a, b, s, t):
-    """(worst scaled margin, violations) of picone_check over aligned
-    arrays of tuples, elementwise."""
+    """(worst scaled margin over the tuples with s != t, violations) of
+    picone_check over aligned arrays of tuples, elementwise; a tuple with
+    t = s violates unless lhs == rhs == 0."""
     eta = sigma - p + 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = a - b
@@ -403,8 +408,11 @@ def _picone_block(p, sigma, a, b, s, t):
 
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     margin = (rhs - lhs) / scale
-    return (float(margin.min()),
-            int(np.count_nonzero(lhs > rhs + 1e-12 * scale)))
+    tie = s == t
+    violated = np.where(tie, (lhs != 0.0) | (rhs != 0.0),
+                        lhs > rhs + 1e-12 * scale)
+    return (float(np.min(margin, where=~tie, initial=np.inf)),
+            int(np.count_nonzero(violated)))
 
 
 def hardy_suite(trials: int = 100_000, seed: int = 0) -> SuiteReport:

@@ -1,7 +1,9 @@
 """The command line: every subcommand, every error path, and determinism."""
 
+import importlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from p_potential import (
     load_graph,
     save_graph,
 )
+from p_potential import cli
 from p_potential.cli import main
 
 CHAIN_ROW_KEYS = {"name", "lower", "upper", "margin", "ok"}
@@ -307,3 +310,76 @@ def test_same_argv_writes_identical_bytes(workdir, capsys):
     assert len(first) == 10
     assert first == second
 
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer and the console script
+
+
+def _jsonable(obj):
+    """The copy of a payload the CLI used to dump (reference)."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return obj
+
+
+def _keys(obj):
+    if isinstance(obj, dict):
+        yield from obj
+        for value in obj.values():
+            yield from _keys(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _keys(value)
+
+
+def test_payloads_dump_as_their_jsonable_copy(workdir, capsys, monkeypatch):
+    """Every payload key is a str, so the default= hook writes the bytes
+    the _jsonable copy wrote."""
+    with open("W.csv", "w", encoding="utf-8") as fh:
+        fh.write("n,W\n" + "".join(f"{n},{(n + 1) ** 2}\n" for n in range(80)))
+    payloads = []
+    real_dump = json.dump
+
+    def recording(obj, fh, **kwargs):
+        payloads.append(obj)
+        return real_dump(obj, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", recording)
+    for argv in (
+            ["gen", "--family", "tree", "--branching", "2", "--depth", "3",
+             "--out", "t.json"],
+            ["green", "--graph", "tree.json", "--R", "3", "--p", "3",
+             "--center", "1", "--out", "g.csv"],
+            ["flow", "--graph", "tree.json", "--R", "3", "--p", "1.5",
+             "--sigma", "2", "--out-prefix", "f"],
+            ["criterion", "--graph", "square.json", "--p", "3", "--sigma", "4",
+             "--out-prefix", "c"],
+            ["criterion", "--profile", "W.csv", "--p", "2", "--sigma", "3",
+             "--out-prefix", "w"],
+            ["verify", "--trials", "300", "--seed", "2"],
+            ["report", "--graph", "square.json", "--p", "3", "--sigma", "4",
+             "--R", "2,3", "--trials", "200", "--out-prefix", "r"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert len(payloads) == 13
+    for payload in payloads:
+        assert all(type(key) is str for key in _keys(payload))
+        assert (json.dumps(payload, sort_keys=True, indent=2,
+                           default=cli._json_default)
+                == json.dumps(_jsonable(payload), sort_keys=True, indent=2))
+
+
+def test_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["p-potential"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is main

@@ -4,10 +4,13 @@ import gc
 import io
 import itertools
 import json
+import struct
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import p_potential.graphs as graphs_module
 from p_potential import (
@@ -396,17 +399,19 @@ GENERATOR_CALLS = [
 @pytest.mark.parametrize("factory, args", GENERATOR_CALLS)
 def test_generators_build_the_edge_loop_graph(monkeypatch, factory, args):
     calls = []
-    real = graphs_module.WeightedGraph
+    real = WeightedGraph._from_columns
 
-    def recording(vertex_count, edges, root=0):
-        edges = list(edges)
-        calls.append((vertex_count, edges, root))
-        return real(vertex_count, edges, root)
+    def recording(vertex_count, tails, heads, weights, root=0):
+        calls.append((vertex_count, tails, heads, weights, root))
+        return real(vertex_count, tails, heads, weights, root)
 
     with monkeypatch.context() as patch:
-        patch.setattr(graphs_module, "WeightedGraph", recording)
+        patch.setattr(WeightedGraph, "_from_columns", recording)
         graph = factory(*args)
-    (vertex_count, edges, root), = calls
+    (vertex_count, tails, heads, weights, root), = calls
+    assert (tails.dtype, heads.dtype, weights.dtype) == (np.int64, np.int64,
+                                                         np.float64)
+    edges = list(zip(tails.tolist(), heads.tolist(), weights.tolist()))
     _assert_same_graph(graph, _graph_by_edge_loop(vertex_count, edges, root))
 
 
@@ -454,19 +459,21 @@ def _lattice_by_sorted_tuples(dimension, half_side):
 def test_build_lattice_equals_the_sorted_tuple_build(monkeypatch, dimension,
                                                      half_side):
     calls = []
-    real = graphs_module.WeightedGraph
+    real = WeightedGraph._from_columns
 
-    def recording(vertex_count, edges, root=0):
-        calls.append(edges)
-        return real(vertex_count, edges, root)
+    def recording(vertex_count, tails, heads, weights, root=0):
+        assert (tails.dtype, heads.dtype, weights.dtype) == (np.int64, np.int64,
+                                                             np.float64)
+        calls.append(list(zip(tails.tolist(), heads.tolist(), weights.tolist())))
+        return real(vertex_count, tails, heads, weights, root)
 
     with monkeypatch.context() as patch:
-        patch.setattr(graphs_module, "WeightedGraph", recording)
+        patch.setattr(WeightedGraph, "_from_columns", recording)
         graph = build_lattice(dimension, half_side)
     edges = _lattice_by_sorted_tuples(dimension, half_side)
     assert calls == [edges]
-    assert all(type(u) is int and type(v) is int for u, v, _ in calls[0])
-    _assert_same_graph(graph, real((2 * half_side + 1) ** dimension, edges))
+    _assert_same_graph(graph,
+                       WeightedGraph((2 * half_side + 1) ** dimension, edges))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -488,3 +495,227 @@ def test_graph_io_restores_the_collector_state(tmp_path, enabled):
     finally:
         if was_enabled:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the certified reader against the json.load reader it sits in front of
+
+
+def _load_by_json(path):
+    """load_graph as it parsed every file with json.load (reference)."""
+    def integer(value):
+        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+    def edge_ok(item):
+        return (type(item) is list and len(item) == 3 and integer(item[0])
+                and integer(item[1]) and isinstance(item[2], (int, float))
+                and not isinstance(item[2], bool))
+
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(f"{path}: not valid JSON "
+                                   f"(line {exc.lineno}, column {exc.colno})") from exc
+    if not isinstance(raw, dict):
+        raise GraphFormatError(f"{path}: top level must be an object")
+    for key in ("vertex_count", "root", "edges"):
+        if key not in raw:
+            raise GraphFormatError(f"{path}: missing key {key!r}")
+    if not integer(raw["vertex_count"]):
+        raise GraphFormatError(f"{path}: vertex_count must be an integer")
+    if not integer(raw["root"]):
+        raise GraphFormatError(f"{path}: root must be an integer")
+    edges = raw["edges"]
+    if not isinstance(edges, list):
+        raise GraphFormatError(f"{path}: edges must be a list")
+    try:
+        return WeightedGraph(raw["vertex_count"], edges, root=raw["root"])
+    except GraphValidationError:
+        bad = next(((i, item) for i, item in enumerate(edges)
+                    if not edge_ok(item)), None)
+        if bad is None:
+            raise
+        i, item = bad
+        raise GraphFormatError(
+            f"{path}: edges[{i}] must be [int, int, number], got {item!r}") from None
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:  # the class and the words are what is compared
+        return type(exc), str(exc)
+
+
+def _assert_loads_as_json_does(path):
+    got, want = _outcome(load_graph, path), _outcome(_load_by_json, path)
+    if isinstance(want, WeightedGraph):
+        assert isinstance(got, WeightedGraph), got
+        _assert_same_graph(got, want)
+    else:
+        assert got == want
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+# every finite positive double, from bit patterns, subnormals included
+_POSITIVE_DOUBLES = st.one_of(
+    st.integers(1, 0x7FEFFFFFFFFFFFFF).map(_double),
+    st.sampled_from([5e-324, 2.0, 1e16, 1.7976931348623157e308]))
+
+
+@st.composite
+def _connected_graphs(draw):
+    """A random spanning tree plus random extra edges, each edge in a
+    random orientation, with weights drawn from a few random doubles."""
+    n = draw(st.integers(2, 150))
+    weights = draw(st.lists(_POSITIVE_DOUBLES, min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pairs = {(int(rng.integers(v)), v) for v in range(1, n)}
+    pairs |= {(min(a, b), max(a, b)) for a, b
+              in rng.integers(0, n, size=(rng.integers(0, 21), 2)).tolist() if a != b}
+    edges = []
+    for u, v in sorted(pairs):
+        w = weights[rng.integers(len(weights))]
+        edges.append((u, v, w) if rng.random() < 0.5 else (v, u, w))
+    return WeightedGraph(n, edges, root=int(rng.integers(n)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph=_connected_graphs())
+def test_random_graphs_round_trip_through_the_json_bytes(tmp_path, graph):
+    path = tmp_path / "g.json"
+    save_graph(graph, path)
+    assert path.read_bytes() == _save_by_json_dump(graph)
+    assert graphs_module._canonical_columns(path.read_bytes()) is not None
+    _assert_same_graph(load_graph(path), graph)
+
+
+def _many_weights_graph():
+    """lattice(3, 8), 13,872 edges, with log-uniform weights and the
+    extreme doubles."""
+    base = build_lattice(3, 8)
+    weights = np.exp(np.random.default_rng(5).uniform(-700.0, 700.0, base.edge_count))
+    weights[:3] = 5e-324, 1.7976931348623157e308, 2.0
+    return WeightedGraph(base.vertex_count, list(zip(
+        base.edge_tails.tolist(), base.edge_heads.tolist(), weights.tolist())))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("make", [
+    lambda: build_lattice(3, 16), lambda: build_lattice(2, 40),
+    lambda: build_tree(2, 12), _many_weights_graph,
+], ids=["lattice-3-16", "lattice-2-40", "tree-2-12", "many-weights"])
+def test_save_graph_output_takes_the_certified_path(tmp_path, monkeypatch, make):
+    graph = make()
+    path = tmp_path / "g.json"
+    save_graph(graph, path)
+    assert path.read_bytes() == _save_by_json_dump(graph)
+    parsed = []
+    real = graphs_module._canonical_columns
+    monkeypatch.setattr(graphs_module, "_canonical_columns",
+                        lambda data: parsed.append(real(data)) or parsed[-1])
+    _assert_same_graph(load_graph(path), graph)
+    (columns,) = parsed
+    assert columns is not None
+
+
+_BASE = {"vertex_count": 4, "root": 1,
+         "edges": [[0, 1, 1 / 3], [1, 2, 1e-7], [2, 3, 123.456], [0, 3, 2.0]]}
+_CANONICAL = json.dumps(_BASE, sort_keys=True) + "\n"
+
+
+def _variant(**changes):
+    return json.dumps({**_BASE, **changes}, sort_keys=True) + "\n"
+
+
+NON_CANONICAL_FILES = {
+    "indent-2": json.dumps(_BASE, sort_keys=True, indent=2) + "\n",
+    "keys-reordered": json.dumps(_BASE) + "\n",
+    "int-weight": _CANONICAL.replace("2.0]", "2]"),
+    "no-newline": _CANONICAL[:-1],
+    "crlf": _CANONICAL[:-1] + "\r\n",
+    "bom": "\ufeff" + _CANONICAL,
+    "trailing-space": _CANONICAL + " ",
+    "no-spaces": json.dumps(_BASE, sort_keys=True, separators=(",", ":")) + "\n",
+    "root-true": _CANONICAL.replace('"root": 1', '"root": true'),
+    "root-leading-zero": _CANONICAL.replace('"root": 1', '"root": 01'),
+    "huge-id": _variant(edges=[[0, 10 ** 20, 1.0]]),
+    "huge-count": _variant(vertex_count=10 ** 19),
+    "huge-root": _variant(root=10 ** 19),
+    "thousands-of-digits": _variant(vertex_count=int("9" * 4000)),
+    "negative-id": _variant(edges=[[-1, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]]),
+    "leading-zero-id": _CANONICAL.replace("[2, 3,", "[02, 3,"),
+    "exponent-weight": _CANONICAL.replace("2.0]", "2e0]"),
+    "upper-exponent": _CANONICAL.replace("1e-07", "1E-07"),
+    "overflow-weight": _CANONICAL.replace("2.0]", "1e400]"),
+    "nan-weight": _CANONICAL.replace("2.0]", "NaN]"),
+    "infinity-weight": _CANONICAL.replace("2.0]", "Infinity]"),
+    "python-inf-weight": _CANONICAL.replace("2.0]", "inf]"),
+    "underscore-weight": _CANONICAL.replace("123.456", "12_3.456"),
+    "long-weight": _CANONICAL.replace("2.0]", "2.00000000000000000000000000000]"),
+    "rounded-subnormal": _CANONICAL.replace("2.0]", "2.5e-324]"),
+    "string-weight": _CANONICAL.replace("2.0]", '"2.0"]'),
+    "bool-weight": _CANONICAL.replace("2.0]", "true]"),
+    "short-row": _CANONICAL.replace("[0, 3, 2.0]", "[0, 3]"),
+    "long-row": _CANONICAL.replace("[0, 3, 2.0]", "[0, 3, 2.0, 1.0]"),
+    "nested-row": _CANONICAL.replace("[0, 3, 2.0]", "[[0, 3], 2.0]"),
+    "no-edges": _variant(edges=[]),
+    "extra-data": _CANONICAL + _CANONICAL,
+    "truncated": _CANONICAL[:30],
+    "empty": "",
+}
+
+# save_graph's layout, but values that json parses and the constructor
+# rejects: the certified parse must raise the same error
+CANONICAL_INVALID_FILES = {
+    "self-loop": _variant(edges=[[0, 1, 1.0], [1, 1, 1.0], [2, 3, 1.0]]),
+    "duplicate": _variant(edges=[[0, 1, 1.0], [0, 1, 2.0], [1, 2, 1.0], [2, 3, 1.0]]),
+    "outside": _variant(edges=[[0, 1, 1.0], [1, 2, 1.0], [7, 3, 1.0]]),
+    "disconnected": _variant(edges=[[0, 1, 1.0], [2, 3, 1.0]]),
+    "zero-weight": _variant(edges=[[0, 1, 1.0], [1, 2, 0.0], [2, 3, 1.0]]),
+    "negative-zero-weight": _variant(edges=[[0, 1, -0.0], [1, 2, 1.0], [2, 3, 1.0]]),
+    "negative-weight": _variant(edges=[[0, 1, 1.0], [1, 2, -1.5], [2, 3, 1.0]]),
+    "count-one": _variant(vertex_count=1),
+    "count-zero": _variant(vertex_count=0),
+    "root-outside": _variant(root=4),
+    "reversed-unsorted": _variant(edges=[[3, 2, 1.0], [1, 0, 1.0], [2, 1, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", [*NON_CANONICAL_FILES, *CANONICAL_INVALID_FILES])
+def test_load_graph_matches_the_json_reader(tmp_path, name):
+    text = {**NON_CANONICAL_FILES, **CANONICAL_INVALID_FILES}[name]
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(text.encode("utf-8"))
+    certified = graphs_module._canonical_columns(path.read_bytes()) is not None
+    assert certified == (name in CANONICAL_INVALID_FILES)
+    _assert_loads_as_json_does(path)
+
+
+_EDIT_BYTES = st.sampled_from(list(b'0123456789-+.,:[]{}" eEtrufalsnNIy\n'))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                                st.integers(0, len(_CANONICAL)), _EDIT_BYTES),
+                      min_size=1, max_size=3))
+def test_edited_files_load_as_json_loads_them(tmp_path, edits):
+    data = bytearray(_CANONICAL.encode())
+    for kind, at, byte in edits:
+        at = min(at, len(data) - 1)
+        if kind == "replace":
+            data[at] = byte
+        elif kind == "insert":
+            data.insert(at, byte)
+        elif len(data) > 1:
+            del data[at]
+    path = tmp_path / "g.json"
+    path.write_bytes(bytes(data))
+    _assert_loads_as_json_does(path)

@@ -223,7 +223,9 @@ def test_hardy_suite_peak_is_the_draws_plus_one_length_block(monkeypatch):
 
 
 def _picone_by_chunk(trials, seed):
-    """picone_suite as it evaluated each whole chunk of 200,000 tuples."""
+    """picone_suite as it evaluated each whole chunk of 200,000 tuples:
+    the worst margin over the tuples with s != t, and a tuple with t = s a
+    violation unless lhs == rhs == 0."""
     rng = np.random.default_rng(seed)
     worst = np.inf
     violations = 0
@@ -247,12 +249,33 @@ def _picone_by_chunk(trials, seed):
 
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         margin = (rhs - lhs) / scale
-        worst = min(worst, float(margin.min()))
-        violations += int(np.count_nonzero(lhs > rhs + 1e-12 * scale))
+        tie = s == t
+        if not tie.all():
+            worst = min(worst, float(margin[~tie].min()))
+        violations += int(np.count_nonzero(tie & ((lhs != 0.0) | (rhs != 0.0))))
+        violations += int(np.count_nonzero(~tie & (lhs > rhs + 1e-12 * scale)))
         done += n
     return verify.SuiteReport(name="picone", trials=trials,
                               violations=violations, worst_margin=worst,
                               ok=violations == 0)
+
+
+@pytest.mark.parametrize("trials,seed", [(1_000, 0), (200_000, 3)])
+def test_picone_worst_margin_skips_the_equality_tuples(trials, seed):
+    """At t = s both sides are exactly 0, which used to pin worst_margin
+    at 0.0 on every run."""
+    report = picone_suite(trials=trials, seed=seed)
+    assert report.ok and 0.0 < report.worst_margin < 1.0
+
+
+def test_picone_tie_violates_unless_both_sides_are_zero():
+    # s == t in both tuples; the second overflows to lhs = inf * 0 = nan
+    p, sigma = np.array([2.0, 4.0]), np.array([3.0, 5.0])
+    a, b = np.array([2.0, 1e300]), np.array([1.0, 0.0])
+    s = t = np.array([1.5, 1.5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst, violations = verify._picone_block(p, sigma, a, b, s, t)
+    assert (worst, violations) == (np.inf, 1)
 
 
 @pytest.mark.parametrize("trials,seed", [
