@@ -30,9 +30,10 @@ import numpy as np
 
 from . import criterion as crit
 from .errors import PotentialError
-from .flows import BallAnalysis, analyze_ball
-from .graphs import (BallProfile, ball_profile, build_lattice,
-                     build_radial_model, build_tree, load_graph, save_graph)
+from .flows import BallAnalysis, PathMeasure, analyze_ball
+from .graphs import (BallProfile, _digits, _every_row, ball_profile,
+                     build_lattice, build_radial_model, build_tree,
+                     load_graph, save_graph)
 from .green import (green_normalization_check, parabolicity_probe,
                     sandwich_upper_bound, solve_green)
 from .operators import ExponentParams, _row_error, save_vertex_function
@@ -64,6 +65,40 @@ def _print_json(payload) -> None:
     json.dump(payload, sys.stdout, sort_keys=True, indent=2,
               default=_json_default)
     sys.stdout.write("\n")
+
+
+def _paths_bytes(measure: PathMeasure, R: int, p: float,
+                 sigma: float) -> bytes:
+    """The bytes _dump_json writes for flow's paths payload {"R", "p",
+    "sigma", "center", "boundary", "paths": [{"vertices": [...],
+    "probability": ...}, ...]}, made from the packed arrays.
+
+    json writes an int as its repr and a finite float with float.__repr__
+    (p, sigma and every probability are finite).  The vertex rows are laid
+    out in a zero-padded byte matrix whose padding is dropped; each path's
+    header and footer are spliced in at its offsets.  Every path has at
+    least one vertex.
+    """
+    head = ('{\n  "R": %d,\n  "boundary": %d,\n  "center": %d,\n  "p": %s,\n'
+            '  "paths": [' % (R, measure.boundary_id, measure.center,
+                              float.__repr__(p))).encode()
+    tail = ('\n  "sigma": %s\n}\n' % float.__repr__(sigma)).encode()
+    if len(measure) == 0:
+        return head + b"]," + tail
+    count = measure.vertices.size
+    rows = np.hstack((_every_row(b" " * 8, count), _digits(measure.vertices),
+                      _every_row(b",\n", count)))
+    flat = rows[rows != 0].tobytes()
+    # byte offsets of the paths' ends in flat, each path's last ",\n" cut off
+    ends = np.cumsum(np.count_nonzero(rows, axis=1))[measure.offsets[1:] - 1]
+    starts, stops = [0, *ends[:-1].tolist()], (ends - 2).tolist()
+    chunks = []
+    for prob, start, stop in zip(measure.probabilities.tolist(), starts, stops):
+        chunks += (b'\n    {\n      "probability": %s,\n      "vertices": [\n'
+                   % float.__repr__(prob).encode(), flat[start:stop],
+                   b"\n      ]\n    },")
+    chunks[-1] = b"\n      ]\n    }\n  ],"
+    return b"".join((head, *chunks, tail))
 
 
 def _csv_cell(value):
@@ -158,12 +193,8 @@ def _cmd_flow(args) -> int:
 
     paths_path = args.out_prefix + ".paths.json"
     report_path = args.out_prefix + ".report.json"
-    _dump_json(paths_path, {
-        "R": flow.R, "p": flow.p, "sigma": params.sigma,
-        "center": flow.center, "boundary": flow.boundary_id,
-        "paths": [{"vertices": list(path), "probability": float(prob)}
-                  for path, prob in ball.measure.items()],
-    })
+    with open(paths_path, "wb") as fh:
+        fh.write(_paths_bytes(ball.measure, flow.R, flow.p, params.sigma))
     _dump_json(report_path, {
         **_ball_fields(ball),
         "R": flow.R, "p": flow.p, "sigma": params.sigma,

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConsistencyError, VerificationError
 from .graphs import BallProfile, WeightedGraph
 from .green import GreenFunction, compute_L, solve_green
-from .operators import ExponentParams
+from .operators import ExponentParams, _distinct_values
 
 # residual flow below this fraction of the largest edge flow is treated as
 # floating point dust during path extraction
@@ -233,8 +233,8 @@ class PathMeasure:
 
     Path i is vertices[offsets[i]:offsets[i + 1]] (vertex ids from the
     center to the boundary sentinel) and carries probabilities[i].  paths
-    and items() are derived read-only views with each path a tuple of
-    Python ints; they are rebuilt on every call, not stored.
+    is a derived read-only view with each path a tuple of Python ints; it
+    is rebuilt on every call, not stored.
     """
 
     vertices: np.ndarray
@@ -250,9 +250,6 @@ class PathMeasure:
     def paths(self) -> list:
         flat, cuts = self.vertices.tolist(), self.offsets.tolist()
         return [tuple(flat[a:b]) for a, b in zip(cuts, cuts[1:])]
-
-    def items(self):
-        return zip(self.paths, self.probabilities)
 
 
 def _step_starts(offsets: np.ndarray) -> np.ndarray:
@@ -427,6 +424,17 @@ def _path_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pow_each(x: np.ndarray, exponent: float) -> np.ndarray:
+    """math.pow(v, exponent) for every entry v of x, in x's shape.
+
+    math.pow runs once per distinct float64 bit pattern of x and is
+    scattered back, so each entry is bitwise the scalar pow of its value.
+    """
+    distinct, which = _distinct_values(x)
+    powers = np.array([math.pow(v, exponent) for v in distinct], dtype=np.float64)
+    return powers[which].reshape(x.shape)
+
+
 @dataclass(frozen=True)
 class CheckRecord:
     """One verified inequality: require lower <= upper (within slack)."""
@@ -492,9 +500,10 @@ def empirical_lower_bound(graph: WeightedGraph, profile: BallProfile,
     is the per-path mass.  Each record is bitwise what a loop over
     (path, n) gives, since exact ties decide several witnesses: per-path
     sums add pairwise like np.sum, powers of single values use math.pow
-    (scalar pow, as the loop did) and powers of arrays stay array powers,
-    and each witness is the first minimum in the loop's order (path-major,
-    then n; ascending k; ascending n).
+    (scalar pow, as the loop did; math.pow runs once per distinct value,
+    and the same input gives the same output) and powers of arrays stay
+    array powers, and each witness is the first minimum in the loop's
+    order (path-major, then n; ascending k; ascending n).
 
     Raises VerificationError naming the first failing step.
     """
@@ -553,17 +562,15 @@ def empirical_lower_bound(graph: WeightedGraph, profile: BallProfile,
         _record(checks, "exit drops form a sub-sum (worst path, n)",
                 sub[pi, n_w], g_tau[n_w, pi])
 
-        eta_pow = np.array([math.pow(v, eta) for v in g_tau.ravel().tolist()])
         dominated = np.zeros(len(measure))
-        for n, row in enumerate(eta_pow.reshape(R, -1), start=1):
+        for n, row in enumerate(_pow_each(g_tau, eta), start=1):
             dominated += float(n) ** r * row
         w = int(np.argmin(steps - dominated))
         _record(checks, "step indices dominate radii (worst path)",
                 dominated[w], steps[w])
 
-        y = np.array([math.pow(d, -r) for d in exit_drop.T.ravel().tolist()])
         ey = np.array([float(np.dot(probs, row))
-                       for row in y.reshape(R, -1)])
+                       for row in _pow_each(exit_drop.T, -r)])
         bounds = profile.b[1:R + 1]
         w = int(np.argmin(bounds - ey))
         _record(checks, "exit moment <= cut conductance (worst n, k)",

@@ -30,6 +30,8 @@ from scipy.sparse import csgraph
 
 from .errors import GraphFormatError, GraphValidationError, ResourceLimitError
 
+_EPS = float(np.finfo(np.float64).eps)
+
 MAX_VERTICES_ENV = "P_POTENTIAL_MAX_VERTICES"
 DEFAULT_MAX_VERTICES = 200_000
 
@@ -148,7 +150,9 @@ class WeightedGraph:
     float (Python or numpy), never a bool, finite and > 0.  Nothing is
     truncated or parsed: (0.7, 1, 1.0) and (0, 1, True) are rejected.  The
     edges are checked as three arrays at once, and a GraphValidationError
-    names the first bad edge.
+    names the first bad edge.  Every vertex measure and the total measure
+    must be finite too: a GraphValidationError names the first vertex
+    whose incident weights overflow, or the total measure.
     """
 
     __slots__ = ("vertex_count", "root", "edge_tails", "edge_heads",
@@ -205,12 +209,25 @@ class WeightedGraph:
         if n_comp != 1:
             raise GraphValidationError(f"graph is disconnected ({n_comp} components)")
 
+        with np.errstate(over="ignore"):
+            vertex_measure = np.asarray(adjacency.sum(axis=1)).ravel()
+            total = float(vertex_measure.sum())
+        overflows = ~np.isfinite(vertex_measure)
+        if overflows.any():
+            raise GraphValidationError(
+                f"vertex {int(overflows.argmax())}: measure (sum of incident "
+                f"weights) is not finite")
+        # W_n adds these measures in another order; every order stays finite
+        # when the pairwise sum does with room for 2n roundings
+        if not math.isfinite(total * (1.0 + 2.0 * vertex_count * _EPS)):
+            raise GraphValidationError(
+                "total measure (sum of the vertex measures) overflows")
+
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "root", int(root))
         object.__setattr__(self, "edge_tails", tails)
         object.__setattr__(self, "edge_heads", heads)
         object.__setattr__(self, "edge_weights", weights)
-        vertex_measure = np.asarray(adjacency.sum(axis=1)).ravel()
         object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "vertex_measure", vertex_measure)
         for arr in (tails, heads, weights, vertex_measure,
@@ -470,6 +487,12 @@ def _digits(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _every_row(text: bytes, count: int) -> np.ndarray:
+    """A read-only byte matrix with count rows, each the bytes of text."""
+    return np.broadcast_to(np.frombuffer(text, dtype=np.uint8),
+                           (count, len(text)))
+
+
 def _graph_bytes(vertex_count: int, root: int, tails: np.ndarray,
                  heads: np.ndarray, weights: np.ndarray) -> bytes:
     """json.dumps({"vertex_count": vertex_count, "root": root, "edges":
@@ -483,15 +506,12 @@ def _graph_bytes(vertex_count: int, root: int, tails: np.ndarray,
     """
     distinct, which = np.unique(weights, return_inverse=True)
     texts = np.array([float.__repr__(w) for w in distinct.tolist()], dtype="S")
-
-    def every_row(text: bytes) -> np.ndarray:
-        return np.broadcast_to(np.frombuffer(text, dtype=np.uint8),
-                               (tails.size, len(text)))
-
-    rows = np.hstack((every_row(b"["), _digits(tails), every_row(b", "),
-                      _digits(heads), every_row(b", "),
+    count = tails.size
+    rows = np.hstack((_every_row(b"[", count), _digits(tails),
+                      _every_row(b", ", count), _digits(heads),
+                      _every_row(b", ", count),
                       texts.view(np.uint8).reshape(distinct.size, -1)[which],
-                      every_row(b"], ")))
+                      _every_row(b"], ", count)))
     body = rows[rows != 0].tobytes()[:-2]  # no ", " after the last row
     return b"".join((_HEAD, body, b'], "root": %d, "vertex_count": %d}\n'
                      % (root, vertex_count)))

@@ -161,39 +161,48 @@ def _radial_layer_weights(graph: WeightedGraph, profile: BallProfile):
 
     Raises ValueError unless every vertex of a sphere has the same inward
     and outward conductance: that is what makes a one-dimensional
-    recurrence exact.
+    recurrence exact.  The spheres are checked in ascending radius.
+
+    Each vertex's outward (inward) conductance is one np.bincount over the
+    radial edges in edge order: it adds from 0.0 in input order, the sum a
+    loop over the edges makes, so every layer weight is bitwise that sum.
     """
     ecc = profile.eccentricity
     rad = profile.radius_of
-    w_in = np.zeros(graph.vertex_count)
-    w_out = np.zeros(graph.vertex_count)
-    u, v, w = graph.edge_tails, graph.edge_heads, graph.edge_weights
-    ru, rv = rad[u], rad[v]
-    for a, b, weight, ra, rb in zip(u, v, w, ru, rv):
-        if ra + 1 == rb:
-            w_out[a] += weight
-            w_in[b] += weight
-        elif rb + 1 == ra:
-            w_out[b] += weight
-            w_in[a] += weight
-        # same-radius edges carry no radial current and do not enter
+    # same-radius edges carry no radial current and do not enter
+    radial = np.abs(rad[graph.edge_tails] - rad[graph.edge_heads]) == 1
+    u, v = graph.edge_tails[radial], graph.edge_heads[radial]
+    outward = rad[u] < rad[v]
+    inner, outer = np.where(outward, u, v), np.where(outward, v, u)
+    weights = graph.edge_weights[radial]
+    n = graph.vertex_count
+    w_out = np.bincount(inner, weights=weights, minlength=n)
+    w_in = np.bincount(outer, weights=weights, minlength=n)
 
-    layer_in = np.empty(ecc + 1)
-    layer_out = np.empty(ecc + 1)
-    layer_mu = np.empty(ecc + 1)
-    for k in range(ecc + 1):
-        sphere = np.flatnonzero(rad == k)
-        for arr, per_vertex in ((layer_in, w_in), (layer_out, w_out),
-                                (layer_mu, graph.vertex_measure)):
-            vals = per_vertex[sphere]
-            if vals.size == 0:
-                raise ConsistencyError(f"empty sphere at radius {k}")
-            if np.ptp(vals) > 1e-12 * max(1.0, np.abs(vals).max()):
-                raise ValueError(
-                    f"graph is not spherically symmetric: sphere {k} mixes "
-                    f"conductance patterns")
-            arr[k] = vals[0]
-    return layer_in, layer_out, layer_mu
+    # spheres as runs of the vertices sorted by radius, ids ascending
+    order = np.argsort(rad, kind="stable")
+    sizes = np.bincount(rad, minlength=ecc + 1)
+    nonempty = sizes > 0
+    starts = (np.cumsum(sizes) - sizes)[nonempty]
+    bad = ~nonempty
+    layers = []
+    for per_vertex in (w_in, w_out, graph.vertex_measure):
+        vals = per_vertex[order]
+        hi = np.maximum.reduceat(vals, starts)
+        lo = np.minimum.reduceat(vals, starts)
+        scale = np.maximum(1.0, np.maximum(np.abs(hi), np.abs(lo)))
+        bad[nonempty] |= hi - lo > 1e-12 * scale
+        layer = np.empty(ecc + 1)
+        layer[nonempty] = vals[starts]
+        layers.append(layer)
+    if bad.any():
+        k = int(bad.argmax())
+        if sizes[k] == 0:
+            raise ConsistencyError(f"empty sphere at radius {k}")
+        raise ValueError(
+            f"graph is not spherically symmetric: sphere {k} mixes "
+            f"conductance patterns")
+    return tuple(layers)
 
 
 def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,

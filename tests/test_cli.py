@@ -1,12 +1,16 @@
 """The command line: every subcommand, every error path, and determinism."""
 
 import importlib
+import io
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p_potential import (
     ball_profile,
@@ -17,6 +21,7 @@ from p_potential import (
 )
 from p_potential import cli
 from p_potential.cli import main
+from p_potential.flows import PathMeasure
 
 CHAIN_ROW_KEYS = {"name", "lower", "upper", "margin", "ok"}
 SHARED_BALL_KEYS = {"retained_edges", "path_count", "probability_sum",
@@ -368,12 +373,79 @@ def test_payloads_dump_as_their_jsonable_copy(workdir, capsys, monkeypatch):
              "--R", "2,3", "--trials", "200", "--out-prefix", "r"]):
         assert main(argv) == 0, argv
     capsys.readouterr()
-    assert len(payloads) == 13
+    # flow's paths file is written from the packed arrays, not through
+    # json.dump: test_paths_file_is_the_json_dump_of_the_old_payload
+    assert len(payloads) == 12
     for payload in payloads:
         assert all(type(key) is str for key in _keys(payload))
         assert (json.dumps(payload, sort_keys=True, indent=2,
                            default=cli._json_default)
                 == json.dumps(_jsonable(payload), sort_keys=True, indent=2))
+
+
+def _paths_by_json_dump(measure, R, p, sigma) -> bytes:
+    """flow's paths file as _dump_json wrote its payload (reference)."""
+    payload = {
+        "R": R, "p": p, "sigma": sigma,
+        "center": measure.center, "boundary": measure.boundary_id,
+        "paths": [{"vertices": list(path), "probability": float(prob)}
+                  for path, prob in zip(measure.paths, measure.probabilities)],
+    }
+    buf = io.StringIO()
+    json.dump(payload, buf, sort_keys=True, indent=2, default=cli._json_default)
+    buf.write("\n")
+    return buf.getvalue().encode("utf-8")
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+@st.composite
+def _packed_paths(draw):
+    """A PathMeasure of 0 to 12 paths (no paths is the minimal example) of
+    1 to 20 ids up to 10**12, with probabilities from the bit patterns of
+    positive finite doubles."""
+    ids = st.integers(0, 10 ** 12)
+    paths = draw(st.lists(st.lists(ids, min_size=1, max_size=20), max_size=12))
+    probs = draw(st.lists(st.integers(1, 0x7FEFFFFFFFFFFFFF).map(_double),
+                          min_size=len(paths), max_size=len(paths)))
+    lengths = [len(path) for path in paths]
+    return PathMeasure(
+        vertices=np.array([v for path in paths for v in path], dtype=np.int64),
+        offsets=np.cumsum([0, *lengths], dtype=np.int64),
+        probabilities=np.array(probs, dtype=np.float64),
+        center=draw(ids), boundary_id=draw(ids))
+
+
+@settings(max_examples=300, deadline=None)
+@given(measure=_packed_paths(), R=st.integers(0, 10 ** 6),
+       p=st.floats(allow_nan=False, allow_infinity=False),
+       sigma=st.floats(allow_nan=False, allow_infinity=False))
+def test_paths_bytes_are_the_json_dump_of_the_payload(measure, R, p, sigma):
+    assert cli._paths_bytes(measure, R, p, sigma) == _paths_by_json_dump(
+        measure, R, p, sigma)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--graph", "tree.json", "--R", "3", "--p", "1.5", "--sigma", "2"],
+    ["--graph", "square.json", "--R", "5", "--p", "3", "--sigma", "4"],
+], ids=["tree", "square"])
+def test_paths_file_is_the_json_dump_of_the_old_payload(workdir, capsys,
+                                                        monkeypatch, argv):
+    balls = []
+    real = cli.analyze_ball
+    monkeypatch.setattr(cli, "analyze_ball",
+                        lambda *args: balls.append(real(*args)) or balls[-1])
+    assert main(["flow", *argv, "--out-prefix", "f"]) == 0
+    capsys.readouterr()
+    (ball,) = balls
+    with open("f.paths.json", "rb") as fh:
+        data = fh.read()
+    assert data == _paths_by_json_dump(ball.measure, ball.flow.R, ball.flow.p,
+                                       float(argv[-1]))
+    assert (ball.measure.center, ball.measure.boundary_id) == (
+        ball.flow.center, ball.flow.boundary_id)
 
 
 def test_console_script_is_cli_main():

@@ -1,6 +1,7 @@
 """Unit currents, path decompositions, and the lower-bound chain."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from p_potential import (
     path_hardy_check,
     solve_green,
 )
-from p_potential.flows import CRUMB_FRACTION, _assert_acyclic, _first_exits
+from p_potential.flows import (CRUMB_FRACTION, _assert_acyclic, _first_exits,
+                               _pow_each)
 
 CHAIN_CHECK_NAMES = [
     "path mass expectation <= L",
@@ -691,6 +693,19 @@ def test_chain_records_equal_the_loop_audit(graph_factory, R, p, sigma):
     assert report.per_n == per_n
     assert report.L == L
     assert report.rhs == rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(1e-30, 1e30), min_size=0, max_size=60),
+       rows=st.integers(1, 4),
+       exponent=st.floats(-8.0, 8.0))
+def test_pow_each_is_math_pow_of_every_entry(values, rows, exponent):
+    """Bitwise, on a transposed (non-contiguous) block with repeated values."""
+    values = np.array(values * rows).reshape(rows, -1).T
+    got = _pow_each(values, exponent)
+    want = np.array([math.pow(v, exponent) for v in values.ravel().tolist()])
+    assert got.shape == values.shape
+    assert got.tobytes() == want.reshape(values.shape).tobytes()
 
 
 def test_chain_rejects_tampered_measure():

@@ -1,5 +1,6 @@
 """Graph construction, radial profiles, generators, and (de)serialization."""
 
+import fractions
 import gc
 import io
 import itertools
@@ -113,6 +114,33 @@ def test_constructor_names_the_first_bad_edge(edges, message):
     with pytest.raises(GraphValidationError) as info:
         WeightedGraph(3, edges)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("vertex_count, edges, message", [
+    (3, [(0, 1, 1.7e308), (1, 2, 1.7e308)],
+     "vertex 1: measure (sum of incident weights) is not finite"),
+    (4, [(0, 1, 1.0), (1, 3, 1.7e308), (2, 3, 1.7e308), (0, 2, 1.7e308)],
+     "vertex 2: measure (sum of incident weights) is not finite"),
+    (2, [(0, 1, 1.7976931348623157e308)],
+     "total measure (sum of the vertex measures) overflows"),
+    (4, [(0, 1, 8e307), (1, 2, 1.0), (2, 3, 8e307)],
+     "total measure (sum of the vertex measures) overflows"),
+])
+def test_constructor_rejects_a_measure_that_overflows(vertex_count, edges, message):
+    # every weight is finite and > 0, but a vertex measure or W_n is not
+    with pytest.raises(GraphValidationError) as info:
+        WeightedGraph(vertex_count, edges)
+    assert str(info.value) == message
+    columns = [np.array(column) for column in zip(*edges)]
+    with pytest.raises(GraphValidationError) as info:
+        WeightedGraph._from_columns(vertex_count, *columns)
+    assert str(info.value) == message
+
+
+def test_constructor_keeps_a_total_measure_that_fits():
+    g = WeightedGraph(3, [(0, 1, 4e307), (1, 2, 4e307)])
+    assert g.vertex_measure.tolist() == [4e307, 8e307, 4e307]
+    assert ball_profile(g).W.tolist() == [4e307, 1.2e308, 1.6e308]
 
 
 def test_constructor_accepts_numpy_integers_and_floats():
@@ -363,11 +391,16 @@ def _graph_by_edge_loop(vertex_count, edges, root=0):
 
 def _save_by_json_dump(graph) -> bytes:
     """save_graph's bytes as json.dump wrote them (reference)."""
+    return _json_dump_bytes(graph.vertex_count, graph.root, graph.edge_tails,
+                            graph.edge_heads, graph.edge_weights)
+
+
+def _json_dump_bytes(vertex_count, root, tails, heads, weights) -> bytes:
     payload = {
-        "vertex_count": graph.vertex_count,
-        "root": graph.root,
+        "vertex_count": vertex_count,
+        "root": root,
         "edges": [[int(u), int(v), float(w)] for u, v, w
-                  in zip(graph.edge_tails, graph.edge_heads, graph.edge_weights)],
+                  in zip(tails, heads, weights)],
     }
     buf = io.StringIO()
     json.dump(payload, buf, sort_keys=True)
@@ -561,6 +594,9 @@ def _double(bits):
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
+_LARGEST = fractions.Fraction(1.7976931348623157e308)
+_EPS = fractions.Fraction(2) ** -52
+
 # every finite positive double, from bit patterns, subnormals included
 _POSITIVE_DOUBLES = st.one_of(
     st.integers(1, 0x7FEFFFFFFFFFFFFF).map(_double),
@@ -568,9 +604,10 @@ _POSITIVE_DOUBLES = st.one_of(
 
 
 @st.composite
-def _connected_graphs(draw):
-    """A random spanning tree plus random extra edges, each edge in a
-    random orientation, with weights drawn from a few random doubles."""
+def _connected_edge_lists(draw):
+    """(n, edges, root): a random spanning tree plus random extra edges,
+    each edge in a random orientation, with weights drawn from a few random
+    doubles."""
     n = draw(st.integers(2, 150))
     weights = draw(st.lists(_POSITIVE_DOUBLES, min_size=1, max_size=8))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -581,32 +618,72 @@ def _connected_graphs(draw):
     for u, v in sorted(pairs):
         w = weights[rng.integers(len(weights))]
         edges.append((u, v, w) if rng.random() < 0.5 else (v, u, w))
-    return WeightedGraph(n, edges, root=int(rng.integers(n)))
+    return n, edges, int(rng.integers(n))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(graph=_connected_graphs())
-def test_random_graphs_round_trip_through_the_json_bytes(tmp_path, graph):
+@given(case=_connected_edge_lists())
+def test_random_graphs_round_trip_through_the_json_bytes(tmp_path, case):
+    n, edges, root = case
     path = tmp_path / "g.json"
+    # the exact total measure 2 * sum(w) decides whether the graph fits,
+    # up to the constructor's allowance of 2n roundings
+    total = 2 * sum(fractions.Fraction(w) for _, _, w in edges)
+    try:
+        graph = WeightedGraph(n, edges, root=root)
+    except GraphValidationError as exc:
+        assert total * (1 + 4 * n * _EPS) > _LARGEST, exc
+        # the canonical file of these edges certifies and is rejected alike
+        rows = sorted((min(u, v), max(u, v), w) for u, v, w in edges)
+        path.write_bytes(_json_dump_bytes(n, root, *zip(*rows)))
+        assert graphs_module._canonical_columns(path.read_bytes()) is not None
+        assert _outcome(load_graph, path) == (GraphValidationError, str(exc))
+        return
+    assert total <= _LARGEST
     save_graph(graph, path)
     assert path.read_bytes() == _save_by_json_dump(graph)
     assert graphs_module._canonical_columns(path.read_bytes()) is not None
     _assert_same_graph(load_graph(path), graph)
 
 
-def _many_weights_graph():
-    """lattice(3, 8), 13,872 edges, with log-uniform weights and the
-    extreme doubles."""
+def _many_weights(largest):
+    """lattice(3, 8)'s edge arrays, 13,872 edges, with log-uniform weights,
+    the smallest double and the given largest weight."""
     base = build_lattice(3, 8)
     weights = np.exp(np.random.default_rng(5).uniform(-700.0, 700.0, base.edge_count))
-    weights[:3] = 5e-324, 1.7976931348623157e308, 2.0
-    return WeightedGraph(base.vertex_count, list(zip(
-        base.edge_tails.tolist(), base.edge_heads.tolist(), weights.tolist())))
+    weights[:3] = 5e-324, largest, 2.0
+    return base.vertex_count, base.edge_tails, base.edge_heads, weights
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def _many_weights_graph():
+    """The graph of _many_weights with a quarter of the largest double,
+    whose repr is as long: the total measure stays finite."""
+    vertex_count, tails, heads, weights = _many_weights(4.4942328371557893e307)
+    return WeightedGraph(vertex_count, list(zip(
+        tails.tolist(), heads.tolist(), weights.tolist())))
+
+
+def test_an_overflowing_measure_is_rejected_on_both_load_routes(tmp_path):
+    """The largest double on lattice(3, 8): the certified file and the
+    indented one give the constructor's error."""
+    vertex_count, tails, heads, weights = _many_weights(1.7976931348623157e308)
+    with pytest.raises(GraphValidationError) as info:
+        WeightedGraph(vertex_count, list(zip(
+            tails.tolist(), heads.tolist(), weights.tolist())))
+    assert "measure" in str(info.value)
+    want = (GraphValidationError, str(info.value))
+    data = graphs_module._graph_bytes(vertex_count, 0, tails, heads, weights)
+    assert data == _json_dump_bytes(vertex_count, 0, tails, heads, weights)
+    assert graphs_module._canonical_columns(data) is not None
+    path = tmp_path / "g.json"
+    path.write_bytes(data)
+    assert _outcome(load_graph, path) == want
+    path.write_text(json.dumps(json.loads(data), indent=2))
+    assert graphs_module._canonical_columns(path.read_bytes()) is None
+    assert _outcome(load_graph, path) == want
+
+
 @pytest.mark.parametrize("make", [
     lambda: build_lattice(3, 16), lambda: build_lattice(2, 40),
     lambda: build_tree(2, 12), _many_weights_graph,

@@ -2,9 +2,12 @@
 
 import csv
 import io
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p_potential import (
     ExponentParams,
@@ -26,6 +29,7 @@ from p_potential import (
     supersolution_defect,
     WeightedGraph,
 )
+from p_potential.operators import _vertex_function_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +188,31 @@ def test_vertex_function_csv_is_the_csv_writer_bytes(tmp_path):
     path = tmp_path / "f.csv"
     save_vertex_function(VertexFunction(g, values), path)
     assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+
+def _csv_by_f_strings(values) -> bytes:
+    """save_vertex_function's bytes as the f-string writer made them
+    (reference)."""
+    rows = "".join(f"{i},{v!r}\r\n" for i, v in enumerate(values.tolist()))
+    return ("vertex,value\r\n" + rows).encode("utf-8")
+
+
+# any float64 bit pattern, and the values whose text is special (two more
+# nan bit patterns, which repr writes as nan too)
+_ANY_DOUBLES = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+                     5e-324, -5e-324, 2.2250738585072009e-308, 1e16, 1e-5,
+                     *np.array([0xFFF8000000000000, 0x7FF0000000000001],
+                               dtype=np.uint64).view(np.float64).tolist()]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_ANY_DOUBLES, min_size=1, max_size=300))
+def test_vertex_function_bytes_are_the_f_string_writer_bytes(values):
+    values = np.array(values, dtype=np.float64)
+    assert _vertex_function_bytes(values) == _csv_by_f_strings(values)
 
 
 def test_p_laplacian_single_edge():

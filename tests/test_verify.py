@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p_potential import (
+    ConsistencyError,
     ExponentParams,
+    WeightedGraph,
     ball_profile,
     build_lattice,
+    build_radial_model,
     build_tree,
     supersolution_defect,
 )
@@ -57,6 +60,82 @@ def test_shooting_edge_cases():
         shoot_radial_supersolution(tree, params, -1.0)
     with pytest.raises(ValueError, match="spherically symmetric"):
         shoot_radial_supersolution(build_lattice(2, 3), params, 0.1)
+
+
+def _layer_weights_by_edge_loop(graph, profile):
+    """_radial_layer_weights as a loop over the edges (reference)."""
+    ecc = profile.eccentricity
+    rad = profile.radius_of
+    w_in = np.zeros(graph.vertex_count)
+    w_out = np.zeros(graph.vertex_count)
+    u, v, w = graph.edge_tails, graph.edge_heads, graph.edge_weights
+    for a, b, weight, ra, rb in zip(u, v, w, rad[u], rad[v]):
+        if ra + 1 == rb:
+            w_out[a] += weight
+            w_in[b] += weight
+        elif rb + 1 == ra:
+            w_out[b] += weight
+            w_in[a] += weight
+    layer_in = np.empty(ecc + 1)
+    layer_out = np.empty(ecc + 1)
+    layer_mu = np.empty(ecc + 1)
+    for k in range(ecc + 1):
+        sphere = np.flatnonzero(rad == k)
+        for arr, per_vertex in ((layer_in, w_in), (layer_out, w_out),
+                                (layer_mu, graph.vertex_measure)):
+            vals = per_vertex[sphere]
+            if vals.size == 0:
+                raise ConsistencyError(f"empty sphere at radius {k}")
+            if np.ptp(vals) > 1e-12 * max(1.0, np.abs(vals).max()):
+                raise ValueError(
+                    f"graph is not spherically symmetric: sphere {k} mixes "
+                    f"conductance patterns")
+            arr[k] = vals[0]
+    return layer_in, layer_out, layer_mu
+
+
+def _outcome(compute, graph):
+    try:
+        return [layer.tobytes() for layer in compute(graph, ball_profile(graph))]
+    except (ValueError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def _thinned_leaf_tree(weight=0.5):
+    """tree(2, 4) with one leaf edge of the given weight: spheres 3 and 4
+    mix unless it is within the 1e-12 relative tolerance of 1."""
+    base = build_tree(2, 4)
+    weights = base.edge_weights.copy()
+    weights[-1] = weight
+    return WeightedGraph._from_columns(base.vertex_count, base.edge_tails,
+                                       base.edge_heads, weights)
+
+
+@pytest.mark.parametrize("make, symmetric", [
+    (lambda: build_tree(2, 6), True),
+    (lambda: build_tree(3, 5), True),
+    (lambda: build_radial_model([1, 3, 6, 6, 12], [0.7, 1 / 3, 2.5, 1e-3]), True),
+    # rooted 5-cycle: the edge (2, 3) joins two vertices of sphere 2
+    (lambda: WeightedGraph(5, [(0, 1, 1.5), (1, 2, 0.3), (2, 3, 7.0),
+                               (3, 4, 0.3), (4, 0, 1.5)]), True),
+    (lambda: build_lattice(2, 3), False),
+    (_thinned_leaf_tree, False),
+    (lambda: _thinned_leaf_tree(1.0 + 1e-9), False),
+    (lambda: _thinned_leaf_tree(1.0 + 1e-14), True),
+], ids=["tree-2-6", "tree-3-5", "radial", "5-cycle", "lattice-2-3",
+        "thinned-leaf", "leaf-off-by-1e-9", "leaf-off-by-1e-14"])
+def test_layer_weights_equal_the_edge_loop(make, symmetric):
+    """Bitwise the same three layers, or the same error and message."""
+    graph = make()
+    got = _outcome(verify._radial_layer_weights, graph)
+    assert got == _outcome(_layer_weights_by_edge_loop, graph)
+    assert isinstance(got, list) == symmetric
+
+
+def test_layer_weights_name_the_first_mixed_sphere():
+    for graph, k in ((build_lattice(2, 3), 2), (_thinned_leaf_tree(), 3)):
+        with pytest.raises(ValueError, match=f"sphere {k} mixes"):
+            verify._radial_layer_weights(graph, ball_profile(graph))
 
 
 def test_sandwich_suite_squeezes_L():
