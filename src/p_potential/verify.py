@@ -358,11 +358,12 @@ class SuiteReport:
 
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float,
                  size) -> np.ndarray:
-    return np.exp(rng.uniform(np.log(lo), np.log(hi), size=size))
+    draw = rng.uniform(np.log(lo), np.log(hi), size=size)
+    return np.exp(draw, out=draw)
 
 
-# elements per block of picone_suite's elementwise evaluation; its draws
-# stay one chunk at a time, so blocking changes no rounding
+# tuples per block of picone_suite: each block is drawn and checked on its
+# own, so no array is longer than this
 _PICONE_BLOCK = 1 << 14
 
 
@@ -371,40 +372,40 @@ def picone_suite(trials: int = 1_000_000, seed: int = 0) -> SuiteReport:
 
     p is uniform on (1, 4], sigma uniform on (p-1, 6] bounded away from
     the degenerate edge by 1e-3, magnitudes log-uniform on [1e-6, 1e3];
-    every tenth tuple sets t = s to hit the equality case.  The tuples are
-    drawn 200,000 at a time and evaluated _PICONE_BLOCK at a time.
+    every tenth tuple (index 0, 10, 20, ...) sets t = s to hit the
+    equality case.  The tuples are drawn and checked _PICONE_BLOCK at a
+    time; each block draws p, sigma, a, b, s and t in that order.
 
     At t = s both sides are exactly 0, so such a tuple is a violation
-    unless lhs == rhs == 0, and worst_margin is taken over the tuples with
-    s != t (inf when there are none).
+    unless lhs == rhs == 0.  worst_margin is the least relative margin
+    (rhs - lhs) / max(|lhs|, |rhs|), in [-2, 2], over the tuples with
+    s != t and a nonzero side (inf when there are none).
     """
     rng = np.random.default_rng(seed)
     worst = np.inf
     violations = 0
-    done = 0
-    chunk = 200_000
-    while done < trials:
-        n = min(chunk, trials - done)
+    for done in range(0, trials, _PICONE_BLOCK):
+        n = min(_PICONE_BLOCK, trials - done)
         p = rng.uniform(1.0, 4.0, size=n)
         sigma = rng.uniform(p - 1.0 + 1e-3, 6.0)
         a, b, s, t = (_log_uniform(rng, 1e-6, 1e3, n) for _ in range(4))
-        t[::10] = s[::10]
-        for lo in range(0, n, _PICONE_BLOCK):
-            block = slice(lo, lo + _PICONE_BLOCK)
-            block_worst, block_violations = _picone_block(
-                p[block], sigma[block], a[block], b[block], s[block],
-                t[block])
-            worst = min(worst, block_worst)
-            violations += block_violations
-        done += n
+        tie = slice(-done % 10, None, 10)
+        t[tie] = s[tie]
+        block_worst, block_violations = _picone_block(p, sigma, a, b, s, t)
+        worst = min(worst, block_worst)
+        violations += block_violations
     return SuiteReport(name="picone", trials=trials, violations=violations,
                        worst_margin=worst, ok=violations == 0)
 
 
 def _picone_block(p, sigma, a, b, s, t):
-    """(worst scaled margin over the tuples with s != t, violations) of
-    picone_check over aligned arrays of tuples, elementwise; a tuple with
-    t = s violates unless lhs == rhs == 0."""
+    """(worst relative margin, violations) of picone_check over aligned
+    arrays of tuples, elementwise.
+
+    The margin is (rhs - lhs) / max(|lhs|, |rhs|), taken over the tuples
+    with s != t and a nonzero side; a tuple with t = s violates unless
+    lhs == rhs == 0, any other when lhs > rhs + 1e-12 max(1, |lhs|, |rhs|).
+    """
     eta = sigma - p + 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = a - b
@@ -415,34 +416,34 @@ def _picone_block(p, sigma, a, b, s, t):
     lhs = np.where(diff == 0.0, 0.0, lhs)
     rhs = np.where(cross == 0.0, 0.0, rhs)
 
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    margin = (rhs - lhs) / scale
+    size = np.maximum(np.abs(lhs), np.abs(rhs))
     tie = s == t
     violated = np.where(tie, (lhs != 0.0) | (rhs != 0.0),
-                        lhs > rhs + 1e-12 * scale)
-    return (float(np.min(margin, where=~tie, initial=np.inf)),
-            int(np.count_nonzero(violated)))
+                        lhs > rhs + 1e-12 * np.maximum(1.0, size))
+    counted = ~tie & (size != 0.0)
+    margin = np.divide(rhs - lhs, size, where=counted,
+                       out=np.full_like(size, np.inf))
+    return float(margin.min(initial=np.inf)), int(np.count_nonzero(violated))
 
 
 def hardy_suite(trials: int = 100_000, seed: int = 0) -> SuiteReport:
     """Random-array check of hardy_check: lengths 1..200, r in (0, 5],
     log-uniform magnitudes.
 
-    The arrays are drawn 5,000 at a time.  Each array's (lhs, rhs) is
-    bitwise hardy_check(a_i, r_i), so the result equals a loop over
-    hardy_check.
+    The arrays are drawn 5,000 at a time.  Each shard draws its lengths,
+    then its r, then the entries of its arrays one length at a time, in
+    ascending length: the arrays of one length, in shard order, as one
+    (count, length) block.  Each array's (lhs, rhs) is bitwise
+    hardy_check(a_i, r_i), so the result equals a loop over hardy_check.
     """
     rng = np.random.default_rng(seed)
     worst = np.inf
     violations = 0
-    done = 0
-    shard = 5_000
-    while done < trials:
-        n_arrays = min(shard, trials - done)
-        shard_worst, shard_violations = _hardy_shard(rng, n_arrays)
+    for done in range(0, trials, 5_000):
+        shard_worst, shard_violations = _hardy_shard(
+            rng, min(5_000, trials - done))
         worst = min(worst, shard_worst)
         violations += shard_violations
-        done += n_arrays
     return SuiteReport(name="hardy", trials=trials, violations=violations,
                        worst_margin=worst, ok=violations == 0)
 
@@ -450,13 +451,17 @@ def hardy_suite(trials: int = 100_000, seed: int = 0) -> SuiteReport:
 def _hardy_shard(rng: np.random.Generator, n_arrays: int):
     """Draw n_arrays arrays and return (worst scaled margin, violations).
 
-    The draws are one length vector, one packed array of all entries and
-    one r per array; they and every temporary are released on return.
+    Besides a few vectors of one entry per array, no array outlives the
+    block of one length, which is drawn, checked and released in turn.
     """
     lengths = rng.integers(1, 201, size=n_arrays)
-    a = _log_uniform(rng, 1e-6, 1e3, int(lengths.sum()))
     r = rng.uniform(0.001, 5.0, size=n_arrays)
-    lhs, rhs = _hardy_sides(a, r, lengths)
+    lhs = np.empty(n_arrays)
+    rhs = np.empty(n_arrays)
+    for width in np.unique(lengths):
+        rows = np.flatnonzero(lengths == width)
+        block = _log_uniform(rng, 1e-6, 1e3, (rows.size, width))
+        lhs[rows], rhs[rows] = _hardy_sides(block, r[rows])
 
     scale = np.maximum(1.0, np.maximum(lhs, rhs))
     margin = (lhs - rhs) / scale
@@ -464,29 +469,20 @@ def _hardy_shard(rng: np.random.Generator, n_arrays: int):
             int(np.count_nonzero(lhs < rhs - 1e-12 * scale)))
 
 
-def _hardy_sides(a: np.ndarray, r: np.ndarray, lengths: np.ndarray):
-    """Arrays (lhs, rhs) with entry i bitwise hardy_check(a_i, r[i]), where
-    a_i is the i-th run of lengths[i] entries of the packed array a.
+def _hardy_sides(block: np.ndarray, r: np.ndarray):
+    """Arrays (lhs, rhs) with entry i bitwise hardy_check(block[i], r[i]).
 
-    It takes one array length at a time: rows of one length, stacked, add
-    along each row exactly as np.sum and np.cumsum add one array (the
-    idiom of flows._path_sums).  No sum runs across two arrays, and no
-    temporary is larger than the arrays of one length.
+    The rows of one length, stacked, add along each row exactly as np.sum
+    and np.cumsum add one array (the idiom of flows._path_sums), so no
+    sum runs across two arrays.
     """
-    starts = np.cumsum(lengths) - lengths
-    lhs = np.empty(lengths.size)
-    rhs = np.empty(lengths.size)
-    for width in np.unique(lengths):
-        rows = np.flatnonzero(lengths == width)
-        block = a[starts[rows, None] + np.arange(width)]
-        r_rows = r[rows, None]
-        lhs[rows] = (block ** -r_rows).sum(axis=1)
-        j = np.arange(1, width + 1, dtype=np.float64)
-        sums = ((j / np.cumsum(block, axis=1)) ** r_rows).sum(axis=1)
-        # hardy_check takes this factor with a scalar pow
-        factor = [math.pow(2.0, -(x + 1.0)) for x in r[rows].tolist()]
-        rhs[rows] = np.asarray(factor) * sums
-    return lhs, rhs
+    r_rows = r[:, None]
+    lhs = (block ** -r_rows).sum(axis=1)
+    j = np.arange(1, block.shape[1] + 1, dtype=np.float64)
+    sums = ((j / np.cumsum(block, axis=1)) ** r_rows).sum(axis=1)
+    # hardy_check takes this factor with a scalar pow
+    factor = [math.pow(2.0, -(x + 1.0)) for x in r.tolist()]
+    return lhs, np.asarray(factor) * sums
 
 
 def positivity_suite(trials: int = 0, seed: int = 0) -> SuiteReport:

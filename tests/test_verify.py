@@ -198,24 +198,24 @@ def _log_uniform_draw(rng, lo, hi, size):
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size=size))
 
 
-def _hardy_draws(rng, n_arrays):
-    """One hardy_suite shard's draws: (lengths, packed entries, r)."""
-    lengths = rng.integers(1, 201, size=n_arrays)
-    a = _log_uniform_draw(rng, 1e-6, 1e3, int(lengths.sum()))
-    r = rng.uniform(0.001, 5.0, size=n_arrays)
-    return lengths, a, r
-
-
 def _hardy_shards(trials, seed):
-    """hardy_suite's draws, shard by shard."""
+    """hardy_suite's draws, shard by shard: (lengths, r, blocks), where
+    blocks maps each length, ascending, to the (count, length) block of
+    the shard's arrays of that length, in shard order."""
     rng = np.random.default_rng(seed)
     for done in range(0, trials, 5_000):
-        yield _hardy_draws(rng, min(5_000, trials - done))
+        lengths = rng.integers(1, 201, size=min(5_000, trials - done))
+        r = rng.uniform(0.001, 5.0, size=lengths.size)
+        blocks = {int(n): _log_uniform_draw(
+            rng, 1e-6, 1e3, (np.count_nonzero(lengths == n), int(n)))
+            for n in np.unique(lengths)}
+        yield lengths, r, blocks
 
 
 def _hardy_by_shard(a, r, lengths):
-    """The shard-wide evaluation hardy_suite used to run: the prefix sums
-    are differences of one running sum over the whole shard."""
+    """The shard-wide evaluation hardy_suite used to run on the packed
+    arrays: the prefix sums are differences of one running sum over the
+    whole shard."""
     total = a.size
     ends = np.cumsum(lengths)
     starts = ends - lengths
@@ -233,24 +233,28 @@ def _hardy_by_shard(a, r, lengths):
     return lhs, rhs
 
 
-def _hardy_check_each(a, r, lengths):
-    ends = np.cumsum(lengths)
-    sides = [hardy_check(a[end - n:end], float(r_i))
-             for end, n, r_i in zip(ends, lengths, r)]
+def _hardy_check_each(block, r):
+    sides = [hardy_check(a, float(r_i)) for a, r_i in zip(block, r)]
     return tuple(np.array(side) for side in zip(*sides))
 
 
 def test_hardy_sides_are_hardy_check_bitwise():
-    lengths, a, r = next(_hardy_shards(5_000, 0))
-    lhs_check, rhs_check = _hardy_check_each(a, r, lengths)
+    lengths, r, blocks = next(_hardy_shards(5_000, 0))
+    checks = []
+    for n, block in blocks.items():
+        lhs_check, rhs_check = _hardy_check_each(block, r[lengths == n])
+        lhs, rhs = verify._hardy_sides(block, r[lengths == n])
+        assert lhs.tobytes() == lhs_check.tobytes()
+        assert rhs.tobytes() == rhs_check.tobytes()
+        checks.append(rhs_check)
 
-    lhs, rhs = verify._hardy_sides(a, r, lengths)
-    assert lhs.tobytes() == lhs_check.tobytes()
-    assert rhs.tobytes() == rhs_check.tobytes()
-
-    # the shard-wide running sum, which reaches ~2.4e7, cancels in its
-    # prefix differences
-    _, rhs_shard = _hardy_by_shard(a, r, lengths)
+    # packed one after another, the shard-wide running sum, which reaches
+    # ~2.4e7, cancels in its prefix differences
+    rhs_check = np.concatenate(checks)
+    _, rhs_shard = _hardy_by_shard(
+        np.concatenate([block.ravel() for block in blocks.values()]),
+        np.concatenate([r[lengths == n] for n in blocks]),
+        np.repeat(list(blocks), [len(block) for block in blocks.values()]))
     off = np.abs(rhs_shard - rhs_check) > 1e-6 * rhs_check
     assert np.count_nonzero(off) > 1_000
 
@@ -260,11 +264,13 @@ def test_hardy_sides_are_hardy_check_bitwise():
 def test_hardy_suite_equals_a_hardy_check_loop(trials, seed):
     worst = np.inf
     violations = 0
-    for lengths, a, r in _hardy_shards(trials, seed):
-        for lhs, rhs in zip(*_hardy_check_each(a, r, lengths)):
-            scale = max(1.0, lhs, rhs)
-            worst = min(worst, (lhs - rhs) / scale)
-            violations += bool(lhs < rhs - 1e-12 * scale)
+    for lengths, r, blocks in _hardy_shards(trials, seed):
+        for n, block in blocks.items():
+            for a, r_i in zip(block, r[lengths == n]):
+                lhs, rhs = hardy_check(a, float(r_i))
+                scale = max(1.0, lhs, rhs)
+                worst = min(worst, (lhs - rhs) / scale)
+                violations += bool(lhs < rhs - 1e-12 * scale)
     report = hardy_suite(trials=trials, seed=seed)
     assert (report.name, report.trials) == ("hardy", trials)
     assert report.worst_margin == worst
@@ -282,58 +288,70 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-def test_hardy_suite_peak_is_the_draws_plus_one_length_block(monkeypatch):
+def test_hardy_suite_peak_is_the_draws_plus_one_length_block():
     trials, seed = 10_000, 0
     bound = 0
-    for lengths, a, _ in _hardy_shards(trials, seed):
-        largest_block = max(n * np.count_nonzero(lengths == n)
-                            for n in np.unique(lengths))
-        # in bytes: the uniform draw and its exp, both live while a is
-        # drawn; at most eight vectors of one float64 or int64 per array
-        # (lengths, r, starts, lhs, rhs, scale, margin, one temporary);
-        # four blocks of the largest length (indices, entries, two
-        # temporaries)
-        bound = max(bound, 8 * (2 * a.size + 8 * lengths.size
-                                + 4 * largest_block))
+    for lengths, _, blocks in _hardy_shards(trials, seed):
+        largest_block = max(block.size for block in blocks.values())
+        # in bytes: at most eight vectors of one float64 or int64 per array
+        # (lengths, r, lhs, rhs, scale, margin, one temporary, the mask of
+        # one length); four blocks of the largest length (the block, two
+        # temporaries, and slack for the vectors of one entry per row)
+        bound = max(bound, 8 * (8 * lengths.size + 4 * largest_block))
     assert _traced_peak(lambda: hardy_suite(trials, seed)) <= bound
 
-    monkeypatch.setattr(verify, "_hardy_sides", _hardy_by_shard)
-    assert _traced_peak(lambda: hardy_suite(trials, seed)) > bound
+    # a whole shard's entries drawn at once do not fit
+    assert _traced_peak(lambda: list(_hardy_shards(5_000, seed))) > bound
 
 
-def _picone_by_chunk(trials, seed):
-    """picone_suite as it evaluated each whole chunk of 200,000 tuples:
-    the worst margin over the tuples with s != t, and a tuple with t = s a
+def _picone_draws(rng, n, first=0):
+    """n tuples drawn as picone_suite draws a block: p, sigma, a, b, s, t,
+    with t = s at the tuples whose index first + i is a multiple of 10."""
+    p = rng.uniform(1.0, 4.0, size=n)
+    sigma = rng.uniform(p - 1.0 + 1e-3, 6.0)
+    a, b, s, t = (_log_uniform_draw(rng, 1e-6, 1e3, n) for _ in range(4))
+    tie = (first + np.arange(n)) % 10 == 0
+    t[tie] = s[tie]
+    return p, sigma, a, b, s, t
+
+
+def _picone_sides(p, sigma, a, b, s, t):
+    """(worst relative margin over the tuples with s != t and a nonzero
+    side, violations), by boolean selection; a tuple with t = s is a
     violation unless lhs == rhs == 0."""
+    eta = sigma - p + 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = a - b
+        lhs = np.abs(diff) ** (p - 2.0) * diff * (s ** sigma - t ** sigma)
+        cross = a * s - b * t
+        rhs = (sigma / eta) * np.abs(cross) ** (p - 2.0) * cross \
+            * (s ** eta - t ** eta)
+    lhs = np.where(diff == 0.0, 0.0, lhs)
+    rhs = np.where(cross == 0.0, 0.0, rhs)
+
+    size = np.maximum(np.abs(lhs), np.abs(rhs))
+    tie = s == t
+    counted = ~tie & (size != 0.0)
+    worst = np.inf
+    if counted.any():
+        worst = float(((rhs - lhs)[counted] / size[counted]).min())
+    violations = int(np.count_nonzero(tie & ((lhs != 0.0) | (rhs != 0.0))))
+    violations += int(np.count_nonzero(
+        ~tie & (lhs > rhs + 1e-12 * np.maximum(1.0, size))))
+    return worst, violations
+
+
+def _picone_by_chunk(trials, seed, chunk=200_000):
+    """picone_suite with its tuples drawn and evaluated chunk at a time:
+    200,000, as it used to, or verify._PICONE_BLOCK, as it does."""
     rng = np.random.default_rng(seed)
     worst = np.inf
     violations = 0
-    done = 0
-    while done < trials:
-        n = min(200_000, trials - done)
-        p = rng.uniform(1.0, 4.0, size=n)
-        sigma = rng.uniform(p - 1.0 + 1e-3, 6.0)
-        eta = sigma - p + 1.0
-        a, b, s, t = (_log_uniform_draw(rng, 1e-6, 1e3, n) for _ in range(4))
-        t[::10] = s[::10]
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            diff = a - b
-            lhs = np.abs(diff) ** (p - 2.0) * diff * (s ** sigma - t ** sigma)
-            cross = a * s - b * t
-            rhs = (sigma / eta) * np.abs(cross) ** (p - 2.0) * cross \
-                * (s ** eta - t ** eta)
-        lhs = np.where(diff == 0.0, 0.0, lhs)
-        rhs = np.where(cross == 0.0, 0.0, rhs)
-
-        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        margin = (rhs - lhs) / scale
-        tie = s == t
-        if not tie.all():
-            worst = min(worst, float(margin[~tie].min()))
-        violations += int(np.count_nonzero(tie & ((lhs != 0.0) | (rhs != 0.0))))
-        violations += int(np.count_nonzero(~tie & (lhs > rhs + 1e-12 * scale)))
-        done += n
+    for done in range(0, trials, chunk):
+        chunk_worst, chunk_violations = _picone_sides(
+            *_picone_draws(rng, min(chunk, trials - done), done))
+        worst = min(worst, chunk_worst)
+        violations += chunk_violations
     return verify.SuiteReport(name="picone", trials=trials,
                               violations=violations, worst_margin=worst,
                               ok=violations == 0)
@@ -357,11 +375,40 @@ def test_picone_tie_violates_unless_both_sides_are_zero():
     assert (worst, violations) == (np.inf, 1)
 
 
+def test_picone_margin_is_unchanged_by_scaling_a_and_b():
+    """Both sides are homogeneous of degree p - 1 in (a, b), so the
+    relative margin stays put when a and b shrink by 2^-40.  A margin
+    scaled by max(1, |lhs|, |rhs|) is absolute below 1 and shrinks too."""
+    rng = np.random.default_rng(0)
+    p, sigma, a, b, s, t = _picone_draws(rng, verify._PICONE_BLOCK)
+    worst, violations = verify._picone_block(p, sigma, a, b, s, t)
+    small = 2.0 ** -40
+    scaled = verify._picone_block(p, sigma, a * small, b * small, s, t)
+    assert scaled[0] == pytest.approx(worst, rel=1e-9, abs=0.0)
+    assert violations == scaled[1] == 0
+    assert 0.0 < worst < 2.0
+
+
+def test_picone_margin_skips_tuples_with_both_sides_zero():
+    # a = b = 0 on the first tuple: both sides vanish although s != t, and
+    # their 0 / 0 would be a nan margin
+    p, sigma = np.array([2.0, 2.0]), np.array([3.0, 3.0])
+    a, b = np.array([0.0, 2.0]), np.array([0.0, 1.0])
+    s, t = np.array([2.0, 2.0]), np.array([1.0, 1.0])
+    with np.errstate(invalid="raise"):
+        worst, violations = verify._picone_block(p, sigma, a, b, s, t)
+    lhs, rhs = picone_check(2.0, 1.0, 2.0, 1.0, ExponentParams(2.0, 3.0))
+    assert violations == 0
+    assert worst == (rhs - lhs) / max(abs(lhs), abs(rhs))
+
+
 @pytest.mark.parametrize("trials,seed", [
     (1, 0), (16_384, 1), (16_385, 1), (100_000, 0), (200_001, 3),
     (None, 0),  # the function's own default, 1,000,000
 ])
 def test_picone_suite_equals_the_chunk_evaluation(monkeypatch, trials, seed):
+    """Up to one block the draws are those of the 200,000-tuple chunks;
+    beyond it, each block is drawn on its own."""
     sizes = []
     real = verify._picone_block
 
@@ -375,6 +422,18 @@ def test_picone_suite_equals_the_chunk_evaluation(monkeypatch, trials, seed):
         trials = 1_000_000
     else:
         report = picone_suite(trials=trials, seed=seed)
-    expected = _picone_by_chunk(trials, seed)
+    chunk = 200_000 if trials <= verify._PICONE_BLOCK else verify._PICONE_BLOCK
+    expected = _picone_by_chunk(trials, seed, chunk)
     assert dataclasses.astuple(report) == dataclasses.astuple(expected)
     assert sum(sizes) == trials and max(sizes) <= verify._PICONE_BLOCK
+
+
+def test_picone_suite_peak_is_a_few_blocks():
+    trials, seed = 1_000_000, 0
+    # in bytes: twenty vectors of one float64 per tuple of a block (the six
+    # draws, and the temporaries of _picone_block, each its inputs' size)
+    bound = 8 * 20 * verify._PICONE_BLOCK
+    assert _traced_peak(lambda: picone_suite(trials, seed)) <= bound
+
+    # tuples drawn 200,000 at a time do not fit
+    assert _traced_peak(lambda: _picone_by_chunk(trials, seed)) > bound
