@@ -17,8 +17,7 @@ from .errors import (ConsistencyError, GraphFormatError, GraphValidationError,
                      VerificationError)
 from .flows import (BallAnalysis, ChainReport, CheckRecord, PathMeasure,
                     UnitFlow, analyze_ball, decompose_paths, edge_marginals,
-                    empirical_lower_bound, flow_checks, orient_flow,
-                    parallel_sum, path_hardy_check)
+                    empirical_lower_bound, flow_checks, orient_flow)
 from .graphs import (BallProfile, WeightedGraph, ball_profile, build_lattice,
                      build_radial_model, build_tree, load_graph, save_graph)
 from .green import (LOOKS_NON_PARABOLIC, LOOKS_PARABOLIC, GreenFunction,
@@ -55,8 +54,8 @@ __all__ = [
     "flow_checks", "green_normalization_check", "hardy_check", "hardy_suite",
     "is_p_superharmonic", "load_graph", "load_vertex_function",
     "midrange_cut_bound", "minimize_p_dirichlet", "orient_flow", "p_energy",
-    "p_laplacian", "p_laplacian_all", "parabolicity_probe", "parallel_sum",
-    "path_hardy_check", "phi_p", "picone_check", "picone_suite",
+    "p_laplacian", "p_laplacian_all", "parabolicity_probe", "phi_p",
+    "picone_check", "picone_suite",
     "positivity_propagation", "positivity_suite", "run_suites",
     "sandwich_demo", "sandwich_suite", "sandwich_upper_bound", "save_graph",
     "save_vertex_function", "shoot_radial_supersolution", "solve_green",

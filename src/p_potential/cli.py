@@ -37,7 +37,8 @@ from .graphs import (BallProfile, _digits, _every_row, ball_profile,
 from .green import (green_normalization_check, parabolicity_probe,
                     sandwich_upper_bound, solve_green)
 from .operators import ExponentParams, _row_error, save_vertex_function
-from .verify import SHOOT_STARTS, run_suites, shoot_with_fallback
+from .verify import (SHOOT_STARTS, check_trials, run_suites,
+                     shoot_with_fallback)
 
 REPORT_CSV_COLUMNS = ("R", "g_center", "residual", "capacity_center", "L",
                       "lower_bound", "upper_bound", "path_count",
@@ -315,6 +316,7 @@ def _cmd_criterion(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    check_trials(args.trials)
     reports = run_suites(args.suite, trials=args.trials, seed=args.seed)
     payload = {
         "suites": [asdict(rep) for rep in reports],
@@ -325,6 +327,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    check_trials(args.trials)
     graph = load_graph(args.graph)
     profile = ball_profile(graph)
     params = ExponentParams(p=args.p, sigma=args.sigma)

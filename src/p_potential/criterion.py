@@ -248,16 +248,16 @@ def midrange_cut_bound(profile: BallProfile, params: ExponentParams,
     return rows
 
 
-def classify(terms, horizon: int | None = None,
-             margin: float = CLASSIFY_MARGIN) -> SeriesReport:
+def classify(terms, horizon: int | None = None) -> SeriesReport:
     """Fit t_n ~ c * n^(-beta) (log n)^(-gamma) and call the series.
 
-    The regression runs on the top half of the horizon.  Verdict: diverges
-    when beta < 1 - margin, or beta is within margin of 1 and
+    The regression runs on the top half of the horizon.  With
+    margin = CLASSIFY_MARGIN = 0.05 the verdict is: diverges when
+    beta < 1 - margin, or beta is within margin of 1 and
     gamma <= 1 - margin; converges when beta > 1 + margin, or beta is
     within margin of 1 and gamma >= 1 + margin; otherwise inconclusive.
-    Horizons below 64 are always inconclusive: the window is too short to
-    separate log corrections from the power.
+    Horizons below MIN_HORIZON = 64 are always inconclusive: the window is
+    too short to separate log corrections from the power.
     """
     terms = np.asarray(terms, dtype=np.float64)
     if terms.ndim != 1 or terms.size < 2:
@@ -283,6 +283,7 @@ def classify(terms, horizon: int | None = None,
     else:
         beta, gamma, fit_error = np.nan, np.nan, np.nan
 
+    margin = CLASSIFY_MARGIN
     if horizon < MIN_HORIZON or not np.isfinite(beta):
         verdict = INCONCLUSIVE
     elif beta < 1.0 - margin or (abs(beta - 1.0) <= margin

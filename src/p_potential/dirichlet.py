@@ -8,17 +8,20 @@ equation defect  mu(x) * (-lap_p v)(x) - source(x).
 
 Strategy: the |t|^p term is smoothed to (t^2 + eps^2)^(p/2), which keeps
 the Hessian bounded (p < 2) and nondegenerate (p > 2).  A damped Newton
-iteration runs through a decreasing eps schedule, warm started from the
-p = 2 solution (one exact Newton step of the quadratic problem), and a
-final unsmoothed stage with a floored Hessian coefficient polishes the
-iterate so the reported defect refers to the exact phi_p operator.
+iteration runs through the fixed schedule EPS_SCHEDULE = (1e-2, 1e-6,
+1e-10), warm started from the p = 2 solution (one exact Newton step of the
+quadratic problem), and a final unsmoothed stage with a floored Hessian
+coefficient polishes the iterate so the reported defect refers to the
+exact phi_p operator.  For p = 2 the smoothed stages are skipped and only
+the exact stage runs.  Each stage takes at most MAX_ITERATIONS steps; the
+one setting a caller may change is the gradient target, SolveOptions.
 
 Factorization rule: every Newton direction is bit for bit the one
 `splu(H).solve(rhs)` gives.  The Hessian's sparsity pattern is fixed for the
-whole solve, so the first factorization (the warm start, or the first step
-when a start is given) runs `splu(H)` and keeps its COLAMD column order,
-postordered.  Every later step factors the Hessian with its columns already
-in that order and `permc_spec="NATURAL"`.  SuperLU's threshold pivoting
+whole solve, so the first factorization (the warm start) runs `splu(H)` and
+keeps its COLAMD column order, postordered.  Every later step factors the
+Hessian with its columns already in that order and
+`permc_spec="NATURAL"`.  SuperLU's threshold pivoting
 prefers the diagonal (Demmel et al., SIAM J. Matrix Anal. Appl. 20(3),
 1999), so when every pivot of that factor is the original diagonal, the
 pivots `splu(H)` would choose are the same and so are the factors.  A factor
@@ -40,26 +43,22 @@ from .operators import check_p
 
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 60
+# smoothing levels, run in order before the exact stage (p != 2 only)
+EPS_SCHEDULE = (1e-2, 1e-6, 1e-10)
+# Newton iteration cap per stage
+MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the Newton continuation.
+    """The one setting of the Newton continuation.
 
-    eps_schedule: smoothing levels, run in order, before the exact stage.
-    grad_tol: per-stage gradient sup-norm target (scaled by the caller).
-    max_iterations: Newton iteration cap per stage.
-    polish: run the final unsmoothed stage.
-    residual_target: callers raise SolverError above this defect.
-    initial: optional start values for the free vertices (full-length array).
+    grad_tol: per-stage gradient sup-norm target, scaled by
+        max(1, max |source|).  A stage stops once the sup norm of its
+        gradient is at or below it (or after MAX_ITERATIONS steps).
     """
 
-    eps_schedule: tuple = (1e-2, 1e-6, 1e-10)
     grad_tol: float = 1e-12
-    max_iterations: int = 100
-    polish: bool = True
-    residual_target: float = 1e-9
-    initial: np.ndarray | None = None
 
 
 @dataclass
@@ -290,7 +289,7 @@ class _Problem:
 
 
 def _newton_stage(problem: _Problem, values: np.ndarray, sm: _Smoothing,
-                  grad_tol: float, max_iterations: int) -> StageReport:
+                  grad_tol: float) -> StageReport:
     """Damped Newton on one smoothing level; mutates `values` in place."""
     report = StageReport(eps=sm.eps, iterations=0, grad_inf=0.0)
     fallbacks_before = problem.pivot_fallbacks
@@ -299,7 +298,7 @@ def _newton_stage(problem: _Problem, values: np.ndarray, sm: _Smoothing,
     fp_slack = 4.0 * np.finfo(np.float64).eps
     j0 = problem.objective(values, sm)
 
-    while grad_inf > grad_tol and report.iterations < max_iterations:
+    while grad_inf > grad_tol and report.iterations < MAX_ITERATIONS:
         try:
             step = problem.newton_direction(values, sm, -grad)
         except RuntimeError:
@@ -350,7 +349,11 @@ def minimize_p_dirichlet(graph: WeightedGraph, free_mask, fixed_values,
     fixed_values : full-length array; used (exactly) outside the free set.
     source : full-length array; the linear term, read on the free set only.
     p : exponent, > 1.
-    options : SolveOptions.
+    options : SolveOptions (its grad_tol); the default when None.
+
+    The free values start at 0 and take one exact Newton step of the p = 2
+    problem; then, for p != 2, one damped Newton stage per level of
+    EPS_SCHEDULE, and for every p a final exact stage (eps = 0).
 
     Returns (values, MinimizeReport); `values` is a full-length array whose
     fixed entries equal fixed_values bit-for-bit.  The report's grad_inf is
@@ -384,26 +387,17 @@ def minimize_p_dirichlet(graph: WeightedGraph, free_mask, fixed_values,
     grad_tol = options.grad_tol * scale
 
     # warm start: one exact Newton step on the p = 2 quadratic
-    if options.initial is not None:
-        initial = np.asarray(options.initial, dtype=np.float64)
-        if initial.shape != (graph.vertex_count,):
-            raise ValueError("initial has wrong length")
-        values[free_mask] = initial[free_mask]
-    else:
-        warm = _Smoothing(2.0, 0.0)
-        grad2 = problem.gradient(values, warm)
-        try:
-            values[problem.free_ids] += problem.newton_direction(values, warm, -grad2)
-        except RuntimeError:
-            report.warm_start_failed = True  # the damped stages still converge
+    warm = _Smoothing(2.0, 0.0)
+    grad2 = problem.gradient(values, warm)
+    try:
+        values[problem.free_ids] += problem.newton_direction(values, warm, -grad2)
+    except RuntimeError:
+        report.warm_start_failed = True  # the damped stages still converge
 
-    if p != 2.0:
-        for eps in options.eps_schedule:
-            report.stages.append(_newton_stage(problem, values, _Smoothing(p, eps),
-                                               grad_tol, options.max_iterations))
-    if options.polish or p == 2.0:
-        report.stages.append(_newton_stage(problem, values, exact,
-                                           grad_tol, options.max_iterations))
+    schedule = EPS_SCHEDULE if p != 2.0 else ()
+    for eps in (*schedule, 0.0):
+        report.stages.append(_newton_stage(problem, values, _Smoothing(p, eps),
+                                           grad_tol))
 
     final_grad = problem.gradient(values, exact)
     report.grad_inf = float(np.abs(final_grad).max())

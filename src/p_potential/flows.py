@@ -126,17 +126,15 @@ def _assert_acyclic(potential: np.ndarray, tails: np.ndarray,
 
 
 def orient_flow(graph: WeightedGraph, profile: BallProfile,
-                green: GreenFunction,
-                zero_drop_threshold: float | None = None) -> UnitFlow:
+                green: GreenFunction) -> UnitFlow:
     """Orient the p-current of a Green function into a unit flow.
 
     Vertices outside B_R collapse to a single absorbing boundary vertex
-    (sentinel id = vertex_count).  Edges whose drop is at or below the
-    threshold (default 1e-12 * max drop; a negative one raises ValueError)
-    are discarded.  Conservation, acyclicity, and the source/sink facts
-    (nothing enters the center, nothing leaves the boundary) are checked;
-    violations beyond 100 * residual signal a bad solve and raise
-    ConsistencyError.
+    (sentinel id = vertex_count).  Edges whose drop is at or below
+    1e-12 * max drop (the flow's drop_threshold) are discarded.
+    Conservation, acyclicity, and the source/sink facts (nothing enters the
+    center, nothing leaves the boundary) are checked; violations beyond
+    100 * residual signal a bad solve and raise ConsistencyError.
 
     The Green function must be centered at the graph's root: B_R and the
     audit's radii are measured from the root, so a chain from any other
@@ -154,11 +152,7 @@ def orient_flow(graph: WeightedGraph, profile: BallProfile,
 
     if drops.size == 0:
         raise ConsistencyError("ball has no incident edges to orient")
-    if zero_drop_threshold is None:
-        zero_drop_threshold = 1e-12 * drops.max()
-    elif not zero_drop_threshold >= 0.0:
-        raise ValueError(f"zero_drop_threshold must be >= 0, got "
-                         f"{zero_drop_threshold!r}")
+    zero_drop_threshold = 1e-12 * drops.max()
     keep = drops > zero_drop_threshold
     tails, heads, drops, conds = tails[keep], heads[keep], drops[keep], conds[keep]
 
@@ -352,42 +346,6 @@ def edge_marginals(flow: UnitFlow, measure: PathMeasure) -> np.ndarray:
             f"of the flow")
     weights = np.repeat(measure.probabilities, np.diff(measure.offsets) - 1)
     return np.bincount(ids, weights=weights, minlength=flow.edge_count)
-
-
-def path_hardy_check(values, params: ExponentParams):
-    """Deterministic one-path estimate: (lhs, rhs) with lhs >= rhs.
-
-    values are the Green values along a path, strictly decreasing, final
-    entry >= 0 (zero at the boundary).  With drops d_i = V_i - V_{i+1},
-
-        lhs = sum_{i=0}^{m-1} V_i^sigma / d_i^r
-        rhs = c * sum_{j=1}^{m-1} j^r V_j^eta,   c = 2^-p (eta/r)^r.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size < 2:
-        raise ValueError("need at least two values along the path")
-    drops = -np.diff(v)
-    if np.any(drops <= 0.0):
-        raise ValueError("path values must be strictly decreasing")
-    if v[-1] < 0.0:
-        raise ValueError("final path value must be nonnegative")
-    r, sigma, eta = params.r, params.sigma, params.eta
-    lhs = float(np.sum(v[:-1] ** sigma / drops ** r))
-    j = np.arange(1, v.size - 1, dtype=np.float64)
-    rhs = params.c_hardy * float(np.sum(j ** r * v[1:-1] ** eta))
-    return lhs, rhs
-
-
-def parallel_sum(values, r: float) -> float:
-    """(sum_k y_k^(-1/r))^(-r): increasing and concave in each argument."""
-    y = np.asarray(values, dtype=np.float64)
-    if y.size == 0:
-        raise ValueError("parallel_sum needs at least one value")
-    if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
-        raise ValueError("parallel_sum requires positive finite values")
-    if r <= 0.0:
-        raise ValueError("r must be positive")
-    return float(np.sum(y ** (-1.0 / r)) ** (-r))
 
 
 def _first_exits(radii: np.ndarray, offsets: np.ndarray, R: int) -> np.ndarray:

@@ -40,6 +40,9 @@ from .operators import (ExponentParams, VertexFunction, as_values,
 # the defect evaluation itself carries rounding noise of this order, and
 # downstream tolerances are multiples of the residual.
 RESIDUAL_FLOOR = 1e-13
+# solve_green and capacity raise SolverError when the solver's final
+# defect (its grad_inf) exceeds this
+RESIDUAL_TARGET = 1e-9
 
 LOOKS_PARABOLIC = "looks-parabolic"
 LOOKS_NON_PARABOLIC = "looks-non-parabolic"
@@ -68,11 +71,10 @@ def solve_green(graph: WeightedGraph, profile: BallProfile, R: int, p: float,
 
     The minimizer vanishes outside B_R, is strictly positive on B_R, and
     satisfies mu(x)(-lap_p v)(x) = 1_{x=center} up to the reported residual.
-    Raises SolverError (carrying the best iterate) if the residual target
-    is not met, ConsistencyError if positivity fails.
+    options sets the solver's grad_tol (SolveOptions() when None).  Raises
+    SolverError (carrying the best iterate) if the defect exceeds
+    RESIDUAL_TARGET = 1e-9, ConsistencyError if positivity fails.
     """
-    if options is None:
-        options = SolveOptions()
     if center is None:
         center = graph.root
     ball = profile.ball_mask(R)
@@ -88,10 +90,10 @@ def solve_green(graph: WeightedGraph, profile: BallProfile, R: int, p: float,
     green = GreenFunction(values=VertexFunction(graph, values), R=int(R),
                           center=int(center), p=float(p),
                           residual=residual, solver_report=report)
-    if report.grad_inf > options.residual_target:
+    if report.grad_inf > RESIDUAL_TARGET:
         raise SolverError(
             f"Green solve residual {report.grad_inf:.3e} exceeds target "
-            f"{options.residual_target:.1e} (R={R}, p={p})", best=green)
+            f"{RESIDUAL_TARGET:.1e} (R={R}, p={p})", best=green)
     interior_min = values[ball].min()
     if interior_min <= 0.0:
         raise ConsistencyError(
@@ -130,8 +132,6 @@ def capacity(graph: WeightedGraph, profile: BallProfile, target_set, R: int,
     (bench/spans.py) wraps green.capacity by name, and the traced
     bench self-test fails without it.
     """
-    if options is None:
-        options = SolveOptions()
     ball = profile.ball_mask(R)
     ids = np.atleast_1d(np.asarray(target_set, dtype=np.int64))
     if ids.size == 0:
@@ -149,10 +149,10 @@ def capacity(graph: WeightedGraph, profile: BallProfile, target_set, R: int,
     source = np.zeros(graph.vertex_count)
     values, report = minimize_p_dirichlet(graph, free, fixed, source, p, options)
 
-    if report.grad_inf > options.residual_target:
+    if report.grad_inf > RESIDUAL_TARGET:
         raise SolverError(
             f"capacity solve defect {report.grad_inf:.3e} exceeds target "
-            f"{options.residual_target:.1e} (R={R}, p={p})")
+            f"{RESIDUAL_TARGET:.1e} (R={R}, p={p})")
     if values.min() < -1e-8 or values.max() > 1.0 + 1e-8:
         raise ConsistencyError(
             f"equilibrium potential left [0, 1]: range "

@@ -257,12 +257,12 @@ def p_energy(graph: WeightedGraph, f, p: float) -> float:
     return float(np.dot(graph.edge_weights, np.abs(drops) ** p))
 
 
-def defect_tolerance(u_sup: float, p: float, sigma: float | None = None,
-                     base: float = 1e-10) -> float:
-    """Absolute tolerance for defect-type checks: base scaled by
-    max(1, ||u||_inf ^ max(p-1, sigma))."""
+def defect_tolerance(u_sup: float, p: float,
+                     sigma: float | None = None) -> float:
+    """Absolute tolerance for defect-type checks: 1e-10 scaled by
+    max(1, ||u||_inf ^ max(p-1, sigma)), so never below 1e-10."""
     exponent = p - 1.0 if sigma is None else max(p - 1.0, sigma)
-    return base * max(1.0, float(u_sup) ** exponent)
+    return 1e-10 * max(1.0, float(u_sup) ** exponent)
 
 
 def _interior_ids(graph: WeightedGraph, interior) -> np.ndarray:
@@ -300,9 +300,10 @@ class SuperharmonicVerdict(NamedTuple):
     witness_value: float
 
 
-def is_p_superharmonic(graph: WeightedGraph, u, p: float, interior=None,
-                       tol: float | None = None) -> SuperharmonicVerdict:
-    """Check -lap_p u >= -tol on the interior set.
+def is_p_superharmonic(graph: WeightedGraph, u, p: float,
+                       interior=None) -> SuperharmonicVerdict:
+    """Check -lap_p u >= -tol on the interior set, with
+    tol = defect_tolerance(max |u|, p).
 
     Returns (ok, witness vertex, witness value of -lap_p u); the witness is
     the interior vertex where -lap_p u is smallest.
@@ -311,8 +312,7 @@ def is_p_superharmonic(graph: WeightedGraph, u, p: float, interior=None,
     ids = _interior_ids(graph, interior)
     if ids.size == 0:
         raise ValueError("interior set is empty")
-    if tol is None:
-        tol = defect_tolerance(np.abs(values).max(), p)
+    tol = defect_tolerance(np.abs(values).max(), p)
     neg_lap = -p_laplacian_all(graph, values, p)[ids]
     worst = int(np.argmin(neg_lap))
     return SuperharmonicVerdict(bool(neg_lap[worst] >= -tol),

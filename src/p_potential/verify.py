@@ -251,7 +251,7 @@ def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
         else np.zeros(graph.vertex_count, dtype=bool)
     defects = supersolution_defect(graph, values, params, interior=interior)
     worst = float(defects.min()) if defects.size else 0.0
-    tol = max(1e-10, defect_tolerance(u0, p, sigma))
+    tol = defect_tolerance(u0, p, sigma)
     if worst < -tol:
         raise ConsistencyError(
             f"shooting recurrence produced defect {worst:.3e} on the "
@@ -356,6 +356,12 @@ class SuiteReport:
     details: dict = field(default_factory=dict)
 
 
+def check_trials(trials: int) -> None:
+    """ValueError unless a random suite's trial count is at least 1."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float,
                  size) -> np.ndarray:
     draw = rng.uniform(np.log(lo), np.log(hi), size=size)
@@ -379,8 +385,10 @@ def picone_suite(trials: int = 1_000_000, seed: int = 0) -> SuiteReport:
     At t = s both sides are exactly 0, so such a tuple is a violation
     unless lhs == rhs == 0.  worst_margin is the least relative margin
     (rhs - lhs) / max(|lhs|, |rhs|), in [-2, 2], over the tuples with
-    s != t and a nonzero side (inf when there are none).
+    s != t and a nonzero side (inf when there are none).  trials < 1
+    raises ValueError.
     """
+    check_trials(trials)
     rng = np.random.default_rng(seed)
     worst = np.inf
     violations = 0
@@ -435,7 +443,9 @@ def hardy_suite(trials: int = 100_000, seed: int = 0) -> SuiteReport:
     ascending length: the arrays of one length, in shard order, as one
     (count, length) block.  Each array's (lhs, rhs) is bitwise
     hardy_check(a_i, r_i), so the result equals a loop over hardy_check.
+    trials < 1 raises ValueError.
     """
+    check_trials(trials)
     rng = np.random.default_rng(seed)
     worst = np.inf
     violations = 0

@@ -262,16 +262,28 @@ PROFILE_ARGV = ["criterion", "--profile", "bad.csv", "--p", "2", "--sigma", "3"]
      "bad.csv: line 3: row ['2', 'x'] is malformed"),
     (PROFILE_ARGV, _write("bad.csv", "n,W\n1,4\n2,9\n2,9\n"), "ValueError",
      "bad.csv: line 4: row ['2', '9'] repeats n = 2"),
+    (["verify", "--suite", "picone", "--trials", "0"], None, "ValueError",
+     "trials must be at least 1, got 0"),
+    (["verify", "--suite", "hardy", "--trials", "-3"], None, "ValueError",
+     "trials must be at least 1, got -3"),
+    (["verify", "--suite", "positivity", "--trials", "0"], None, "ValueError",
+     "trials must be at least 1, got 0"),
+    (["report", "--graph", "tree.json", "--p", "2", "--sigma", "3",
+      "--R", "2,3,4", "--trials", "0"], None, "ValueError",
+     "trials must be at least 1, got 0"),
 ], ids=["bad-radius-list", "radius-above-R_max", "missing-graph",
         "malformed-profile", "short-profile-row", "unparsed-profile-row",
-        "repeated-profile-n"])
+        "repeated-profile-n", "verify-zero-trials", "verify-negative-trials",
+        "verify-positivity-zero-trials", "report-zero-trials"])
 def test_errors_exit_1_with_json_on_stderr(workdir, capsys, argv, prepare,
                                            error, message):
     if prepare is not None:
         prepare()
+    before = sorted(os.listdir("."))
     code, out, err = run(argv, capsys)
     assert code == 1
     assert out == ""
+    assert sorted(os.listdir(".")) == before  # no partial output
     payload = json.loads(err)
     assert set(payload) == {"error", "message"}
     assert payload["error"] == error

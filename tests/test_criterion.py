@@ -261,10 +261,10 @@ def test_classify_short_horizon_forced_inconclusive():
 
 
 def test_classify_margin_controls_the_split():
+    # CLASSIFY_MARGIN = 0.05: beta = 1.03 lies inside it, 1.07 outside
     n = np.arange(1, 2049, dtype=float)
-    terms = n ** -1.03
-    assert classify(terms).classification == DIVERGES  # inside default margin
-    assert classify(terms, margin=0.01).classification == CONVERGES
+    assert classify(n ** -1.03).classification == DIVERGES
+    assert classify(n ** -1.07).classification == CONVERGES
 
 
 def test_classify_is_scale_invariant():

@@ -88,29 +88,13 @@ def test_stage_schedule_is_respected():
     ball = ball_profile(graph).ball_mask(2)
     source = np.zeros(graph.vertex_count)
     source[0] = 1.0
-    opts = SolveOptions(eps_schedule=(1e-3, 1e-8))
     _, report = minimize_p_dirichlet(graph, ball, np.zeros(graph.vertex_count),
-                                     source, 2.5, opts)
-    assert [st.eps for st in report.stages] == [1e-3, 1e-8, 0.0]
+                                     source, 2.5, SolveOptions())
+    assert [st.eps for st in report.stages] == [1e-2, 1e-6, 1e-10, 0.0]
 
-    rough = SolveOptions(eps_schedule=(1e-4,), polish=False)
     _, report = minimize_p_dirichlet(graph, ball, np.zeros(graph.vertex_count),
-                                     source, 2.5, rough)
-    assert [st.eps for st in report.stages] == [1e-4]
-
-
-def test_warm_start_converges_to_same_minimizer():
-    graph = build_tree(2, 4)
-    ball = ball_profile(graph).ball_mask(3)
-    source = np.zeros(graph.vertex_count)
-    source[0] = 1.0
-    cold, _ = minimize_p_dirichlet(graph, ball, np.zeros(graph.vertex_count),
-                                   source, 1.5, SolveOptions())
-    warm, report = minimize_p_dirichlet(graph, ball,
-                                        np.zeros(graph.vertex_count), source,
-                                        1.5, SolveOptions(initial=cold))
-    np.testing.assert_allclose(warm, cold, atol=1e-9)
-    assert report.grad_inf <= 1e-9
+                                     source, 2.0, SolveOptions())
+    assert [st.eps for st in report.stages] == [0.0]
 
 
 def test_energy_beats_zero_function():

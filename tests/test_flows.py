@@ -27,8 +27,6 @@ from p_potential import (
     empirical_lower_bound,
     flow_checks,
     orient_flow,
-    parallel_sum,
-    path_hardy_check,
     solve_green,
 )
 from p_potential.flows import (CRUMB_FRACTION, _assert_acyclic, _first_exits,
@@ -129,22 +127,6 @@ def test_orient_rejects_tampered_values():
     bad = dataclasses.replace(green, values=VertexFunction(graph, broken))
     with pytest.raises(ConsistencyError):
         orient_flow(graph, prof, bad)
-
-
-def test_orient_rejects_all_edges_below_threshold():
-    graph = build_lattice(1, 3)
-    prof = ball_profile(graph)
-    green = solve_green(graph, prof, 1, 2.0)
-    with pytest.raises(ConsistencyError):
-        orient_flow(graph, prof, green, zero_drop_threshold=10.0)
-
-
-def test_orient_rejects_a_negative_threshold():
-    graph = build_lattice(1, 3)
-    prof = ball_profile(graph)
-    green = solve_green(graph, prof, 1, 2.0)
-    with pytest.raises(ValueError, match="zero_drop_threshold"):
-        orient_flow(graph, prof, green, zero_drop_threshold=-1.0)
 
 
 def test_acyclicity_certificate_rejects_every_potential_on_a_cycle():
@@ -293,6 +275,33 @@ def test_paths_descend_the_green_function():
 # the one-path estimate
 
 
+def path_hardy_check(values, params: ExponentParams):
+    """Deterministic one-path estimate: (lhs, rhs) with lhs >= rhs.
+
+    values are the Green values along a path, strictly decreasing, final
+    entry >= 0 (zero at the boundary).  With drops d_i = V_i - V_{i+1},
+
+        lhs = sum_{i=0}^{m-1} V_i^sigma / d_i^r
+        rhs = c * sum_{j=1}^{m-1} j^r V_j^eta,   c = 2^-p (eta/r)^r.
+
+    The per-path reference of _chain_by_loops; the audit computes the same
+    sums for all paths at once.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1 or v.size < 2:
+        raise ValueError("need at least two values along the path")
+    drops = -np.diff(v)
+    if np.any(drops <= 0.0):
+        raise ValueError("path values must be strictly decreasing")
+    if v[-1] < 0.0:
+        raise ValueError("final path value must be nonnegative")
+    r, sigma, eta = params.r, params.sigma, params.eta
+    lhs = float(np.sum(v[:-1] ** sigma / drops ** r))
+    j = np.arange(1, v.size - 1, dtype=np.float64)
+    rhs = params.c_hardy * float(np.sum(j ** r * v[1:-1] ** eta))
+    return lhs, rhs
+
+
 def test_path_hardy_constant_p2_sigma3():
     assert ExponentParams(p=2, sigma=3).c_hardy == 0.5
 
@@ -352,6 +361,22 @@ def test_path_hardy_input_validation():
 # parallel sums
 
 
+def parallel_sum(values, r: float) -> float:
+    """(sum_k y_k^(-1/r))^(-r): increasing and concave in each argument.
+
+    The oracle of the convexity step's cut_tail, which the audit computes
+    inline as (sum_{k=n}^R b_k^(-1/r))^eta = parallel_sum(b[n:R+1], r)^(-eta/r).
+    """
+    y = np.asarray(values, dtype=np.float64)
+    if y.size == 0:
+        raise ValueError("parallel_sum needs at least one value")
+    if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
+        raise ValueError("parallel_sum requires positive finite values")
+    if r <= 0.0:
+        raise ValueError("r must be positive")
+    return float(np.sum(y ** (-1.0 / r)) ** (-r))
+
+
 def test_parallel_sum_examples():
     assert parallel_sum([2.0, 2.0], 1.0) == pytest.approx(1.0, rel=1e-14)
     assert parallel_sum([7.0], 3.3) == pytest.approx(7.0, rel=1e-14)
@@ -378,6 +403,23 @@ def test_parallel_sum_validation():
         parallel_sum([1.0, 0.0], 1.0)
     with pytest.raises(ValueError):
         parallel_sum([1.0], -1.0)
+
+
+@pytest.mark.parametrize("graph_factory, R, p, sigma", [
+    (lambda: build_lattice(2, 6), 5, 1.5, 3.0),
+    (lambda: build_tree(2, 6), 5, 3.0, 4.0),
+])
+def test_cut_tail_is_the_parallel_sum_of_the_cuts(graph_factory, R, p, sigma):
+    graph = graph_factory()
+    params = ExponentParams(p=p, sigma=sigma)
+    prof = ball_profile(graph)
+    chain = analyze_ball(graph, prof, R, params).chain
+    assert [row["n"] for row in chain.per_n] == list(range(1, R + 1))
+    for row in chain.per_n:
+        n = row["n"]
+        expected = parallel_sum(prof.b[n:R + 1], params.r) ** (-params.eta
+                                                              / params.r)
+        assert row["cut_tail"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

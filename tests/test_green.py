@@ -24,6 +24,7 @@ from p_potential import (
     sandwich_upper_bound,
     solve_green,
 )
+from p_potential import green as green_module
 from p_potential.green import capacity
 from p_potential.verify import shoot_radial_supersolution
 
@@ -173,16 +174,30 @@ def test_off_root_center():
     assert v[1] > v[0] > 0.0
 
 
-def test_unreachable_residual_target_raises_with_best():
+def test_unreachable_residual_target_raises_with_best(monkeypatch):
     graph = build_tree(2, 3)
     prof = ball_profile(graph)
+    monkeypatch.setattr(green_module, "RESIDUAL_TARGET", 0.0)
     with pytest.raises(SolverError) as err:
-        solve_green(graph, prof, 2, 3.0,
-                    options=SolveOptions(residual_target=0.0))
+        solve_green(graph, prof, 2, 3.0)
     best = err.value.best
     assert best is not None
     assert best.values[graph.root] == pytest.approx(
         tree_green_at_root(2, 3.0), rel=1e-6)
+
+
+@pytest.mark.parametrize("R", [7, 8])
+def test_grad_tol_tightens_the_green_solve(R):
+    # the route of the benchmark's reference recorder for the two tree
+    # balls whose default solve trips the flow's conservation check
+    graph = build_tree(2, 12)
+    prof = ball_profile(graph)
+    default = solve_green(graph, prof, R, 1.5)
+    tight = solve_green(graph, prof, R, 1.5,
+                        options=SolveOptions(grad_tol=1e-14))
+    assert default.solver_report.grad_inf > 1e-14
+    assert tight.solver_report.grad_inf <= 1e-14
+    assert tight.residual == green_module.RESIDUAL_FLOOR
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,19 @@ def test_hardy_suite_equals_a_hardy_check_loop(trials, seed):
     assert report.ok == (violations == 0)
 
 
+@pytest.mark.parametrize("suite", [picone_suite, hardy_suite])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_random_suites_reject_fewer_than_one_trial(suite, trials):
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        suite(trials=trials, seed=0)
+
+
+def test_random_suites_run_a_single_trial():
+    for suite in (picone_suite, hardy_suite):
+        report = suite(trials=1, seed=0)
+        assert (report.trials, report.violations, report.ok) == (1, 0, True)
+
+
 def _traced_peak(run):
     """Peak bytes traced while run() executes."""
     tracemalloc.start()
