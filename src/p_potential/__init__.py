@@ -24,15 +24,13 @@ from .green import (LOOKS_NON_PARABOLIC, LOOKS_PARABOLIC, GreenFunction,
                     ProbeReport, compute_L, green_normalization_check,
                     parabolicity_probe, sandwich_upper_bound, solve_green)
 from .operators import (ExponentParams, VertexFunction, as_values,
-                        defect_tolerance, dirichlet_pairing,
-                        is_p_superharmonic, load_vertex_function, p_energy,
-                        p_laplacian, p_laplacian_all, phi_p,
-                        save_vertex_function, supersolution_defect)
-from .verify import (IDENTICALLY_ZERO, STRICTLY_POSITIVE, SandwichReport,
-                     ShootReport, SuiteReport, hardy_check, hardy_suite,
-                     picone_check, picone_suite, positivity_propagation,
-                     positivity_suite, run_suites, sandwich_demo,
-                     sandwich_suite, shoot_radial_supersolution)
+                        defect_tolerance, dirichlet_pairing, p_energy,
+                        p_laplacian_all, phi_p, save_vertex_function,
+                        supersolution_defect)
+from .verify import (IDENTICALLY_ZERO, STRICTLY_POSITIVE, ShootReport,
+                     SuiteReport, hardy_check, hardy_suite, picone_check,
+                     picone_suite, positivity_propagation, positivity_suite,
+                     run_suites, sandwich_suite, shoot_radial_supersolution)
 
 __version__ = "0.1.0"
 
@@ -42,22 +40,20 @@ __all__ = [
     "ExponentParams", "GraphFormatError", "GraphValidationError",
     "GreenFunction", "IDENTICALLY_ZERO", "INCONCLUSIVE", "LOOKS_NON_PARABOLIC",
     "LOOKS_PARABOLIC", "MidrangeRow", "MinimizeReport", "PathMeasure",
-    "PotentialError", "ProbeReport", "ResourceLimitError", "SandwichReport",
-    "SeriesReport", "ShootReport", "SolveOptions", "SolverError",
-    "StageReport", "STRICTLY_POSITIVE", "SuiteReport", "TailEstimate",
-    "UnitFlow", "VerificationError", "VertexFunction", "WeightedGraph",
-    "analyze_ball", "as_values", "ball_profile", "build_lattice",
-    "build_radial_model", "build_tree", "classify", "compute_L",
-    "cut_series_terms", "cut_volume_check", "decompose_paths",
-    "defect_tolerance", "dirichlet_pairing", "dyadic_blocks", "edge_marginals",
+    "PotentialError", "ProbeReport", "ResourceLimitError", "SeriesReport",
+    "ShootReport", "SolveOptions", "SolverError", "StageReport",
+    "STRICTLY_POSITIVE", "SuiteReport", "TailEstimate", "UnitFlow",
+    "VerificationError", "VertexFunction", "WeightedGraph", "analyze_ball",
+    "as_values", "ball_profile", "build_lattice", "build_radial_model",
+    "build_tree", "classify", "compute_L", "cut_series_terms",
+    "cut_volume_check", "decompose_paths", "defect_tolerance",
+    "dirichlet_pairing", "dyadic_blocks", "edge_marginals",
     "empirical_lower_bound", "exponent_identity", "extrapolate_cut_tail",
     "flow_checks", "green_normalization_check", "hardy_check", "hardy_suite",
-    "is_p_superharmonic", "load_graph", "load_vertex_function",
-    "midrange_cut_bound", "minimize_p_dirichlet", "orient_flow", "p_energy",
-    "p_laplacian", "p_laplacian_all", "parabolicity_probe", "phi_p",
-    "picone_check", "picone_suite",
-    "positivity_propagation", "positivity_suite", "run_suites",
-    "sandwich_demo", "sandwich_suite", "sandwich_upper_bound", "save_graph",
-    "save_vertex_function", "shoot_radial_supersolution", "solve_green",
-    "supersolution_defect", "volume_series_terms",
+    "load_graph", "midrange_cut_bound", "minimize_p_dirichlet", "orient_flow",
+    "p_energy", "p_laplacian_all", "parabolicity_probe", "phi_p",
+    "picone_check", "picone_suite", "positivity_propagation",
+    "positivity_suite", "run_suites", "sandwich_suite", "sandwich_upper_bound",
+    "save_graph", "save_vertex_function", "shoot_radial_supersolution",
+    "solve_green", "supersolution_defect", "volume_series_terms",
 ]

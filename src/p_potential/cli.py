@@ -12,6 +12,8 @@ chain rows' keys (name, lower, upper, margin, ok): the cut sum
 NW_R = sum_{k=0}^R b_k^(-1/(p-1)) as lower and g_R(o) as upper.  The probe
 labels growth from the extrapolated tail of that sum.
 
+No subcommand writes over its input or over another of its outputs.
+
 Determinism contract: identical argv and --seed produce byte-identical
 output files.  All JSON is written with sorted keys and no timestamps;
 every random draw flows from the single seed.
@@ -36,7 +38,7 @@ from .graphs import (BallProfile, _digits, _every_row, ball_profile,
                      load_graph, save_graph)
 from .green import (green_normalization_check, parabolicity_probe,
                     sandwich_upper_bound, solve_green)
-from .operators import ExponentParams, _row_error, save_vertex_function
+from .operators import ExponentParams, save_vertex_function
 from .verify import (SHOOT_STARTS, check_trials, run_suites,
                      shoot_with_fallback)
 
@@ -129,6 +131,17 @@ def _ball_fields(ball: BallAnalysis) -> dict:
     }
 
 
+def _check_outputs(inputs, outputs) -> None:
+    """ValueError if an output path is (by realpath) an input or another output."""
+    seen = {os.path.realpath(path): f"input {path!r}"
+            for path in inputs if path is not None}
+    for path in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"output {path!r} is the same file as the {seen[real]}")
+        seen[real] = f"output {path!r}"
+
+
 def _parse_list(text: str, kind, noun: str) -> list:
     """Comma-separated values of type `kind`; noun names one in errors."""
     try:
@@ -161,12 +174,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_green(args) -> int:
+    sidecar = os.path.splitext(args.out)[0] + ".json"
+    _check_outputs([args.graph], [args.out, sidecar])
     graph = load_graph(args.graph)
     profile = ball_profile(graph)
     center = graph.root if args.center is None else args.center
     green = solve_green(graph, profile, args.R, args.p, center=center)
     save_vertex_function(green.values, args.out)
-    sidecar = os.path.splitext(args.out)[0] + ".json"
     stages = green.solver_report.stages
     _dump_json(sidecar, {
         "R": green.R,
@@ -186,14 +200,15 @@ def _cmd_green(args) -> int:
 
 
 def _cmd_flow(args) -> int:
+    paths_path = args.out_prefix + ".paths.json"
+    report_path = args.out_prefix + ".report.json"
+    _check_outputs([args.graph], [paths_path, report_path])
     graph = load_graph(args.graph)
     profile = ball_profile(graph)
     params = ExponentParams(p=args.p, sigma=args.sigma)
     ball = analyze_ball(graph, profile, args.R, params)
     flow, margins = ball.flow, ball.margins
 
-    paths_path = args.out_prefix + ".paths.json"
-    report_path = args.out_prefix + ".report.json"
     with open(paths_path, "wb") as fh:
         fh.write(_paths_bytes(ball.measure, flow.R, flow.p, params.sigma))
     _dump_json(report_path, {
@@ -208,6 +223,10 @@ def _cmd_flow(args) -> int:
                  "path_count": len(ball.measure), "L": ball.chain.L,
                  "lower_bound": ball.chain.rhs})
     return 0
+
+
+def _row_error(path, line: int, row: list, what: str) -> ValueError:
+    return ValueError(f"{path}: line {line}: row {row!r} {what}")
 
 
 def _load_profile_csv(path: str) -> np.ndarray:
@@ -248,9 +267,9 @@ def _criterion_payload(W: np.ndarray, profile: BallProfile | None,
                        params: ExponentParams, horizon: int,
                        terms_path: str) -> dict:
     """Volume series of W; with a graph's profile, also its cut series."""
-    horizon = min(horizon, W.size - 1)
-    terms = crit.volume_series_terms(W, params)[:horizon]
-    series = crit.classify(terms, horizon=horizon)
+    # a horizon below 2 leaves fewer than two terms, which classify rejects
+    terms = crit.volume_series_terms(W, params)[:max(horizon, 0)]
+    series = crit.classify(terms)
     with open(terms_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n", "t_n", "partial_sum"])
@@ -298,6 +317,9 @@ def _criterion_payload(W: np.ndarray, profile: BallProfile | None,
 
 
 def _cmd_criterion(args) -> int:
+    terms_path = args.out_prefix + ".terms.csv"
+    out = args.out_prefix + ".json"
+    _check_outputs([args.graph, args.profile], [terms_path, out])
     params = ExponentParams(p=args.p, sigma=args.sigma)
     if args.graph is not None:
         profile = ball_profile(load_graph(args.graph))
@@ -305,10 +327,8 @@ def _cmd_criterion(args) -> int:
     else:
         profile = None
         W = _load_profile_csv(args.profile)
-    terms_path = args.out_prefix + ".terms.csv"
     payload = _criterion_payload(W, profile, params, args.horizon, terms_path)
     payload["source"] = {"graph": args.graph, "profile": args.profile}
-    out = args.out_prefix + ".json"
     _dump_json(out, payload)
     _print_json({"out": out, "terms_csv": terms_path,
                  "classification": payload["classification"]})
@@ -327,6 +347,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    terms_path = args.out_prefix + ".terms.csv"
+    json_path = args.out_prefix + ".json"
+    csv_path = args.out_prefix + ".csv"
+    _check_outputs([args.graph], [terms_path, json_path, csv_path])
     check_trials(args.trials)
     graph = load_graph(args.graph)
     profile = ball_profile(graph)
@@ -377,7 +401,6 @@ def _cmd_report(args) -> int:
         probe = asdict(parabolicity_probe(
             radii, [row["g_center"] for row in ladder], profile.b, params))
 
-    terms_path = args.out_prefix + ".terms.csv"
     criterion_payload = _criterion_payload(profile.W, profile, params,
                                            args.horizon, terms_path)
 
@@ -396,10 +419,8 @@ def _cmd_report(args) -> int:
         "ok": (all(rep.ok for rep in suite_reports)
                and all(row["chain_ok"] for row in ladder)),
     }
-    json_path = args.out_prefix + ".json"
     _dump_json(json_path, payload)
 
-    csv_path = args.out_prefix + ".csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_CSV_COLUMNS)

@@ -248,11 +248,11 @@ def midrange_cut_bound(profile: BallProfile, params: ExponentParams,
     return rows
 
 
-def classify(terms, horizon: int | None = None) -> SeriesReport:
+def classify(terms) -> SeriesReport:
     """Fit t_n ~ c * n^(-beta) (log n)^(-gamma) and call the series.
 
-    The regression runs on the top half of the horizon.  With
-    margin = CLASSIFY_MARGIN = 0.05 the verdict is: diverges when
+    The horizon is len(terms); the regression runs on its top half.
+    With margin = CLASSIFY_MARGIN = 0.05 the verdict is: diverges when
     beta < 1 - margin, or beta is within margin of 1 and
     gamma <= 1 - margin; converges when beta > 1 + margin, or beta is
     within margin of 1 and gamma >= 1 + margin; otherwise inconclusive.
@@ -262,18 +262,14 @@ def classify(terms, horizon: int | None = None) -> SeriesReport:
     terms = np.asarray(terms, dtype=np.float64)
     if terms.ndim != 1 or terms.size < 2:
         raise ValueError("need at least two terms")
-    if horizon is None:
-        horizon = terms.size
-    if not 2 <= horizon <= terms.size:
-        raise ValueError(f"horizon must lie in [2, {terms.size}]")
-    body = terms[:horizon]
-    if np.any(body <= 0.0) or not np.all(np.isfinite(body)):
+    horizon = terms.size
+    if np.any(terms <= 0.0) or not np.all(np.isfinite(terms)):
         raise ValueError("terms must be positive and finite")
-    partial = np.cumsum(body)
+    partial = np.cumsum(terms)
 
     lo = max(2, horizon // 2)
     n = np.arange(lo, horizon + 1, dtype=np.float64)
-    y = np.log(body[lo - 1:horizon])
+    y = np.log(terms[lo - 1:])
     if n.size >= 3:
         design = np.column_stack([np.ones_like(n), -np.log(n),
                                   -np.log(np.log(n))])
@@ -295,9 +291,9 @@ def classify(terms, horizon: int | None = None) -> SeriesReport:
     else:
         verdict = INCONCLUSIVE
 
-    body = body.copy()
-    body.setflags(write=False)
+    terms = terms.copy()
+    terms.setflags(write=False)
     partial.setflags(write=False)
-    return SeriesReport(terms=body, partial_sums=partial, horizon=int(horizon),
+    return SeriesReport(terms=terms, partial_sums=partial, horizon=int(horizon),
                         classification=verdict,
                         fitted_exponents=(beta, gamma), fit_error=fit_error)

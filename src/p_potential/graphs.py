@@ -15,8 +15,6 @@ radius whose ball still has a nonempty exterior in the truncation.
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import io
 import json
 import math
@@ -328,12 +326,6 @@ class BallProfile:
         self._check_radius(R)
         return self.radius_of <= R
 
-    def sphere(self, k: int) -> np.ndarray:
-        """Vertex ids at hop distance exactly k, ascending."""
-        if not 0 <= k <= self.eccentricity:
-            raise ValueError(f"sphere index {k} outside 0..{self.eccentricity}")
-        return np.flatnonzero(self.radius_of == k)
-
     def _check_radius(self, R: int):
         if not isinstance(R, (int, np.integer)) or R < 0:
             raise ValueError(f"radius must be a nonnegative integer, got {R!r}")
@@ -446,21 +438,6 @@ def build_radial_model(sphere_sizes, edge_weight_profile) -> WeightedGraph:
     tails = starts[layer] + (heads - starts[layer + 1]) % sizes[layer]
     return WeightedGraph._from_columns(count, tails, heads,
                                        np.array(weights)[layer], root=0)
-
-
-@contextlib.contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector while json.load builds one Python
-    object per edge: none of them can form a cycle, and each collection
-    would scan them all again.  The collector's previous state is restored
-    on exit."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 # ids of more than 18 digits may not fit an int64 and are left to json
@@ -634,8 +611,7 @@ def load_graph(path) -> WeightedGraph:
     # the text that open(path, "r", encoding="utf-8") reads
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         try:
-            with _collector_paused():
-                raw = json.load(fh)
+            raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"{path}: not valid JSON "
                                    f"(line {exc.lineno}, column {exc.colno})") from exc

@@ -59,10 +59,6 @@ class GreenFunction:
     residual: float
     solver_report: MinimizeReport
 
-    @property
-    def graph(self) -> WeightedGraph:
-        return self.values.graph
-
 
 def solve_green(graph: WeightedGraph, profile: BallProfile, R: int, p: float,
                 center: int | None = None,

@@ -11,19 +11,18 @@ the Dirichlet pairing of f against a test function psi is
 
 and the p-energy is the pairing of f with itself, sum w |df|^p.  Summation
 by parts makes pairing(f, psi) = sum_x (-lap_p f)(x) psi(x) mu(x) exactly
-on a finite graph.
+on a finite graph.  Every pointwise check reads -lap_p from
+p_laplacian_all, which evaluates it at every vertex at once.
 
 Exponent bookkeeping for the source problem -lap_p u >= u^sigma lives in
 ExponentParams: r = p - 1 (degree of the current nonlinearity),
-eta = sigma - p + 1 (must be positive), alpha = sigma / r, and the path
-Hardy constant c_hardy = 2^(-p) (eta/r)^r.
+eta = sigma - p + 1 (must be positive), and the path Hardy constant
+c_hardy = 2^(-p) (eta/r)^r.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,11 +55,6 @@ class ExponentParams:
     def eta(self) -> float:
         """sigma - p + 1, the exponent surplus over the p-harmonic case."""
         return self.sigma - self.p + 1.0
-
-    @property
-    def alpha(self) -> float:
-        """sigma / r, the rescaling exponent in the path Hardy argument."""
-        return self.sigma / self.r
 
     @property
     def c_hardy(self) -> float:
@@ -157,44 +151,6 @@ def save_vertex_function(f: VertexFunction, path) -> None:
         fh.write(_vertex_function_bytes(f.values))
 
 
-def _row_error(path, line: int, row: list, what: str) -> ValueError:
-    return ValueError(f"{path}: line {line}: row {row!r} {what}")
-
-
-def load_vertex_function(graph: WeightedGraph, path) -> VertexFunction:
-    """Read a CSV written by save_vertex_function onto the given host graph.
-
-    Every vertex of the graph needs exactly one row; a row with an id
-    outside 0..n-1 or one that repeats an id is rejected, naming the row.
-    """
-    n = graph.vertex_count
-    values = np.empty(n)
-    seen = np.zeros(n, dtype=bool)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["vertex", "value"]:
-            raise ValueError(f"{path}: expected header vertex,value, got {header!r}")
-        for row in reader:
-            try:
-                if len(row) != 2:
-                    raise ValueError
-                vertex, value = int(row[0]), float(row[1])
-            except ValueError:
-                raise _row_error(path, reader.line_num, row, "is malformed") from None
-            if not 0 <= vertex < n:
-                raise _row_error(path, reader.line_num, row,
-                                 f"names vertex {vertex} outside 0..{n - 1}")
-            if seen[vertex]:
-                raise _row_error(path, reader.line_num, row, f"repeats vertex {vertex}")
-            seen[vertex] = True
-            values[vertex] = value
-    if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
-        raise ValueError(f"{path}: no value for vertex {missing}")
-    return VertexFunction(graph, values)
-
-
 def check_p(p: float) -> float:
     """The one validation of the exponent: p as a float, finite and > 1."""
     p = float(p)
@@ -229,17 +185,6 @@ def p_laplacian_all(graph: WeightedGraph, f, p: float) -> np.ndarray:
     return net / graph.vertex_measure
 
 
-def p_laplacian(graph: WeightedGraph, f, x: int, p: float) -> float:
-    """lap_p f(x) = (1/mu(x)) sum_y w(x,y) phi_p(f(y) - f(x))."""
-    p = check_p(p)
-    values = as_values(f, graph)
-    if not 0 <= x < graph.vertex_count:
-        raise ValueError(f"vertex {x} outside 0..{graph.vertex_count - 1}")
-    nbrs, weights = graph.neighbors(x)
-    return float(np.dot(weights, phi_p(values[nbrs] - values[x], p))
-                 / graph.vertex_measure[x])
-
-
 def dirichlet_pairing(graph: WeightedGraph, f, psi, p: float) -> float:
     """sum over edges of w * phi_p(f(u) - f(v)) * (psi(u) - psi(v))."""
     p = check_p(p)
@@ -265,23 +210,20 @@ def defect_tolerance(u_sup: float, p: float,
     return 1e-10 * max(1.0, float(u_sup) ** exponent)
 
 
-def _interior_ids(graph: WeightedGraph, interior) -> np.ndarray:
+def _interior_mask(graph: WeightedGraph, interior) -> np.ndarray:
+    """interior as a boolean vertex mask (every vertex when None), or ValueError."""
     if interior is None:
-        return np.arange(graph.vertex_count)
-    interior = np.asarray(interior)
-    if interior.dtype == bool:
-        if interior.shape != (graph.vertex_count,):
-            raise ValueError("boolean interior mask has wrong length")
-        return np.flatnonzero(interior)
-    ids = interior.astype(np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= graph.vertex_count):
-        raise ValueError("interior vertex id out of range")
-    return ids
+        return np.ones(graph.vertex_count, dtype=bool)
+    mask = np.asarray(interior)
+    if mask.dtype != np.bool_ or mask.shape != (graph.vertex_count,):
+        raise ValueError(f"interior must be a boolean mask of {graph.vertex_count} vertices")
+    return mask
 
 
 def supersolution_defect(graph: WeightedGraph, u, params: ExponentParams,
                          interior=None) -> np.ndarray:
-    """Pointwise defect (-lap_p u)(x) - u(x)^sigma on the interior set.
+    """Pointwise defect (-lap_p u)(x) - u(x)^sigma on the interior, a
+    boolean vertex mask (every vertex when None), in vertex order.
 
     Nonnegative defect everywhere on the interior means u is a supersolution
     of the source equation there.  Requires u >= 0 on all vertices.
@@ -289,31 +231,6 @@ def supersolution_defect(graph: WeightedGraph, u, params: ExponentParams,
     values = as_values(u, graph)
     if values.min() < 0.0:
         raise ValueError(f"u must be nonnegative everywhere; min is {values.min()}")
-    ids = _interior_ids(graph, interior)
+    mask = _interior_mask(graph, interior)
     lap = p_laplacian_all(graph, values, params.p)
-    return -lap[ids] - values[ids] ** params.sigma
-
-
-class SuperharmonicVerdict(NamedTuple):
-    ok: bool
-    witness_vertex: int
-    witness_value: float
-
-
-def is_p_superharmonic(graph: WeightedGraph, u, p: float,
-                       interior=None) -> SuperharmonicVerdict:
-    """Check -lap_p u >= -tol on the interior set, with
-    tol = defect_tolerance(max |u|, p).
-
-    Returns (ok, witness vertex, witness value of -lap_p u); the witness is
-    the interior vertex where -lap_p u is smallest.
-    """
-    values = as_values(u, graph)
-    ids = _interior_ids(graph, interior)
-    if ids.size == 0:
-        raise ValueError("interior set is empty")
-    tol = defect_tolerance(np.abs(values).max(), p)
-    neg_lap = -p_laplacian_all(graph, values, p)[ids]
-    worst = int(np.argmin(neg_lap))
-    return SuperharmonicVerdict(bool(neg_lap[worst] >= -tol),
-                                int(ids[worst]), float(neg_lap[worst]))
+    return -lap[mask] - values[mask] ** params.sigma

@@ -1,10 +1,10 @@
 """Property harnesses for the standalone inequalities, radial shooting for
-test supersolutions, and the two-sided sandwich on L_R.
+test supersolutions, and the suites of the `verify` CLI subcommand.
 
 Each check returns both sides of its inequality so callers see margins,
-not booleans.  The batch suites drive large random samples with a single
-seed and report worst cases; they are what the `verify` CLI subcommand
-runs.
+not booleans.  The random suites drive large samples from a single seed
+and report worst cases; the fixed batteries check zero propagation and
+the sandwich lower <= L_R <= upper.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .flows import analyze_ball
 from .graphs import (BallProfile, WeightedGraph, ball_profile, build_lattice,
                      build_tree)
 from .green import sandwich_upper_bound, solve_green
-from .operators import (ExponentParams, VertexFunction, as_values,
-                        defect_tolerance, p_laplacian_all, phi_p,
+from .operators import (ExponentParams, VertexFunction, _interior_mask,
+                        as_values, defect_tolerance, p_laplacian_all, phi_p,
                         supersolution_defect)
 
 STRICTLY_POSITIVE = "strictly positive"
@@ -34,6 +34,20 @@ SHOOT_STARTS = (0.1, 0.05, 0.01)
 # pointwise inequality checks
 
 
+def _power_gap(s, t, x):
+    """s^x - t^x elementwise (s, t >= 0, x > 0) in relative precision, as
+    sign(L) max(s, t)^x (-expm1(-x |L|)) with L = log(s / t): log1p((s - t)
+    / t) when t/2 <= s <= 2t, where s - t is exact, else log s - log t.
+    expm1's argument is never positive, so it cannot overflow.  A zero
+    base makes L infinite and the gap s^x or -t^x; s = t gives exactly 0."""
+    s, t, x = (np.asarray(v, dtype=np.float64) for v in (s, t, x))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        near = (0.5 * t <= s) & (s <= 2.0 * t)
+        L = np.where(near, np.log1p((s - t) / t), np.log(s) - np.log(t))
+        gap = np.sign(L) * np.maximum(s, t) ** x * -np.expm1(-x * np.abs(L))
+    return np.where(s == t, 0.0, gap)
+
+
 def picone_check(a: float, b: float, s: float, t: float,
                  params: ExponentParams):
     """Four-point inequality behind the comparison argument:
@@ -41,13 +55,14 @@ def picone_check(a: float, b: float, s: float, t: float,
         Phi_p(a-b) (s^sigma - t^sigma)
             <= (sigma/eta) Phi_p(a s - b t) (s^eta - t^eta)
 
-    for nonnegative a, b, s, t.  Returns (lhs, rhs).
+    for nonnegative a, b, s, t.  Returns (lhs, rhs), with the power gaps
+    of _power_gap.
     """
     if min(a, b, s, t) < 0.0:
         raise ValueError("picone_check requires nonnegative inputs")
     p, sigma, eta = params.p, params.sigma, params.eta
-    lhs = phi_p(a - b, p) * (s ** sigma - t ** sigma)
-    rhs = (sigma / eta) * phi_p(a * s - b * t, p) * (s ** eta - t ** eta)
+    lhs = phi_p(a - b, p) * _power_gap(s, t, sigma)
+    rhs = (sigma / eta) * phi_p(a * s - b * t, p) * _power_gap(s, t, eta)
     return float(lhs), float(rhs)
 
 
@@ -79,22 +94,16 @@ def positivity_propagation(graph: WeightedGraph, u, p: float,
                            interior=None) -> str:
     """Dichotomy for nonnegative p-superharmonic functions on a region.
 
-    At a zero of u where -lap_p u >= 0, every neighbor value is pinched to
-    zero; sweeping that argument across the region forces u to vanish
-    identically or to have had no zero at all.  Returns one of the two
-    verdict strings; a strictly positive neighbor of a superharmonic zero
-    raises VerificationError with the witness pair, and a zero where
-    superharmonicity itself fails raises ValueError.
+    The region is the boolean vertex mask interior (every vertex when
+    None).  At a zero of u where -lap_p u >= 0, every neighbor value is
+    pinched to zero; sweeping that argument across the region forces u to
+    vanish identically or to have had no zero at all.  Returns one of the
+    two verdict strings.  A positive neighbor of a superharmonic zero, or
+    a region its zero set does not connect, raises VerificationError; a
+    zero where superharmonicity fails raises ValueError.
     """
     values = as_values(u, graph)
-    if interior is None:
-        region = np.ones(graph.vertex_count, dtype=bool)
-    else:
-        region = np.asarray(interior)
-        if region.dtype != np.bool_:
-            mask = np.zeros(graph.vertex_count, dtype=bool)
-            mask[np.asarray(interior, dtype=np.int64)] = True
-            region = mask
+    region = _interior_mask(graph, interior)
     if np.any(values[region] < 0.0):
         raise ValueError("u must be nonnegative on the region")
 
@@ -277,72 +286,6 @@ def shoot_with_fallback(graph: WeightedGraph, params: ExponentParams,
 
 
 # ---------------------------------------------------------------------------
-# the two-sided sandwich
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    R: int
-    p: float
-    sigma: float
-    u0: float
-    lower: float
-    L: float
-    upper: float
-
-    @property
-    def margin_lower(self) -> float:
-        return self.L - self.lower
-
-    @property
-    def margin_upper(self) -> float:
-        return self.upper - self.L
-
-
-def sandwich_demo(graph: WeightedGraph, params: ExponentParams, R: int,
-                  profile: BallProfile | None = None) -> SandwichReport:
-    """Squeeze L_R between the cut-series lower bound and the
-    supersolution upper bound on one instance.
-
-    The supersolution comes from radial shooting (shoot_with_fallback); the
-    lower bound from analyze_ball.  Raises ValueError unless shooting
-    succeeds from some start in SHOOT_STARTS (the shot function is then a
-    verified supersolution on B_R for R below the eccentricity), and
-    VerificationError naming the side if either inequality fails.
-    """
-    if profile is None:
-        profile = ball_profile(graph)
-    u0, shot = shoot_with_fallback(graph, params, profile)
-    if not shot.success:
-        raise ValueError(
-            f"shooting failed at radius {shot.break_radius}; no radial "
-            f"supersolution available for u0 in {SHOOT_STARTS}")
-    if R > shot.interior_radius:
-        raise ValueError(
-            f"R = {R} exceeds the verified interior radius "
-            f"{shot.interior_radius}")
-
-    ball = analyze_ball(graph, profile, R, params)
-    L = ball.chain.L
-    upper = sandwich_upper_bound(graph, profile, ball.green, shot.values,
-                                 params)
-
-    report = SandwichReport(R=int(R), p=params.p, sigma=params.sigma,
-                            u0=float(u0), lower=ball.chain.rhs, L=L,
-                            upper=upper)
-    slack = 1e-8 * max(1.0, abs(L))
-    if report.lower > L + slack:
-        raise VerificationError(
-            f"lower side violated: cut-series bound {report.lower:.6g} "
-            f"exceeds L = {L:.6g}")
-    if L > upper + slack:
-        raise VerificationError(
-            f"upper side violated: L = {L:.6g} exceeds supersolution bound "
-            f"{upper:.6g}")
-    return report
-
-
-# ---------------------------------------------------------------------------
 # batch suites
 
 
@@ -408,7 +351,7 @@ def picone_suite(trials: int = 1_000_000, seed: int = 0) -> SuiteReport:
 
 def _picone_block(p, sigma, a, b, s, t):
     """(worst relative margin, violations) of picone_check over aligned
-    arrays of tuples, elementwise.
+    arrays of tuples, elementwise, with the same power gaps (_power_gap).
 
     The margin is (rhs - lhs) / max(|lhs|, |rhs|), taken over the tuples
     with s != t and a nonzero side; a tuple with t = s violates unless
@@ -417,10 +360,10 @@ def _picone_block(p, sigma, a, b, s, t):
     eta = sigma - p + 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = a - b
-        lhs = np.abs(diff) ** (p - 2.0) * diff * (s ** sigma - t ** sigma)
+        lhs = np.abs(diff) ** (p - 2.0) * diff * _power_gap(s, t, sigma)
         cross = a * s - b * t
         rhs = (sigma / eta) * np.abs(cross) ** (p - 2.0) * cross \
-            * (s ** eta - t ** eta)
+            * _power_gap(s, t, eta)
     lhs = np.where(diff == 0.0, 0.0, lhs)
     rhs = np.where(cross == 0.0, 0.0, rhs)
 
@@ -540,35 +483,45 @@ def positivity_suite(trials: int = 0, seed: int = 0) -> SuiteReport:
 
 
 def sandwich_suite(trials: int = 0, seed: int = 0) -> SuiteReport:
-    """Sandwich battery on the binary tree, linear and nonlinear."""
+    """Squeeze L_R between analyze_ball's cut-series bound and the
+    supersolution bound on tree(2, 6): p=2, sigma=3 at R = 2, 3, 4 and
+    p=3, sigma=4 at R=3 (trials and seed are ignored).
+
+    Each (p, sigma) shoots once; the shot is a verified supersolution up
+    to its interior radius.  A ball violates when shooting failed, when R
+    exceeds that radius, or when lower <= L <= upper fails.  worst_margin
+    is the least min(L - lower, upper - L).  Errors of the bounds propagate.
+    """
     del trials, seed
     graph = build_tree(2, 6)
     profile = ball_profile(graph)
     details = {}
     violations = 0
-    cases = []
+    worst = np.inf
     for p, sigma, radii in ((2.0, 3.0, (2, 3, 4)), (3.0, 4.0, (3,))):
         params = ExponentParams(p=p, sigma=sigma)
+        u0, shot = shoot_with_fallback(graph, params, profile)
         for R in radii:
-            cases.append((params, R))
-    worst = np.inf
-    for params, R in cases:
-        key = f"p{params.p}-sigma{params.sigma}-R{R}"
-        try:
-            report = sandwich_demo(graph, params, R, profile=profile)
-        except ValueError:
-            violations += 1
-            details[key] = "shooting failed for all tried u0"
-            continue
-        margin = min(report.margin_lower, report.margin_upper)
-        worst = min(worst, margin)
-        details[key] = {"lower": report.lower, "L": report.L,
-                        "upper": report.upper, "u0": report.u0}
-        if margin <= 0.0:
-            violations += 1
-    return SuiteReport(name="sandwich", trials=len(cases),
-                       violations=violations, worst_margin=float(worst),
-                       ok=violations == 0, details=details)
+            key = f"p{params.p}-sigma{params.sigma}-R{R}"
+            if not shot.success or R > shot.interior_radius:
+                violations += 1
+                details[key] = ("shooting failed for all tried u0" if not shot.success
+                                else f"R exceeds the verified interior radius "
+                                     f"{shot.interior_radius}")
+                continue
+            ball = analyze_ball(graph, profile, R, params)
+            lower, L = ball.chain.rhs, ball.chain.L
+            upper = sandwich_upper_bound(graph, profile, ball.green,
+                                         shot.values, params)
+            margin = min(L - lower, upper - L)
+            worst = min(worst, margin)
+            details[key] = {"lower": lower, "L": L, "upper": upper,
+                            "u0": float(u0)}
+            if margin <= 0.0:
+                violations += 1
+    return SuiteReport(name="sandwich", trials=len(details), violations=violations,
+                       worst_margin=float(worst), ok=violations == 0,
+                       details=details)
 
 
 SUITES = {
@@ -579,16 +532,10 @@ SUITES = {
 }
 
 
-def run_suites(names, trials: int, seed: int) -> list:
-    """Run the named suites (or all) and return their reports."""
-    if isinstance(names, str):
-        names = [names]
-    expanded = []
-    for name in names:
-        if name == "all":
-            expanded.extend(SUITES)
-        elif name in SUITES:
-            expanded.append(name)
-        else:
-            raise ValueError(f"unknown suite {name!r}")
-    return [SUITES[name](trials=trials, seed=seed) for name in expanded]
+def run_suites(name: str, trials: int, seed: int) -> list:
+    """Reports of the suite called name, or of every suite when name is
+    "all"."""
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    names = SUITES if name == "all" else [name]
+    return [SUITES[each](trials=trials, seed=seed) for each in names]

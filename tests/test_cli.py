@@ -292,6 +292,46 @@ def test_errors_exit_1_with_json_on_stderr(workdir, capsys, argv, prepare,
         assert payload["message"] == message
 
 
+@pytest.mark.parametrize("argv, inputs, message", [
+    (["green", "--graph", "g.json", "--R", "2", "--p", "2", "--out", "g.csv"],
+     ["g.json"], "output 'g.json' is the same file as the input 'g.json'"),
+    (["green", "--graph", "tree.json", "--R", "2", "--p", "2", "--out",
+      "./tree.json"], ["tree.json"],
+     "output './tree.json' is the same file as the input 'tree.json'"),
+    (["green", "--graph", "tree.json", "--R", "2", "--p", "2", "--out",
+      "x.json"], ["tree.json"],
+     "output 'x.json' is the same file as the output 'x.json'"),
+    (["flow", "--graph", "f.report.json", "--R", "2", "--p", "2",
+      "--sigma", "3", "--out-prefix", "f"], ["f.report.json"],
+     "output 'f.report.json' is the same file as the input 'f.report.json'"),
+    (["criterion", "--graph", "x.json", "--p", "2", "--sigma", "3",
+      "--out-prefix", "x"], ["x.json"],
+     "output 'x.json' is the same file as the input 'x.json'"),
+    (["criterion", "--profile", "x.terms.csv", "--p", "2", "--sigma", "3",
+      "--out-prefix", "x"], ["x.terms.csv"],
+     "output 'x.terms.csv' is the same file as the input 'x.terms.csv'"),
+    (["report", "--graph", "x.json", "--p", "2", "--sigma", "3",
+      "--R", "2,3,4", "--trials", "10", "--out-prefix", "x"], ["x.json"],
+     "output 'x.json' is the same file as the input 'x.json'"),
+], ids=["green-sidecar-over-graph", "green-csv-over-graph",
+        "green-csv-and-sidecar", "flow-report-over-graph",
+        "criterion-json-over-graph", "criterion-terms-over-profile",
+        "report-json-over-graph"])
+def test_outputs_never_overwrite_an_input_or_each_other(workdir, capsys, argv,
+                                                        inputs, message):
+    for name in inputs:
+        if name.endswith(".csv"):
+            _write(name, "n,W\n0,1\n1,4\n2,9\n")()
+        elif name != "tree.json":
+            save_graph(build_tree(2, 5), name)
+    before = {name: Path(name).read_bytes() for name in os.listdir(".")}
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+    # nothing written, and every input byte unchanged
+    assert {name: Path(name).read_bytes() for name in os.listdir(".")} == before
+
+
 # ---------------------------------------------------------------------------
 # determinism: the same argv writes the same bytes
 

@@ -291,7 +291,7 @@ def test_volume_rescaling_does_not_change_verdict():
 
 def test_classify_report_bookkeeping():
     terms = 1.0 / np.arange(1, 201, dtype=float)
-    report = classify(terms, horizon=100)
+    report = classify(terms[:100])
     assert report.horizon == 100
     assert report.terms.shape == (100,)
     np.testing.assert_allclose(report.partial_sums, np.cumsum(terms[:100]),
@@ -306,7 +306,7 @@ def test_classify_validation():
     with pytest.raises(ValueError):
         classify([1.0, -1.0])
     with pytest.raises(ValueError):
-        classify([1.0, 1.0], horizon=5)
+        classify([[1.0, 1.0], [1.0, 1.0]])
 
 
 def test_verdict_strings():

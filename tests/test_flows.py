@@ -835,7 +835,7 @@ def test_orient_flow_rejects_an_off_root_center():
     # function centered elsewhere is refused before any work
     graph = build_lattice(2, 10)
     profile = ball_profile(graph)
-    center = int(profile.sphere(1)[0])
+    center = int(np.flatnonzero(profile.radius_of == 1)[0])
     green = solve_green(graph, profile, 5, 2.0, center=center)
     with pytest.raises(ValueError, match=rf"vertex {center}, not at the root 0"):
         orient_flow(graph, profile, green)

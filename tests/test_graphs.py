@@ -208,7 +208,8 @@ def test_binary_tree_profile():
     assert prof.M.tolist() == [2.0, 6.0, 14.0]
     # breadth-first ids: sphere k is a contiguous id block of size 2^k
     for k in range(4):
-        assert prof.sphere(k).tolist() == list(range(2 ** k - 1, 2 ** (k + 1) - 1))
+        assert np.flatnonzero(prof.radius_of == k).tolist() == \
+            list(range(2 ** k - 1, 2 ** (k + 1) - 1))
 
 
 def test_ternary_tree_count():
@@ -273,8 +274,6 @@ def test_ball_mask_and_radius_validation():
         prof.ball_mask(3)  # R_max is 2: B_3 has empty exterior
     with pytest.raises(ValueError):
         prof.ball_mask(-1)
-    with pytest.raises(ValueError):
-        prof.sphere(4)
 
 
 def test_profile_arrays_read_only():

@@ -1,28 +1,81 @@
-"""Radial shooting, the sandwich suite, the two scalar checks the random
-suites sample, and the random suites against those checks."""
+"""Zero propagation, radial shooting, the sandwich suite, the two scalar
+checks the random suites sample, and the random suites against those
+checks."""
 
 import dataclasses
+import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p_potential import (
+    IDENTICALLY_ZERO,
+    STRICTLY_POSITIVE,
     ConsistencyError,
     ExponentParams,
+    VerificationError,
     WeightedGraph,
     ball_profile,
     build_lattice,
     build_radial_model,
     build_tree,
+    positivity_propagation,
     supersolution_defect,
 )
 from p_potential import verify
 from p_potential.verify import (hardy_check, hardy_suite, picone_check,
-                                picone_suite, sandwich_suite,
+                                picone_suite, run_suites, sandwich_suite,
                                 shoot_radial_supersolution)
+
+
+# ---------------------------------------------------------------------------
+# zero propagation, one outcome at a time
+
+PATH5 = WeightedGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
+
+
+def test_positivity_zero_function_is_identically_zero():
+    assert positivity_propagation(PATH5, np.zeros(5), 2.0) == IDENTICALLY_ZERO
+
+
+def test_positivity_positive_function_is_strictly_positive():
+    u = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+    assert positivity_propagation(PATH5, u, 3.0) == STRICTLY_POSITIVE
+
+
+def test_positivity_rejects_a_zero_where_superharmonicity_fails():
+    # -lap_p u(0) = -phi_2(1 - 0) = -1 at the zero
+    u = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="zero at vertex 0 .* superharmonicity fails"):
+        positivity_propagation(PATH5, u, 2.0)
+
+
+def test_positivity_rejects_a_superharmonic_zero_with_a_positive_neighbor():
+    # p = 3: -lap_p u at vertex 1 is -phi_3(1e-6) / 2 = -5e-13, within
+    # defect_tolerance (1e-10), yet its neighbor 2 is positive
+    u = np.array([0.0, 0.0, 1e-6, 0.0, 0.0])
+    with pytest.raises(VerificationError, match="strictly positive neighbor 2"):
+        positivity_propagation(PATH5, u, 3.0)
+
+
+def test_positivity_rejects_a_region_its_zero_set_does_not_connect():
+    # region {0, 4}: the zeros 0 and 1 never reach vertex 4
+    u = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
+    region = np.array([True, False, False, False, True])
+    with pytest.raises(VerificationError, match="not connected"):
+        positivity_propagation(PATH5, u, 2.0, interior=region)
+
+
+@pytest.mark.parametrize("interior", [
+    np.ones(4, dtype=bool), np.ones(6, dtype=bool), np.array([0, 4]),
+], ids=["short-mask", "long-mask", "vertex-ids"])
+def test_positivity_takes_only_a_boolean_mask_of_the_graph(interior):
+    with pytest.raises(ValueError, match="interior must be a boolean mask"):
+        positivity_propagation(PATH5, np.zeros(5), 2.0, interior=interior)
 
 
 def test_shooting_gives_a_supersolution_on_the_interior():
@@ -151,6 +204,67 @@ def test_sandwich_suite_squeezes_L():
         for c in report.details.values()))
 
 
+def test_sandwich_suite_shoots_once_per_exponent_pair(monkeypatch):
+    starts = []
+    real = verify.shoot_radial_supersolution
+
+    def recording(graph, params, u0, profile=None):
+        starts.append((params.p, u0))
+        return real(graph, params, u0, profile=profile)
+
+    monkeypatch.setattr(verify, "shoot_radial_supersolution", recording)
+    assert sandwich_suite().ok
+    assert starts == [(2.0, 0.1), (3.0, 0.1)]
+
+
+def test_sandwich_suite_counts_a_failed_side(monkeypatch):
+    # an upper bound below L fails the upper side of every ball; the suite
+    # counts it and does not raise
+    monkeypatch.setattr(verify, "sandwich_upper_bound",
+                        lambda *args: 0.0)
+    report = sandwich_suite()
+    assert (report.trials, report.violations, report.ok) == (4, 4, False)
+    assert report.worst_margin == min(-c["L"] for c in report.details.values())
+
+
+def test_sandwich_suite_counts_failed_shots_and_short_interiors(monkeypatch):
+    real = verify.shoot_with_fallback
+
+    def failing_or_short(graph, params, profile):
+        u0, shot = real(graph, params, profile)
+        if params.p == 2.0:
+            return u0, dataclasses.replace(shot, success=False, values=None,
+                                           break_radius=1, worst_defect=None)
+        return u0, dataclasses.replace(shot, interior_radius=2)
+
+    monkeypatch.setattr(verify, "shoot_with_fallback", failing_or_short)
+    report = sandwich_suite()
+    assert (report.trials, report.violations, report.ok) == (4, 4, False)
+    assert report.worst_margin == np.inf
+    assert report.details == {
+        "p2.0-sigma3.0-R2": "shooting failed for all tried u0",
+        "p2.0-sigma3.0-R3": "shooting failed for all tried u0",
+        "p2.0-sigma3.0-R4": "shooting failed for all tried u0",
+        "p3.0-sigma4.0-R3": "R exceeds the verified interior radius 2",
+    }
+
+
+def test_sandwich_suite_propagates_errors_of_the_bounds(monkeypatch):
+    def refuse(*args):
+        raise ValueError("candidate refused")
+
+    monkeypatch.setattr(verify, "sandwich_upper_bound", refuse)
+    with pytest.raises(ValueError, match="candidate refused"):
+        sandwich_suite()
+
+
+def test_run_suites_runs_one_suite_by_name():
+    [report] = run_suites("hardy", trials=10, seed=3)
+    assert report == hardy_suite(trials=10, seed=3)
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suites("nope", trials=10, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # the scalar checks on the suites' parameter boxes; the slack is the
 # suites' own, 1e-12 * max(1, |lhs|, |rhs|)
@@ -179,6 +293,64 @@ def test_picone_check_holds_on_the_suite_box(case):
     params, a, b, s, t = case
     lhs, rhs = picone_check(a, b, s, t, params)
     assert lhs <= rhs + 1e-12 * max(1.0, abs(lhs), abs(rhs))
+
+
+def _exact_sides(a, b, s, t, p, sigma):
+    """(lhs, rhs) of picone_check with mpmath at 60 digits, from the same
+    binary inputs."""
+    with mpmath.workdps(60):
+        a, b, s, t, p, sigma = map(mpmath.mpf, (a, b, s, t, p, sigma))
+        eta = sigma - p + 1
+
+        def phi(z):
+            return mpmath.sign(z) * abs(z) ** (p - 1)
+
+        lhs = phi(a - b) * (s ** sigma - t ** sigma)
+        rhs = sigma / eta * phi(a * s - b * t) * (s ** eta - t ** eta)
+        return lhs, rhs
+
+
+@pytest.mark.parametrize("a, b, s, t, p, sigma", [
+    # s and t a relative 1e-9 apart: the plain differences of powers put
+    # rhs - lhs at -7.25e-12, a false violation; the exact value is +1.07e-16
+    (math.exp(2.0), 1.0, 1.0, math.exp(1e-9), 3.0, 2.001),
+    # widely separated bases with a tiny eta = 1e-4
+    (2.0, 1.0, 1e300, 1e-10, 2.0, 1.0001),
+    (2.0, 1.0, 1e-10, 1e300, 2.0, 1.0001),
+], ids=["near-tie", "wide-apart", "wide-apart-swapped"])
+def test_picone_check_matches_mpmath(a, b, s, t, p, sigma):
+    lhs, rhs = picone_check(a, b, s, t, ExponentParams(p=p, sigma=sigma))
+    exact_lhs, exact_rhs = _exact_sides(a, b, s, t, p, sigma)
+    assert abs(lhs - exact_lhs) <= 1e-15 * abs(exact_lhs)
+    assert abs(rhs - exact_rhs) <= 1e-15 * abs(exact_rhs)
+    assert lhs <= rhs
+
+
+def test_picone_near_tie_margin_is_the_exact_one():
+    a, b, s, t, p, sigma = math.exp(2.0), 1.0, 1.0, math.exp(1e-9), 3.0, 2.001
+    lhs, rhs = picone_check(a, b, s, t, ExponentParams(p=p, sigma=sigma))
+    exact_lhs, exact_rhs = _exact_sides(a, b, s, t, p, sigma)
+    exact_margin = float((exact_rhs - exact_lhs) / abs(exact_lhs))
+    assert float(exact_rhs - exact_lhs) == pytest.approx(1.07e-16, rel=1e-2)
+    assert rhs - lhs == pytest.approx(float(exact_rhs - exact_lhs), rel=1e-2)
+    # the block evaluation takes the same gaps, and its relative margin is
+    # the exact one, not a violation
+    worst, violations = verify._picone_block(
+        *(np.array([v]) for v in (p, sigma, a, b, s, t)))
+    assert violations == 0
+    assert worst == pytest.approx(exact_margin, rel=1e-6)
+
+
+@pytest.mark.parametrize("s, t, x", [
+    (1.0, math.exp(1e-9), 2.001), (1.0, math.exp(1e-9), 0.001),
+    (1e300, 1e-10, 1e-4), (1e-10, 1e300, 1e-4), (1.5, 1.4999999, 0.3),
+    (2.0, 1.0, 3.0), (3.0, 0.0, 2.0), (0.0, 3.0, 2.0), (5.0, 5.0, 2.0),
+])
+def test_power_gap_matches_mpmath(s, t, x):
+    gap = float(verify._power_gap(s, t, x))
+    with mpmath.workdps(60):
+        exact = mpmath.mpf(s) ** mpmath.mpf(x) - mpmath.mpf(t) ** mpmath.mpf(x)
+        assert abs(gap - exact) <= 4e-16 * abs(exact)
 
 
 @settings(max_examples=300, deadline=None)
@@ -328,6 +500,28 @@ def _picone_draws(rng, n, first=0):
     return p, sigma, a, b, s, t
 
 
+def _gap_by_cases(s, t, x):
+    """s^x - t^x as verify._power_gap takes it, one case at a time by
+    boolean selection: 0 at s = t, s^x at t = 0, -t^x at s = 0, and
+    otherwise sign(L) max(s, t)^x (-expm1(-x |L|)) with
+    L = log1p((s - t) / t) for t/2 <= s <= 2t and log s - log t beyond."""
+    gap = np.zeros_like(s)
+    apart = s != t
+    t_zero = apart & (t == 0.0)
+    s_zero = apart & (s == 0.0)
+    gap[t_zero] = s[t_zero] ** x[t_zero]
+    gap[s_zero] = -(t[s_zero] ** x[s_zero])
+    both = apart & ~t_zero & ~s_zero
+    near = both & (0.5 * t <= s) & (s <= 2.0 * t)
+    far = both & ~near
+    L = np.zeros_like(s)
+    L[near] = np.log1p((s[near] - t[near]) / t[near])
+    L[far] = np.log(s[far]) - np.log(t[far])
+    m, x, L = np.maximum(s, t)[both], x[both], L[both]
+    gap[both] = np.sign(L) * m ** x * -np.expm1(-x * np.abs(L))
+    return gap
+
+
 def _picone_sides(p, sigma, a, b, s, t):
     """(worst relative margin over the tuples with s != t and a nonzero
     side, violations), by boolean selection; a tuple with t = s is a
@@ -335,10 +529,10 @@ def _picone_sides(p, sigma, a, b, s, t):
     eta = sigma - p + 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = a - b
-        lhs = np.abs(diff) ** (p - 2.0) * diff * (s ** sigma - t ** sigma)
+        lhs = np.abs(diff) ** (p - 2.0) * diff * _gap_by_cases(s, t, sigma)
         cross = a * s - b * t
         rhs = (sigma / eta) * np.abs(cross) ** (p - 2.0) * cross \
-            * (s ** eta - t ** eta)
+            * _gap_by_cases(s, t, eta)
     lhs = np.where(diff == 0.0, 0.0, lhs)
     rhs = np.where(cross == 0.0, 0.0, rhs)
 
