@@ -23,10 +23,9 @@ from .graphs import (BallProfile, WeightedGraph, ball_profile, build_lattice,
 from .green import (LOOKS_NON_PARABOLIC, LOOKS_PARABOLIC, GreenFunction,
                     ProbeReport, compute_L, green_normalization_check,
                     parabolicity_probe, sandwich_upper_bound, solve_green)
-from .operators import (ExponentParams, VertexFunction, as_values,
-                        defect_tolerance, dirichlet_pairing, p_energy,
-                        p_laplacian_all, phi_p, save_vertex_function,
-                        supersolution_defect)
+from .operators import (ExponentParams, as_values, defect_tolerance,
+                        dirichlet_pairing, p_energy, p_laplacian_all, phi_p,
+                        save_vertex_function, supersolution_defect)
 from .verify import (IDENTICALLY_ZERO, STRICTLY_POSITIVE, ShootReport,
                      SuiteReport, hardy_check, hardy_suite, picone_check,
                      picone_suite, positivity_propagation, positivity_suite,
@@ -43,7 +42,7 @@ __all__ = [
     "PotentialError", "ProbeReport", "ResourceLimitError", "SeriesReport",
     "ShootReport", "SolveOptions", "SolverError", "StageReport",
     "STRICTLY_POSITIVE", "SuiteReport", "TailEstimate", "UnitFlow",
-    "VerificationError", "VertexFunction", "WeightedGraph", "analyze_ball",
+    "VerificationError", "WeightedGraph", "analyze_ball",
     "as_values", "ball_profile", "build_lattice", "build_radial_model",
     "build_tree", "classify", "compute_L", "cut_series_terms",
     "cut_volume_check", "decompose_paths", "defect_tolerance",

@@ -191,11 +191,11 @@ def _cmd_green(args) -> int:
         "eps_schedule": [st.eps for st in stages],
         "stage_iterations": [st.iterations for st in stages],
         "energy": green.solver_report.energy,
-        "value_at_center": float(green.values.values[green.center]),
+        "value_at_center": float(green.values[green.center]),
     })
     _print_json({"out": args.out, "sidecar": sidecar,
                  "residual": green.residual,
-                 "value_at_center": float(green.values.values[green.center])})
+                 "value_at_center": float(green.values[green.center])})
     return 0
 
 
@@ -379,7 +379,7 @@ def _cmd_report(args) -> int:
     for R in radii:
         ball = analyze_ball(graph, profile, R, params)
         green = ball.green
-        g_center = float(green.values.values[green.center])
+        g_center = float(green.values[green.center])
         row = {
             **_ball_fields(ball),
             "R": R,

@@ -50,7 +50,6 @@ class UnitFlow:
     vertices, the source and the sink included.
     """
 
-    graph: WeightedGraph
     R: int
     p: float
     center: int
@@ -60,7 +59,6 @@ class UnitFlow:
     theta: np.ndarray
     delta: np.ndarray
     conductance: np.ndarray
-    residual: float
     conservation_defect: float
     drop_threshold: float
 
@@ -147,7 +145,7 @@ def orient_flow(graph: WeightedGraph, profile: BallProfile,
             f"from the root")
     R = green.R
     ball = profile.ball_mask(R)
-    g = green.values.values
+    g = green.values
     tails, heads, drops, conds = _collapse_edges(graph, ball, g)
 
     if drops.size == 0:
@@ -180,10 +178,10 @@ def orient_flow(graph: WeightedGraph, profile: BallProfile,
 
     for arr in (tails, heads, drops, conds, theta):
         arr.setflags(write=False)
-    return UnitFlow(graph=graph, R=R, p=green.p, center=green.center,
+    return UnitFlow(R=R, p=green.p, center=green.center,
                     boundary_id=boundary, tails=tails, heads=heads,
                     theta=theta, delta=drops, conductance=conds,
-                    residual=green.residual, conservation_defect=worst,
+                    conservation_defect=worst,
                     drop_threshold=float(zero_drop_threshold))
 
 
@@ -425,15 +423,16 @@ class ChainReport:
         return [c.name for c in self.checks if not c.ok]
 
 
-def _check(name: str, lower: float, upper: float) -> CheckRecord:
-    lower, upper = float(lower), float(upper)
+def _witness(name: str, lower, upper) -> CheckRecord:
+    """The row of lower <= upper at the first minimum of upper - lower in
+    C order, over aligned arrays of candidates (or scalars, one candidate);
+    ok when lower <= upper + 1e-8 max(1, |lower|, |upper|)."""
+    lower, upper = np.asarray(lower), np.asarray(upper)
+    w = np.unravel_index(np.argmin(upper - lower), upper.shape)
+    lower, upper = float(lower[w]), float(upper[w])
     scale = max(1.0, abs(lower), abs(upper))
     return CheckRecord(name=name, lower=lower, upper=upper,
                        ok=lower <= upper + 1e-8 * scale)
-
-
-def _record(checks: list, name: str, lower: float, upper: float) -> None:
-    checks.append(_check(name, lower, upper))
 
 
 def empirical_lower_bound(graph: WeightedGraph, profile: BallProfile,
@@ -461,14 +460,15 @@ def empirical_lower_bound(graph: WeightedGraph, profile: BallProfile,
     (scalar pow, as the loop did; math.pow runs once per distinct value,
     and the same input gives the same output) and powers of arrays stay
     array powers, and each witness is the first minimum in the loop's
-    order (path-major, then n; ascending k; ascending n).
+    order (path-major, then n; ascending k; ascending n), which is the C
+    order in which _witness, the one witness rule of every row, takes it.
 
     Raises VerificationError naming the first failing step.
     """
     if params.p != green.p:
         raise ValueError("params.p differs from the Green function's p")
     R, r, sigma, eta = green.R, params.r, params.sigma, params.eta
-    g = green.values.values
+    g = green.values
     probs = measure.probabilities
     offsets = measure.offsets
     lengths = np.diff(offsets)
@@ -486,13 +486,13 @@ def empirical_lower_bound(graph: WeightedGraph, profile: BallProfile,
     mass = _path_sums(values[starts] ** sigma / step_drops ** r, lengths - 1)
     expected_mass = float(np.dot(probs, mass))
     L = compute_L(graph, profile, green, sigma)
-    _record(checks, "path mass expectation <= L", expected_mass, L)
+    checks.append(_witness("path mass expectation <= L", expected_mass, L))
 
     edge_mass = float(np.sum(flow.theta * g[flow.tails] ** sigma
                              / flow.delta ** r))
     identity_gap = abs(expected_mass - edge_mass)
-    _record(checks, "path mass identity (1e-9 relative)", identity_gap,
-            1e-9 * max(1.0, abs(edge_mass)))
+    checks.append(_witness("path mass identity (1e-9 relative)", identity_gap,
+                           1e-9 * max(1.0, abs(edge_mass))))
 
     # sum_{j=1}^{m-2} j^r V_j^eta per path: the one-path rhs without c
     j = (np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths)
@@ -500,8 +500,7 @@ def empirical_lower_bound(graph: WeightedGraph, profile: BallProfile,
     inner = starts[j[starts] > 0.0]
     steps = _path_sums(j[inner] ** r * values[inner] ** eta, lengths - 2)
     hardy_rhs = params.c_hardy * steps
-    w = int(np.argmin(mass - hardy_rhs))
-    _record(checks, "one-path estimate (worst path)", hardy_rhs[w], mass[w])
+    checks.append(_witness("one-path estimate (worst path)", hardy_rhs, mass))
 
     if R >= 1:
         radii = np.append(profile.radius_of, R + 1)[measure.vertices]
@@ -515,44 +514,38 @@ def empirical_lower_bound(graph: WeightedGraph, profile: BallProfile,
         sub = np.empty((len(measure), R))
         for n in range(1, R + 1):
             sub[:, n - 1] = np.ascontiguousarray(exit_drop[:, n - 1:]).sum(axis=1)
-        w = int(np.argmin(g_tau.T - sub))
-        pi, n_w = divmod(w, R)
-        _record(checks, "exit drops form a sub-sum (worst path, n)",
-                sub[pi, n_w], g_tau[n_w, pi])
+        checks.append(_witness("exit drops form a sub-sum (worst path, n)",
+                               sub, g_tau.T))
 
         dominated = np.zeros(len(measure))
         for n, row in enumerate(_pow_each(g_tau, eta), start=1):
             dominated += float(n) ** r * row
-        w = int(np.argmin(steps - dominated))
-        _record(checks, "step indices dominate radii (worst path)",
-                dominated[w], steps[w])
+        checks.append(_witness("step indices dominate radii (worst path)",
+                               dominated, steps))
 
         ey = np.array([float(np.dot(probs, row))
                        for row in _pow_each(exit_drop.T, -r)])
         bounds = profile.b[1:R + 1]
-        w = int(np.argmin(bounds - ey))
-        _record(checks, "exit moment <= cut conductance (worst n, k)",
-                ey[w], bounds[w])
+        checks.append(_witness("exit moment <= cut conductance (worst n, k)",
+                               ey, bounds))
 
         per_n = []
-        jensen_worst = None
         rhs = 0.0
         for n in range(1, R + 1):
             tail = np.sum(profile.b[n:R + 1] ** (-1.0 / r)) ** eta
             moment = float(np.dot(probs, g_tau[n - 1] ** eta))
-            if jensen_worst is None or moment - tail < jensen_worst[1] - jensen_worst[0]:
-                jensen_worst = (tail, moment)
             term = params.c_hardy * float(n) ** r * tail
             rhs += term
             per_n.append({"n": n, "cut_tail": float(tail),
                           "exit_moment": moment, "term": term})
-        _record(checks, "convexity step (worst n)", jensen_worst[0],
-                jensen_worst[1])
+        checks.append(_witness("convexity step (worst n)",
+                               [row["cut_tail"] for row in per_n],
+                               [row["exit_moment"] for row in per_n]))
     else:
         per_n = []
         rhs = 0.0
 
-    _record(checks, "cut-series lower bound for L", rhs, L)
+    checks.append(_witness("cut-series lower bound for L", rhs, L))
 
     report = ChainReport(L=L, rhs=float(rhs), checks=checks, per_n=per_n)
     if not report.ok:
@@ -595,9 +588,9 @@ def analyze_ball(graph: WeightedGraph, profile: BallProfile, R: int,
     measure = decompose_paths(flow)
     chain = empirical_lower_bound(graph, profile, green, flow, measure, params)
     deviation = np.abs(edge_marginals(flow, measure) - flow.theta).max()
-    nash_williams = _check("Nash-Williams cut sum <= g_R(o)",
-                           np.sum(profile.b[:R + 1] ** (-1.0 / params.r)),
-                           green.values.values[green.center])
+    nash_williams = _witness("Nash-Williams cut sum <= g_R(o)",
+                             np.sum(profile.b[:R + 1] ** (-1.0 / params.r)),
+                             green.values[green.center])
     if not nash_williams.ok:
         raise VerificationError(
             f"Nash-Williams cut sum {nash_williams.lower!r} exceeds "

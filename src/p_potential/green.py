@@ -32,9 +32,8 @@ from .criterion import INCONCLUSIVE, TailEstimate, extrapolate_cut_tail
 from .dirichlet import MinimizeReport, SolveOptions, minimize_p_dirichlet
 from .errors import ConsistencyError, SolverError
 from .graphs import BallProfile, WeightedGraph
-from .operators import (ExponentParams, VertexFunction, as_values,
-                        defect_tolerance, p_energy, p_laplacian_all,
-                        supersolution_defect)
+from .operators import (ExponentParams, as_values, defect_tolerance,
+                        p_energy, p_laplacian_all, supersolution_defect)
 
 # Reported residuals never drop below this: at machine-precision convergence
 # the defect evaluation itself carries rounding noise of this order, and
@@ -50,9 +49,10 @@ LOOKS_NON_PARABOLIC = "looks-non-parabolic"
 
 @dataclass(frozen=True)
 class GreenFunction:
-    """Solution of the ball Dirichlet problem with a unit point source."""
+    """Solution of the ball Dirichlet problem with a unit point source;
+    values is a read-only float64 array, zero outside B_R."""
 
-    values: VertexFunction
+    values: np.ndarray
     R: int
     center: int
     p: float
@@ -69,7 +69,8 @@ def solve_green(graph: WeightedGraph, profile: BallProfile, R: int, p: float,
     satisfies mu(x)(-lap_p v)(x) = 1_{x=center} up to the reported residual.
     options sets the solver's grad_tol (SolveOptions() when None).  Raises
     SolverError (carrying the best iterate) if the defect exceeds
-    RESIDUAL_TARGET = 1e-9, ConsistencyError if positivity fails.
+    RESIDUAL_TARGET = 1e-9, ConsistencyError if positivity fails, and
+    ValueError (as_values) if the iterate is not finite.
     """
     if center is None:
         center = graph.root
@@ -81,9 +82,11 @@ def solve_green(graph: WeightedGraph, profile: BallProfile, R: int, p: float,
     source[center] = 1.0
     fixed = np.zeros(graph.vertex_count)
     values, report = minimize_p_dirichlet(graph, ball, fixed, source, p, options)
+    values = as_values(values, graph)
+    values.setflags(write=False)
 
     residual = max(report.grad_inf, RESIDUAL_FLOOR)
-    green = GreenFunction(values=VertexFunction(graph, values), R=int(R),
+    green = GreenFunction(values=values, R=int(R),
                           center=int(center), p=float(p),
                           residual=residual, solver_report=report)
     if report.grad_inf > RESIDUAL_TARGET:
@@ -107,7 +110,7 @@ def green_normalization_check(graph: WeightedGraph,
     supremum is the l1 norm of that defect on B_R, attained at
     psi = sign(defect).
     """
-    ball = green.values.values != 0.0
+    ball = green.values != 0.0
     ball[green.center] = True  # support of g is exactly B_R
     defect = -p_laplacian_all(graph, green.values, green.p) \
         * graph.vertex_measure
@@ -163,7 +166,7 @@ def compute_L(graph: WeightedGraph, profile: BallProfile,
     if sigma <= green.p - 1.0:
         raise ValueError(f"sigma must exceed p - 1 = {green.p - 1}, got {sigma}")
     ball = profile.ball_mask(green.R)
-    g = green.values.values
+    g = green.values
     return float(np.dot(g[ball] ** sigma, graph.vertex_measure[ball]))
 
 
@@ -191,7 +194,7 @@ def sandwich_upper_bound(graph: WeightedGraph, profile: BallProfile,
     if u_values[ball].min() <= 0.0:
         raise ValueError("u must be strictly positive on the ball")
 
-    ratio = green.values.values[green.center] / u_values[green.center]
+    ratio = green.values[green.center] / u_values[green.center]
     return (params.sigma / params.eta) * ratio ** params.eta
 
 

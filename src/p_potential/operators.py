@@ -14,6 +14,11 @@ by parts makes pairing(f, psi) = sum_x (-lap_p f)(x) psi(x) mu(x) exactly
 on a finite graph.  Every pointwise check reads -lap_p from
 p_laplacian_all, which evaluates it at every vertex at once.
 
+A function on the vertices is a plain float64 array, one value per
+vertex id.  Every operator here takes an array-like and passes it through
+as_values, the one check of its shape and finiteness; the Green function
+and the radial shooting result hold theirs as read-only arrays.
+
 Exponent bookkeeping for the source problem -lap_p u >= u^sigma lives in
 ExponentParams: r = p - 1 (degree of the current nonlinearity),
 eta = sigma - p + 1 (must be positive), and the path Hardy constant
@@ -70,42 +75,10 @@ class ExponentParams:
         return self.p * self.sigma / (self.p - 1.0) - 1.0
 
 
-class VertexFunction:
-    """A real-valued function on the vertices of a fixed host graph.
-
-    `values` is a private read-only copy: the caller's array stays writable,
-    and writing to it does not change the function.
-    """
-
-    __slots__ = ("graph", "values")
-
-    def __init__(self, graph: WeightedGraph, values):
-        values = np.array(values, dtype=np.float64)
-        if values.shape != (graph.vertex_count,):
-            raise ValueError(
-                f"values must have shape ({graph.vertex_count},), got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must all be finite")
-        self.graph = graph
-        self.values = values
-        values.setflags(write=False)
-
-    def __len__(self):
-        return self.values.size
-
-    def __getitem__(self, x):
-        return self.values[x]
-
-    def __repr__(self):
-        return f"VertexFunction(n={len(self)}, sup={np.abs(self.values).max():.6g})"
-
-
 def as_values(f, graph: WeightedGraph) -> np.ndarray:
-    """Coerce a VertexFunction or array-like to a validated value array."""
-    if isinstance(f, VertexFunction):
-        if f.graph.vertex_count != graph.vertex_count:
-            raise ValueError("vertex function belongs to a different-sized graph")
-        return f.values
+    """f as a float64 array of one finite value per vertex of graph, or
+    ValueError: the one shape and finiteness check of vertex functions.
+    A float64 array of that shape comes back as itself, not a copy."""
     values = np.asarray(f, dtype=np.float64)
     if values.shape != (graph.vertex_count,):
         raise ValueError(
@@ -144,11 +117,11 @@ def _vertex_function_bytes(values: np.ndarray) -> bytes:
     return b"vertex,value\r\n" + rows[rows != 0].tobytes()
 
 
-def save_vertex_function(f: VertexFunction, path) -> None:
-    """Write a vertex function as CSV with header vertex,value (full
+def save_vertex_function(values: np.ndarray, path) -> None:
+    """Write one value per vertex as CSV with header vertex,value (full
     precision): the bytes of _vertex_function_bytes, in one write."""
     with open(path, "wb") as fh:
-        fh.write(_vertex_function_bytes(f.values))
+        fh.write(_vertex_function_bytes(values))
 
 
 def check_p(p: float) -> float:

@@ -2,9 +2,11 @@
 test supersolutions, and the suites of the `verify` CLI subcommand.
 
 Each check returns both sides of its inequality so callers see margins,
-not booleans.  The random suites drive large samples from a single seed
+not booleans.  Each side formula is written once, over arrays
+(_picone_sides, _hardy_sides); a check is its one-row case.  The random
+suites run blocks of large samples from a single seed through one driver
 and report worst cases; the fixed batteries check zero propagation and
-the sandwich lower <= L_R <= upper.
+the sandwich lower <= L_R <= upper.  No margin at all reads as None.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .flows import analyze_ball
 from .graphs import (BallProfile, WeightedGraph, ball_profile, build_lattice,
                      build_tree)
 from .green import sandwich_upper_bound, solve_green
-from .operators import (ExponentParams, VertexFunction, _interior_mask,
-                        as_values, defect_tolerance, p_laplacian_all, phi_p,
+from .operators import (ExponentParams, _interior_mask, as_values,
+                        defect_tolerance, p_laplacian_all,
                         supersolution_defect)
 
 STRICTLY_POSITIVE = "strictly positive"
@@ -48,6 +50,22 @@ def _power_gap(s, t, x):
     return np.where(s == t, 0.0, gap)
 
 
+def _picone_sides(p, sigma, a, b, s, t):
+    """Arrays (lhs, rhs) of the Picone inequality of picone_check,
+    elementwise over aligned arrays (or scalars), with the power gaps of
+    _power_gap.  Phi_p(x) is |x|^(p-2) x, and a side whose Phi_p argument
+    is 0 is exactly 0."""
+    eta = sigma - p + 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = a - b
+        lhs = np.abs(diff) ** (p - 2.0) * diff * _power_gap(s, t, sigma)
+        cross = a * s - b * t
+        rhs = (sigma / eta) * np.abs(cross) ** (p - 2.0) * cross \
+            * _power_gap(s, t, eta)
+    return (np.where(diff == 0.0, 0.0, lhs),
+            np.where(cross == 0.0, 0.0, rhs))
+
+
 def picone_check(a: float, b: float, s: float, t: float,
                  params: ExponentParams):
     """Four-point inequality behind the comparison argument:
@@ -55,14 +73,13 @@ def picone_check(a: float, b: float, s: float, t: float,
         Phi_p(a-b) (s^sigma - t^sigma)
             <= (sigma/eta) Phi_p(a s - b t) (s^eta - t^eta)
 
-    for nonnegative a, b, s, t.  Returns (lhs, rhs), with the power gaps
-    of _power_gap.
+    for nonnegative a, b, s, t.  Returns (lhs, rhs) as floats: the one
+    row of _picone_sides, the evaluation picone_suite runs.
     """
     if min(a, b, s, t) < 0.0:
         raise ValueError("picone_check requires nonnegative inputs")
-    p, sigma, eta = params.p, params.sigma, params.eta
-    lhs = phi_p(a - b, p) * _power_gap(s, t, sigma)
-    rhs = (sigma / eta) * phi_p(a * s - b * t, p) * _power_gap(s, t, eta)
+    lhs, rhs = _picone_sides(params.p, params.sigma,
+                             *(np.float64(v) for v in (a, b, s, t)))
     return float(lhs), float(rhs)
 
 
@@ -71,7 +88,8 @@ def hardy_check(a, r: float):
 
         sum_i a_i^(-r)  >=  2^(-(r+1)) sum_j (j / A_j)^r.
 
-    Returns (lhs, rhs); holds for every ordering of a.
+    Returns (lhs, rhs) as floats: the one row of _hardy_sides, the
+    evaluation hardy_suite runs.  Holds for every ordering of a.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 1 or a.size == 0:
@@ -80,10 +98,8 @@ def hardy_check(a, r: float):
         raise ValueError("entries must be positive and finite")
     if r <= 0.0:
         raise ValueError("r must be positive")
-    lhs = float(np.sum(a ** (-r)))
-    j = np.arange(1, a.size + 1, dtype=np.float64)
-    rhs = float(2.0 ** (-(r + 1.0)) * np.sum((j / np.cumsum(a)) ** r))
-    return lhs, rhs
+    lhs, rhs = _hardy_sides(a[None, :], np.array([r], dtype=np.float64))
+    return float(lhs[0]), float(rhs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +167,15 @@ class ShootReport:
     """Outcome of radial equality shooting for -lap_p u = u^sigma.
 
     Failure (positivity breaking at some radius) is a normal outcome, not
-    an exception.  On success, `values` is a verified supersolution on the
-    interior ball B_{interior_radius}; equality at the outermost sphere is
-    impossible (no outward edges), which is why the interior stops one
-    short of the eccentricity.
+    an exception.  On success, `values` (a read-only float64 array, one
+    value per vertex) is a verified supersolution on the interior ball
+    B_{interior_radius}; equality at the outermost sphere is impossible (no
+    outward edges), which is why the interior stops one short of the
+    eccentricity.
     """
 
     success: bool
-    values: VertexFunction | None
+    values: np.ndarray | None
     radial_values: np.ndarray
     break_radius: int | None
     interior_radius: int
@@ -233,7 +250,8 @@ def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
     interior_radius = ecc - 1
 
     if u0 == 0.0:
-        zero = VertexFunction(graph, np.zeros(graph.vertex_count))
+        zero = np.zeros(graph.vertex_count)
+        zero.setflags(write=False)
         return ShootReport(success=True, values=zero,
                            radial_values=np.zeros(ecc + 1), break_radius=None,
                            interior_radius=interior_radius, worst_defect=0.0)
@@ -255,7 +273,8 @@ def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
                                interior_radius=interior_radius,
                                worst_defect=None)
 
-    values = U[profile.radius_of]
+    values = as_values(U[profile.radius_of], graph)
+    values.setflags(write=False)
     interior = profile.ball_mask(interior_radius) if interior_radius >= 0 \
         else np.zeros(graph.vertex_count, dtype=bool)
     defects = supersolution_defect(graph, values, params, interior=interior)
@@ -265,7 +284,7 @@ def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
         raise ConsistencyError(
             f"shooting recurrence produced defect {worst:.3e} on the "
             f"interior; expected equality within {tol:.1e}")
-    return ShootReport(success=True, values=VertexFunction(graph, values),
+    return ShootReport(success=True, values=values,
                        radial_values=U.copy(), break_radius=None,
                        interior_radius=interior_radius, worst_defect=worst)
 
@@ -291,12 +310,21 @@ def shoot_with_fallback(graph: WeightedGraph, params: ExponentParams,
 
 @dataclass
 class SuiteReport:
+    """Outcome of one suite: worst_margin is the least margin over the
+    cases that have one, and None (JSON null) when none has: a battery of
+    verdicts, or a running minimum left at its starting inf, which is
+    stored as None."""
+
     name: str
     trials: int
     violations: int
-    worst_margin: float
+    worst_margin: float | None
     ok: bool
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.worst_margin == np.inf:
+            self.worst_margin = None
 
 
 def check_trials(trials: int) -> None:
@@ -311,6 +339,24 @@ def _log_uniform(rng: np.random.Generator, lo: float, hi: float,
     return np.exp(draw, out=draw)
 
 
+def _random_suite(name: str, trials: int, seed: int, block: int,
+                  check_block) -> SuiteReport:
+    """The random suites' driver: check_block(rng, first, n) draws cases
+    first..first+n-1 from the one seeded rng and returns their (worst
+    margin, violations), at most block cases at a time."""
+    check_trials(trials)
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    violations = 0
+    for first in range(0, trials, block):
+        block_worst, block_violations = check_block(
+            rng, first, min(block, trials - first))
+        worst = min(worst, block_worst)
+        violations += block_violations
+    return SuiteReport(name=name, trials=trials, violations=violations,
+                       worst_margin=worst, ok=violations == 0)
+
+
 # tuples per block of picone_suite: each block is drawn and checked on its
 # own, so no array is longer than this
 _PICONE_BLOCK = 1 << 14
@@ -322,51 +368,38 @@ def picone_suite(trials: int = 1_000_000, seed: int = 0) -> SuiteReport:
     p is uniform on (1, 4], sigma uniform on (p-1, 6] bounded away from
     the degenerate edge by 1e-3, magnitudes log-uniform on [1e-6, 1e3];
     every tenth tuple (index 0, 10, 20, ...) sets t = s to hit the
-    equality case.  The tuples are drawn and checked _PICONE_BLOCK at a
-    time; each block draws p, sigma, a, b, s and t in that order.
+    equality case.  _random_suite draws and checks the tuples
+    _PICONE_BLOCK at a time; each block draws p, sigma, a, b, s and t in
+    that order, and _picone_block evaluates it with _picone_sides.
 
     At t = s both sides are exactly 0, so such a tuple is a violation
     unless lhs == rhs == 0.  worst_margin is the least relative margin
     (rhs - lhs) / max(|lhs|, |rhs|), in [-2, 2], over the tuples with
-    s != t and a nonzero side (inf when there are none).  trials < 1
-    raises ValueError.
+    s != t and a nonzero side, and None when there are none (a single
+    trial: its one tuple is a tie).  trials < 1 raises ValueError.
     """
-    check_trials(trials)
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    violations = 0
-    for done in range(0, trials, _PICONE_BLOCK):
-        n = min(_PICONE_BLOCK, trials - done)
-        p = rng.uniform(1.0, 4.0, size=n)
-        sigma = rng.uniform(p - 1.0 + 1e-3, 6.0)
-        a, b, s, t = (_log_uniform(rng, 1e-6, 1e3, n) for _ in range(4))
-        tie = slice(-done % 10, None, 10)
-        t[tie] = s[tie]
-        block_worst, block_violations = _picone_block(p, sigma, a, b, s, t)
-        worst = min(worst, block_worst)
-        violations += block_violations
-    return SuiteReport(name="picone", trials=trials, violations=violations,
-                       worst_margin=worst, ok=violations == 0)
+    return _random_suite("picone", trials, seed, _PICONE_BLOCK, _picone_draw)
+
+
+def _picone_draw(rng: np.random.Generator, first: int, n: int):
+    """_picone_block of tuples first..first+n-1, drawn from rng."""
+    p = rng.uniform(1.0, 4.0, size=n)
+    sigma = rng.uniform(p - 1.0 + 1e-3, 6.0)
+    a, b, s, t = (_log_uniform(rng, 1e-6, 1e3, n) for _ in range(4))
+    tie = slice(-first % 10, None, 10)
+    t[tie] = s[tie]
+    return _picone_block(p, sigma, a, b, s, t)
 
 
 def _picone_block(p, sigma, a, b, s, t):
     """(worst relative margin, violations) of picone_check over aligned
-    arrays of tuples, elementwise, with the same power gaps (_power_gap).
+    arrays of tuples, elementwise, with the sides of _picone_sides.
 
     The margin is (rhs - lhs) / max(|lhs|, |rhs|), taken over the tuples
     with s != t and a nonzero side; a tuple with t = s violates unless
     lhs == rhs == 0, any other when lhs > rhs + 1e-12 max(1, |lhs|, |rhs|).
     """
-    eta = sigma - p + 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diff = a - b
-        lhs = np.abs(diff) ** (p - 2.0) * diff * _power_gap(s, t, sigma)
-        cross = a * s - b * t
-        rhs = (sigma / eta) * np.abs(cross) ** (p - 2.0) * cross \
-            * _power_gap(s, t, eta)
-    lhs = np.where(diff == 0.0, 0.0, lhs)
-    rhs = np.where(cross == 0.0, 0.0, rhs)
-
+    lhs, rhs = _picone_sides(p, sigma, a, b, s, t)
     size = np.maximum(np.abs(lhs), np.abs(rhs))
     tie = s == t
     violated = np.where(tie, (lhs != 0.0) | (rhs != 0.0),
@@ -381,24 +414,16 @@ def hardy_suite(trials: int = 100_000, seed: int = 0) -> SuiteReport:
     """Random-array check of hardy_check: lengths 1..200, r in (0, 5],
     log-uniform magnitudes.
 
-    The arrays are drawn 5,000 at a time.  Each shard draws its lengths,
-    then its r, then the entries of its arrays one length at a time, in
-    ascending length: the arrays of one length, in shard order, as one
-    (count, length) block.  Each array's (lhs, rhs) is bitwise
-    hardy_check(a_i, r_i), so the result equals a loop over hardy_check.
+    _random_suite draws the arrays 5,000 at a time.  Each shard draws its
+    lengths, then its r, then the entries of its arrays one length at a
+    time, in ascending length: the arrays of one length, in shard order,
+    as one (count, length) block.  _hardy_sides evaluates each block, and
+    hardy_check is its one-row case, so the result equals a loop over
+    hardy_check.  worst_margin is the least (lhs - rhs) / max(1, lhs, rhs).
     trials < 1 raises ValueError.
     """
-    check_trials(trials)
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    violations = 0
-    for done in range(0, trials, 5_000):
-        shard_worst, shard_violations = _hardy_shard(
-            rng, min(5_000, trials - done))
-        worst = min(worst, shard_worst)
-        violations += shard_violations
-    return SuiteReport(name="hardy", trials=trials, violations=violations,
-                       worst_margin=worst, ok=violations == 0)
+    return _random_suite("hardy", trials, seed, 5_000,
+                         lambda rng, _first, n: _hardy_shard(rng, n))
 
 
 def _hardy_shard(rng: np.random.Generator, n_arrays: int):
@@ -423,7 +448,8 @@ def _hardy_shard(rng: np.random.Generator, n_arrays: int):
 
 
 def _hardy_sides(block: np.ndarray, r: np.ndarray):
-    """Arrays (lhs, rhs) with entry i bitwise hardy_check(block[i], r[i]).
+    """Arrays (lhs, rhs) of hardy_check's bound for each row block[i],
+    with exponent r[i]; hardy_check is the one-row case.
 
     The rows of one length, stacked, add along each row exactly as np.sum
     and np.cumsum add one array (the idiom of flows._path_sums), so no
@@ -433,53 +459,48 @@ def _hardy_sides(block: np.ndarray, r: np.ndarray):
     lhs = (block ** -r_rows).sum(axis=1)
     j = np.arange(1, block.shape[1] + 1, dtype=np.float64)
     sums = ((j / np.cumsum(block, axis=1)) ** r_rows).sum(axis=1)
-    # hardy_check takes this factor with a scalar pow
+    # a scalar pow per row keeps the suite's figures: an array pow may
+    # round differently
     factor = [math.pow(2.0, -(x + 1.0)) for x in r.tolist()]
     return lhs, np.asarray(factor) * sums
 
 
 def positivity_suite(trials: int = 0, seed: int = 0) -> SuiteReport:
-    """Fixed battery of zero-propagation cases (trials is accepted for
-    interface uniformity; the battery is deterministic)."""
+    """Fixed battery of zero-propagation verdicts (trials and seed are
+    ignored): zero functions, Green functions on balls, and a zero beside
+    a positive value, which must be rejected.  details holds every case's
+    verdict, trials counts them, and worst_margin is None."""
     del trials, seed
-    cases = 0
-    violations = 0
-    details = {}
-
+    cases = []  # (key, verdict, expected verdict)
     for family, graph, radii in (
             ("lattice-1d", build_lattice(1, 12), (4, 8)),
             ("tree", build_tree(2, 4), (2, 3)),
             ("lattice-2d", build_lattice(2, 5), (3,))):
         profile = ball_profile(graph)
-        zero = VertexFunction(graph, np.zeros(graph.vertex_count))
-        verdict = positivity_propagation(graph, zero, 2.0)
-        cases += 1
-        if verdict != IDENTICALLY_ZERO:
-            violations += 1
+        verdict = positivity_propagation(graph, np.zeros(graph.vertex_count), 2.0)
+        cases.append((f"{family}-zero", verdict, IDENTICALLY_ZERO))
         for p in (1.5, 2.0, 3.0):
             for R in radii:
                 green = solve_green(graph, profile, R, p)
                 verdict = positivity_propagation(
                     graph, green.values, p, interior=profile.ball_mask(R))
-                cases += 1
-                key = f"{family}-p{p}-R{R}"
-                details[key] = verdict
-                if verdict != STRICTLY_POSITIVE:
-                    violations += 1
+                cases.append((f"{family}-p{p}-R{R}", verdict, STRICTLY_POSITIVE))
 
     # a zero with a positive neighbor must be rejected with a witness
     graph = build_lattice(1, 3)
     bad = np.zeros(graph.vertex_count)
     bad[int(graph.neighbors(graph.root)[0][0])] = 1.0
-    cases += 1
     try:
-        positivity_propagation(graph, bad, 2.0)
-        violations += 1
+        verdict = positivity_propagation(graph, bad, 2.0)
     except (ValueError, VerificationError):
-        pass
-    return SuiteReport(name="positivity", trials=cases, violations=violations,
-                       worst_margin=float(violations == 0), ok=violations == 0,
-                       details=details)
+        verdict = "rejected"
+    cases.append(("lattice-1d-zero-beside-positive", verdict, "rejected"))
+
+    details = {key: verdict for key, verdict, _ in cases}
+    violations = sum(verdict != expected for _, verdict, expected in cases)
+    return SuiteReport(name="positivity", trials=len(details),
+                       violations=violations, worst_margin=None,
+                       ok=violations == 0, details=details)
 
 
 def sandwich_suite(trials: int = 0, seed: int = 0) -> SuiteReport:
@@ -490,7 +511,8 @@ def sandwich_suite(trials: int = 0, seed: int = 0) -> SuiteReport:
     Each (p, sigma) shoots once; the shot is a verified supersolution up
     to its interior radius.  A ball violates when shooting failed, when R
     exceeds that radius, or when lower <= L <= upper fails.  worst_margin
-    is the least min(L - lower, upper - L).  Errors of the bounds propagate.
+    is the least min(L - lower, upper - L), and None when no ball got that
+    far.  Errors of the bounds propagate.
     """
     del trials, seed
     graph = build_tree(2, 6)

@@ -160,6 +160,25 @@ def test_verify_prints_suites(workdir, capsys):
     assert payload["suites"][0]["trials"] == 300
 
 
+def _strict_json(text):
+    """json.loads that refuses Infinity and NaN, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("suite,trials,expected", [
+    ("picone", "1", {"trials": 1, "worst_margin": None}),
+    ("positivity", "1", {"trials": 19, "worst_margin": None}),
+])
+def test_verify_writes_no_margin_as_null(workdir, capsys, suite, trials,
+                                         expected):
+    code, out, _ = run(["verify", "--suite", suite, "--trials", trials], capsys)
+    assert code == 0
+    [report] = _strict_json(out)["suites"]
+    assert {key: report[key] for key in expected} == expected
+
+
 def test_report_on_a_symmetric_graph(workdir, capsys):
     code, out, _ = run(["report", "--graph", "tree.json", "--p", "2",
                         "--sigma", "3", "--R", "2,3,4", "--trials", "200",

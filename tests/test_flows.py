@@ -14,7 +14,6 @@ from p_potential import (
     ExponentParams,
     PathMeasure,
     VerificationError,
-    VertexFunction,
     WeightedGraph,
     analyze_ball,
     ball_profile,
@@ -30,7 +29,7 @@ from p_potential import (
     solve_green,
 )
 from p_potential.flows import (CRUMB_FRACTION, _assert_acyclic, _first_exits,
-                               _pow_each)
+                               _pow_each, _witness)
 
 CHAIN_CHECK_NAMES = [
     "path mass expectation <= L",
@@ -62,7 +61,7 @@ def test_symmetric_chain_splits_in_half(p):
     np.testing.assert_allclose(flow.theta, 0.5, atol=1e-9)
     assert flow.boundary_id == graph.vertex_count
     # drops decrease along g: every retained edge points down the potential
-    g = np.append(green.values.values, 0.0)
+    g = np.append(green.values, 0.0)
     assert np.all(g[flow.tails] > g[flow.heads])
 
 
@@ -122,9 +121,9 @@ def test_orient_rejects_tampered_values():
     graph = build_lattice(1, 4)
     prof = ball_profile(graph)
     green = solve_green(graph, prof, 2, 2.0)
-    broken = green.values.values.copy()
+    broken = green.values.copy()
     broken[1] = 0.0  # kill an interior value: conservation must break
-    bad = dataclasses.replace(green, values=VertexFunction(graph, broken))
+    bad = dataclasses.replace(green, values=broken)
     with pytest.raises(ConsistencyError):
         orient_flow(graph, prof, bad)
 
@@ -171,14 +170,13 @@ def test_two_parallel_chains_split_evenly():
 def test_exact_ties_break_toward_smaller_head():
     from p_potential import UnitFlow
 
-    graph = build_radial_model([1, 2, 2], [1.0, 1.0])
     ones = np.ones(4)
-    flow = UnitFlow(graph=graph, R=1, p=2.0, center=0, boundary_id=5,
+    flow = UnitFlow(R=1, p=2.0, center=0, boundary_id=5,
                     tails=np.array([0, 0, 1, 2]),
                     heads=np.array([1, 2, 5, 5]),
                     theta=np.full(4, 0.5), delta=ones * 0.5,
-                    conductance=ones, residual=1e-13,
-                    conservation_defect=0.0, drop_threshold=0.0)
+                    conductance=ones, conservation_defect=0.0,
+                    drop_threshold=0.0)
     measure = decompose_paths(flow)
     assert measure.paths == [(0, 1, 5), (0, 2, 5)]
     assert measure.probabilities.tolist() == [0.5, 0.5]
@@ -265,7 +263,7 @@ def test_paths_descend_the_green_function():
     green = solve_green(graph, prof, 3, 2.0)
     flow = orient_flow(graph, prof, green)
     measure = decompose_paths(flow)
-    g = np.append(green.values.values, 0.0)
+    g = np.append(green.values, 0.0)
     for path in measure.paths:
         vals = g[np.asarray(path)]
         assert np.all(np.diff(vals) < 0.0)
@@ -501,7 +499,7 @@ def test_first_exit_indices_are_distinct_and_increasing():
     prof = ball_profile(graph)
     _, green, flow = _solve_flow(graph, 3, 2.0)
     measure = decompose_paths(flow)
-    g = np.append(green.values.values, 0.0)
+    g = np.append(green.values, 0.0)
     for path in measure.paths:
         for n in (1, 2, 3):
             alphas = first_exit_indices(path, prof, n, 3)
@@ -621,7 +619,7 @@ def _chain_by_loops(graph, prof, green, flow, measure, params):
     """Reference audit: the per-(path, n) loop with first exits found by
     scanning each path's radii.  Returns (checks, per_n, L, rhs)."""
     R, r, sigma, eta = green.R, params.r, params.sigma, params.eta
-    g = green.values.values
+    g = green.values
     boundary = flow.boundary_id
     probs = measure.probabilities
     checks = []
@@ -737,6 +735,18 @@ def test_chain_records_equal_the_loop_audit(graph_factory, R, p, sigma):
     assert report.rhs == rhs
 
 
+def test_witness_takes_the_first_minimum_in_c_order():
+    lower = np.array([[0.0, 1.0], [2.0, 1.0]])
+    upper = np.array([[1.0, 1.5], [2.5, 1.5]])  # upper - lower: 1, .5, .5, .5
+    assert _witness("w", lower, upper) == CheckRecord("w", 1.0, 1.5, True)
+    # a transposed view is read in its own C order, not in memory order
+    assert _witness("w", lower.T, upper.T) == CheckRecord("w", 2.0, 2.5, True)
+    # scalars are one candidate; the slack is 1e-8 max(1, |lower|, |upper|)
+    assert _witness("s", 2.0, 1.0) == CheckRecord("s", 2.0, 1.0, False)
+    assert _witness("s", 1.0 + 5e-9, 1.0).ok
+    assert not _witness("s", 1.0 + 2e-8, 1.0).ok
+
+
 @settings(max_examples=200, deadline=None)
 @given(values=st.lists(st.floats(1e-30, 1e30), min_size=0, max_size=60),
        rows=st.integers(1, 4),
@@ -778,8 +788,8 @@ def test_analyze_ball_runs_the_chain_step_by_step(p, sigma):
     flow = orient_flow(graph, prof, green)
     measure = decompose_paths(flow)
     chain = empirical_lower_bound(graph, prof, green, flow, measure, params)
-    np.testing.assert_array_equal(ball.green.values.values,
-                                  green.values.values)
+    np.testing.assert_array_equal(ball.green.values,
+                                  green.values)
     np.testing.assert_array_equal(ball.flow.theta, flow.theta)
     assert ball.measure.paths == measure.paths
     assert ball.chain.ok and ball.chain.checks == chain.checks

@@ -12,7 +12,6 @@ from p_potential import (
     LOOKS_PARABOLIC,
     SolveOptions,
     SolverError,
-    VertexFunction,
     ball_profile,
     build_lattice,
     build_tree,
@@ -91,7 +90,7 @@ def test_green_support_and_maximum(p):
     prof = ball_profile(graph)
     green = solve_green(graph, prof, 2, p)
     ball = prof.ball_mask(2)
-    v = green.values.values
+    v = green.values
     assert np.all(v[~ball] == 0.0)
     assert np.all(v[ball] > 0.0)
     assert np.argmax(v) == green.center
@@ -99,6 +98,29 @@ def test_green_support_and_maximum(p):
     order = np.argsort(prof.radius_of[ball], kind="stable")
     by_radius = v[ball][order]
     assert np.all(np.diff(by_radius) <= 1e-12)
+
+
+def test_green_values_are_a_read_only_float64_array():
+    graph = build_tree(2, 4)
+    green = solve_green(graph, ball_profile(graph), 2, 2.0)
+    assert green.values.dtype == np.float64
+    assert green.values.shape == (graph.vertex_count,)
+    with pytest.raises(ValueError, match="read-only"):
+        green.values[0] = 1.0
+
+
+def test_solve_green_rejects_a_non_finite_iterate(monkeypatch):
+    real = green_module.minimize_p_dirichlet
+
+    def poisoned(*args):
+        values, report = real(*args)
+        values[0] = np.nan
+        return values, report
+
+    monkeypatch.setattr(green_module, "minimize_p_dirichlet", poisoned)
+    graph = build_tree(2, 4)
+    with pytest.raises(ValueError, match="vertex values must all be finite"):
+        solve_green(graph, ball_profile(graph), 2, 2.0)
 
 
 def test_green_monotone_in_radius():
@@ -126,8 +148,7 @@ def _perturbed_green(p: float):
     prof = ball_profile(graph)
     green = solve_green(graph, prof, 4, p)
     jitter = np.random.default_rng(5).uniform(0.99, 1.01, graph.vertex_count)
-    values = VertexFunction(graph, green.values.values * jitter)
-    return graph, prof, dataclasses.replace(green, values=values)
+    return graph, prof, dataclasses.replace(green, values=green.values * jitter)
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -169,7 +190,7 @@ def test_off_root_center():
     prof = ball_profile(graph)
     # id 1 sits at coordinate -1, inside B_1
     green = solve_green(graph, prof, 1, 2.0, center=1)
-    v = green.values.values
+    v = green.values
     assert np.argmax(v) == 1
     assert v[1] > v[0] > 0.0
 
@@ -291,7 +312,7 @@ def test_sandwich_upper_bound_rejects_bad_candidates():
     # a shot supersolution passes, and the return value is the bound alone
     shot = shoot_radial_supersolution(graph, params, 0.1, profile=prof)
     bound = sandwich_upper_bound(graph, prof, green, shot.values, params)
-    ratio = green.values.values[graph.root] / shot.values.values[graph.root]
+    ratio = green.values[graph.root] / shot.values[graph.root]
     assert bound == (params.sigma / params.eta) * ratio ** params.eta
     assert compute_L(graph, prof, green, params.sigma) < bound
 

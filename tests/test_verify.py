@@ -28,8 +28,8 @@ from p_potential import (
 )
 from p_potential import verify
 from p_potential.verify import (hardy_check, hardy_suite, picone_check,
-                                picone_suite, run_suites, sandwich_suite,
-                                shoot_radial_supersolution)
+                                picone_suite, positivity_suite, run_suites,
+                                sandwich_suite, shoot_radial_supersolution)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +92,7 @@ def test_shooting_gives_a_supersolution_on_the_interior():
                                    interior=interior)
     assert defects.min() == pytest.approx(shot.worst_defect)
     assert np.all(np.abs(defects) <= 1e-12)  # equality on the interior
+    assert shot.values.dtype == np.float64 and not shot.values.flags.writeable
 
 
 def test_shooting_breaks_from_a_large_start():
@@ -108,7 +109,8 @@ def test_shooting_edge_cases():
     params = ExponentParams(p=2.0, sigma=3.0)
     tree = build_tree(2, 3)
     zero = shoot_radial_supersolution(tree, params, 0.0)
-    assert zero.success and not np.any(zero.values.values)
+    assert zero.success and not np.any(zero.values)
+    assert not zero.values.flags.writeable
     with pytest.raises(ValueError, match="nonnegative"):
         shoot_radial_supersolution(tree, params, -1.0)
     with pytest.raises(ValueError, match="spherically symmetric"):
@@ -240,7 +242,7 @@ def test_sandwich_suite_counts_failed_shots_and_short_interiors(monkeypatch):
     monkeypatch.setattr(verify, "shoot_with_fallback", failing_or_short)
     report = sandwich_suite()
     assert (report.trials, report.violations, report.ok) == (4, 4, False)
-    assert report.worst_margin == np.inf
+    assert report.worst_margin is None
     assert report.details == {
         "p2.0-sigma3.0-R2": "shooting failed for all tried u0",
         "p2.0-sigma3.0-R3": "shooting failed for all tried u0",
@@ -256,6 +258,33 @@ def test_sandwich_suite_propagates_errors_of_the_bounds(monkeypatch):
     monkeypatch.setattr(verify, "sandwich_upper_bound", refuse)
     with pytest.raises(ValueError, match="candidate refused"):
         sandwich_suite()
+
+
+def test_positivity_suite_details_every_case():
+    report = positivity_suite()
+    assert report.trials == len(report.details) == 19
+    assert (report.violations, report.ok, report.worst_margin) == (0, True, None)
+    zeros = [key for key, verdict in report.details.items()
+             if verdict == IDENTICALLY_ZERO]
+    assert zeros == ["lattice-1d-zero", "tree-zero", "lattice-2d-zero"]
+    assert report.details["lattice-1d-zero-beside-positive"] == "rejected"
+    assert sum(v == STRICTLY_POSITIVE for v in report.details.values()) == 15
+
+
+def test_positivity_suite_counts_every_wrong_verdict(monkeypatch):
+    # a harness that calls everything strictly positive misses the three
+    # zero functions and accepts the zero beside a positive value
+    monkeypatch.setattr(verify, "positivity_propagation",
+                        lambda *args, **kwargs: STRICTLY_POSITIVE)
+    report = positivity_suite()
+    assert (report.trials, report.violations, report.ok) == (19, 4, False)
+
+
+def test_suite_report_stores_an_inf_margin_as_none():
+    report = verify.SuiteReport(name="x", trials=1, violations=0,
+                                worst_margin=np.inf, ok=True)
+    assert report.worst_margin is None
+    assert picone_suite(trials=1, seed=0).worst_margin is None
 
 
 def test_run_suites_runs_one_suite_by_name():
