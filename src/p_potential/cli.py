@@ -12,6 +12,11 @@ chain rows' keys (name, lower, upper, margin, ok): the cut sum
 NW_R = sum_{k=0}^R b_k^(-1/(p-1)) as lower and g_R(o) as upper.  The probe
 labels growth from the extrapolated tail of that sum.
 
+Every ball is centered at the graph file's root, which is also the pole of
+every Green function; another pole is another graph file's root.  criterion
+and report sum the volume series over every n the profile holds, so its
+horizon is the profile's last n.
+
 No subcommand writes over its input or over another of its outputs.
 
 Determinism contract: identical argv and --seed produce byte-identical
@@ -178,24 +183,24 @@ def _cmd_green(args) -> int:
     _check_outputs([args.graph], [args.out, sidecar])
     graph = load_graph(args.graph)
     profile = ball_profile(graph)
-    center = graph.root if args.center is None else args.center
-    green = solve_green(graph, profile, args.R, args.p, center=center)
+    green = solve_green(graph, profile, args.R, args.p)
     save_vertex_function(green.values, args.out)
     stages = green.solver_report.stages
+    value_at_center = float(green.values[graph.root])
     _dump_json(sidecar, {
         "R": green.R,
         "p": green.p,
-        "center": green.center,
+        "center": graph.root,
         "residual": green.residual,
         "iterations": green.solver_report.total_iterations,
         "eps_schedule": [st.eps for st in stages],
         "stage_iterations": [st.iterations for st in stages],
         "energy": green.solver_report.energy,
-        "value_at_center": float(green.values[green.center]),
+        "value_at_center": value_at_center,
     })
     _print_json({"out": args.out, "sidecar": sidecar,
                  "residual": green.residual,
-                 "value_at_center": float(green.values[green.center])})
+                 "value_at_center": value_at_center})
     return 0
 
 
@@ -264,12 +269,10 @@ def _load_profile_csv(path: str) -> np.ndarray:
 
 
 def _criterion_payload(W: np.ndarray, profile: BallProfile | None,
-                       params: ExponentParams, horizon: int,
-                       terms_path: str) -> dict:
-    """Volume series of W; with a graph's profile, also its cut series."""
-    # a horizon below 2 leaves fewer than two terms, which classify rejects
-    terms = crit.volume_series_terms(W, params)[:max(horizon, 0)]
-    series = crit.classify(terms)
+                       params: ExponentParams, terms_path: str) -> dict:
+    """Volume series of W over every n it holds, so the horizon is
+    len(W) - 1; with a graph's profile, also its cut series."""
+    series = crit.classify(crit.volume_series_terms(W, params))
     with open(terms_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n", "t_n", "partial_sum"])
@@ -327,7 +330,7 @@ def _cmd_criterion(args) -> int:
     else:
         profile = None
         W = _load_profile_csv(args.profile)
-    payload = _criterion_payload(W, profile, params, args.horizon, terms_path)
+    payload = _criterion_payload(W, profile, params, terms_path)
     payload["source"] = {"graph": args.graph, "profile": args.profile}
     _dump_json(out, payload)
     _print_json({"out": out, "terms_csv": terms_path,
@@ -379,7 +382,7 @@ def _cmd_report(args) -> int:
     for R in radii:
         ball = analyze_ball(graph, profile, R, params)
         green = ball.green
-        g_center = float(green.values[green.center])
+        g_center = float(green.values[graph.root])
         row = {
             **_ball_fields(ball),
             "R": R,
@@ -402,7 +405,7 @@ def _cmd_report(args) -> int:
             radii, [row["g_center"] for row in ladder], profile.b, params))
 
     criterion_payload = _criterion_payload(profile.W, profile, params,
-                                           args.horizon, terms_path)
+                                           terms_path)
 
     suite_reports = run_suites("all", trials=args.trials, seed=args.seed)
     payload = {
@@ -460,7 +463,6 @@ def _build_parser() -> argparse.ArgumentParser:
     green.add_argument("--graph", required=True)
     green.add_argument("--R", type=int, required=True)
     green.add_argument("--p", type=float, required=True)
-    green.add_argument("--center", type=int, default=None)
     green.add_argument("--out", required=True,
                        help="CSV output path; a JSON sidecar lands beside it")
     green.set_defaults(func=_cmd_green)
@@ -479,7 +481,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--profile", help="CSV with header n,W")
     criterion.add_argument("--p", type=float, required=True)
     criterion.add_argument("--sigma", type=float, required=True)
-    criterion.add_argument("--horizon", type=int, default=10_000)
     criterion.add_argument("--out-prefix", default="criterion",
                            dest="out_prefix")
     criterion.set_defaults(func=_cmd_criterion)
@@ -498,7 +499,6 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--sigma", type=float, required=True)
     report.add_argument("--R", required=True,
                         help="comma-separated radius ladder, e.g. 2,4,6")
-    report.add_argument("--horizon", type=int, default=10_000)
     report.add_argument("--trials", type=int, default=10_000)
     report.add_argument("--seed", type=int, default=0)
     report.add_argument("--out-prefix", default="report", dest="out_prefix")

@@ -157,8 +157,6 @@ class _Problem:
 
     def __init__(self, graph: WeightedGraph, free_mask: np.ndarray,
                  source: np.ndarray):
-        self.graph = graph
-        self.free_mask = free_mask
         self.free_ids = np.flatnonzero(free_mask)
         self.n_free = self.free_ids.size
         position = np.full(graph.vertex_count, -1, dtype=np.int64)

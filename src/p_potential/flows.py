@@ -2,12 +2,13 @@
 cut-conductance lower bound for L_R.
 
 Orienting every edge of B_R from the larger Green value to the smaller one
-turns the solved potential into an acyclic unit flow from the center to a
-collapsed absorbing boundary vertex.  That flow decomposes into a
-probability measure on center-to-boundary paths whose edge marginals equal
-the edge flows.  Averaging a deterministic Hardy-type estimate along each
-path, then pushing first-exit drops through a parallel-sum convexity step,
-yields
+turns the solved potential into an acyclic unit flow from the center (the
+graph's root o, where every ball is centered and every Green function has
+its pole) to a collapsed absorbing boundary vertex.  That flow decomposes
+into a probability measure on center-to-boundary paths whose edge marginals
+equal the edge flows.  Averaging a deterministic Hardy-type estimate along
+each path, then pushing first-exit drops through a parallel-sum convexity
+step, yields
 
     L_R >= c * sum_{n=1}^R n^r (sum_{k=n}^R b_k^(-1/r))^eta
 
@@ -132,17 +133,9 @@ def orient_flow(graph: WeightedGraph, profile: BallProfile,
     1e-12 * max drop (the flow's drop_threshold) are discarded.
     Conservation, acyclicity, and the source/sink facts (nothing enters the
     center, nothing leaves the boundary) are checked; violations beyond
-    100 * residual signal a bad solve and raise ConsistencyError.
-
-    The Green function must be centered at the graph's root: B_R and the
-    audit's radii are measured from the root, so a chain from any other
-    center could never pass.  Another center raises ValueError.
+    100 * residual signal a bad solve and raise ConsistencyError.  The
+    center is the graph's root, the pole of every Green function.
     """
-    if green.center != graph.root:
-        raise ValueError(
-            f"the Green function is centered at vertex {green.center}, not at "
-            f"the root {graph.root}; the flow and its audit measure radii "
-            f"from the root")
     R = green.R
     ball = profile.ball_mask(R)
     g = green.values
@@ -163,14 +156,14 @@ def orient_flow(graph: WeightedGraph, profile: BallProfile,
     net = np.zeros(boundary + 1)
     np.add.at(net, tails, theta)
     np.subtract.at(net, heads, theta)
-    net[green.center] -= 1.0
+    net[graph.root] -= 1.0
     net[boundary] += 1.0
     worst = float(np.abs(net).max())
     if worst > 100.0 * green.residual:
         raise ConsistencyError(
             f"flow conservation defect {worst:.3e} exceeds "
             f"100 * residual = {100.0 * green.residual:.3e}")
-    if np.any(heads == green.center):
+    if np.any(heads == graph.root):
         raise ConsistencyError("a retained edge enters the center")
     if np.any(tails == boundary):
         raise ConsistencyError("a retained edge leaves the boundary")
@@ -178,7 +171,7 @@ def orient_flow(graph: WeightedGraph, profile: BallProfile,
 
     for arr in (tails, heads, drops, conds, theta):
         arr.setflags(write=False)
-    return UnitFlow(R=R, p=green.p, center=green.center,
+    return UnitFlow(R=R, p=green.p, center=graph.root,
                     boundary_id=boundary, tails=tails, heads=heads,
                     theta=theta, delta=drops, conductance=conds,
                     conservation_defect=worst,
@@ -590,7 +583,7 @@ def analyze_ball(graph: WeightedGraph, profile: BallProfile, R: int,
     deviation = np.abs(edge_marginals(flow, measure) - flow.theta).max()
     nash_williams = _witness("Nash-Williams cut sum <= g_R(o)",
                              np.sum(profile.b[:R + 1] ** (-1.0 / params.r)),
-                             green.values[green.center])
+                             green.values[graph.root])
     if not nash_williams.ok:
         raise VerificationError(
             f"Nash-Williams cut sum {nash_williams.lower!r} exceeds "

@@ -260,10 +260,6 @@ class WeightedGraph:
                 and np.array_equal(self.edge_heads, other.edge_heads)
                 and np.array_equal(self.edge_weights, other.edge_weights))
 
-    def __hash__(self):
-        return hash((self.vertex_count, self.root, self.edge_tails.tobytes(),
-                     self.edge_heads.tobytes(), self.edge_weights.tobytes()))
-
     def __repr__(self):
         return (f"WeightedGraph(vertices={self.vertex_count}, "
                 f"edges={self.edge_count}, root={self.root})")
@@ -285,7 +281,7 @@ class BallProfile:
     M : float array, prefix sums of b (cut-volume sums M_N).
     """
 
-    __slots__ = ("graph", "radius_of", "eccentricity", "R_max", "W", "b", "M")
+    __slots__ = ("radius_of", "eccentricity", "R_max", "W", "b", "M")
 
     def __init__(self, graph: WeightedGraph):
         dist = csgraph.dijkstra(graph.adjacency, directed=False,
@@ -309,7 +305,6 @@ class BallProfile:
                         minlength=max(ecc, 1))[:ecc]
         M = np.cumsum(b)
 
-        self.graph = graph
         self.radius_of = radius_of
         self.eccentricity = ecc
         self.R_max = ecc - 1
@@ -333,7 +328,7 @@ class BallProfile:
             raise ValueError(f"radius {R} exceeds R_max = {self.R_max}")
 
     def __repr__(self):
-        return (f"BallProfile(vertices={self.graph.vertex_count}, "
+        return (f"BallProfile(vertices={self.radius_of.size}, "
                 f"eccentricity={self.eccentricity}, R_max={self.R_max})")
 
 

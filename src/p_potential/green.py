@@ -2,12 +2,14 @@
 
 solve_green minimizes the strictly convex functional
 
-    J(v) = (1/p) sum_edges w |v(x) - v(y)|^p  -  v(center)
+    J(v) = (1/p) sum_edges w |v(x) - v(y)|^p  -  v(o)
 
-over functions vanishing outside B_R.  Its Euler-Lagrange equations say v
-is p-harmonic on B_R minus the center and carries a unit point source at
-the center, i.e. mu(x) * (-lap_p v)(x) = 1_{x = center}; the reported
-residual is the maximum absolute defect of that equation over B_R.
+over functions vanishing outside B_R, where o is the graph's root, the
+center of every ball.  Its Euler-Lagrange equations say v is p-harmonic
+on B_R minus o and carries a unit point source at o, i.e.
+mu(x) * (-lap_p v)(x) = 1_{x = o}; the reported residual is the maximum
+absolute defect of that equation over B_R.  A pole elsewhere is the root
+of another graph file.
 
 Also here: the p-capacity of a set inside B_R, the weighted power sum
 L_R = sum_{B_R} g_R^sigma mu, the supersolution upper bound
@@ -49,45 +51,39 @@ LOOKS_NON_PARABOLIC = "looks-non-parabolic"
 
 @dataclass(frozen=True)
 class GreenFunction:
-    """Solution of the ball Dirichlet problem with a unit point source;
-    values is a read-only float64 array, zero outside B_R."""
+    """Solution of the ball Dirichlet problem with a unit point source at
+    the graph's root; values is a read-only float64 array, zero outside
+    B_R."""
 
     values: np.ndarray
     R: int
-    center: int
     p: float
     residual: float
     solver_report: MinimizeReport
 
 
 def solve_green(graph: WeightedGraph, profile: BallProfile, R: int, p: float,
-                center: int | None = None,
                 options: SolveOptions | None = None) -> GreenFunction:
-    """Solve the p-Green Dirichlet problem on B_R.
+    """Solve the p-Green Dirichlet problem on B_R with its pole at the
+    root o, the center of the ball.
 
     The minimizer vanishes outside B_R, is strictly positive on B_R, and
-    satisfies mu(x)(-lap_p v)(x) = 1_{x=center} up to the reported residual.
+    satisfies mu(x)(-lap_p v)(x) = 1_{x=o} up to the reported residual.
     options sets the solver's grad_tol (SolveOptions() when None).  Raises
     SolverError (carrying the best iterate) if the defect exceeds
     RESIDUAL_TARGET = 1e-9, ConsistencyError if positivity fails, and
     ValueError (as_values) if the iterate is not finite.
     """
-    if center is None:
-        center = graph.root
     ball = profile.ball_mask(R)
-    if not ball[center]:
-        raise ValueError(f"center {center} lies outside B_{R}")
-
     source = np.zeros(graph.vertex_count)
-    source[center] = 1.0
+    source[graph.root] = 1.0
     fixed = np.zeros(graph.vertex_count)
     values, report = minimize_p_dirichlet(graph, ball, fixed, source, p, options)
     values = as_values(values, graph)
     values.setflags(write=False)
 
     residual = max(report.grad_inf, RESIDUAL_FLOOR)
-    green = GreenFunction(values=values, R=int(R),
-                          center=int(center), p=float(p),
+    green = GreenFunction(values=values, R=int(R), p=float(p),
                           residual=residual, solver_report=report)
     if report.grad_inf > RESIDUAL_TARGET:
         raise SolverError(
@@ -102,29 +98,29 @@ def solve_green(graph: WeightedGraph, profile: BallProfile, R: int, p: float,
 
 def green_normalization_check(graph: WeightedGraph,
                               green: GreenFunction) -> float:
-    """sup of |pairing(g, psi) - psi(center)| over test functions psi
-    supported in B_R with sup|psi| <= 1.
+    """sup of |pairing(g, psi) - psi(o)| over test functions psi
+    supported in B_R with sup|psi| <= 1, where o is the root.
 
-    Summation by parts gives pairing(g, psi) - psi(center) = sum over B_R
-    of defect * psi with defect = mu (-lap_p g) - 1_{center}, so the
+    Summation by parts gives pairing(g, psi) - psi(o) = sum over B_R
+    of defect * psi with defect = mu (-lap_p g) - 1_{o}, so the
     supremum is the l1 norm of that defect on B_R, attained at
     psi = sign(defect).
     """
     ball = green.values != 0.0
-    ball[green.center] = True  # support of g is exactly B_R
+    ball[graph.root] = True  # support of g is exactly B_R
     defect = -p_laplacian_all(graph, green.values, green.p) \
         * graph.vertex_measure
-    defect[green.center] -= 1.0
+    defect[graph.root] -= 1.0
     return float(np.abs(defect[ball]).sum())
 
 
 def capacity(graph: WeightedGraph, profile: BallProfile, target_set, R: int,
-             p: float, options: SolveOptions | None = None) -> float:
+             p: float) -> float:
     """p-capacity of `target_set` relative to B_R.
 
     Minimizes the p-energy over v with v = 1 on the set and v = 0 outside
-    B_R; returns the energy of the minimizer (which lies in [0, 1]).
-    Nonincreasing in R.
+    B_R, with the solver's default SolveOptions; returns the energy of the
+    minimizer (which lies in [0, 1]).  Nonincreasing in R.
 
     Not exported by the package: report derives cap_R({o}) = g_R(o)^(1-p)
     from its own solves.  It stays because the benchmark's tracer
@@ -146,7 +142,7 @@ def capacity(graph: WeightedGraph, profile: BallProfile, target_set, R: int,
     free = ball & ~in_set
     fixed = np.where(in_set, 1.0, 0.0)
     source = np.zeros(graph.vertex_count)
-    values, report = minimize_p_dirichlet(graph, free, fixed, source, p, options)
+    values, report = minimize_p_dirichlet(graph, free, fixed, source, p)
 
     if report.grad_inf > RESIDUAL_TARGET:
         raise SolverError(
@@ -194,7 +190,7 @@ def sandwich_upper_bound(graph: WeightedGraph, profile: BallProfile,
     if u_values[ball].min() <= 0.0:
         raise ValueError("u must be strictly positive on the ball")
 
-    ratio = green.values[green.center] / u_values[green.center]
+    ratio = green.values[graph.root] / u_values[graph.root]
     return (params.sigma / params.eta) * ratio ** params.eta
 
 

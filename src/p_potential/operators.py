@@ -158,15 +158,6 @@ def p_laplacian_all(graph: WeightedGraph, f, p: float) -> np.ndarray:
     return net / graph.vertex_measure
 
 
-def dirichlet_pairing(graph: WeightedGraph, f, psi, p: float) -> float:
-    """sum over edges of w * phi_p(f(u) - f(v)) * (psi(u) - psi(v))."""
-    p = check_p(p)
-    values = as_values(f, graph)
-    test = as_values(psi, graph)
-    currents = _edge_currents(graph, values, p)
-    return float(np.dot(currents, test[graph.edge_tails] - test[graph.edge_heads]))
-
-
 def p_energy(graph: WeightedGraph, f, p: float) -> float:
     """sum over edges of w * |f(u) - f(v)|^p (always >= 0)."""
     p = check_p(p)

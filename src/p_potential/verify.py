@@ -419,15 +419,16 @@ def hardy_suite(trials: int = 100_000, seed: int = 0) -> SuiteReport:
     time, in ascending length: the arrays of one length, in shard order,
     as one (count, length) block.  _hardy_sides evaluates each block, and
     hardy_check is its one-row case, so the result equals a loop over
-    hardy_check.  worst_margin is the least (lhs - rhs) / max(1, lhs, rhs).
-    trials < 1 raises ValueError.
+    hardy_check.  worst_margin is the least relative margin
+    (lhs - rhs) / max(lhs, rhs), as Picone's; an array violates when
+    lhs < rhs - 1e-12 max(1, lhs, rhs).  trials < 1 raises ValueError.
     """
     return _random_suite("hardy", trials, seed, 5_000,
                          lambda rng, _first, n: _hardy_shard(rng, n))
 
 
 def _hardy_shard(rng: np.random.Generator, n_arrays: int):
-    """Draw n_arrays arrays and return (worst scaled margin, violations).
+    """Draw n_arrays arrays and return (worst relative margin, violations).
 
     Besides a few vectors of one entry per array, no array outlives the
     block of one length, which is drawn, checked and released in turn.
@@ -441,10 +442,9 @@ def _hardy_shard(rng: np.random.Generator, n_arrays: int):
         block = _log_uniform(rng, 1e-6, 1e3, (rows.size, width))
         lhs[rows], rhs[rows] = _hardy_sides(block, r[rows])
 
-    scale = np.maximum(1.0, np.maximum(lhs, rhs))
-    margin = (lhs - rhs) / scale
-    return (float(margin.min()),
-            int(np.count_nonzero(lhs < rhs - 1e-12 * scale)))
+    size = np.maximum(lhs, rhs)
+    violated = lhs < rhs - 1e-12 * np.maximum(1.0, size)
+    return float(((lhs - rhs) / size).min()), int(np.count_nonzero(violated))
 
 
 def _hardy_sides(block: np.ndarray, r: np.ndarray):
@@ -465,12 +465,13 @@ def _hardy_sides(block: np.ndarray, r: np.ndarray):
     return lhs, np.asarray(factor) * sums
 
 
-def positivity_suite(trials: int = 0, seed: int = 0) -> SuiteReport:
-    """Fixed battery of zero-propagation verdicts (trials and seed are
-    ignored): zero functions, Green functions on balls, and a zero beside
-    a positive value, which must be rejected.  details holds every case's
-    verdict, trials counts them, and worst_margin is None."""
-    del trials, seed
+def positivity_suite() -> SuiteReport:
+    """Fixed battery of zero-propagation verdicts: zero functions, Green
+    functions on balls, and a superharmonic zero beside a positive value,
+    which must be rejected with positivity_propagation's witness, a
+    VerificationError; any other error propagates, as in every other
+    case.  details holds every case's verdict, trials counts them, and
+    worst_margin is None."""
     cases = []  # (key, verdict, expected verdict)
     for family, graph, radii in (
             ("lattice-1d", build_lattice(1, 12), (4, 8)),
@@ -486,13 +487,15 @@ def positivity_suite(trials: int = 0, seed: int = 0) -> SuiteReport:
                     graph, green.values, p, interior=profile.ball_mask(R))
                 cases.append((f"{family}-p{p}-R{R}", verdict, STRICTLY_POSITIVE))
 
-    # a zero with a positive neighbor must be rejected with a witness
+    # a zero beside a positive value, superharmonic within tolerance at
+    # p = 3 (-lap_3 u = -phi_3(1e-6) / 2 = -5e-13 at the root), must reach
+    # the witness
     graph = build_lattice(1, 3)
     bad = np.zeros(graph.vertex_count)
-    bad[int(graph.neighbors(graph.root)[0][0])] = 1.0
+    bad[int(graph.neighbors(graph.root)[0][0])] = 1e-6
     try:
-        verdict = positivity_propagation(graph, bad, 2.0)
-    except (ValueError, VerificationError):
+        verdict = positivity_propagation(graph, bad, 3.0)
+    except VerificationError:
         verdict = "rejected"
     cases.append(("lattice-1d-zero-beside-positive", verdict, "rejected"))
 
@@ -503,10 +506,10 @@ def positivity_suite(trials: int = 0, seed: int = 0) -> SuiteReport:
                        ok=violations == 0, details=details)
 
 
-def sandwich_suite(trials: int = 0, seed: int = 0) -> SuiteReport:
+def sandwich_suite() -> SuiteReport:
     """Squeeze L_R between analyze_ball's cut-series bound and the
     supersolution bound on tree(2, 6): p=2, sigma=3 at R = 2, 3, 4 and
-    p=3, sigma=4 at R=3 (trials and seed are ignored).
+    p=3, sigma=4 at R=3.
 
     Each (p, sigma) shoots once; the shot is a verified supersolution up
     to its interior radius.  A ball violates when shooting failed, when R
@@ -514,7 +517,6 @@ def sandwich_suite(trials: int = 0, seed: int = 0) -> SuiteReport:
     is the least min(L - lower, upper - L), and None when no ball got that
     far.  Errors of the bounds propagate.
     """
-    del trials, seed
     graph = build_tree(2, 6)
     profile = ball_profile(graph)
     details = {}
@@ -546,18 +548,17 @@ def sandwich_suite(trials: int = 0, seed: int = 0) -> SuiteReport:
                        details=details)
 
 
-SUITES = {
-    "picone": picone_suite,
-    "hardy": hardy_suite,
-    "positivity": positivity_suite,
-    "sandwich": sandwich_suite,
-}
-
-
 def run_suites(name: str, trials: int, seed: int) -> list:
     """Reports of the suite called name, or of every suite when name is
-    "all"."""
-    if name != "all" and name not in SUITES:
+    "all", in the order picone, hardy, positivity, sandwich.  trials and
+    seed go to the random suites; the fixed batteries take nothing."""
+    suites = {
+        "picone": lambda: picone_suite(trials=trials, seed=seed),
+        "hardy": lambda: hardy_suite(trials=trials, seed=seed),
+        "positivity": positivity_suite,
+        "sandwich": sandwich_suite,
+    }
+    if name != "all" and name not in suites:
         raise ValueError(f"unknown suite {name!r}")
-    names = SUITES if name == "all" else [name]
-    return [SUITES[each](trials=trials, seed=seed) for each in names]
+    names = suites if name == "all" else [name]
+    return [suites[each]() for each in names]

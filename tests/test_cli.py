@@ -150,6 +150,38 @@ def test_criterion_from_profile_csv(workdir, capsys):
         assert payload[key] is None
 
 
+def test_criterion_sums_over_the_whole_profile(workdir, capsys):
+    # a profile of 12,000 terms: the series takes every one of them
+    with open("W.csv", "w", encoding="utf-8") as fh:
+        fh.write("n,W\n" + "".join(f"{n},{(n + 1) ** 2}\n"
+                                   for n in range(12_001)))
+    code, _, _ = run(["criterion", "--profile", "W.csv", "--p", "2",
+                      "--sigma", "3", "--out-prefix", "c"], capsys)
+    assert code == 0
+    assert read_json("c.json")["horizon"] == 12_000
+    with open("c.terms.csv", encoding="utf-8") as fh:
+        rows = fh.read().splitlines()
+    assert len(rows) == 1 + 12_000
+    assert rows[-1].startswith("12000,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["green", "--graph", "tree.json", "--R", "2", "--p", "2",
+     "--center", "1", "--out", "g.csv"],
+    ["criterion", "--graph", "tree.json", "--p", "2", "--sigma", "3",
+     "--horizon", "3"],
+    ["report", "--graph", "tree.json", "--p", "2", "--sigma", "3",
+     "--R", "2,3,4", "--horizon", "3"],
+])
+def test_the_pole_and_the_horizon_are_not_options(workdir, capsys, argv):
+    # the pole is the graph file's root; the series runs over the profile
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not os.path.exists("g.csv")
+
+
 def test_verify_prints_suites(workdir, capsys):
     code, out, _ = run(["verify", "--suite", "hardy", "--trials", "300",
                         "--seed", "4"], capsys)
@@ -182,7 +214,7 @@ def test_verify_writes_no_margin_as_null(workdir, capsys, suite, trials,
 def test_report_on_a_symmetric_graph(workdir, capsys):
     code, out, _ = run(["report", "--graph", "tree.json", "--p", "2",
                         "--sigma", "3", "--R", "2,3,4", "--trials", "200",
-                        "--horizon", "100", "--out-prefix", "r"], capsys)
+                        "--out-prefix", "r"], capsys)
     assert code == 0
     assert json.loads(out) == {"out": "r.json", "csv": "r.csv", "ok": True}
     payload = read_json("r.json")
@@ -220,7 +252,7 @@ def test_report_on_a_symmetric_graph(workdir, capsys):
 def test_report_on_an_asymmetric_graph_has_no_upper_bound(workdir, capsys):
     code, _, _ = run(["report", "--graph", "square.json", "--p", "2",
                       "--sigma", "3", "--R", "2,4", "--trials", "200",
-                      "--horizon", "100", "--out-prefix", "r"], capsys)
+                      "--out-prefix", "r"], capsys)
     assert code == 0
     payload = read_json("r.json")
     assert payload["shoot"]["success"] is False
@@ -432,7 +464,7 @@ def test_payloads_dump_as_their_jsonable_copy(workdir, capsys, monkeypatch):
             ["gen", "--family", "tree", "--branching", "2", "--depth", "3",
              "--out", "t.json"],
             ["green", "--graph", "tree.json", "--R", "3", "--p", "3",
-             "--center", "1", "--out", "g.csv"],
+             "--out", "g.csv"],
             ["flow", "--graph", "tree.json", "--R", "3", "--p", "1.5",
              "--sigma", "2", "--out-prefix", "f"],
             ["criterion", "--graph", "square.json", "--p", "3", "--sigma", "4",

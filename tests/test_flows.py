@@ -435,7 +435,7 @@ def first_exit_indices(path, profile, n, R, boundary_id=None):
     before tau_n, so alpha_k does not depend on n.
     """
     if boundary_id is None:
-        boundary_id = profile.graph.vertex_count
+        boundary_id = profile.radius_of.size
     if not 1 <= n <= R:
         raise ValueError(f"need 1 <= n <= R, got n={n}, R={R}")
     radii = np.array([R + 1 if v == boundary_id else profile.radius_of[v]
@@ -839,13 +839,3 @@ def test_analyze_ball_propagates_a_failed_step():
         analyze_ball(graph, ball_profile(graph), -1,
                      ExponentParams(p=2.0, sigma=3.0))
 
-
-def test_orient_flow_rejects_an_off_root_center():
-    # B_R and the audit's radii are measured from the root, so a Green
-    # function centered elsewhere is refused before any work
-    graph = build_lattice(2, 10)
-    profile = ball_profile(graph)
-    center = int(np.flatnonzero(profile.radius_of == 1)[0])
-    green = solve_green(graph, profile, 5, 2.0, center=center)
-    with pytest.raises(ValueError, match=rf"vertex {center}, not at the root 0"):
-        orient_flow(graph, profile, green)

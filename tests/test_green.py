@@ -12,11 +12,11 @@ from p_potential import (
     LOOKS_PARABOLIC,
     SolveOptions,
     SolverError,
+    WeightedGraph,
     ball_profile,
     build_lattice,
     build_tree,
     compute_L,
-    dirichlet_pairing,
     green_normalization_check,
     p_laplacian_all,
     parabolicity_probe,
@@ -26,6 +26,7 @@ from p_potential import (
 from p_potential import green as green_module
 from p_potential.green import capacity
 from p_potential.verify import shoot_radial_supersolution
+from test_operators import dirichlet_pairing
 
 PS = (1.5, 2.0, 3.0)
 
@@ -93,7 +94,7 @@ def test_green_support_and_maximum(p):
     v = green.values
     assert np.all(v[~ball] == 0.0)
     assert np.all(v[ball] > 0.0)
-    assert np.argmax(v) == green.center
+    assert np.argmax(v) == graph.root
     # radially decreasing on the tree
     order = np.argsort(prof.radius_of[ball], kind="stable")
     by_radius = v[ball][order]
@@ -157,11 +158,11 @@ def test_normalization_check_is_attained_at_the_defect_sign(p):
     dev = green_normalization_check(graph, green)
     defect = (-p_laplacian_all(graph, green.values, p)
               * graph.vertex_measure)
-    defect[green.center] -= 1.0
+    defect[graph.root] -= 1.0
     psi = np.where(prof.ball_mask(4), np.sign(defect), 0.0)
     pairing = dirichlet_pairing(graph, green.values, psi, p)
     assert dev > 1e-3
-    assert pairing - psi[green.center] == pytest.approx(dev, rel=1e-10)
+    assert pairing - psi[graph.root] == pytest.approx(dev, rel=1e-10)
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -173,26 +174,21 @@ def test_normalization_check_bounds_random_test_functions(p):
     for _ in range(5):
         psi = np.where(ball, rng.uniform(-1.0, 1.0, graph.vertex_count), 0.0)
         sampled = abs(dirichlet_pairing(graph, green.values, psi, p)
-                      - psi[green.center])
+                      - psi[graph.root])
         assert sampled <= dev * (1.0 + 1e-10)
 
 
-def test_center_outside_ball_rejected():
-    graph = build_tree(2, 3)
+def test_the_pole_is_the_graph_root():
+    # another pole is another root: id 1 sits at coordinate -1
+    path = build_lattice(1, 3)
+    graph = WeightedGraph(path.vertex_count, path.edges, root=1)
     prof = ball_profile(graph)
-    leaf = graph.vertex_count - 1
-    with pytest.raises(ValueError):
-        solve_green(graph, prof, 1, 2.0, center=leaf)
-
-
-def test_off_root_center():
-    graph = build_lattice(1, 3)
-    prof = ball_profile(graph)
-    # id 1 sits at coordinate -1, inside B_1
-    green = solve_green(graph, prof, 1, 2.0, center=1)
+    green = solve_green(graph, prof, 1, 2.0)
     v = green.values
     assert np.argmax(v) == 1
+    assert np.all(v[~prof.ball_mask(1)] == 0.0)
     assert v[1] > v[0] > 0.0
+    assert green_normalization_check(graph, green) <= 1e-9
 
 
 def test_unreachable_residual_target_raises_with_best(monkeypatch):

@@ -16,7 +16,6 @@ from p_potential import (
     build_tree,
     ball_profile,
     defect_tolerance,
-    dirichlet_pairing,
     p_energy,
     p_laplacian_all,
     phi_p,
@@ -189,6 +188,16 @@ def test_p2_laplacian_matches_dense_oracle():
     expected = (A @ f - mu * f) / mu
     np.testing.assert_allclose(p_laplacian_all(g, f, 2.0), expected,
                                rtol=1e-12, atol=1e-12)
+
+
+def dirichlet_pairing(graph, f, psi, p: float) -> float:
+    """sum over edges of w * phi_p(f(u) - f(v)) * (psi(u) - psi(v)): the
+    Dirichlet pairing, the summation-by-parts oracle for p_laplacian_all
+    and green_normalization_check."""
+    f, psi = np.asarray(f, dtype=np.float64), np.asarray(psi, dtype=np.float64)
+    tails, heads = graph.edge_tails, graph.edge_heads
+    return float(np.dot(graph.edge_weights * phi_p(f[tails] - f[heads], p),
+                        psi[tails] - psi[heads]))
 
 
 def test_pairing_with_self_is_energy():

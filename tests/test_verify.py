@@ -280,6 +280,54 @@ def test_positivity_suite_counts_every_wrong_verdict(monkeypatch):
     assert (report.trials, report.violations, report.ok) == (19, 4, False)
 
 
+def test_positivity_suite_rejects_with_the_witness(monkeypatch):
+    # the rejection case must get past the superharmonicity precondition
+    # (a ValueError) to the positive-neighbour witness
+    raised = []
+
+    def recording(*args, **kwargs):
+        try:
+            return positivity_propagation(*args, **kwargs)
+        except (ValueError, VerificationError) as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(verify, "positivity_propagation", recording)
+    assert positivity_suite().ok
+    [error] = raised
+    assert type(error) is VerificationError
+    assert "strictly positive neighbor" in str(error)
+
+
+def test_positivity_suite_does_not_read_a_value_error_as_a_rejection(
+        monkeypatch):
+    # right on every case but the rejection one, where the precondition
+    # fails: the suite must not call that "rejected"
+    def refuse(graph, u, p, interior=None):
+        if interior is not None:
+            return STRICTLY_POSITIVE
+        if u.any():
+            raise ValueError("superharmonicity fails")
+        return IDENTICALLY_ZERO
+
+    monkeypatch.setattr(verify, "positivity_propagation", refuse)
+    with pytest.raises(ValueError, match="superharmonicity fails"):
+        positivity_suite()
+
+
+def test_run_suites_seeds_only_the_random_suites(monkeypatch):
+    calls = []
+    for name in ("picone", "hardy", "positivity", "sandwich"):
+        monkeypatch.setattr(verify, f"{name}_suite",
+                            lambda *args, name=name, **kwargs: calls.append(
+                                (name, args, kwargs)) or name)
+    assert run_suites("all", trials=7, seed=3) == [
+        "picone", "hardy", "positivity", "sandwich"]
+    assert calls == [("picone", (), {"trials": 7, "seed": 3}),
+                     ("hardy", (), {"trials": 7, "seed": 3}),
+                     ("positivity", (), {}), ("sandwich", (), {})]
+
+
 def test_suite_report_stores_an_inf_margin_as_none():
     report = verify.SuiteReport(name="x", trials=1, violations=0,
                                 worst_margin=np.inf, ok=True)
@@ -469,14 +517,25 @@ def test_hardy_suite_equals_a_hardy_check_loop(trials, seed):
         for n, block in blocks.items():
             for a, r_i in zip(block, r[lengths == n]):
                 lhs, rhs = hardy_check(a, float(r_i))
-                scale = max(1.0, lhs, rhs)
-                worst = min(worst, (lhs - rhs) / scale)
-                violations += bool(lhs < rhs - 1e-12 * scale)
+                worst = min(worst, (lhs - rhs) / max(lhs, rhs))
+                violations += bool(lhs < rhs - 1e-12 * max(1.0, lhs, rhs))
     report = hardy_suite(trials=trials, seed=seed)
     assert (report.name, report.trials) == ("hardy", trials)
     assert report.worst_margin == worst
     assert report.violations == violations
     assert report.ok == (violations == 0)
+
+
+def test_hardy_margin_is_relative_when_the_sides_are_below_one(monkeypatch):
+    # every array gets the sides of a = (1e3, 2e3) at r = 1, both below 1,
+    # where the absolute margin lhs - rhs would read the bound as tight
+    lhs, rhs = hardy_check(np.array([1e3, 2e3]), 1.0)
+    assert rhs < lhs < 1.0
+    monkeypatch.setattr(verify, "_hardy_sides", lambda block, r: (
+        np.full(r.size, lhs), np.full(r.size, rhs)))
+    report = hardy_suite(trials=50, seed=0)
+    assert report.worst_margin == (lhs - rhs) / lhs
+    assert (report.violations, report.ok) == (0, True)
 
 
 @pytest.mark.parametrize("suite", [picone_suite, hardy_suite])
