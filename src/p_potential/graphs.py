@@ -11,6 +11,13 @@ Generators build finite truncations of standard infinite families
 (lattice boxes, rooted regular trees, layered radial models).  Quantities
 indexed by a radius R are only meaningful for R <= R_max, the largest
 radius whose ball still has a nonempty exterior in the truncation.
+
+The constructor fills the symmetric CSR adjacency straight from the
+sorted edge arrays, with no copy of the edge list in both orientations.  A
+graph file holds the bytes json.dumps writes for the graph.  save_graph
+writes them, and load_graph parses and certifies them, one block of
+_BLOCK_EDGES rows at a time, so neither holds a second byte string of the
+whole file; load_graph drops the file's bytes before it builds the graph.
 """
 
 from __future__ import annotations
@@ -134,14 +141,72 @@ def _check_count_and_root(vertex_count, root) -> None:
         raise GraphValidationError(f"root {root!r} outside 0..{vertex_count - 1}")
 
 
+def _in_canonical_order(tails: np.ndarray, heads: np.ndarray) -> bool:
+    """Whether u < v on every edge and the edges strictly increase in (u, v),
+    the order a graph stores them in."""
+    later = tails[1:] > tails[:-1]
+    later |= (tails[1:] == tails[:-1]) & (heads[1:] > heads[:-1])
+    return bool(later.all() and (tails < heads).all())
+
+
+def _symmetric_csr(vertex_count: int, tails: np.ndarray, heads: np.ndarray,
+                   weights: np.ndarray) -> sp.csr_matrix:
+    """The symmetric adjacency of edges in canonical order, as scipy's
+    COO -> CSR conversion of both orientations builds it: sorted rows,
+    int32 index arrays where the counts fit, the same bytes.
+
+    Row x lists its smaller neighbours first, the edges with head x in tail
+    order, which a stable argsort by head gives; its larger neighbours
+    follow, the edges with tail x, already in head order.  The rows are
+    filled through a mask of the larger-neighbour slots, with no copy of
+    the edge list in both orientations.
+    """
+    count = tails.size
+    index = (np.int32 if max(2 * count, vertex_count) <= np.iinfo(np.int32).max
+             else np.int64)
+    smaller = np.bincount(heads, minlength=vertex_count)
+    larger = np.bincount(tails, minlength=vertex_count)
+    indptr = np.zeros(vertex_count + 1, dtype=index)
+    np.cumsum(smaller + larger, out=indptr[1:])
+    slots = np.repeat(np.tile([False, True], vertex_count),
+                      np.column_stack((smaller, larger)).ravel())
+    indices = np.empty(2 * count, dtype=index)
+    data = np.empty(2 * count)
+    indices[slots] = heads
+    data[slots] = weights
+    by_head = np.argsort(heads, kind="stable")
+    np.logical_not(slots, out=slots)
+    indices[slots] = tails[by_head]
+    data[slots] = weights[by_head]
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(vertex_count, vertex_count))
+
+
+def _disconnected(vertex_count: int, tails: np.ndarray, heads: np.ndarray,
+                  weights: np.ndarray) -> GraphValidationError:
+    """The error for canonical edges that leave the graph disconnected.
+    Its components are those of the vertices the edges touch, renumbered
+    in order, and one for each vertex they miss."""
+    touched, ids = np.unique(np.concatenate((tails, heads)), return_inverse=True)
+    ids = ids.reshape(2, -1)
+    pieces = csgraph.connected_components(
+        _symmetric_csr(touched.size, ids[0], ids[1], weights),
+        directed=False, return_labels=False)
+    return GraphValidationError(f"graph is disconnected "
+                                f"({pieces + vertex_count - touched.size} components)")
+
+
 class WeightedGraph:
     """Immutable connected weighted graph with dense vertex ids 0..n-1.
 
     Edges are stored once in canonical form (u < v, sorted lexicographically).
     The constructor validates structure and precomputes the symmetric CSR
-    adjacency and the vertex measure.  Every array the graph holds (the
-    edge columns, `vertex_measure` and the `data`, `indices` and `indptr`
-    of `adjacency`) is read-only.
+    adjacency and the vertex measure.  The adjacency is filled straight from
+    the sorted edge columns: row x lists its smaller neighbours, then its
+    larger ones, with the bytes and index dtypes of scipy's COO -> CSR
+    conversion.  Every array the graph holds (the edge columns,
+    `vertex_measure` and the `data`, `indices` and `indptr` of `adjacency`)
+    is its own and read-only.
 
     Each edge is a sequence (u, v, weight).  The endpoints, vertex_count and
     root are ints or numpy integers, never bools; a weight is an int or a
@@ -175,6 +240,14 @@ class WeightedGraph:
         return graph
 
     def _set_columns(self, vertex_count, tails, heads, weights, root):
+        """Validate the edge columns and set every attribute.
+
+        Columns that arrive in canonical order, as a certified file's do,
+        are not sorted again; the graph stores copies of them, made once the
+        adjacency is built.  Otherwise the sort makes new arrays.  Either
+        way the caller's arrays stay writable, and no array of the graph
+        shares their memory.
+        """
         _check_count_and_root(vertex_count, root)
         vertex_count = int(vertex_count)
         if tails.size == 0:
@@ -187,25 +260,30 @@ class WeightedGraph:
             raise GraphValidationError(
                 _edge_error(i, (tails[i], heads[i], weights[i]), vertex_count))
 
-        tails, heads = np.minimum(tails, heads), np.maximum(tails, heads)
-        order = np.lexsort((heads, tails))
-        tails, heads, weights = tails[order], heads[order], weights[order]
-        dup = (tails[1:] == tails[:-1]) & (heads[1:] == heads[:-1])
-        if dup.any():
-            j = int(np.flatnonzero(dup)[0])
-            raise GraphValidationError(
-                f"duplicate edge ({tails[j]}, {heads[j]})")
+        canonical = _in_canonical_order(tails, heads)
+        if not canonical:
+            tails, heads = np.minimum(tails, heads), np.maximum(tails, heads)
+            order = np.lexsort((heads, tails))
+            tails, heads, weights = tails[order], heads[order], weights[order]
+            del order
+            dup = (tails[1:] == tails[:-1]) & (heads[1:] == heads[:-1])
+            if dup.any():
+                j = int(np.flatnonzero(dup)[0])
+                raise GraphValidationError(
+                    f"duplicate edge ({tails[j]}, {heads[j]})")
 
-        both_u = np.concatenate([tails, heads])
-        both_v = np.concatenate([heads, tails])
-        both_w = np.concatenate([weights, weights])
-        adjacency = sp.csr_matrix((both_w, (both_u, both_v)),
-                                  shape=(vertex_count, vertex_count))
-
-        n_comp = csgraph.connected_components(adjacency, directed=False,
-                                              return_labels=False)
-        if n_comp != 1:
-            raise GraphValidationError(f"graph is disconnected ({n_comp} components)")
+        # n vertices need n - 1 edges to connect them; a file may claim far
+        # more vertices than its edges touch, and no array per vertex is made
+        # for it
+        if tails.size < vertex_count - 1:
+            raise _disconnected(vertex_count, tails, heads, weights)
+        adjacency = _symmetric_csr(vertex_count, tails, heads, weights)
+        # the adjacency is symmetric, so the vertices a search along its rows
+        # reaches from the root are the root's component
+        reached = csgraph.breadth_first_order(adjacency, root, directed=True,
+                                              return_predecessors=False)
+        if reached.size != vertex_count:
+            raise _disconnected(vertex_count, tails, heads, weights)
 
         with np.errstate(over="ignore"):
             vertex_measure = np.asarray(adjacency.sum(axis=1)).ravel()
@@ -220,6 +298,10 @@ class WeightedGraph:
         if not math.isfinite(total * (1.0 + 2.0 * vertex_count * _EPS)):
             raise GraphValidationError(
                 "total measure (sum of the vertex measures) overflows")
+        if canonical:
+            # the caller's arrays stay its own and writable; copied last, when
+            # the adjacency's temporaries are gone
+            tails, heads, weights = tails.copy(), heads.copy(), weights.copy()
 
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "root", int(root))
@@ -371,6 +453,7 @@ def build_lattice(dimension: int, half_side: int) -> WeightedGraph:
     strides = side ** np.arange(dimension - 1, -1, -1)
     tails, axes = np.nonzero(coords[:, order].T < half_side)
     heads = ids[order[tails] + strides[axes]]
+    del coords, order, ids, axes  # only the edge columns go on
     return WeightedGraph._from_columns(count, tails, heads,
                                        np.ones(tails.size), root=0)
 
@@ -444,6 +527,9 @@ _TAIL = re.compile(rb'\], "root": ([0-9]{1,%d}), "vertex_count": ([0-9]{1,%d})\}
 # the longest float.__repr__, as of -2.2250738585072014e-308; a longer
 # weight token is not save_graph's
 _WEIGHT_CHARS = 24
+# edges per block of rows that save_graph formats and load_graph parses at
+# a time
+_BLOCK_EDGES = 16384
 
 
 def _digits(values: np.ndarray) -> np.ndarray:
@@ -465,11 +551,10 @@ def _every_row(text: bytes, count: int) -> np.ndarray:
                            (count, len(text)))
 
 
-def _graph_bytes(vertex_count: int, root: int, tails: np.ndarray,
-                 heads: np.ndarray, weights: np.ndarray) -> bytes:
-    """json.dumps({"vertex_count": vertex_count, "root": root, "edges":
-    [[u, v, w], ...]}, sort_keys=True) + "\n" as bytes, for nonnegative
-    integer endpoints and finite weights, made from the arrays.
+def _rows(tails: np.ndarray, heads: np.ndarray, weights: np.ndarray) -> bytes:
+    """The bytes json.dumps writes for the edges [u, v, w], each followed by
+    the ", " between list items, for nonnegative integer endpoints and
+    finite weights.
 
     json writes an int as its repr and a finite float with float.__repr__.
     So the endpoints' digits come from integer arithmetic, and each
@@ -484,9 +569,25 @@ def _graph_bytes(vertex_count: int, root: int, tails: np.ndarray,
                       _every_row(b", ", count),
                       texts.view(np.uint8).reshape(distinct.size, -1)[which],
                       _every_row(b"], ", count)))
-    body = rows[rows != 0].tobytes()[:-2]  # no ", " after the last row
-    return b"".join((_HEAD, body, b'], "root": %d, "vertex_count": %d}\n'
-                     % (root, vertex_count)))
+    return rows[rows != 0].tobytes()
+
+
+def _graph_blocks(vertex_count: int, root: int, tails: np.ndarray,
+                  heads: np.ndarray, weights: np.ndarray):
+    """json.dumps({"vertex_count": vertex_count, "root": root, "edges":
+    [[u, v, w], ...]}, sort_keys=True) + "\n" as bytes, in pieces: the
+    head, the rows of each block of _BLOCK_EDGES edges, and the tail.
+
+    Each block's rows are formatted on their own, so no piece and no
+    temporary grows with the edge count.
+    """
+    yield _HEAD
+    count = tails.size
+    for start in range(0, count, _BLOCK_EDGES):
+        stop = start + _BLOCK_EDGES
+        rows = _rows(tails[start:stop], heads[start:stop], weights[start:stop])
+        yield rows if stop < count else rows[:-2]  # no ", " after the last row
+    yield b'], "root": %d, "vertex_count": %d}\n' % (root, vertex_count)
 
 
 def _parse_ids(body: np.ndarray, starts: np.ndarray, stops: np.ndarray):
@@ -527,13 +628,33 @@ def _parse_weights(body: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     return values[which]
 
 
-def _canonical_columns(data: bytes):
-    """(vertex_count, tails, heads, weights, root) if data is exactly
-    _graph_bytes of them, else None.
+def _parse_rows(body: np.ndarray, opens: np.ndarray):
+    """(tails, heads, weights) of the rows "[u, v, w]" that start at the
+    offsets opens of body, each followed by ", " but the file's last one,
+    or None when the separators do not fall as in such rows."""
+    closes = np.flatnonzero(body == ord("]"))
+    commas = np.flatnonzero(body == ord(","))
+    count = opens.size
+    if closes.size != count or commas.size not in (3 * count - 1, 3 * count):
+        return None
+    first, second = commas[0::3], commas[1::3]
+    tails = _parse_ids(body, opens + 1, first)
+    heads = _parse_ids(body, first + 2, second)
+    weights = _parse_weights(body, second + 2, closes)
+    if tails is None or heads is None or weights is None:
+        return None
+    return tails, heads, weights
 
-    The separators are found with numpy, the endpoints parsed by digit
-    arithmetic and each distinct weight token by float().  The parse is
-    then certified by writing the arrays back and comparing the bytes.
+
+def _canonical_columns(data: bytes):
+    """(vertex_count, tails, heads, weights, root) if data is exactly the
+    bytes _graph_blocks writes for them, else None.
+
+    The rows are found by their "[" and parsed a block of _BLOCK_EDGES at a
+    time: the separators are found with numpy, the endpoints parsed by
+    digit arithmetic and each distinct weight token by float().  The parse
+    is then certified by writing the arrays back, block by block, and
+    comparing each piece with the file's bytes where it should sit.
     Certified data json-parses to exactly these values, because an int's
     repr is exact and a finite float's repr round-trips.
     """
@@ -546,19 +667,28 @@ def _canonical_columns(data: bytes):
     body = np.frombuffer(data, dtype=np.uint8, count=end - len(_HEAD),
                          offset=len(_HEAD))
     opens = np.flatnonzero(body == ord("["))
-    closes = np.flatnonzero(body == ord("]"))
-    commas = np.flatnonzero(body == ord(","))
     count = opens.size
-    if count == 0 or closes.size != count or commas.size != 3 * count - 1:
+    if count == 0:
         return None
-    first, second = commas[0::3], commas[1::3]
-    tails = _parse_ids(body, opens + 1, first)
-    heads = _parse_ids(body, first + 2, second)
-    weights = _parse_weights(body, second + 2, closes)
-    if tails is None or heads is None or weights is None:
-        return None
+    tails = np.empty(count, dtype=np.int64)
+    heads = np.empty(count, dtype=np.int64)
+    weights = np.empty(count)
+    for start in range(0, count, _BLOCK_EDGES):
+        stop = min(start + _BLOCK_EDGES, count)
+        first = opens[start]
+        last = opens[stop] if stop < count else body.size
+        rows = _parse_rows(body[first:last], opens[start:stop] - first)
+        if rows is None:
+            return None
+        tails[start:stop], heads[start:stop], weights[start:stop] = rows
+    del opens
     vertex_count, root = int(tail[2]), int(tail[1])
-    if _graph_bytes(vertex_count, root, tails, heads, weights) != data:
+    at = 0
+    for piece in _graph_blocks(vertex_count, root, tails, heads, weights):
+        if not data.startswith(piece, at):
+            return None
+        at += len(piece)
+    if at != len(data):
         return None
     return vertex_count, tails, heads, weights, root
 
@@ -569,11 +699,13 @@ def save_graph(graph: WeightedGraph, path) -> None:
 
     The file holds the bytes of json.dumps(payload, sort_keys=True) and a
     newline, made from the edge arrays without a Python object per edge.
+    The rows are formatted and written one block of _BLOCK_EDGES edges at a
+    time, so beyond the graph the writer holds one block's row matrix.
     """
-    data = _graph_bytes(graph.vertex_count, graph.root, graph.edge_tails,
-                        graph.edge_heads, graph.edge_weights)
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.writelines(_graph_blocks(graph.vertex_count, graph.root,
+                                    graph.edge_tails, graph.edge_heads,
+                                    graph.edge_weights))
 
 
 def _json_edge_ok(item) -> bool:
@@ -585,9 +717,11 @@ def load_graph(path) -> WeightedGraph:
     """Read a graph written by save_graph, validating structure.
 
     A file in save_graph's exact layout is parsed from its bytes and
-    certified by writing the parsed arrays back; it gives the graph, or the
-    error, that the JSON route below gives.  Any other file is parsed with
-    json.load.
+    certified by writing the parsed arrays back, one block of rows at a
+    time; it gives the graph, or the error, that the JSON route below gives.
+    The file's bytes are dropped before that graph is built, so the peak
+    beyond the file and the graph is one block's parse.  Any other file is
+    parsed with json.load.
 
     vertex_count, root and the edge endpoints must be JSON integers (not
     true/false), the weights JSON numbers (not true/false): the
@@ -602,6 +736,7 @@ def load_graph(path) -> WeightedGraph:
         data = fh.read()
     columns = _canonical_columns(data)
     if columns is not None:
+        del data  # the graph is built from the parsed arrays alone
         return WeightedGraph._from_columns(*columns)
     # the text that open(path, "r", encoding="utf-8") reads
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:

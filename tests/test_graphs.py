@@ -6,10 +6,12 @@ import io
 import itertools
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,7 @@ from p_potential import (
     load_graph,
     save_graph,
 )
+from test_verify import _traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +675,8 @@ def test_an_overflowing_measure_is_rejected_on_both_load_routes(tmp_path):
             tails.tolist(), heads.tolist(), weights.tolist())))
     assert "measure" in str(info.value)
     want = (GraphValidationError, str(info.value))
-    data = graphs_module._graph_bytes(vertex_count, 0, tails, heads, weights)
+    data = b"".join(graphs_module._graph_blocks(vertex_count, 0, tails,
+                                                heads, weights))
     assert data == _json_dump_bytes(vertex_count, 0, tails, heads, weights)
     assert graphs_module._canonical_columns(data) is not None
     path = tmp_path / "g.json"
@@ -795,3 +799,235 @@ def test_edited_files_load_as_json_loads_them(tmp_path, edits):
     path = tmp_path / "g.json"
     path.write_bytes(bytes(data))
     _assert_loads_as_json_does(path)
+
+
+# ---------------------------------------------------------------------------
+# the direct CSR against scipy's COO -> CSR conversion it replaced
+
+
+def _adjacency_by_coo(vertex_count, edges):
+    """The adjacency and vertex measure as scipy's COO -> CSR conversion
+    of both orientations of the canonical edges built them (reference)."""
+    rows = sorted((min(u, v), max(u, v), w) for u, v, w in edges)
+    u, v, w = (np.array(column) for column in zip(*rows))
+    u2, v2, w2 = (np.concatenate(pair) for pair in ((u, v), (v, u), (w, w)))
+    adjacency = sp.csr_matrix((w2, (u2, v2)), shape=(vertex_count, vertex_count))
+    return adjacency, np.asarray(adjacency.sum(axis=1)).ravel()
+
+
+# with at most 60 vertices every measure of these weights is finite
+_WIDE_WEIGHTS = st.floats(1e-300, 1e300)
+
+
+@st.composite
+def _shaped_edge_lists(draw):
+    """(n, edges): a star about a random centre, a path through the
+    vertices in a random order, or a random spanning tree with extra edges;
+    weights from a few wide-range doubles, so they repeat.  The edges come
+    in canonical order, or reversed at random and shuffled.  Vertex n - 1
+    has only smaller neighbours, vertex 0 only larger ones."""
+    n = draw(st.integers(2, 60))
+    shape = draw(st.sampled_from(["star", "path", "random"]))
+    weights = draw(st.lists(_WIDE_WEIGHTS, min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if shape == "star":
+        centre = draw(st.sampled_from([0, n - 1, int(rng.integers(n))]))
+        pairs = {(min(centre, x), max(centre, x)) for x in range(n) if x != centre}
+    elif shape == "path":
+        order = rng.permutation(n).tolist()
+        pairs = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
+    else:
+        pairs = {(int(rng.integers(v)), v) for v in range(1, n)}
+        pairs |= {(min(a, b), max(a, b)) for a, b
+                  in rng.integers(0, n, size=(rng.integers(0, 3 * n), 2)).tolist()
+                  if a != b}
+    edges = [(u, v, weights[rng.integers(len(weights))]) for u, v in sorted(pairs)]
+    if not draw(st.booleans()):
+        edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in edges]
+        edges = [edges[k] for k in rng.permutation(len(edges))]
+    return n, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_shaped_edge_lists())
+def test_direct_csr_is_the_coo_conversion(case):
+    n, edges = case
+    tails, heads, weights = (np.array(column) for column in zip(*edges))
+    graph = WeightedGraph._from_columns(n, tails.astype(np.int64),
+                                        heads.astype(np.int64),
+                                        weights.astype(np.float64))
+    in_order = edges == sorted((min(u, v), max(u, v), w) for u, v, w in edges)
+    assert graphs_module._in_canonical_order(tails, heads) == in_order
+    adjacency, measure = _adjacency_by_coo(n, edges)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(graph.adjacency, name), getattr(adjacency, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert graph.adjacency.has_canonical_format == adjacency.has_canonical_format
+    assert graph.adjacency.has_canonical_format
+    assert (graph.vertex_measure.dtype == measure.dtype
+            and graph.vertex_measure.tobytes() == measure.tobytes())
+    assert graph == WeightedGraph(n, edges)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["canonical", "reversed"])
+def test_from_columns_leaves_the_callers_arrays_alone(reverse):
+    base = build_lattice(2, 4)
+    tails, heads = np.array(base.edge_tails), np.array(base.edge_heads)
+    if reverse:
+        tails, heads = heads, tails
+    weights = np.linspace(1.0, 2.0, base.edge_count)
+    kept = [column.copy() for column in (tails, heads, weights)]
+    graph = WeightedGraph._from_columns(base.vertex_count, tails, heads, weights)
+    owned = (graph.edge_tails, graph.edge_heads, graph.edge_weights,
+             graph.vertex_measure, graph.adjacency.data,
+             graph.adjacency.indices, graph.adjacency.indptr)
+    for column, copy in zip((tails, heads, weights), kept):
+        assert column.flags.writeable
+        assert not any(np.shares_memory(column, array) for array in owned)
+        column[:] = column[::-1]  # the graph keeps its own values
+        np.testing.assert_array_equal(column[::-1], copy)
+    assert all(not array.flags.writeable for array in owned)
+    _assert_same_graph(graph, WeightedGraph(base.vertex_count, list(zip(
+        kept[0].tolist(), kept[1].tolist(), kept[2].tolist()))))
+
+
+@pytest.mark.parametrize("vertex_count, edges", [
+    (4, [(0, 1, 1.0), (2, 3, 1.0)]),
+    (7, [(5, 1, 1.0), (1, 3, 2.0), (3, 5, 1.0), (0, 6, 1.0)]),
+    (6, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)]),
+], ids=["too-few-edges", "untouched-vertices", "enough-edges"])
+def test_disconnected_graphs_name_their_components(vertex_count, edges):
+    u, v, w = (np.array(column) for column in zip(*edges))
+    components = csgraph.connected_components(
+        sp.coo_matrix((w, (u, v)), shape=(vertex_count, vertex_count)),
+        directed=False, return_labels=False)
+    with pytest.raises(GraphValidationError,
+                       match=rf"^graph is disconnected \({components} components\)$"):
+        WeightedGraph(vertex_count, edges)
+
+
+def test_a_file_claiming_many_vertices_holds_no_array_per_vertex(tmp_path):
+    vertex_count = 2_000_000
+    path = tmp_path / "g.json"
+    path.write_text(_variant(vertex_count=vertex_count,
+                             edges=[[0, 1, 1.0], [1, 2, 1.0]]))
+    outcome = []
+    peak = _traced_peak(lambda: outcome.append(_outcome(load_graph, path)))
+    assert outcome == [(GraphValidationError,
+                        f"graph is disconnected ({vertex_count - 2} components)")]
+    assert peak < vertex_count  # not one byte per claimed vertex
+    _assert_loads_as_json_does(path)
+
+
+# ---------------------------------------------------------------------------
+# files of several blocks of rows
+
+
+@pytest.fixture(scope="module")
+def two_blocks_and_one_edge():
+    """The file of a weighted path of 2 * _BLOCK_EDGES + 1 edges, each
+    weight a different non-dyadic double, and the offset where its second
+    block of rows starts."""
+    count = 2 * graphs_module._BLOCK_EDGES + 1
+    graph = build_radial_model([1] * (count + 1), 1.0 / (np.arange(count) + 3.0))
+    head, block1, block2, block3, tail = graphs_module._graph_blocks(
+        graph.vertex_count, graph.root, graph.edge_tails, graph.edge_heads,
+        graph.edge_weights)
+    data = b"".join((head, block1, block2, block3, tail))
+    assert data == _save_by_json_dump(graph)
+    return data, len(head) + len(block1)
+
+
+def _first_comma(data, row):
+    return data.index(b", ", row)
+
+
+# (where, offset of the byte from a landmark, new byte): a space made a
+# newline keeps the file JSON; the other edits do not
+_BLOCK_EDITS = {
+    "block-1-last-row-space": ("last-row", 1, b"\n"),
+    "block-1-last-row-digit": ("last-row", -1, b"x"),
+    "block-2-first-row-space": ("first-row", 1, b"\n"),
+    "block-2-first-row-digit": ("first-row", -1, b"x"),
+    "separator-space": ("boundary", -1, b"\n"),
+    "separator-comma": ("boundary", -2, b" "),
+    "tail-space": ("tail", len(b'], "root":'), b"\n"),
+    "tail-brace": ("end", -2, b"]"),
+}
+
+
+@pytest.mark.parametrize("name", [*_BLOCK_EDITS, "cut-at-boundary"])
+def test_block_boundary_edits_are_not_certified(tmp_path, two_blocks_and_one_edge,
+                                                name):
+    data, boundary = two_blocks_and_one_edge
+    assert data[boundary - 2:boundary + 1] == b", ["
+    if name == "cut-at-boundary":
+        edited = data[:boundary]
+    else:
+        where, offset, byte = _BLOCK_EDITS[name]
+        at = offset + {
+            "last-row": _first_comma(data, data.rindex(b"[", 0, boundary)),
+            "first-row": _first_comma(data, boundary),
+            "boundary": boundary,
+            "tail": data.rindex(b'], "root": '),
+            "end": len(data),
+        }[where]
+        edited = data[:at] + byte + data[at + 1:]
+        assert edited != data
+    assert graphs_module._canonical_columns(edited) is None
+    path = tmp_path / "g.json"
+    path.write_bytes(edited)
+    _assert_loads_as_json_does(path)
+
+
+def test_two_blocks_and_one_edge_are_certified(tmp_path, two_blocks_and_one_edge):
+    data, _ = two_blocks_and_one_edge
+    columns = graphs_module._canonical_columns(data)
+    assert columns is not None
+    path = tmp_path / "g.json"
+    path.write_bytes(data)
+    _assert_same_graph(load_graph(path), _load_by_json(path))
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def _graph_nbytes(graph):
+    return sum(array.nbytes for array in (
+        graph.edge_tails, graph.edge_heads, graph.edge_weights,
+        graph.vertex_measure, graph.adjacency.data, graph.adjacency.indices,
+        graph.adjacency.indptr))
+
+
+def test_graph_io_holds_one_block_beyond_the_file_and_the_graph(tmp_path,
+                                                                monkeypatch):
+    graph = build_lattice(3, 16)
+    path = tmp_path / "g.json"
+    widest = max(len(repr(w)) for w in np.unique(graph.edge_weights).tolist())
+    row_width = len(b"[%d, %d, " % ((graph.vertex_count - 1,) * 2)) + widest + 3
+    # one block's row matrix, and its index and parse arrays at no more than
+    # one int64 per byte of it
+    block = graphs_module._BLOCK_EDGES * row_width * (1 + 8)
+
+    at_build = []
+    real = WeightedGraph._from_columns
+
+    def recording(vertex_count, tails, heads, weights, root=0):
+        at_build.append((tracemalloc.get_traced_memory()[0],
+                         tails.nbytes + heads.nbytes + weights.nbytes))
+        return real(vertex_count, tails, heads, weights, root)
+
+    save_peak = _traced_peak(lambda: save_graph(graph, path))
+    size = path.stat().st_size
+    assert path.read_bytes() == _save_by_json_dump(graph)
+    monkeypatch.setattr(WeightedGraph, "_from_columns", recording)
+    loaded = []
+    load_peak = _traced_peak(lambda: loaded.append(load_graph(path)))
+    _assert_same_graph(loaded[0], graph)
+
+    assert save_peak < block
+    assert load_peak < size + _graph_nbytes(loaded[0]) + block
+    # the file's bytes are gone before the graph is built
+    ((traced, columns),) = at_build
+    assert traced < columns + size
