@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -38,9 +39,8 @@ import numpy as np
 from . import criterion as crit
 from .errors import PotentialError
 from .flows import BallAnalysis, PathMeasure, analyze_ball
-from .graphs import (BallProfile, _digits, _every_row, ball_profile,
-                     build_lattice, build_radial_model, build_tree,
-                     load_graph, save_graph)
+from .graphs import (BallProfile, _text_rows, ball_profile, build_lattice,
+                     build_radial_model, build_tree, load_graph, save_graph)
 from .green import (green_normalization_check, parabolicity_probe,
                     sandwich_upper_bound, solve_green)
 from .operators import ExponentParams, save_vertex_function
@@ -53,26 +53,39 @@ REPORT_CSV_COLUMNS = ("R", "g_center", "residual", "capacity_center", "L",
 
 
 def _json_default(obj):
-    """json.dump's hook for the numpy values in a payload: an array as its
-    list, a numpy scalar as the Python float, int or bool.  (np.float64 is
-    a float and never reaches the hook.)  Every payload key is a str."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    """json.dump's hook for a numpy scalar other than np.float64 (a float):
+    the Python float, int or bool.  Every payload key is a str."""
     if isinstance(obj, np.generic):
         return obj.item()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _finite(obj):
+    """The payload with its arrays as lists and every non-finite float as
+    None, JSON null: no finite tail remainder (extra), or no fit (nan
+    fitted_beta, fitted_gamma, fit_error).  Other non-finite values fail."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def _dump_json(path: str, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
+        _print_json(payload, fh)
 
 
-def _print_json(payload) -> None:
-    json.dump(payload, sys.stdout, sort_keys=True, indent=2,
-              default=_json_default)
-    sys.stdout.write("\n")
+def _print_json(payload, fh=None) -> None:
+    """Every JSON output, to fh or stdout: sorted keys, indented, _finite."""
+    fh = sys.stdout if fh is None else fh
+    json.dump(_finite(payload), fh, sort_keys=True, indent=2,
+              default=_json_default, allow_nan=False)
+    fh.write("\n")
 
 
 def _paths_bytes(measure: PathMeasure, R: int, p: float,
@@ -82,10 +95,9 @@ def _paths_bytes(measure: PathMeasure, R: int, p: float,
     "probability": ...}, ...]}, made from the packed arrays.
 
     json writes an int as its repr and a finite float with float.__repr__
-    (p, sigma and every probability are finite).  The vertex rows are laid
-    out in a zero-padded byte matrix whose padding is dropped; each path's
-    header and footer are spliced in at its offsets.  Every path has at
-    least one vertex.
+    (p, sigma and every probability are finite).  The vertex rows come from
+    _text_rows; each path's header and footer are spliced in at the byte
+    offset of its end.  Every path has at least one vertex.
     """
     head = ('{\n  "R": %d,\n  "boundary": %d,\n  "center": %d,\n  "p": %s,\n'
             '  "paths": [' % (R, measure.boundary_id, measure.center,
@@ -93,9 +105,7 @@ def _paths_bytes(measure: PathMeasure, R: int, p: float,
     tail = ('\n  "sigma": %s\n}\n' % float.__repr__(sigma)).encode()
     if len(measure) == 0:
         return head + b"]," + tail
-    count = measure.vertices.size
-    rows = np.hstack((_every_row(b" " * 8, count), _digits(measure.vertices),
-                      _every_row(b",\n", count)))
+    rows = _text_rows(b" " * 8, measure.vertices, b",\n")
     flat = rows[rows != 0].tobytes()
     # byte offsets of the paths' ends in flat, each path's last ",\n" cut off
     ends = np.cumsum(np.count_nonzero(rows, axis=1))[measure.offsets[1:] - 1]
@@ -271,13 +281,13 @@ def _load_profile_csv(path: str) -> np.ndarray:
 def _criterion_payload(W: np.ndarray, profile: BallProfile | None,
                        params: ExponentParams, terms_path: str) -> dict:
     """Volume series of W over every n it holds, so the horizon is
-    len(W) - 1; with a graph's profile, also its cut series."""
+    len(W) - 1; with a graph's profile, also its cut series.  The terms
+    CSV holds csv.writer's bytes for [n, repr(t_n), repr(partial sum)]."""
     series = crit.classify(crit.volume_series_terms(W, params))
-    with open(terms_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "t_n", "partial_sum"])
-        for i, (t, s) in enumerate(zip(series.terms, series.partial_sums)):
-            writer.writerow([i + 1, repr(float(t)), repr(float(s))])
+    rows = _text_rows(np.arange(1, series.horizon + 1), b",", series.terms,
+                      b",", series.partial_sums, b"\n")
+    with open(terms_path, "wb") as fh:
+        fh.write(b"n,t_n,partial_sum\n" + rows[rows != 0].tobytes())
     beta, gamma = series.fitted_exponents
     payload = {
         "p": params.p, "sigma": params.sigma,

@@ -39,7 +39,8 @@ class SeriesReport:
 
     fitted_exponents = (beta, gamma) from the regression
     log t_n ~ log c - beta log n - gamma log log n on the top half of the
-    horizon; fit_error is the RMS regression residual.
+    horizon; fit_error is the RMS regression residual.  All three are nan
+    (JSON null) when that half holds under three terms: there is no fit.
     """
 
     terms: np.ndarray
@@ -94,7 +95,7 @@ class TailEstimate:
     model is "geometric" (log b linear in k) or "power" (log b linear in
     log k), whichever fits the last quarter of the data better; extra is
     the estimated remainder, +inf when the fitted growth is too slow for
-    the tail to converge.
+    the tail to converge (null in JSON: no finite remainder).
     """
 
     model: str

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, VerificationError
-from .graphs import BallProfile, WeightedGraph
+from .graphs import BallProfile, WeightedGraph, _distinct_values
 from .green import GreenFunction, compute_L, solve_green
-from .operators import ExponentParams, _distinct_values
+from .operators import ExponentParams
 
 # residual flow below this fraction of the largest edge flow is treated as
 # floating point dust during path extraction

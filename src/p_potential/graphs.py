@@ -18,6 +18,7 @@ graph file holds the bytes json.dumps writes for the graph.  save_graph
 writes them, and load_graph parses and certifies them, one block of
 _BLOCK_EDGES rows at a time, so neither holds a second byte string of the
 whole file; load_graph drops the file's bytes before it builds the graph.
+Every array file's rows (graph, Green CSV, paths, terms) come from _text_rows.
 """
 
 from __future__ import annotations
@@ -366,13 +367,16 @@ class BallProfile:
     __slots__ = ("radius_of", "eccentricity", "R_max", "W", "b", "M")
 
     def __init__(self, graph: WeightedGraph):
-        dist = csgraph.dijkstra(graph.adjacency, directed=False,
-                                unweighted=True, indices=graph.root)
-        radius_of = dist.astype(np.int64)
+        # symmetric: a search along the rows needs no transposed copy
+        radius_of = csgraph.dijkstra(graph.adjacency, directed=True,
+                                     unweighted=True,
+                                     indices=graph.root).astype(np.int64)
         ecc = int(radius_of.max())
 
-        ru = radius_of[graph.edge_tails]
-        rv = radius_of[graph.edge_heads]
+        # narrowest signed type for every radius and step: edge arrays stay
+        # small beside the adjacency
+        radii = radius_of.astype(np.min_scalar_type(-ecc - 1))
+        ru, rv = radii[graph.edge_tails], radii[graph.edge_heads]
         if np.abs(ru - rv).max() > 1:
             # cannot happen for a hop metric; guards against internal misuse
             raise GraphValidationError("adjacent vertices with radii differing by > 1")
@@ -381,10 +385,11 @@ class BallProfile:
                                      minlength=ecc + 1)
         W = np.cumsum(sphere_measure)
 
-        crossing = ru != rv
-        cut_level = np.minimum(ru, rv)[crossing]
-        b = np.bincount(cut_level, weights=graph.edge_weights[crossing],
-                        minlength=max(ecc, 1))[:ecc]
+        # edges inside a sphere cross no cut: bin ecc, dropped
+        cut_level = np.minimum(ru, rv)
+        cut_level[ru == rv] = ecc
+        b = np.bincount(cut_level, weights=graph.edge_weights,
+                        minlength=ecc + 1)[:ecc]
         M = np.cumsum(b)
 
         self.radius_of = radius_of
@@ -393,10 +398,8 @@ class BallProfile:
         self.W = W
         self.b = b
         self.M = M
-        radius_of.setflags(write=False)
-        W.setflags(write=False)
-        b.setflags(write=False)
-        M.setflags(write=False)
+        for arr in (radius_of, W, b, M):
+            arr.setflags(write=False)
 
     def ball_mask(self, R: int) -> np.ndarray:
         """Boolean mask of the closed ball B_R."""
@@ -532,44 +535,46 @@ _WEIGHT_CHARS = 24
 _BLOCK_EDGES = 16384
 
 
-def _digits(values: np.ndarray) -> np.ndarray:
-    """The decimal digits of nonnegative integers as ASCII bytes, one row
-    per value, right-aligned and padded on the left with zero bytes."""
-    width = len(str(int(values.max())))
-    out = np.zeros((values.size, width), dtype=np.uint8)
-    rest = values
-    for column in range(width - 1, -1, -1):
-        out[:, column] = np.where(rest > 0, rest % 10 + 48, 0)
-        rest = rest // 10
-    out[values == 0, -1] = 48
-    return out
+def _distinct_values(x: np.ndarray) -> tuple:
+    """The distinct float64 bit patterns of x as Python floats, and the
+    index of each entry of x (flattened) into them.  Unlike equality,
+    bit patterns keep 0.0 and -0.0 apart and group every nan.  The
+    writers' repr and flows._pow_each both run once per entry of it."""
+    bits, which = np.unique(np.ascontiguousarray(x, dtype=np.float64)
+                            .reshape(-1).view(np.int64), return_inverse=True)
+    return bits.view(np.float64).tolist(), which.reshape(-1)
 
 
-def _every_row(text: bytes, count: int) -> np.ndarray:
-    """A read-only byte matrix with count rows, each the bytes of text."""
-    return np.broadcast_to(np.frombuffer(text, dtype=np.uint8),
-                           (count, len(text)))
-
-
-def _rows(tails: np.ndarray, heads: np.ndarray, weights: np.ndarray) -> bytes:
-    """The bytes json.dumps writes for the edges [u, v, w], each followed by
-    the ", " between list items, for nonnegative integer endpoints and
-    finite weights.
-
-    json writes an int as its repr and a finite float with float.__repr__.
-    So the endpoints' digits come from integer arithmetic, and each
-    distinct weight is formatted once.  The rows are laid out in a
-    zero-padded byte matrix, and the padding is dropped.
+def _text_rows(*columns) -> np.ndarray:
+    """The zero-padded byte matrix of a table's rows, one per array entry;
+    rows[rows != 0].tobytes() is the text.  A column is a bytes constant,
+    repeated on every row; an integer array, as the digits of its
+    nonnegative entries; or a float array, as the repr of its entries, run
+    once per distinct float64 bit pattern.  Each field is right-aligned
+    and padded on the left with zero bytes.  No constant may hold a NUL
+    byte, and no array may be empty.
     """
-    distinct, which = np.unique(weights, return_inverse=True)
-    texts = np.array([float.__repr__(w) for w in distinct.tolist()], dtype="S")
-    count = tails.size
-    rows = np.hstack((_every_row(b"[", count), _digits(tails),
-                      _every_row(b", ", count), _digits(heads),
-                      _every_row(b", ", count),
-                      texts.view(np.uint8).reshape(distinct.size, -1)[which],
-                      _every_row(b"], ", count)))
-    return rows[rows != 0].tobytes()
+    count = next(column.size for column in columns
+                 if not isinstance(column, bytes))
+    fields = []
+    for column in columns:
+        if isinstance(column, bytes):
+            field = np.broadcast_to(np.frombuffer(column, dtype=np.uint8),
+                                    (count, len(column)))
+        elif column.dtype.kind == "f":
+            distinct, which = _distinct_values(column)
+            texts = np.array([repr(v) for v in distinct], dtype="S")
+            field = texts.view(np.uint8).reshape(len(distinct), -1)[which]
+        else:
+            width = len(str(int(column.max())))
+            field = np.zeros((count, width), dtype=np.uint8)
+            rest = column
+            for place in range(width - 1, -1, -1):
+                field[:, place] = np.where(rest > 0, rest % 10 + 48, 0)
+                rest = rest // 10
+            field[column == 0, -1] = 48
+        fields.append(field)
+    return np.hstack(fields)
 
 
 def _graph_blocks(vertex_count: int, root: int, tails: np.ndarray,
@@ -578,6 +583,7 @@ def _graph_blocks(vertex_count: int, root: int, tails: np.ndarray,
     [[u, v, w], ...]}, sort_keys=True) + "\n" as bytes, in pieces: the
     head, the rows of each block of _BLOCK_EDGES edges, and the tail.
 
+    json writes ints and finite floats as their repr, as _text_rows does.
     Each block's rows are formatted on their own, so no piece and no
     temporary grows with the edge count.
     """
@@ -585,8 +591,10 @@ def _graph_blocks(vertex_count: int, root: int, tails: np.ndarray,
     count = tails.size
     for start in range(0, count, _BLOCK_EDGES):
         stop = start + _BLOCK_EDGES
-        rows = _rows(tails[start:stop], heads[start:stop], weights[start:stop])
-        yield rows if stop < count else rows[:-2]  # no ", " after the last row
+        rows = _text_rows(b"[", tails[start:stop], b", ", heads[start:stop],
+                          b", ", weights[start:stop], b"], ")
+        text = rows[rows != 0].tobytes()
+        yield text if stop < count else text[:-2]  # no ", " after the last row
     yield b'], "root": %d, "vertex_count": %d}\n' % (root, vertex_count)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph, _digits, _every_row
+from .graphs import WeightedGraph, _text_rows
 
 
 @dataclass(frozen=True)
@@ -88,32 +88,12 @@ def as_values(f, graph: WeightedGraph) -> np.ndarray:
     return values
 
 
-def _distinct_values(x: np.ndarray) -> tuple:
-    """The distinct float64 bit patterns of x as Python floats, and the
-    index of each entry of x (flattened) into them.  Unlike equality,
-    bit patterns keep 0.0 and -0.0 apart and group every nan."""
-    bits, which = np.unique(np.ascontiguousarray(x, dtype=np.float64)
-                            .reshape(-1).view(np.int64), return_inverse=True)
-    return bits.view(np.float64).tolist(), which.reshape(-1)
-
-
 def _vertex_function_bytes(values: np.ndarray) -> bytes:
     """The CSV of save_vertex_function for these values, as bytes: the rows
     csv.writer's excel dialect writes for [i, repr(v)] under the header
     vertex,value (CRLF line ends; an int and a float repr never need
-    quoting).
-
-    The ids' digits come from integer arithmetic, and repr runs once per
-    distinct float64 bit pattern, so -0.0, nan and inf keep their own
-    text.  The rows are laid out in a zero-padded byte matrix, and the
-    padding is dropped.
-    """
-    distinct, which = _distinct_values(values)
-    texts = np.array([repr(v) for v in distinct], dtype="S")
-    count = values.size
-    rows = np.hstack((_digits(np.arange(count)), _every_row(b",", count),
-                      texts.view(np.uint8).reshape(len(distinct), -1)[which],
-                      _every_row(b"\r\n", count)))
+    quoting), laid out by _text_rows: -0.0, nan and inf keep their text."""
+    rows = _text_rows(np.arange(values.size), b",", values, b"\r\n")
     return b"vertex,value\r\n" + rows[rows != 0].tobytes()
 
 

@@ -1,11 +1,13 @@
 """The command line: every subcommand, every error path, and determinism."""
 
+import csv
 import importlib
 import io
 import json
 import os
 import struct
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from p_potential import (
 from p_potential import cli
 from p_potential.cli import main
 from p_potential.flows import PathMeasure
+from p_potential.operators import ExponentParams
 
 CHAIN_ROW_KEYS = {"name", "lower", "upper", "margin", "ok"}
 SHARED_BALL_KEYS = {"retained_edges", "path_count", "probability_sum",
@@ -384,6 +387,61 @@ def test_outputs_never_overwrite_an_input_or_each_other(workdir, capsys, argv,
 
 
 # ---------------------------------------------------------------------------
+# non-finite values: JSON null, never Infinity or NaN
+
+
+def _saved(name, make):
+    def prepare():
+        save_graph(make(), name)
+    return prepare
+
+
+NO_FIT = ("fitted_beta", "fitted_gamma", "fit_error")
+
+
+@pytest.mark.parametrize("prepare, argv, out, nulls", [
+    # lattice2d-report: an infinite extrapolated tail in the probe and in
+    # the cut series
+    (_saved("l240.json", lambda: build_lattice(2, 40)),
+     ["report", "--graph", "l240.json", "--p", "3", "--sigma", "4",
+      "--R", "8,16,24", "--out-prefix", "r"], "r.json",
+     [("probe", "tail", "extra"),
+      ("criterion", "cut_series", "tail_extrapolation", "extra")]),
+    (_saved("l212.json", lambda: build_lattice(2, 12)),
+     ["criterion", "--graph", "l212.json", "--p", "3", "--sigma", "4",
+      "--out-prefix", "c"], "c.json",
+     [("cut_series", "tail_extrapolation", "extra")]),
+    # three terms are too few for the regression
+    (_write("W.csv", "n,W\n0,1\n1,5\n2,13\n3,25\n"),
+     ["criterion", "--profile", "W.csv", "--p", "2", "--sigma", "3",
+      "--out-prefix", "c"], "c.json", [(key,) for key in NO_FIT]),
+    (_saved("t3.json", lambda: build_tree(2, 3)),
+     ["report", "--graph", "t3.json", "--p", "2", "--sigma", "3",
+      "--R", "1,2", "--trials", "200", "--out-prefix", "r"], "r.json",
+     [("criterion", key) for key in NO_FIT]),
+], ids=["report-infinite-tail", "criterion-infinite-tail",
+        "criterion-profile-no-fit", "report-no-fit"])
+def test_non_finite_values_are_written_as_null(workdir, capsys, prepare, argv,
+                                               out, nulls):
+    prepare()
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    with open(out, encoding="utf-8") as fh:
+        payload = _strict_json(fh.read())
+    for keys in nulls:
+        value = payload
+        for key in keys:
+            value = value[key]
+        assert value is None, keys
+
+
+def test_a_non_finite_value_the_mapping_misses_fails_the_dump(workdir):
+    # a numpy scalar other than float64 reaches json.dump through the hook
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._dump_json("x.json", {"x": np.float32("inf")})
+
+
+# ---------------------------------------------------------------------------
 # determinism: the same argv writes the same bytes
 
 
@@ -528,6 +586,38 @@ def _packed_paths(draw):
 def test_paths_bytes_are_the_json_dump_of_the_payload(measure, R, p, sigma):
     assert cli._paths_bytes(measure, R, p, sigma) == _paths_by_json_dump(
         measure, R, p, sigma)
+
+
+def _terms_by_csv_writer(terms, partial_sums) -> bytes:
+    """criterion's terms file as the csv.writer loop wrote it (reference)."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "t_n", "partial_sum"])
+    for i, (t, s) in enumerate(zip(terms, partial_sums)):
+        writer.writerow([i + 1, repr(float(t)), repr(float(s))])
+    return buf.getvalue().encode("utf-8")
+
+
+# positive finite doubles by bit pattern, subnormals and the largest
+# doubles among them; partial sums of the largest overflow to inf
+_POSITIVE_DOUBLES = st.one_of(
+    st.integers(1, 0x7FEFFFFFFFFFFFFF).map(_double),
+    st.sampled_from([5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+                     8.98846567431158e307]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(_POSITIVE_DOUBLES, min_size=2, max_size=80))
+def test_terms_csv_is_the_csv_writer_bytes(tmp_path_factory, terms):
+    terms = np.array(terms, dtype=np.float64)
+    path = tmp_path_factory.getbasetemp() / "t.terms.csv"
+    with mock.patch.object(cli.crit, "volume_series_terms",
+                           lambda W, params: terms), \
+            np.errstate(over="ignore"):
+        cli._criterion_payload(np.ones(3), None, ExponentParams(2.0, 3.0),
+                               path)
+        partial_sums = np.cumsum(terms)
+    assert path.read_bytes() == _terms_by_csv_writer(terms, partial_sums)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1031,3 +1031,16 @@ def test_graph_io_holds_one_block_beyond_the_file_and_the_graph(tmp_path,
     # the file's bytes are gone before the graph is built
     ((traced, columns),) = at_build
     assert traced < columns + size
+
+
+def test_ball_profile_makes_no_copy_of_the_adjacency():
+    """The hop distances come from a search along the rows of the symmetric
+    adjacency, with no transposed copy of its data and indices."""
+    graph = build_lattice(3, 16)
+    adjacency = graph.adjacency
+    profiles = []
+    peak = _traced_peak(lambda: profiles.append(ball_profile(graph)))
+    assert peak < adjacency.data.nbytes + adjacency.indices.nbytes
+    undirected = csgraph.dijkstra(adjacency, directed=False, unweighted=True,
+                                  indices=graph.root)
+    assert np.array_equal(profiles[0].radius_of, undirected)
