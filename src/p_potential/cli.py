@@ -521,7 +521,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PotentialError, ValueError, OSError) as exc:
+    except (PotentialError, ValueError, OverflowError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr, sort_keys=True)
         sys.stderr.write("\n")

