@@ -57,6 +57,10 @@ class SeriesReport:
 def _power_quotient(n, g: float, w, e: float):
     """n^g / w^e, or exp(g ln n - e ln w) where a power over- or underflows
     it to a value not finite and nonzero: 0.0 and inf only past the doubles."""
+    # float64 (scalars stay scalars: array powers may round the last bit
+    # differently), so a power past the doubles is inf, not an OverflowError
+    n = np.asarray(n, dtype=np.float64)[()]
+    w = np.asarray(w, dtype=np.float64)[()]
     with np.errstate(over="ignore", invalid="ignore"):
         q = n ** g / w ** e
         return np.where(np.isfinite(q) & (q != 0.0), q,
@@ -232,7 +236,8 @@ def dyadic_blocks(M, params: ExponentParams) -> DyadicReport:
     Ds = np.asarray(Ds)
     blocks = np.asarray(blocks)
     ratio = np.asarray(ratios)
-    c_theory = 2.0 ** pow_
+    with np.errstate(over="ignore"):
+        c_theory = np.float64(2.0) ** pow_  # inf past the doubles
     if np.any(ratio > c_theory * (1.0 + 1e-12)):
         raise VerificationError(
             f"dyadic block bound violated: max ratio {ratio.max():.6g} "
@@ -260,6 +265,9 @@ def midrange_cut_bound(profile: BallProfile, params: ExponentParams,
 
     i.e. the constant is c_m = ((N-m+1)/N)^(1+1/r) in front of
     N^(1+1/r)/M_N^(1/r).  Returns one row per m with the measured ratio.
+    Where a side is not a normal double, ratio is the same quotient with
+    nothing to under- or overflow first:
+    sum_k (M_N/b_k)^(1/r) / (N-m+1)^(1+1/r).
     """
     if N < 4:
         raise ValueError("N must be >= 4")
@@ -267,11 +275,17 @@ def midrange_cut_bound(profile: BallProfile, params: ExponentParams,
         raise ValueError(f"N = {N} exceeds R_max = {profile.R_max}")
     r = params.r
     rows = []
-    M_N = float(profile.M[N])
+    M_N = profile.M[N]
     for m in range(int(np.ceil(N / 2.0)), int(np.floor(3.0 * N / 4.0)) + 1):
-        lhs = float(np.sum(profile.b[m:N + 1] ** (-1.0 / r)))
-        rhs = float((N - m + 1.0) ** (1.0 + 1.0 / r) / M_N ** (1.0 / r))
-        rows.append(MidrangeRow(m=m, lhs=lhs, rhs=rhs, ratio=lhs / rhs))
+        with np.errstate(over="ignore"):
+            lhs = float(np.sum(profile.b[m:N + 1] ** (-1.0 / r)))
+        rhs = float(_power_quotient(N - m + 1.0, 1.0 + 1.0 / r, M_N, 1.0 / r))
+        if min(lhs, rhs) >= _TINY and max(lhs, rhs) < np.inf:
+            ratio = lhs / rhs
+        else:  # a side left the normal doubles
+            ratio = float(np.sum(_power_quotient(
+                M_N / profile.b[m:N + 1], 1.0 / r, N - m + 1.0, 1.0 + 1.0 / r)))
+        rows.append(MidrangeRow(m=m, lhs=lhs, rhs=rhs, ratio=ratio))
     return rows
 
 

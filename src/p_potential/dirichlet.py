@@ -16,18 +16,16 @@ exact phi_p operator.  For p = 2 the smoothed stages are skipped and only
 the exact stage runs.  Each stage takes at most MAX_ITERATIONS steps; the
 one setting a caller may change is the gradient target, SolveOptions.
 
-Factorization rule: every Newton direction is bit for bit the one
-`splu(H).solve(rhs)` gives.  The Hessian's sparsity pattern is fixed for the
-whole solve, so the first factorization (the warm start) runs `splu(H)` and
-keeps its COLAMD column order, postordered.  Every later step factors the
-Hessian with its columns already in that order and
-`permc_spec="NATURAL"`.  SuperLU's threshold pivoting
-prefers the diagonal (Demmel et al., SIAM J. Matrix Anal. Appl. 20(3),
-1999), so when every pivot of that factor is the original diagonal, the
-pivots `splu(H)` would choose are the same and so are the factors.  A factor
-with a pivot off the diagonal (an exact diagonal/off-diagonal tie, as at a
-vertex of degree 1 inside the ball) is discarded, and that step and the
-rest of the solve call `splu(H)`.
+Factorization rule: the Hessian's sparsity pattern is fixed for the whole
+solve, so the first factorization (the warm start) runs `splu(H)` and keeps
+its COLAMD column order, postordered.  Every later step factors H with its
+columns already in that order and `permc_spec="NATURAL"`, and uses that
+factor whatever pivots SuperLU picks.  Its threshold pivoting prefers the diagonal (Demmel et al., SIAM J.
+Matrix Anal. Appl. 20(3), 1999), so when every pivot is the original
+diagonal, the factors and the direction are bit for bit those of
+`splu(H)`.  An exact diagonal/off-diagonal tie, as at a vertex of degree 1
+inside the ball, may pivot off the diagonal; the direction then differs
+from `splu(H)`'s only by rounding.
 """
 
 from __future__ import annotations
@@ -65,8 +63,6 @@ class SolveOptions:
 class StageReport:
     """One smoothing level of the continuation, with the fallbacks it took.
 
-    pivot_fallbacks: factors in the first factorization's column order
-        discarded for a pivot off the diagonal (at most one per solve).
     shift_retries: singular Hessians refactored with a diagonal shift.
     steepest_descent_steps: steps along -grad, the Newton direction being
         non-finite or not a descent direction.
@@ -77,7 +73,6 @@ class StageReport:
     eps: float          # 0.0 marks the exact stage
     iterations: int
     grad_inf: float
-    pivot_fallbacks: int = 0
     shift_retries: int = 0
     steepest_descent_steps: int = 0
     stalled_line_searches: int = 0
@@ -132,27 +127,22 @@ class _Problem:
 
     The Hessian is a reweighted Laplacian of the free vertices, so its
     sparsity pattern is fixed for the whole solve; the constructor works it
-    out once and every Newton step only fills `data`.  The pattern and the
-    order of every sum reproduce, bit for bit, the assembly as one COO
-    matrix (diagonal terms of the edges' tails, then of their heads, then
-    the two off-diagonal blocks) converted with `tocsc()`.  That matters:
-    a last-bit change in g moves which of several exactly tied candidates
-    the path audit reports and which path the decomposition takes, so the
-    written outputs would change.
+    out once and every Newton step only fills `data`.
 
     - Gradient: one `np.bincount` over the tail terms and then the negated
       head terms, the additions `np.add.at` then `np.subtract.at` make, in
       the same order.
     - Hessian: only diagonal slots receive several terms (the graph is
-      simple).  They are summed in the order in which `tocsc()` sums them:
-      COO order after scipy's in-column index sort, which is not stable in
-      columns of more than 16 entries, so the order is read off that sort
-      once, here.  Off-diagonal entries are placed directly.
+      simple).  One `np.bincount` sums them in edge order, tail terms first
+      and then head terms.  That is the order in which `tocsc()` sums the
+      COO assembly (diagonal terms of the tails, then of the heads, then
+      the two off-diagonal blocks) in any column of at most 16 COO entries,
+      where scipy's in-column sort is stable.  Off-diagonal entries are
+      placed directly.
     - Newton directions: see the factorization rule in the module
-      docstring.  The first `splu(H)` fixes `order`; the diagonal and
-      off-diagonal slots are then remapped once into the pattern of
-      `H[:, order]`, and each later step fills that matrix's `data`.
-      Relabelling the slots keeps every sum's order.
+      docstring.  `_pattern` lays out H and, once the first `splu(H)` has
+      fixed the column order, the column-permuted matrix that later steps
+      factor; both are filled from the same terms in the same order.
     """
 
     def __init__(self, graph: WeightedGraph, free_mask: np.ndarray,
@@ -172,47 +162,39 @@ class _Problem:
         self.v_free = self.pv >= 0
         self.source_free = source[self.free_ids]
 
-        # diagonal terms in COO order: (edge, free position) per term
+        # diagonal terms in edge order: (edge, free position) per term
         tail_terms = np.flatnonzero(self.u_free)
         head_terms = np.flatnonzero(self.v_free)
         self._n_tail_terms = tail_terms.size
         self._term_edges = np.concatenate([tail_terms, head_terms])
         self._term_rows = np.concatenate([self.pu[tail_terms], self.pv[head_terms]])
-        self._build_hessian_pattern()
-        self._order = None       # the first factorization's column order
-        self._reordered = None   # H[:, order], while its pivots hold
-        self.pivot_fallbacks = 0
-
-    def _build_hessian_pattern(self):
+        # off-diagonal entries: (pu, pv) of each edge inside, then (pv, pu)
         both = np.flatnonzero(self.u_free & self.v_free)
-        rows = np.concatenate([self._term_rows, self.pu[both], self.pv[both]])
-        cols = np.concatenate([self._term_rows, self.pv[both], self.pu[both]])
-        n, n_terms = self.n_free, self._term_rows.size
-        index_dtype = np.int32 if max(rows.size, n) <= np.iinfo(np.int32).max else np.int64
-        # what tocsc() does to the COO entries: a stable bucket by column,
-        # then scipy's in-column sort; the data carry the COO entry numbers
-        by_col = np.argsort(cols, kind="stable")
-        indptr = np.zeros(n + 1, dtype=index_dtype)
-        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-        sorted_entries = sp.csc_matrix(
-            (by_col.astype(np.float64), rows[by_col].astype(index_dtype), indptr),
-            shape=(n, n))
-        sorted_entries.sort_indices()
-        entry = sorted_entries.data.astype(np.int64)
-        row_of, col_of = rows[entry], cols[entry]
-        first = np.ones(entry.size, dtype=bool)
-        first[1:] = (row_of[1:] != row_of[:-1]) | (col_of[1:] != col_of[:-1])
-        slot = np.cumsum(first) - 1
+        self._off_edges = np.concatenate([both, both])
+        self._indptr, self._indices, self._slots = self._pattern(
+            np.arange(self.n_free))
+        self._perm_c = None      # the first factorization's column order
+        self._permuted = None    # H with column j moved to perm_c[j]
+        self._permuted_slots = None
 
-        self._nnz = int(first.sum())
-        self._indices = row_of[first].astype(index_dtype)
-        self._indptr = np.zeros(n + 1, dtype=index_dtype)
-        np.cumsum(np.bincount(col_of[first], minlength=n), out=self._indptr[1:])
-        is_term = entry < n_terms
-        self._diag_slots = slot[is_term]
-        self._diag_edges = self._term_edges[entry[is_term]]
-        self._off_slots = slot[~is_term]
-        self._off_edges = np.concatenate([both, both])[entry[~is_term] - n_terms]
+    def _pattern(self, perm_c: np.ndarray):
+        """The CSC pattern of the Hessian's entries (the diagonal terms, then
+        both off-diagonal blocks) with column j moved to perm_c[j]: indptr,
+        indices and each entry's data slot."""
+        n = self.n_free
+        both = self._off_edges[:self._off_edges.size // 2]
+        rows = np.concatenate([self._term_rows, self.pu[both], self.pv[both]])
+        cols = perm_c[np.concatenate([self._term_rows, self.pv[both], self.pu[both]])]
+        index_dtype = np.int32 if max(rows.size, n) <= np.iinfo(np.int32).max else np.int64
+        by_slot = np.lexsort((rows, cols))
+        row_of, col_of = rows[by_slot], cols[by_slot]
+        first = np.ones(by_slot.size, dtype=bool)
+        first[1:] = (row_of[1:] != row_of[:-1]) | (col_of[1:] != col_of[:-1])
+        slots = np.empty(by_slot.size, dtype=np.int64)
+        slots[by_slot] = np.cumsum(first) - 1
+        indptr = np.zeros(n + 1, dtype=index_dtype)
+        np.cumsum(np.bincount(col_of[first], minlength=n), out=indptr[1:])
+        return indptr, row_of[first].astype(index_dtype), slots
 
     def objective(self, values: np.ndarray, sm: _Smoothing) -> float:
         drops = values[self.eu] - values[self.ev]
@@ -227,70 +209,45 @@ class _Problem:
         return grad - self.source_free
 
     def _hessian_data(self, values: np.ndarray, sm: _Smoothing,
-                      diag_slots: np.ndarray, off_slots: np.ndarray) -> np.ndarray:
+                      slots: np.ndarray) -> np.ndarray:
         drops = values[self.eu] - values[self.ev]
         coeff = self.ew * sm.second(drops)
-        data = np.bincount(diag_slots, weights=coeff[self._diag_edges],
-                           minlength=self._nnz)
-        data[off_slots] = -coeff[self._off_edges]
+        n_terms = self._term_edges.size
+        data = np.bincount(slots[:n_terms], weights=coeff[self._term_edges],
+                           minlength=self._indices.size)
+        data[slots[n_terms:]] = -coeff[self._off_edges]
         return data
 
     def hessian(self, values: np.ndarray, sm: _Smoothing) -> sp.csc_matrix:
-        data = self._hessian_data(values, sm, self._diag_slots, self._off_slots)
+        data = self._hessian_data(values, sm, self._slots)
         hess = sp.csc_matrix((data, self._indices, self._indptr),
                              shape=(self.n_free, self.n_free))
         hess.has_canonical_format = True
         return hess
 
-    def _reorder(self, perm_c: np.ndarray) -> None:
-        """Fix the column order and the slots of H[:, order]."""
-        order = np.argsort(perm_c)
-        counts = np.diff(self._indptr)[order]
-        indptr = np.zeros_like(self._indptr)
-        np.cumsum(counts, out=indptr[1:])
-        # slot k of the reordered matrix holds slot source[k] of H
-        source = (np.repeat(self._indptr[order] - indptr[:-1], counts)
-                  + np.arange(self._nnz, dtype=self._indptr.dtype))
-        slot_of = np.empty(self._nnz, dtype=np.int64)
-        slot_of[source] = np.arange(self._nnz)
-        self._order = order
-        self._reordered = sp.csc_matrix(
-            (np.zeros(self._nnz), self._indices[source], indptr),
-            shape=(self.n_free, self.n_free))
-        self._reordered.has_canonical_format = True
-        self._reordered_diag = slot_of[self._diag_slots]
-        self._reordered_off = slot_of[self._off_slots]
-
     def newton_direction(self, values: np.ndarray, sm: _Smoothing,
                          rhs: np.ndarray) -> np.ndarray:
-        """Solve H x = rhs for the Hessian H at `values`: bit for bit
-        `splu(H).solve(rhs)`, and RuntimeError where `splu(H)` raises it."""
-        if self._reordered is not None:
-            self._reordered.data = self._hessian_data(
-                values, sm, self._reordered_diag, self._reordered_off)
-            try:
-                lu = spla.splu(self._reordered, permc_spec="NATURAL")
-                diagonal = np.array_equal(lu.perm_r[self._order],
-                                          np.arange(self.n_free))
-            except RuntimeError:
-                diagonal = False
-            if diagonal:
-                step = np.empty_like(rhs)
-                step[self._order] = lu.solve(rhs)
-                return step
-            self._reordered = None
-            self.pivot_fallbacks += 1
-        lu = spla.splu(self.hessian(values, sm))
-        if self._order is None:
-            self._reorder(lu.perm_c)
-        return lu.solve(rhs)
+        """Solve H x = rhs for the Hessian H at `values`; RuntimeError where
+        the factorization finds H singular."""
+        if self._permuted is None:
+            lu = spla.splu(self.hessian(values, sm))
+            # a copy: the view would keep this factor alive for the solve
+            self._perm_c = lu.perm_c.copy()
+            indptr, indices, self._permuted_slots = self._pattern(self._perm_c)
+            self._permuted = sp.csc_matrix(
+                (np.zeros(indices.size), indices, indptr),
+                shape=(self.n_free, self.n_free))
+            self._permuted.has_canonical_format = True
+            return lu.solve(rhs)
+        self._permuted.data = self._hessian_data(values, sm, self._permuted_slots)
+        lu = spla.splu(self._permuted, permc_spec="NATURAL")
+        return lu.solve(rhs)[self._perm_c]
 
 
 def _newton_stage(problem: _Problem, values: np.ndarray, sm: _Smoothing,
                   grad_tol: float) -> StageReport:
     """Damped Newton on one smoothing level; mutates `values` in place."""
     report = StageReport(eps=sm.eps, iterations=0, grad_inf=0.0)
-    fallbacks_before = problem.pivot_fallbacks
     grad = problem.gradient(values, sm)
     grad_inf = float(np.abs(grad).max()) if grad.size else 0.0
     fp_slack = 4.0 * np.finfo(np.float64).eps
@@ -332,7 +289,6 @@ def _newton_stage(problem: _Problem, values: np.ndarray, sm: _Smoothing,
         grad_inf = float(np.abs(grad).max()) if grad.size else 0.0
 
     report.grad_inf = grad_inf
-    report.pivot_fallbacks = problem.pivot_fallbacks - fallbacks_before
     return report
 
 

@@ -402,12 +402,70 @@ def test_volume_series_terms_past_an_overflowing_power(workdir, capsys,
     np.testing.assert_allclose(terms, true, rtol=1e-12, atol=1e-323)
 
 
+def _midrange_rows_by_mpmath(profile, params):
+    """(lhs, rhs, ratio) per midrange row at N = R_max in 40-digit
+    arithmetic, with the exponents the doubles the program forms."""
+    N, r = profile.R_max, params.r
+    inner, outer = mpmath.mpf(1.0 / r), mpmath.mpf(1.0 + 1.0 / r)
+    rows = []
+    with mpmath.workdps(40):
+        M_N = mpmath.mpf(float(profile.M[N]))
+        for m in range(int(np.ceil(N / 2.0)), int(np.floor(3.0 * N / 4.0)) + 1):
+            lhs = sum(mpmath.mpf(b) ** -inner for b in profile.b[m:N + 1].tolist())
+            rhs = mpmath.mpf(N - m + 1) ** outer / M_N ** inner
+            rows.append((lhs, rhs, lhs / rhs))
+    return rows
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("graph, p, sigma", [
+    ("lattice18", 1.001, 2.0), ("path601", 1.01, 2.0), ("path601", 1.01, 30.0)])
+def test_criterion_near_p_one(workdir, capsys, graph, p, sigma):
+    # powers with exponents past 1,000: 2^pow, (N - m + 1)^(1 + 1/r) and
+    # M_N^(1/r) leave the doubles, and each midrange quotient is taken
+    # without them wherever a side does
+    built = build_lattice(1, 8) if graph == "lattice18" else _family_graph(3.0, 6.0)
+    save_graph(built, "g.json")
+    code, _, _ = run(["criterion", "--graph", "g.json", "--p", str(p),
+                      "--sigma", str(sigma), "--out-prefix", "c"], capsys)
+    assert code == 0
+    payload = read_json("c.json")
+    params = ExponentParams(p=p, sigma=sigma)
+    if params.growth_exponent > 1024:
+        assert payload["dyadic"]["c_theory"] is None
+    profile = ball_profile(built)
+    N, r = profile.R_max, params.r
+    # the largest log any power forms: the exp-log route loses about that
+    # many ulps, a sum of k terms k
+    logs = ((1.0 + 1.0 / r) * np.log(N) + np.abs(np.log(profile.b[1:N + 1])).max() / r
+            + abs(np.log(profile.M[N])) / r)
+    rtol = 8.0 * np.finfo(np.float64).eps * (N + logs)
+    rows = payload["midrange"]
+    exact = _midrange_rows_by_mpmath(profile, params)
+    assert len(rows) == len(exact)
+    for row, true in zip(rows, exact):
+        for key, want in zip(("lhs", "rhs", "ratio"), true):
+            got = row[key]
+            if got is None:
+                assert want > np.finfo(np.float64).max, (row, key)
+            else:
+                assert abs(got - float(want)) <= rtol * abs(want) + 1e-323, (row, key)
+    if graph == "lattice18":
+        # the true ratio at m = 4 is 2^1000, up to the rounding of 1/r
+        assert rows[0]["m"] == 4 and rows[0]["rhs"] == 0.0
+        assert rows[0]["ratio"] == pytest.approx(2.0 ** 1000, rel=1e-9)
+
+
 def test_an_overflow_exits_1_with_json_on_stderr(workdir, capsys):
-    # at p = 1.001 the growth exponent is 2001: 2^2001, the dyadic constant,
-    # is past the doubles
-    save_graph(build_lattice(1, 8), "path.json")
-    code, _, err = run(["criterion", "--graph", "path.json", "--p", "1.001",
-                        "--sigma", "2", "--out-prefix", "c"], capsys)
+    # no input reaches a Python float power past the doubles since the
+    # criterion takes its powers in float64 (test_criterion_near_p_one), so
+    # the series is made to raise one
+    def overflowing_terms(W, params):
+        return 2.0 ** 2001
+
+    with mock.patch.object(cli.crit, "volume_series_terms", overflowing_terms):
+        code, _, err = run(["criterion", "--graph", "tree.json", "--p", "2",
+                            "--sigma", "3", "--out-prefix", "c"], capsys)
     assert code == 1
     assert json.loads(err)["error"] == "OverflowError"
 

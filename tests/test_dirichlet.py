@@ -1,5 +1,7 @@
 """Direct checks of the Dirichlet energy minimizer."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -131,6 +133,24 @@ def _hessian_by_coo(problem, values, sm):
         shape=(problem.n_free, problem.n_free)).tocsc()
 
 
+def _hessian_by_add_at(problem, values, sm):
+    """The Hessian with its diagonal summed by np.add.at in edge order, tail
+    terms first and then head terms (reference)."""
+    drops = values[problem.eu] - values[problem.ev]
+    coeff = problem.ew * sm.second(drops)
+    uf, vf = problem.u_free, problem.v_free
+    both = uf & vf
+    diag = np.zeros(problem.n_free)
+    np.add.at(diag, problem.pu[uf], coeff[uf])
+    np.add.at(diag, problem.pv[vf], coeff[vf])
+    ids = np.arange(problem.n_free)
+    rows = np.concatenate([ids, problem.pu[both], problem.pv[both]])
+    cols = np.concatenate([ids, problem.pv[both], problem.pu[both]])
+    vals = np.concatenate([diag, -coeff[both], -coeff[both]])
+    return sp.coo_matrix((vals, (rows, cols)),
+                         shape=(problem.n_free, problem.n_free)).tocsc()
+
+
 def _gradient_by_add_at(problem, values, sm):
     """The gradient scattered with np.add.at / np.subtract.at (reference)."""
     drops = values[problem.eu] - values[problem.ev]
@@ -142,7 +162,9 @@ def _gradient_by_add_at(problem, values, sm):
 
 
 # (graph, R); the radial models give the root 12 and 40 children, so its
-# Hessian column holds more than 16 COO entries
+# Hessian column holds 24 and 80 COO entries, past the 16 up to which
+# tocsc()'s in-column sort is stable and sums them in COO order
+EDGE_ORDER_ONLY = ("radial", "radial-fan")
 ASSEMBLY_BALLS = {
     "lattice1": (lambda: build_lattice(1, 8), 6),
     "lattice2": (lambda: build_lattice(2, 6), 4),
@@ -178,11 +200,22 @@ def _assembly_iterates(name, p):
 @pytest.mark.parametrize("name", list(ASSEMBLY_BALLS))
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_assembly_is_bitwise_the_coo_assembly(name, p):
+    # bitwise the COO assembly wherever tocsc() sums in edge order, and the
+    # edge-order sums everywhere
     for problem, values in _assembly_iterates(name, p):
         for eps in (1e-2, 1e-6, 1e-10, 0.0):
             sm = _Smoothing(p, eps)
-            ref = _hessian_by_coo(problem, values, sm)
+            coo = _hessian_by_coo(problem, values, sm)
             hess = problem.hessian(values, sm)
+            if name in EDGE_ORDER_ONLY:
+                ref = _hessian_by_add_at(problem, values, sm)
+                # two orders of a sum of k positive terms: (k - 1) eps apart
+                k = np.bincount(problem._term_rows).max()
+                np.testing.assert_allclose(hess.toarray(), coo.toarray(),
+                                           rtol=(k - 1) * np.finfo(np.float64).eps,
+                                           atol=0.0)
+            else:
+                ref = coo
             assert hess.format == "csc" and hess.shape == ref.shape
             for attr in ("indptr", "indices", "data"):
                 got, want = getattr(hess, attr), getattr(ref, attr)
@@ -209,16 +242,30 @@ def _pendant_lattice():
 DIRECTION_BALLS = {**ASSEMBLY_BALLS, "pendant": (_pendant_lattice, 3)}
 
 
-@pytest.mark.parametrize("name", list(DIRECTION_BALLS))
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_newton_direction_is_bitwise_splu(name, p):
+def _direction_problem(name):
+    """(graph, ball, _Problem) for the Green solve on DIRECTION_BALLS[name]."""
     make, R = DIRECTION_BALLS[name]
     graph = make()
     ball = ball_profile(graph).ball_mask(R)
     n = graph.vertex_count
     source = np.zeros(n)
     source[graph.root] = 1.0
-    problem = _Problem(graph, ball, source)
+    return graph, ball, _Problem(graph, ball, source)
+
+
+@pytest.mark.parametrize("name", list(DIRECTION_BALLS))
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_newton_direction_is_bitwise_splu(name, p, monkeypatch):
+    graph, ball, problem = _direction_problem(name)
+    n = graph.vertex_count
+    splu = spla.splu
+    factored = []
+
+    def recording_splu(matrix, permc_spec="COLAMD"):
+        factored.append((matrix, permc_spec))
+        return splu(matrix, permc_spec=permc_spec)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
     rng = np.random.default_rng(11)
     iterates = [np.zeros(n)] + [np.where(ball, rng.uniform(0.0, 1.0, n), 0.0)
                                 for _ in range(4)]
@@ -227,15 +274,74 @@ def test_newton_direction_is_bitwise_splu(name, p):
     for values in iterates:
         for sm in smoothings:
             rhs = -problem.gradient(values, sm)
-            want = spla.splu(problem.hessian(values, sm)).solve(rhs)
+            hess = problem.hessian(values, sm)
+            want = splu(hess).solve(rhs)
             got = problem.newton_direction(values, sm, rhs)
             assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-    if name == "pendant":
-        # exact ties between a pendant's diagonal and its one off-diagonal
-        assert problem.pivot_fallbacks == 1 and problem._reordered is None
-    else:
-        assert problem.pivot_fallbacks == 0 and problem._reordered is not None
+            if name == "pendant":
+                # exact ties between a pendant's diagonal and its one
+                # off-diagonal may pivot off the diagonal: two backward
+                # stable solves, apart by rounding times the condition
+                bound = (problem.n_free * np.finfo(np.float64).eps
+                         * np.linalg.cond(hess.toarray()))
+                assert (np.linalg.norm(got - want)
+                        <= bound * np.linalg.norm(want))
+            else:
+                assert got.tobytes() == want.tobytes()
+    # every step after the first factored the permuted matrix
+    assert factored[0][1] == "COLAMD"
+    assert all(matrix is problem._permuted and spec == "NATURAL"
+               for matrix, spec in factored[1:])
+    assert len(factored) == len(iterates) * len(smoothings)
+
+
+def test_no_factor_outlives_its_newton_step(monkeypatch):
+    # A SuperLU object takes no weak reference, so count references: a
+    # factor that nothing but `factors` holds has the count of a fresh one
+    # held the same way.  A stored `lu.perm_c` would hold its factor, since
+    # the view's base is the SuperLU object.
+    splu = spla.splu
+    factors = []
+
+    def recording_splu(matrix, permc_spec="COLAMD"):
+        factors.append(splu(matrix, permc_spec=permc_spec))
+        return factors[-1]
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    fresh = [splu(sp.identity(2, format="csc"))]
+    superlu = type(fresh[0])
+
+    def held_elsewhere():
+        return [k for k in range(len(factors))
+                if sys.getrefcount(factors[k]) != sys.getrefcount(fresh[0])]
+
+    def bases(value):
+        arrays = [value]
+        if sp.issparse(value):
+            arrays = [value.data, value.indices, value.indptr]
+        for array in arrays:
+            while isinstance(array, np.ndarray):
+                array = array.base
+                yield array
+
+    graph, ball, problem = _direction_problem("pendant")
+    rng = np.random.default_rng(5)
+    for p in (2.0, 1.5, 3.0):
+        values = np.where(ball, rng.uniform(0.0, 1.0, graph.vertex_count), 0.0)
+        sm = _Smoothing(p, 1e-6)
+        problem.newton_direction(values, sm, -problem.gradient(values, sm))
+        assert held_elsewhere() == []
+        assert not any(isinstance(base, superlu) for value in vars(problem).values()
+                       for base in bases(value))
+    assert len(factors) == 3
+
+    factors.clear()
+    source = np.zeros(graph.vertex_count)
+    source[graph.root] = 1.0
+    _, report = minimize_p_dirichlet(graph, ball, np.zeros(graph.vertex_count),
+                                     source, 1.5)
+    assert len(factors) == report.total_iterations + 1
+    assert held_elsewhere() == []
 
 
 def test_fallback_counts():
@@ -246,8 +352,8 @@ def test_fallback_counts():
     _, report = minimize_p_dirichlet(graph, ball, np.zeros(graph.vertex_count),
                                      source, 1.5)
     assert not report.warm_start_failed
-    assert all((st.pivot_fallbacks, st.shift_retries, st.steepest_descent_steps,
-                st.stalled_line_searches) == (0, 0, 0, 0) for st in report.stages)
+    assert all((st.shift_retries, st.steepest_descent_steps,
+                st.stalled_line_searches) == (0, 0, 0) for st in report.stages)
 
     graph = _pendant_lattice()
     ball = ball_profile(graph).ball_mask(3)
@@ -255,7 +361,6 @@ def test_fallback_counts():
     source[graph.root] = 1.0
     _, report = minimize_p_dirichlet(graph, ball, np.zeros(graph.vertex_count),
                                      source, 1.5)
-    assert sum(st.pivot_fallbacks for st in report.stages) == 1
     assert report.grad_inf <= 1e-9
 
     # nothing held fixed: the Hessians are Laplacians, singular, so the
