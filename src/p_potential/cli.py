@@ -386,6 +386,7 @@ def _cmd_report(args) -> int:
         else:
             shoot_info = {"success": False,
                           "break_radius": attempt.break_radius,
+                          "reason": attempt.reason,
                           "tried_u0": list(SHOOT_STARTS)}
 
     ladder = []

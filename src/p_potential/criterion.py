@@ -57,10 +57,8 @@ class SeriesReport:
 def _power_quotient(n, g: float, w, e: float):
     """n^g / w^e, or exp(g ln n - e ln w) where a power over- or underflows
     it to a value not finite and nonzero: 0.0 and inf only past the doubles."""
-    # float64 (scalars stay scalars: array powers may round the last bit
-    # differently), so a power past the doubles is inf, not an OverflowError
-    n = np.asarray(n, dtype=np.float64)[()]
-    w = np.asarray(w, dtype=np.float64)[()]
+    n = np.asarray(n, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         q = n ** g / w ** e
         return np.where(np.isfinite(q) & (q != 0.0), q,
@@ -85,13 +83,22 @@ def volume_series_terms(W, params: ExponentParams) -> np.ndarray:
                            params.eta / params.r)
 
 
+def _cut_tails(b: np.ndarray, r: float, lo: int, hi: int) -> np.ndarray:
+    """sum_{k=n}^{hi} b_k^(-1/r) for n = lo..hi, from one reversed cumsum;
+    +inf through a zero b_k or past the largest double."""
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = b[lo:hi + 1] ** (-1.0 / r)
+        return np.cumsum(inv[::-1])[::-1]
+
+
 def cut_series_terms(b, params: ExponentParams, R: int) -> np.ndarray:
     """s_n = n^r * (sum_{k=n}^R b_k^(-1/r))^eta for n = 1..R.
 
     b is indexed by cut level k (b[k] separates B_k from its complement).
-    A zero b_k makes every inner sum through level k infinite; the
-    corresponding s_n are returned as +inf rather than raising, since an
-    infinite term just witnesses divergence.
+    An s_n reads +inf in two cases, returned rather than raised: a zero
+    b_k at a level k >= n makes its inner sum infinite, which witnesses
+    divergence; or a finite term lies past the largest double, which does
+    not.  The result does not tell the two apart.
     """
     b = np.asarray(b, dtype=np.float64)
     if R < 1:
@@ -100,11 +107,9 @@ def cut_series_terms(b, params: ExponentParams, R: int) -> np.ndarray:
         raise ValueError(f"need cut conductances through level {R}, got {b.size}")
     if np.any(b[1:R + 1] < 0.0) or not np.all(np.isfinite(b[1:R + 1])):
         raise ValueError("cut conductances must be nonnegative and finite")
-    with np.errstate(divide="ignore"):
-        inv = b[1:R + 1] ** (-1.0 / params.r)
-    tails = np.cumsum(inv[::-1])[::-1]  # tails[i] = sum_{k=n}^R, n = i+1
     n = np.arange(1, R + 1, dtype=np.float64)
-    return n ** params.r * tails ** params.eta
+    with np.errstate(over="ignore"):
+        return n ** params.r * _cut_tails(b, params.r, 1, R) ** params.eta
 
 
 @dataclass(frozen=True)
@@ -212,37 +217,24 @@ def dyadic_blocks(M, params: ExponentParams) -> DyadicReport:
 
     pow_ = params.growth_exponent
     exp_m = params.eta / params.r
-    n_max = M.size - 1
-    t = volume_series_terms(M, params)
-
-    Ns, Ds, blocks, ratios = [], [], [], []
-    N = 1
-    while 2 * N - 1 <= n_max:
-        # scalar powers, as D_N always took them: array powers may round
-        # the last bit differently
-        D = float(_power_quotient(np.float64(N), pow_ + 1.0, M[N], exp_m))
-        block = float(np.sum(t[N - 1:2 * N - 1]))
-        if min(D, block) >= _TINY and max(D, block) < np.inf:
-            ratio = block / D
-        else:  # a side left the normal doubles: scale n by N, M_n by M_N
-            ratio = float(np.sum(_power_quotient(
-                np.arange(N, 2 * N) / N, pow_, M[N:2 * N] / M[N], exp_m))) / N
-        Ns.append(N)
-        Ds.append(D)
-        blocks.append(block)
-        ratios.append(ratio)
-        N *= 2
-    Ns = np.asarray(Ns, dtype=np.int64)
-    Ds = np.asarray(Ds)
-    blocks = np.asarray(blocks)
-    ratio = np.asarray(ratios)
+    N = 2 ** np.arange((M.size // 2).bit_length(), dtype=np.int64)
+    D = _power_quotient(N, pow_ + 1.0, M[N], exp_m)
+    # the blocks [N, 2N) tile n = 1..2 N_last - 1
+    n = np.arange(1, 2 * N[-1])
+    N_of = np.repeat(N, N)
+    block = np.add.reduceat(volume_series_terms(M, params)[:n.size], N - 1)
+    scaled = np.add.reduceat(_power_quotient(
+        n / N_of, pow_, M[n] / M[N_of], exp_m), N - 1) / N
+    normal = (np.minimum(D, block) >= _TINY) & (np.maximum(D, block) < np.inf)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.where(normal, block / D, scaled)
     with np.errstate(over="ignore"):
         c_theory = np.float64(2.0) ** pow_  # inf past the doubles
     if np.any(ratio > c_theory * (1.0 + 1e-12)):
         raise VerificationError(
             f"dyadic block bound violated: max ratio {ratio.max():.6g} "
             f"exceeds 2^pow = {c_theory:.6g}")
-    return DyadicReport(N=Ns, D=Ds, block_sum=blocks, ratio=ratio,
+    return DyadicReport(N=N, D=D, block_sum=block, ratio=ratio,
                         c_theory=c_theory)
 
 
@@ -274,18 +266,19 @@ def midrange_cut_bound(profile: BallProfile, params: ExponentParams,
     if N > profile.R_max:
         raise ValueError(f"N = {N} exceeds R_max = {profile.R_max}")
     r = params.r
-    rows = []
+    m = np.arange(int(np.ceil(N / 2.0)), int(np.floor(3.0 * N / 4.0)) + 1)
     M_N = profile.M[N]
-    for m in range(int(np.ceil(N / 2.0)), int(np.floor(3.0 * N / 4.0)) + 1):
-        with np.errstate(over="ignore"):
-            lhs = float(np.sum(profile.b[m:N + 1] ** (-1.0 / r)))
-        rhs = float(_power_quotient(N - m + 1.0, 1.0 + 1.0 / r, M_N, 1.0 / r))
-        if min(lhs, rhs) >= _TINY and max(lhs, rhs) < np.inf:
-            ratio = lhs / rhs
+    lhs = _cut_tails(profile.b, r, int(m[0]), N)[:m.size]
+    rhs = _power_quotient(N - m + 1.0, 1.0 + 1.0 / r, M_N, 1.0 / r)
+    rows = []
+    for m_i, lhs_i, rhs_i in zip(m.tolist(), lhs.tolist(), rhs.tolist()):
+        if min(lhs_i, rhs_i) >= _TINY and max(lhs_i, rhs_i) < np.inf:
+            ratio = lhs_i / rhs_i
         else:  # a side left the normal doubles
             ratio = float(np.sum(_power_quotient(
-                M_N / profile.b[m:N + 1], 1.0 / r, N - m + 1.0, 1.0 + 1.0 / r)))
-        rows.append(MidrangeRow(m=m, lhs=lhs, rhs=rhs, ratio=ratio))
+                M_N / profile.b[m_i:N + 1], 1.0 / r, N - m_i + 1.0,
+                1.0 + 1.0 / r)))
+        rows.append(MidrangeRow(m=m_i, lhs=lhs_i, rhs=rhs_i, ratio=ratio))
     return rows
 
 

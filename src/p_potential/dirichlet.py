@@ -20,12 +20,12 @@ Factorization rule: the Hessian's sparsity pattern is fixed for the whole
 solve, so the first factorization (the warm start) runs `splu(H)` and keeps
 its COLAMD column order, postordered.  Every later step factors H with its
 columns already in that order and `permc_spec="NATURAL"`, and uses that
-factor whatever pivots SuperLU picks.  Its threshold pivoting prefers the diagonal (Demmel et al., SIAM J.
-Matrix Anal. Appl. 20(3), 1999), so when every pivot is the original
-diagonal, the factors and the direction are bit for bit those of
-`splu(H)`.  An exact diagonal/off-diagonal tie, as at a vertex of degree 1
-inside the ball, may pivot off the diagonal; the direction then differs
-from `splu(H)`'s only by rounding.
+factor whatever pivots SuperLU picks.  Its threshold pivoting prefers the
+diagonal (Demmel et al., SIAM J. Matrix Anal. Appl. 20(3), 1999), so when
+every pivot is the original diagonal, the factors and the direction are
+bit for bit those of `splu(H)`.  An exact diagonal/off-diagonal tie, as
+at a vertex of degree 1 inside the ball, may pivot off the diagonal; the
+direction then differs from `splu(H)`'s only by rounding.
 """
 
 from __future__ import annotations

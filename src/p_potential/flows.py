@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .criterion import _cut_tails
 from .errors import ConsistencyError, VerificationError
 from .graphs import BallProfile, WeightedGraph, _distinct_values
 from .green import GreenFunction, compute_L, solve_green
@@ -173,10 +174,9 @@ def flow_checks(graph: WeightedGraph, profile: BallProfile,
                         rad[np.minimum(flow.heads, boundary - 1)])
 
     R = flow.R
-    cut_margin = np.empty(R + 1)
-    for k in range(R + 1):
-        crossing = (tail_rad == k) & (head_rad == k + 1)
-        cut_margin[k] = profile.b[k] - flow.conductance[crossing].sum()
+    crossing = head_rad == tail_rad + 1
+    cut_margin = profile.b[:R + 1] - np.bincount(
+        tail_rad[crossing], weights=flow.conductance[crossing], minlength=R + 1)
 
     boundary_tails_at_rim = bool(np.all(tail_rad[flow.heads == boundary] == R))
     return {
@@ -557,7 +557,7 @@ def analyze_ball(graph: WeightedGraph, profile: BallProfile, R: int,
     chain = empirical_lower_bound(graph, profile, green, flow, measure, params)
     deviation = np.abs(edge_marginals(flow, measure) - flow.theta).max()
     nash_williams = _witness("Nash-Williams cut sum <= g_R(o)",
-                             np.sum(profile.b[:R + 1] ** (-1.0 / params.r)),
+                             _cut_tails(profile.b, params.r, 0, R)[0],
                              green.values[graph.root])
     if not nash_williams.ok:
         raise VerificationError(

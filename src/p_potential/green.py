@@ -194,8 +194,6 @@ def sandwich_upper_bound(graph: WeightedGraph, profile: BallProfile,
     return (params.sigma / params.eta) * ratio ** params.eta
 
 
-
-
 # ---------------------------------------------------------------------------
 # parabolicity probe
 

@@ -11,7 +11,6 @@ the sandwich lower <= L_R <= upper.  No margin at all reads as None.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,12 +160,13 @@ def positivity_propagation(graph: WeightedGraph, u, p: float,
 class ShootReport:
     """Outcome of radial equality shooting for -lap_p u = u^sigma.
 
-    Failure (positivity breaking at some radius) is a normal outcome, not
-    an exception.  On success, `values` (a read-only float64 array, one
-    value per vertex) is a verified supersolution on the interior ball
-    B_{interior_radius}; equality at the outermost sphere is impossible (no
-    outward edges), which is why the interior stops one short of the
-    eccentricity.
+    Failure is a normal outcome, not an exception: positivity breaks at
+    `break_radius`, or the drop into that sphere lies below an ulp of u,
+    so no double can make equality hold there; `reason` says which.  On
+    success, `values` (a read-only float64 array, one value per vertex) is
+    a verified supersolution on the interior ball B_{interior_radius};
+    equality at the outermost sphere is impossible (no outward edges),
+    which is why the interior stops one short of the eccentricity.
     """
 
     success: bool
@@ -175,6 +175,7 @@ class ShootReport:
     break_radius: int | None
     interior_radius: int
     worst_defect: float | None
+    reason: str | None = None
 
 
 def _radial_layer_weights(graph: WeightedGraph, profile: BallProfile):
@@ -258,11 +259,17 @@ def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
         drop = phi_drop ** (1.0 / (p - 1.0))
         U[k + 1] = U[k] - drop
         if U[k + 1] <= 0.0:
-            return ShootReport(success=False, values=None,
-                               radial_values=U[:k + 2].copy(),
-                               break_radius=k + 1,
-                               interior_radius=interior_radius,
-                               worst_defect=None)
+            reason = f"positivity breaks at radius {k + 1}"
+        elif U[k + 1] == U[k]:  # a nonzero drop lost to rounding
+            reason = (f"drop {drop:.3e} into radius {k + 1} is below an "
+                      f"ulp of u = {U[k]:.3e}")
+        else:
+            continue
+        return ShootReport(success=False, values=None,
+                           radial_values=U[:k + 2].copy(),
+                           break_radius=k + 1,
+                           interior_radius=interior_radius,
+                           worst_defect=None, reason=reason)
 
     values = as_values(U[profile.radius_of], graph)
     values.setflags(write=False)
@@ -450,10 +457,7 @@ def _hardy_sides(block: np.ndarray, r: np.ndarray):
     lhs = (block ** -r_rows).sum(axis=1)
     j = np.arange(1, block.shape[1] + 1, dtype=np.float64)
     sums = ((j / np.cumsum(block, axis=1)) ** r_rows).sum(axis=1)
-    # a scalar pow per row keeps the suite's figures: an array pow may
-    # round differently
-    factor = [math.pow(2.0, -(x + 1.0)) for x in r.tolist()]
-    return lhs, np.asarray(factor) * sums
+    return lhs, 2.0 ** -(r + 1.0) * sums
 
 
 def positivity_suite() -> SuiteReport:

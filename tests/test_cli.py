@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from p_potential import (
     ball_profile,
     build_lattice,
+    build_radial_model,
     build_tree,
     load_graph,
     save_graph,
@@ -304,8 +305,28 @@ def test_report_when_the_shot_breaks_positivity(workdir, capsys):
     assert code == 0
     payload = read_json("r.json")
     assert payload["shoot"] == {"success": False, "break_radius": 132,
+                                "reason": "positivity breaks at radius 132",
                                 "tried_u0": [0.1, 0.05, 0.01]}
     assert [row["upper_bound"] for row in payload["ladder"]] == [None] * 3
+
+
+def test_report_records_a_shot_whose_drop_is_below_an_ulp(workdir, capsys):
+    # at p = 1.1 the first radial drop from u0 is (u0^2)^10, below ulp(u0)
+    # for every start: each shot fails at radius 1 and the next
+    # start is tried, so the report runs on without an upper bound
+    save_graph(build_lattice(1, 8), "lattice18.json")
+    code, out, _ = run(["report", "--graph", "lattice18.json", "--p", "1.1",
+                        "--sigma", "2", "--R", "2,3", "--trials", "50",
+                        "--out-prefix", "r"], capsys)
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+    payload = read_json("r.json")
+    assert payload["shoot"] == {
+        "success": False, "break_radius": 1,
+        "reason": "drop 1.000e-40 into radius 1 is below an ulp of "
+                  "u = 1.000e-02",
+        "tried_u0": [0.1, 0.05, 0.01]}
+    assert [row["upper_bound"] for row in payload["ladder"]] == [None, None]
 
 
 def test_flow_at_radius_zero(workdir, capsys):
@@ -454,6 +475,31 @@ def test_criterion_near_p_one(workdir, capsys, graph, p, sigma):
         # the true ratio at m = 4 is 2^1000, up to the rounding of 1/r
         assert rows[0]["m"] == 4 and rows[0]["rhs"] == 0.0
         assert rows[0]["ratio"] == pytest.approx(2.0 ** 1000, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+def test_criterion_cut_series_past_the_doubles(workdir, capsys):
+    # every b_k is positive, yet s_1..s_3 lie past the largest double
+    # (about 1e469) and s_4 below the smallest (about 1e-1325): the terms
+    # read null and 0.0 without an overflow warning
+    graph = build_radial_model([1, 3, 9, 27, 27, 27], [1.0, 0.5, 2.0, 1e-3, 1e3])
+    save_graph(graph, "radial.json")
+    code, _, _ = run(["criterion", "--graph", "radial.json", "--p", "1.1",
+                      "--sigma", "30", "--out-prefix", "c"], capsys)
+    assert code == 0
+    cut = read_json("c.json")["cut_series"]
+    assert cut["terms"] == [None, None, None, 0.0]
+    assert cut["has_infinite_terms"] is True
+    b, R = ball_profile(graph).b, cut["R"]
+    params = ExponentParams(p=1.1, sigma=30.0)
+    r, eta = mpmath.mpf(params.r), mpmath.mpf(params.eta)
+    with mpmath.workdps(40):
+        exact = [mpmath.mpf(n) ** r * sum(mpmath.mpf(x) ** (-1 / r)
+                                          for x in b[n:R + 1].tolist()) ** eta
+                 for n in range(1, R + 1)]
+        assert all(x > np.finfo(np.float64).max for x in exact[:3])
+        assert exact[3] < mpmath.mpf(
+            float(np.finfo(np.float64).smallest_subnormal)) / 2
 
 
 def test_an_overflow_exits_1_with_json_on_stderr(workdir, capsys):

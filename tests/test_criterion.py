@@ -22,6 +22,8 @@ from p_potential import (
     volume_series_terms,
 )
 
+from _rounding import gamma as _gamma
+
 P23 = ExponentParams(p=2, sigma=3)
 
 
@@ -138,6 +140,64 @@ def test_dyadic_blocks_bound_holds_on_random_profiles():
         assert np.all(report.ratio <= report.c_theory * (1.0 + 1e-12))
 
 
+def _scalar_quotient(n, g, w, e):
+    """criterion._power_quotient on NumPy scalars: n^g / w^e, or its
+    exp-log form where a power leaves the doubles."""
+    n, w = np.float64(n), np.float64(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = n ** g / w ** e
+        if np.isfinite(q) and q != 0.0:
+            return q
+        return np.exp(g * np.log(n) - e * np.log(w))
+
+
+def _dyadic_blocks_loop(M, params):
+    """The per-N loop dyadic_blocks replaced: (N, D, block_sum, ratio)
+    with D_N a scalar power and each block an np.sum."""
+    pow_, exp_m = params.growth_exponent, params.eta / params.r
+    t = volume_series_terms(M, params)
+    rows = []
+    N = 1
+    while 2 * N - 1 <= M.size - 1:
+        D = float(_scalar_quotient(N, pow_ + 1.0, M[N], exp_m))
+        block = float(np.sum(t[N - 1:2 * N - 1]))
+        if min(D, block) >= np.finfo(np.float64).tiny and max(D, block) < np.inf:
+            ratio = block / D
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                q = (np.arange(N, 2 * N) / N) ** pow_ / (M[N:2 * N] / M[N]) ** exp_m
+                q = np.where(np.isfinite(q) & (q != 0.0), q, np.exp(
+                    pow_ * np.log(np.arange(N, 2 * N) / N)
+                    - exp_m * np.log(M[N:2 * N] / M[N])))
+            ratio = float(np.sum(q)) / N
+        rows.append((N, D, block, ratio))
+        N *= 2
+    return [np.array(col) for col in zip(*rows)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("M, p, sigma", [
+    (np.maximum(2.0 * np.arange(70.0), 1.0), 2.0, 3.0),
+    (np.concatenate([[1.0], 0.5 + np.cumsum(
+        np.random.default_rng(3).uniform(0.0, 3.0, size=200))]), 2.7, 4.1),
+    (np.maximum(1e12 * np.arange(300.0) ** 2, 1.0), 1.1, 10.0),
+    (ball_profile(build_lattice(1, 8)).M, 1.001, 2.0),
+], ids=["linear", "random", "underflow", "lattice18-p1.001"])
+def test_dyadic_blocks_equal_the_per_n_loop(M, p, sigma):
+    # the block sums are the loop's terms added in another order, D_N
+    # two powers and a quotient, the ratio both (the scaled fallback adds
+    # the loop's terms too), so each field is within rounding of the loop
+    params = ExponentParams(p=p, sigma=sigma)
+    report = dyadic_blocks(M, params)
+    N, D, block, ratio = _dyadic_blocks_loop(M, params)
+    assert report.N.tolist() == N.tolist()
+    for got, want, ops in ((report.block_sum, block, N),
+                           (report.D, D, 5),
+                           (report.ratio, ratio, N + 6)):
+        bound = 2.0 * _gamma(ops) * np.maximum(np.abs(got), np.abs(want))
+        assert np.all((got == want) | (np.abs(got - want) <= bound)), (got, want)
+
+
 @pytest.mark.filterwarnings("error")
 def test_dyadic_ratio_where_both_sides_underflow():
     # M_N^99 overflows for every N, so D_N and every block sum read 0.0
@@ -200,6 +260,48 @@ def test_midrange_weakest_case_single_level():
         lhs = prof.b[N] ** (-1.0 / params.r)
         rhs = prof.M[N] ** (-1.0 / params.r)
         assert lhs >= rhs
+
+
+def _midrange_loop(profile, params, N):
+    """The per-m loop midrange_cut_bound replaced: (m, lhs, rhs, ratio)
+    with each lhs an np.sum and each rhs a scalar power quotient."""
+    r, M_N = params.r, profile.M[N]
+    rows = []
+    for m in range(int(np.ceil(N / 2.0)), int(np.floor(3.0 * N / 4.0)) + 1):
+        with np.errstate(over="ignore"):
+            lhs = float(np.sum(profile.b[m:N + 1] ** (-1.0 / r)))
+        rhs = float(_scalar_quotient(N - m + 1.0, 1.0 + 1.0 / r, M_N, 1.0 / r))
+        if min(lhs, rhs) >= np.finfo(np.float64).tiny and max(lhs, rhs) < np.inf:
+            ratio = lhs / rhs
+        else:
+            ratio = float(np.sum([
+                _scalar_quotient(M_N / b, 1.0 / r, N - m + 1.0, 1.0 + 1.0 / r)
+                for b in profile.b[m:N + 1]]))
+        rows.append((m, lhs, rhs, ratio))
+    return rows
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("graph, N, p, sigma", [
+    (build_lattice(1, 10), 8, 2.0, 3.0),
+    (build_tree(2, 7), 5, 3.0, 4.0),
+    (build_lattice(2, 8), 6, 1.5, 3.0),
+    (build_lattice(3, 6), 5, 2.5, 4.0),
+    (build_lattice(1, 8), 7, 1.001, 2.0),
+], ids=["line", "tree", "square", "cube", "lattice18-p1.001"])
+def test_midrange_sides_equal_the_per_m_loop(graph, N, p, sigma):
+    # lhs adds the loop's N - m + 1 terms in another order; rhs is two
+    # powers and a quotient; the ratio is their quotient, or a sum of
+    # N - m + 1 such quotients where a side is not a normal double
+    params = ExponentParams(p=p, sigma=sigma)
+    rows = midrange_cut_bound(ball_profile(graph), params, N)
+    loop = _midrange_loop(ball_profile(graph), params, N)
+    assert [row.m for row in rows] == [m for m, *_ in loop]
+    for row, (m, *want) in zip(rows, loop):
+        for got, w, ops in zip((row.lhs, row.rhs, row.ratio), want,
+                               (N - m + 1, 5, N - m + 7)):
+            assert got == w or abs(got - w) <= (
+                2.0 * _gamma(ops) * max(abs(got), abs(w))), (row, want)
 
 
 def test_midrange_validation():

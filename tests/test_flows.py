@@ -32,6 +32,8 @@ from p_potential import (
 from p_potential.flows import (CRUMB_FRACTION, _first_exits, _pow_each,
                                _witness)
 
+from _rounding import gamma as _gamma
+
 CHAIN_CHECK_NAMES = [
     "path mass expectation <= L",
     "path mass identity (1e-9 relative)",
@@ -848,6 +850,35 @@ def test_nash_williams_is_tight_on_the_tree(p, R):
     assert check.ok
     assert check.upper == ball.green.values[graph.root]
     assert check.lower == pytest.approx(check.upper, rel=1e-10)
+
+
+@pytest.mark.parametrize("graph, R, p", [
+    (build_tree(2, 6), 4, 2.0),
+    (build_lattice(2, 6), 4, 1.5),
+    (build_lattice(3, 4), 3, 3.0),
+    (build_radial_model([1, 3, 6, 6, 12, 12], [0.7, 1 / 3, 2.5, 1e-3, 9.0]),
+     4, 2.5),
+], ids=["tree", "square", "cube", "radial"])
+def test_nash_williams_and_cut_margins_equal_their_loops(graph, R, p):
+    # the Nash-Williams cut sum as one np.sum, and the cut margins as one
+    # masked sum per cut: the same terms added in another order
+    prof = ball_profile(graph)
+    ball = analyze_ball(graph, prof, R, ExponentParams(p=p, sigma=p))
+    nw = float(np.sum(prof.b[:R + 1] ** (-1.0 / (p - 1.0))))
+    assert abs(ball.nash_williams.lower - nw) <= 2.0 * _gamma(R + 1) * nw
+
+    flow = ball.flow
+    tail_rad = prof.radius_of[flow.tails]
+    head_rad = np.where(flow.heads == flow.boundary_id, R + 1,
+                        prof.radius_of[np.minimum(flow.heads,
+                                                  flow.boundary_id - 1)])
+    for k, got in enumerate(ball.margins["cut_margin"]):
+        crossing = (tail_rad == k) & (head_rad == k + 1)
+        crossed = flow.conductance[crossing]
+        want = prof.b[k] - crossed.sum()
+        # two orders of the sum, then one subtraction each
+        bound = 2.0 * _gamma(crossed.size + 1) * (prof.b[k] + crossed.sum())
+        assert abs(got - want) <= bound, (k, got, want)
 
 
 def test_nash_williams_failure_raises():

@@ -103,6 +103,39 @@ def test_shooting_breaks_from_a_large_start():
     assert shot.values is None and shot.worst_defect is None
     assert shot.break_radius == 1
     assert shot.radial_values[-1] <= 0.0
+    assert shot.reason == "positivity breaks at radius 1"
+
+
+def test_shooting_fails_where_the_drop_is_below_an_ulp():
+    # at p = 1.1 the first drop, (u0^2)^10 on the line, is below ulp(u0):
+    # u stays flat and no double makes equality hold at the root
+    graph = build_lattice(1, 8)
+    profile = ball_profile(graph)
+    params = ExponentParams(p=1.1, sigma=2.0)
+    shot = shoot_radial_supersolution(graph, params, 0.1, profile=profile)
+    assert not shot.success
+    assert shot.values is None and shot.worst_defect is None
+    assert shot.break_radius == 1
+    np.testing.assert_array_equal(shot.radial_values, [0.1, 0.1])
+    assert shot.reason == ("drop 1.000e-20 into radius 1 is below an ulp of "
+                           "u = 1.000e-01")
+    u0, last = verify.shoot_with_fallback(graph, params, profile)
+    assert u0 == verify.SHOOT_STARTS[-1] and not last.success
+
+
+def test_shooting_still_raises_on_a_wrong_recurrence(monkeypatch):
+    # halving each sphere's measure in the recurrence makes every drop too
+    # small: the shot stays positive, and its defect check catches it
+    real = verify._radial_layer_weights
+
+    def halved_measure(graph, profile):
+        w_in, w_out, mu = real(graph, profile)
+        return w_in, w_out, mu / 2.0
+
+    monkeypatch.setattr(verify, "_radial_layer_weights", halved_measure)
+    with pytest.raises(ConsistencyError, match="shooting recurrence produced"):
+        shoot_radial_supersolution(build_tree(2, 6),
+                                   ExponentParams(p=3.0, sigma=4.0), 0.1)
 
 
 def test_shooting_edge_cases():
