@@ -52,19 +52,13 @@ REPORT_CSV_COLUMNS = ("R", "g_center", "residual", "capacity_center", "L",
                       "conservation_defect")
 
 
-def _json_default(obj):
-    """json.dump's hook for a numpy scalar other than np.float64 (a float):
-    the Python float, int or bool.  Every payload key is a str."""
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _finite(obj):
-    """The payload with its arrays as lists and every non-finite float as
-    None, JSON null: no finite tail remainder (extra), or no fit (nan
-    fitted_beta, fitted_gamma, fit_error).  Other non-finite values fail."""
-    if isinstance(obj, np.ndarray):
+    """The payload as plain JSON values: arrays as lists, numpy scalars as
+    Python ones, and every non-finite float as None, JSON null: no finite
+    tail remainder (extra), no fit (nan fitted_beta, fitted_gamma,
+    fit_error), or a cut-series term past the largest double.  Every
+    payload key is a str."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         obj = obj.tolist()
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
@@ -83,8 +77,7 @@ def _dump_json(path: str, payload) -> None:
 def _print_json(payload, fh=None) -> None:
     """Every JSON output, to fh or stdout: sorted keys, indented, _finite."""
     fh = sys.stdout if fh is None else fh
-    json.dump(_finite(payload), fh, sort_keys=True, indent=2,
-              default=_json_default, allow_nan=False)
+    json.dump(_finite(payload), fh, sort_keys=True, indent=2, allow_nan=False)
     fh.write("\n")
 
 
@@ -127,8 +120,7 @@ def _csv_cell(value):
 
 
 def _check_rows(checks) -> list:
-    return [{"name": c.name, "lower": c.lower, "upper": c.upper,
-             "margin": c.margin, "ok": c.ok} for c in checks]
+    return [{**asdict(c), "margin": c.margin} for c in checks]
 
 
 def _ball_fields(ball: BallAnalysis) -> dict:
@@ -222,16 +214,14 @@ def _cmd_flow(args) -> int:
     profile = ball_profile(graph)
     params = ExponentParams(p=args.p, sigma=args.sigma)
     ball = analyze_ball(graph, profile, args.R, params)
-    flow, margins = ball.flow, ball.margins
+    flow = ball.flow
 
     with open(paths_path, "wb") as fh:
         fh.write(_paths_bytes(ball.measure, flow.R, flow.p, params.sigma))
     _dump_json(report_path, {
         **_ball_fields(ball),
         "R": flow.R, "p": flow.p, "sigma": params.sigma,
-        "min_tail_slack": margins["min_tail_slack"],
-        "cut_margin": margins["cut_margin"],
-        "boundary_tails_at_rim": margins["boundary_tails_at_rim"],
+        "cut_margin": ball.margins["cut_margin"],
         "per_n": ball.chain.per_n,
     })
     _print_json({"paths": paths_path, "report": report_path,
@@ -304,11 +294,15 @@ def _criterion_payload(W: np.ndarray, profile: BallProfile | None,
     if profile is not None:
         R = profile.R_max
         if R >= 1:
+            # every b_k > 0 on a graph's profile, so an infinite term is an
+            # overflow (cut_series_terms), and the sum is past the doubles
             s_terms = crit.cut_series_terms(profile.b, params, R)
+            with np.errstate(over="ignore"):
+                sum_truncated = float(s_terms.sum())
             cut = {
                 "R": R,
                 "terms": s_terms,
-                "sum_truncated": float(s_terms[np.isfinite(s_terms)].sum()),
+                "sum_truncated": sum_truncated,
                 "has_infinite_terms": bool(np.any(~np.isfinite(s_terms))),
                 "tail_extrapolation": None,
             }
@@ -316,12 +310,7 @@ def _criterion_payload(W: np.ndarray, profile: BallProfile | None,
                 tail = crit.extrapolate_cut_tail(profile.b, params, R)
                 cut["tail_extrapolation"] = asdict(tail)
             payload["cut_series"] = cut
-            blocks = crit.dyadic_blocks(profile.M, params)
-            payload["dyadic"] = {
-                "N": blocks.N, "D": blocks.D,
-                "block_sum": blocks.block_sum, "ratio": blocks.ratio,
-                "c_theory": blocks.c_theory,
-            }
+            payload["dyadic"] = asdict(crit.dyadic_blocks(profile.M, params))
             payload["cut_volume_margin"] = crit.cut_volume_check(profile)
             if R >= 4:
                 payload["midrange"] = [asdict(row) for row in

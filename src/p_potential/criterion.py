@@ -98,7 +98,10 @@ def cut_series_terms(b, params: ExponentParams, R: int) -> np.ndarray:
     An s_n reads +inf in two cases, returned rather than raised: a zero
     b_k at a level k >= n makes its inner sum infinite, which witnesses
     divergence; or a finite term lies past the largest double, which does
-    not.  The result does not tell the two apart.
+    not.  The result does not tell the two apart, but its input can: on a
+    connected graph's profile every b_k with k <= R_max is positive (each
+    vertex of sphere k + 1 has an edge of positive weight into sphere k),
+    so there every +inf is an overflow.
     """
     b = np.asarray(b, dtype=np.float64)
     if R < 1:

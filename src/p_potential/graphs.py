@@ -404,7 +404,7 @@ class BallProfile:
         return self.radius_of <= R
 
     def _check_radius(self, R: int):
-        if not isinstance(R, (int, np.integer)) or R < 0:
+        if not _integer_type(type(R)) or R < 0:
             raise ValueError(f"radius must be a nonnegative integer, got {R!r}")
         if R > self.R_max:
             raise ValueError(f"radius {R} exceeds R_max = {self.R_max}")
@@ -435,9 +435,9 @@ def build_lattice(dimension: int, half_side: int) -> WeightedGraph:
     radial structure is id-ordered.  Balls B_n agree with the infinite
     lattice for n <= half_side - 1 in every dimension.
     """
-    if dimension not in (1, 2, 3, 4):
+    if not _integer_type(type(dimension)) or dimension not in (1, 2, 3, 4):
         raise ValueError(f"dimension must be in 1..4, got {dimension!r}")
-    if not isinstance(half_side, (int, np.integer)) or half_side < 1:
+    if not _integer_type(type(half_side)) or half_side < 1:
         raise ValueError(f"half_side must be a positive integer, got {half_side!r}")
     count = (2 * half_side + 1) ** dimension
     _check_budget(count, f"lattice({dimension}, {half_side})")
@@ -461,9 +461,9 @@ def build_lattice(dimension: int, half_side: int) -> WeightedGraph:
 def build_tree(branching: int, depth: int) -> WeightedGraph:
     """Rooted tree where every vertex above the leaf level has `branching`
     children; unit weights; ids in breadth-first order (root 0)."""
-    if not isinstance(branching, (int, np.integer)) or branching < 2:
+    if not _integer_type(type(branching)) or branching < 2:
         raise ValueError(f"branching must be an integer >= 2, got {branching!r}")
-    if not isinstance(depth, (int, np.integer)) or depth < 1:
+    if not _integer_type(type(depth)) or depth < 1:
         raise ValueError(f"depth must be a positive integer, got {depth!r}")
     count = (branching ** (depth + 1) - 1) // (branching - 1)
     _check_budget(count, f"tree({branching}, {depth})")
@@ -483,8 +483,14 @@ def build_radial_model(sphere_sizes, edge_weight_profile) -> WeightedGraph:
     by round-robin matching, with weight edge_weight_profile[k].  Sphere
     sizes must be nondecreasing so the matching covers each child once.
     """
-    sizes = [int(s) for s in sphere_sizes]
-    weights = [float(w) for w in edge_weight_profile]
+    sizes, weights = list(sphere_sizes), list(edge_weight_profile)
+    for name, values, rule, kind in (
+            ("sphere_sizes", sizes, _integer_type, "an integer"),
+            ("edge_weight_profile", weights, _number_type, "a number")):
+        for k, value in enumerate(values):
+            if not rule(type(value)):
+                raise ValueError(f"{name}[{k}] must be {kind}, got {value!r}")
+    weights = [float(w) for w in weights]
     if len(sizes) < 2:
         raise ValueError("need at least two spheres")
     if len(weights) != len(sizes) - 1:

@@ -200,18 +200,17 @@ def sandwich_upper_bound(graph: WeightedGraph, profile: BallProfile,
 
 @dataclass
 class ProbeReport:
-    """Finite-scale parabolicity probe: the ladder's data, the extrapolated
-    Nash-Williams tail and a three-way label.
+    """Finite-scale parabolicity probe: the increments of g_R(o) along the
+    ladder, the extrapolated Nash-Williams tail and a three-way label.
 
-    tail is extrapolate_cut_tail's estimate of sum_{k>R} b_k^(-1/(p-1))
-    at the last radius R of the ladder, or None when R < 4.  The label
-    suggests, it does not decide: boundedness of g_R(o) over all R is not
-    observable from finitely many radii.
+    The radii and g_R(o) are the caller's inputs, so the report holds no
+    copy of them or of cap_R({o}): report writes all three in its ladder
+    rows.  tail is extrapolate_cut_tail's estimate of
+    sum_{k>R} b_k^(-1/(p-1)) at the last radius R of the ladder, or None
+    when R < 4.  The label suggests, it does not decide: boundedness of
+    g_R(o) over all R is not observable from finitely many radii.
     """
 
-    radii: list
-    g_root: np.ndarray
-    cap_root: np.ndarray
     increments: np.ndarray
     label: str
     tail: TailEstimate | None
@@ -222,9 +221,8 @@ def parabolicity_probe(radii, g_root, b, params: ExponentParams) -> ProbeReport:
     Nash-Williams cut bound.
 
     g_root holds the Green values at the center, solved on B_R for each
-    radius of the ladder; cap_root is derived from them exactly, as
-    cap_R({o}) = g_R(o)^(1-p).  b holds the cut conductances (b[k]
-    separates B_k from its complement).
+    radius of the ladder.  b holds the cut conductances (b[k] separates
+    B_k from its complement).
 
     Holder on each cut k gives g_R(o) >= NW_R = sum_{k=0}^R b_k^(-1/(p-1)),
     so an unbounded NW_R forces g_R(o) -> infinity, and a bounded g_R(o)
@@ -252,6 +250,4 @@ def parabolicity_probe(radii, g_root, b, params: ExponentParams) -> ProbeReport:
             label = LOOKS_PARABOLIC
         elif np.all(np.diff(increments / np.diff(radii)) < 0.0):
             label = LOOKS_NON_PARABOLIC
-    return ProbeReport(radii=radii, g_root=g_root,
-                       cap_root=g_root ** (1.0 - params.p),
-                       increments=increments, label=label, tail=tail)
+    return ProbeReport(increments=increments, label=label, tail=tail)

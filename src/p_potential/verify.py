@@ -232,21 +232,15 @@ def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
     sphere, which maximizes reach among radially dominated supersolutions
     (a heuristic, not a theorem).  Succeeds if u stays positive through
     the outermost sphere; the result is then a supersolution on
-    B_{eccentricity-1}, checked against supersolution_defect.
+    B_{eccentricity-1}, checked against supersolution_defect.  u0 must be
+    positive: sandwich_upper_bound needs u > 0 on the ball.
     """
-    if u0 < 0.0:
-        raise ValueError("u0 must be nonnegative")
+    if not u0 > 0.0:
+        raise ValueError(f"u0 must be positive, got {u0!r}")
     if profile is None:
         profile = ball_profile(graph)
     ecc = profile.eccentricity
     interior_radius = ecc - 1
-
-    if u0 == 0.0:
-        zero = np.zeros(graph.vertex_count)
-        zero.setflags(write=False)
-        return ShootReport(success=True, values=zero,
-                           radial_values=np.zeros(ecc + 1), break_radius=None,
-                           interior_radius=interior_radius, worst_defect=0.0)
 
     layer_in, layer_out, layer_mu = _radial_layer_weights(graph, profile)
     p, sigma = params.p, params.sigma

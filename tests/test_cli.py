@@ -33,9 +33,7 @@ CHAIN_ROW_KEYS = {"name", "lower", "upper", "margin", "ok"}
 SHARED_BALL_KEYS = {"retained_edges", "path_count", "probability_sum",
                     "max_marginal_deviation", "conservation_defect", "L",
                     "lower_bound", "chain", "nash_williams"}
-FLOW_REPORT_KEYS = SHARED_BALL_KEYS | {
-    "R", "p", "sigma", "min_tail_slack", "cut_margin",
-    "boundary_tails_at_rim", "per_n"}
+FLOW_REPORT_KEYS = SHARED_BALL_KEYS | {"R", "p", "sigma", "cut_margin", "per_n"}
 LADDER_ROW_KEYS = SHARED_BALL_KEYS | {
     "R", "g_center", "residual", "iterations", "normalization_dev",
     "capacity_center", "chain_ok", "upper_bound"}
@@ -45,7 +43,7 @@ CRITERION_KEYS = {"p", "sigma", "horizon", "classification", "fitted_beta",
                   "cut_volume_margin", "midrange", "source"}
 REPORT_KEYS = {"graph", "p", "sigma", "seed", "shoot", "ladder", "probe",
                "criterion", "verify", "ok"}
-PROBE_KEYS = {"radii", "g_root", "cap_root", "increments", "label", "tail"}
+PROBE_KEYS = {"increments", "label", "tail"}
 
 
 @pytest.fixture
@@ -124,7 +122,6 @@ def test_flow_writes_paths_and_audited_report(workdir, capsys):
     assert report["max_marginal_deviation"] <= 1e-12
     assert 0.0 <= report["lower_bound"] <= report["L"]
     assert len(report["cut_margin"]) == 4
-    assert report["boundary_tails_at_rim"] is True
 
 
 def test_criterion_from_graph(workdir, capsys):
@@ -239,13 +236,10 @@ def test_report_on_a_symmetric_graph(workdir, capsys):
         assert row["nash_williams"]["ok"] is True
     probe = payload["probe"]
     assert set(probe) == PROBE_KEYS
-    assert probe["radii"] == [2, 3, 4]
     assert probe["label"] == "looks-non-parabolic"
     assert probe["tail"]["model"] == "geometric"
-    assert probe["g_root"] == [row["g_center"] for row in payload["ladder"]]
-    np.testing.assert_allclose(probe["cap_root"],
-                               [row["capacity_center"]
-                                for row in payload["ladder"]], rtol=1e-9)
+    assert probe["increments"] == np.diff(
+        [row["g_center"] for row in payload["ladder"]]).tolist()
     assert [s["name"] for s in payload["verify"]] == [
         "picone", "hardy", "positivity", "sandwich"]
     with open("r.csv", encoding="utf-8") as fh:
@@ -281,6 +275,13 @@ def test_report_labels_the_binary_tree_non_parabolic(workdir, capsys):
     payload = read_json("r.json")
     assert payload["probe"]["label"] == "looks-non-parabolic"
     assert payload["probe"]["tail"]["extra"] == pytest.approx(2.0 ** -10)
+    g = [row["g_center"] for row in payload["ladder"]]
+    np.testing.assert_allclose(g, [1.0 - 2.0 ** -(R + 1) for R in (3, 5, 7, 9)],
+                               rtol=1e-10)
+    assert np.all(np.diff(g) > 0.0)
+    # cap_R({o}) = g_R(o)^(1-p) is nonincreasing in R
+    assert np.all(np.diff([row["capacity_center"]
+                           for row in payload["ladder"]]) <= 0.0)
     for row in payload["ladder"]:
         # the tree is the equality case of the cut bound
         nash_williams = row["nash_williams"]
@@ -288,6 +289,45 @@ def test_report_labels_the_binary_tree_non_parabolic(workdir, capsys):
             1.0 - 2.0 ** -(row["R"] + 1), rel=1e-12)
         assert nash_williams["upper"] == pytest.approx(
             nash_williams["lower"], rel=1e-10)
+
+
+def _leaves(obj, path=()):
+    """(path, value) for every leaf of a payload; every key is a str."""
+    if isinstance(obj, dict):
+        assert all(type(key) is str for key in obj)
+        for key, value in obj.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path, obj
+
+
+def test_report_writes_each_ladder_value_once(workdir, capsys):
+    # the probe used to copy R, g_R(o) and cap_R({o}) from the ladder, and
+    # its cap_R({o}) at R = 11 differed from the row's in the last bit
+    assert main(["gen", "--family", "tree", "--branching", "2", "--depth",
+                 "12", "--out", "tree12.json"]) == 0
+    code, _, _ = run(["report", "--graph", "tree12.json", "--p", "2.5",
+                      "--sigma", "3", "--R", "3,5,7,9,10,11", "--trials", "50",
+                      "--out-prefix", "r"], capsys)
+    assert code == 0
+    payload = read_json("r.json")
+    assert set(payload["probe"]) == PROBE_KEYS
+    numbers = [(path, x) for path, x in _leaves(payload)
+               if isinstance(x, float)]
+    for i, row in enumerate(payload["ladder"]):
+        cap = [path for path, x in numbers
+               if x == pytest.approx(row["capacity_center"], rel=1e-12)]
+        assert cap == [("ladder", i, "capacity_center")]
+        # g_R(o) is also the upper side of the Nash-Williams check, whose
+        # lower side (the cut sum) equals it on the tree
+        check = ("ladder", i, "nash_williams")
+        g = [path for path, x in numbers
+             if x == row["g_center"] and path[:3] != check]
+        assert g == [("ladder", i, "g_center")]
+        assert row["nash_williams"]["upper"] == row["g_center"]
 
 
 # the chain rows that do not depend on R: all of them at R = 0
@@ -490,6 +530,9 @@ def test_criterion_cut_series_past_the_doubles(workdir, capsys):
     cut = read_json("c.json")["cut_series"]
     assert cut["terms"] == [None, None, None, 0.0]
     assert cut["has_infinite_terms"] is True
+    # every b_k > 0, so the infinite terms are overflows and the sum is
+    # past the doubles too; it used to leave them out and read 0.0
+    assert cut["sum_truncated"] is None
     b, R = ball_profile(graph).b, cut["R"]
     params = ExponentParams(p=1.1, sigma=30.0)
     r, eta = mpmath.mpf(params.r), mpmath.mpf(params.eta)
@@ -500,6 +543,7 @@ def test_criterion_cut_series_past_the_doubles(workdir, capsys):
         assert all(x > np.finfo(np.float64).max for x in exact[:3])
         assert exact[3] < mpmath.mpf(
             float(np.finfo(np.float64).smallest_subnormal)) / 2
+        assert abs(mpmath.fsum(exact) / mpmath.mpf("3.3554e469") - 1) < 1e-4
 
 
 def test_an_overflow_exits_1_with_json_on_stderr(workdir, capsys):
@@ -664,10 +708,13 @@ def test_non_finite_values_are_written_as_null(workdir, capsys, prepare, argv,
         assert value is None, keys
 
 
-def test_a_non_finite_value_the_mapping_misses_fails_the_dump(workdir):
-    # a numpy scalar other than float64 reaches json.dump through the hook
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        cli._dump_json("x.json", {"x": np.float32("inf")})
+def test_numpy_scalars_take_the_same_rule(workdir):
+    # a numpy scalar other than float64 used to reach json.dump as it was,
+    # so a float32 inf failed the dump
+    cli._dump_json("x.json", {"x": np.float32("inf"), "n": np.int32(3),
+                              "ok": np.bool_(True), "y": np.float32(0.5)})
+    assert _strict_json(Path("x.json").read_text()) == {
+        "x": None, "n": 3, "ok": True, "y": 0.5}
 
 
 # ---------------------------------------------------------------------------
@@ -711,32 +758,10 @@ def test_same_argv_writes_identical_bytes(workdir, capsys):
 # the JSON writer and the console script
 
 
-def _jsonable(obj):
-    """The copy of a payload the CLI used to dump (reference)."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
-
-
-def _keys(obj):
-    if isinstance(obj, dict):
-        yield from obj
-        for value in obj.values():
-            yield from _keys(value)
-    elif isinstance(obj, (list, tuple)):
-        for value in obj:
-            yield from _keys(value)
-
-
-def test_payloads_dump_as_their_jsonable_copy(workdir, capsys, monkeypatch):
-    """Every payload key is a str, so the default= hook writes the bytes
-    the _jsonable copy wrote."""
+def test_every_payload_reaches_the_dump_as_plain_values(workdir, capsys,
+                                                        monkeypatch):
+    """Every payload json.dump receives holds str keys and plain Python
+    values only, so it needs no default= hook."""
     with open("W.csv", "w", encoding="utf-8") as fh:
         fh.write("n,W\n" + "".join(f"{n},{(n + 1) ** 2}\n" for n in range(80)))
     payloads = []
@@ -766,11 +791,9 @@ def test_payloads_dump_as_their_jsonable_copy(workdir, capsys, monkeypatch):
     # flow's paths file is written from the packed arrays, not through
     # json.dump: test_paths_file_is_the_json_dump_of_the_old_payload
     assert len(payloads) == 12
+    plain = (str, int, float, bool, type(None))
     for payload in payloads:
-        assert all(type(key) is str for key in _keys(payload))
-        assert (json.dumps(payload, sort_keys=True, indent=2,
-                           default=cli._json_default)
-                == json.dumps(_jsonable(payload), sort_keys=True, indent=2))
+        assert all(type(leaf) in plain for _, leaf in _leaves(payload))
 
 
 def _paths_by_json_dump(measure, R, p, sigma) -> bytes:
@@ -782,8 +805,7 @@ def _paths_by_json_dump(measure, R, p, sigma) -> bytes:
                   for path, prob in zip(measure.paths, measure.probabilities)],
     }
     buf = io.StringIO()
-    json.dump(payload, buf, sort_keys=True, indent=2, default=cli._json_default)
-    buf.write("\n")
+    cli._print_json(payload, buf)
     return buf.getvalue().encode("utf-8")
 
 

@@ -241,6 +241,16 @@ def test_radial_model_rejects_bad_shape(sizes, weights):
         build_radial_model(sizes, weights)
 
 
+@pytest.mark.parametrize("sizes, weights, message", [
+    ([1, 2.7, 4], [1, 1], r"sphere_sizes\[1\] must be an integer"),
+    (["1", "2"], ["1.0"], r"sphere_sizes\[0\] must be an integer"),
+    ([1, 2], ["1.0"], r"edge_weight_profile\[0\] must be a number"),
+], ids=["truncated-size", "parsed-sizes", "parsed-weight"])
+def test_radial_model_neither_truncates_nor_parses(sizes, weights, message):
+    with pytest.raises(ValueError, match=message):
+        build_radial_model(sizes, weights)
+
+
 @pytest.mark.parametrize("factory, args", [
     (build_lattice, (5, 2)),
     (build_lattice, (2, 0)),
@@ -250,6 +260,21 @@ def test_radial_model_rejects_bad_shape(sizes, weights):
 def test_generator_parameter_validation(factory, args):
     with pytest.raises(ValueError):
         factory(*args)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_lattice(True, 2), "dimension"),
+    (lambda: build_lattice(2, True), "half_side"),
+    (lambda: build_tree(2, True), "depth"),
+    (lambda: build_radial_model([1, 2], [True]),
+     r"edge_weight_profile\[0\] must be a number"),
+    (lambda: ball_profile(build_lattice(1, 3)).ball_mask(True),
+     "radius must be a nonnegative integer"),
+], ids=["lattice-dimension", "lattice-half-side", "tree-depth",
+        "radial-weight", "ball-mask"])
+def test_no_bool_counts_as_an_integer(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_vertex_budget_env(monkeypatch):

@@ -141,11 +141,12 @@ def test_shooting_still_raises_on_a_wrong_recurrence(monkeypatch):
 def test_shooting_edge_cases():
     params = ExponentParams(p=2.0, sigma=3.0)
     tree = build_tree(2, 3)
-    zero = shoot_radial_supersolution(tree, params, 0.0)
-    assert zero.success and not np.any(zero.values)
-    assert not zero.values.flags.writeable
-    with pytest.raises(ValueError, match="nonnegative"):
-        shoot_radial_supersolution(tree, params, -1.0)
+    shot = shoot_radial_supersolution(tree, params, 0.1)
+    assert shot.success and not shot.values.flags.writeable
+    # a zero shot is the zero function, which bounds no L_R
+    for u0 in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            shoot_radial_supersolution(tree, params, u0)
     with pytest.raises(ValueError, match="spherically symmetric"):
         shoot_radial_supersolution(build_lattice(2, 3), params, 0.1)
 
