@@ -7,10 +7,14 @@ report (the same chain over a radius ladder, with the probe, the upper
 bound from radial shooting, the series and the suites).  flow and report
 both run flows.analyze_ball and only serialize its fields; report derives
 capacity_center = g_center^(1-p) and the probe from the ladder's solves.
-Beside its chain, every analyzed ball writes a nash_williams row with the
-chain rows' keys (name, lower, upper, margin, ok): the cut sum
-NW_R = sum_{k=0}^R b_k^(-1/(p-1)) as lower and g_R(o) as upper.  The probe
-labels growth from the extrapolated tail of that sum.
+Beside its chain, every analyzed ball writes g_center = g_R(o) and a
+nash_williams row with the chain rows' keys but upper (name, lower,
+margin, ok): the cut sum NW_R = sum_{k=0}^R b_k^(-1/(p-1)) as lower, and
+g_R(o) - NW_R as margin, so g_R(o) is written once.  The probe labels
+growth from the extrapolated tail of that sum.  report's shoot entry says
+whether the radial shot gave a supersolution; when it did not (it broke
+positivity, lost a drop below an ulp, or the graph is not spherically
+symmetric), every upper_bound is null.
 
 Every ball is centered at the graph file's root, which is also the pole of
 every Green function; another pole is another graph file's root.  criterion
@@ -124,7 +128,10 @@ def _check_rows(checks) -> list:
 
 
 def _ball_fields(ball: BallAnalysis) -> dict:
-    """The fields that flow and report both write for one analyzed ball."""
+    """The fields that flow and report both write for one analyzed ball.
+    g_R(o) is written once, as g_center: the nash_williams row, whose upper
+    side it is, keeps only the cut sum and the margin."""
+    nash_williams = ball.nash_williams
     return {
         "retained_edges": ball.flow.edge_count,
         "path_count": len(ball.measure),
@@ -134,7 +141,11 @@ def _ball_fields(ball: BallAnalysis) -> dict:
         "L": ball.chain.L,
         "lower_bound": ball.chain.rhs,
         "chain": _check_rows(ball.chain.checks),
-        "nash_williams": _check_rows([ball.nash_williams])[0],
+        "g_center": float(ball.green.values[ball.flow.center]),
+        "nash_williams": {"name": nash_williams.name,
+                          "lower": nash_williams.lower,
+                          "margin": nash_williams.margin,
+                          "ok": nash_williams.ok},
     }
 
 
@@ -361,43 +372,31 @@ def _cmd_report(args) -> int:
     if any(R < 0 or R > profile.R_max for R in radii):
         raise ValueError(f"radii must lie in [0, {profile.R_max}]")
 
-    shot = None
-    try:
-        u0, attempt = shoot_with_fallback(graph, params, profile)
-    except ValueError as exc:
-        shoot_info = {"success": False, "reason": str(exc)}
+    u0, shot = shoot_with_fallback(graph, params, profile)
+    if shot.success:
+        shoot_info = {"success": True, "u0": u0,
+                      "worst_defect": shot.worst_defect}
     else:
-        if attempt.success:
-            shot = attempt
-            shoot_info = {"success": True, "u0": u0,
-                          "interior_radius": attempt.interior_radius,
-                          "worst_defect": attempt.worst_defect}
-        else:
-            shoot_info = {"success": False,
-                          "break_radius": attempt.break_radius,
-                          "reason": attempt.reason,
-                          "tried_u0": list(SHOOT_STARTS)}
+        shoot_info = {"success": False, "break_radius": shot.break_radius,
+                      "reason": shot.reason, "tried_u0": list(SHOOT_STARTS)}
 
     ladder = []
     for R in radii:
         ball = analyze_ball(graph, profile, R, params)
         green = ball.green
-        g_center = float(green.values[graph.root])
-        row = {
-            **_ball_fields(ball),
+        fields = _ball_fields(ball)
+        ladder.append({
+            **fields,
             "R": R,
-            "g_center": g_center,
             "residual": green.residual,
             "iterations": green.solver_report.total_iterations,
             "normalization_dev": green_normalization_check(graph, green),
-            "capacity_center": g_center ** (1.0 - params.p),
+            "capacity_center": fields["g_center"] ** (1.0 - params.p),
             "chain_ok": ball.chain.ok,
-            "upper_bound": None,
-        }
-        if shot is not None and R <= shot.interior_radius:
-            row["upper_bound"] = sandwich_upper_bound(
-                graph, profile, green, shot.values, params)
-        ladder.append(row)
+            "upper_bound": (sandwich_upper_bound(graph, profile, green,
+                                                 shot.values, params)
+                            if shot.success else None),
+        })
 
     probe = None
     if len(radii) >= 3 and all(b > a for a, b in zip(radii, radii[1:])):

@@ -78,6 +78,15 @@ def _column_is(column, rule) -> bool:
 _EDGE_FIELDS = (itemgetter(0), itemgetter(1), itemgetter(2))
 
 
+def _as_float(w) -> float:
+    """A weight of _number_type as a float: an int past the doubles is an
+    infinite weight, which the finiteness checks then refuse."""
+    try:
+        return float(w)
+    except OverflowError:
+        return math.inf if w > 0 else -math.inf
+
+
 def _edge_error(i: int, edge, vertex_count: int):
     """What is wrong with edge i, as the constructor words it, or None."""
     try:
@@ -90,11 +99,7 @@ def _edge_error(i: int, edge, vertex_count: int):
         return f"edge {i}: endpoints must be integers, got ({u!r}, {v!r})"
     if not _number_type(type(w)):
         return f"edge {i}: weight must be an int or a float, got {w!r}"
-    u, v = int(u), int(v)
-    try:
-        w = float(w)
-    except OverflowError:
-        w = math.inf
+    u, v, w = int(u), int(v), _as_float(w)
     if not (0 <= u < vertex_count and 0 <= v < vertex_count):
         return f"edge {i}: endpoint outside 0..{vertex_count - 1}: ({u}, {v})"
     if u == v:
@@ -357,14 +362,17 @@ class BallProfile:
     eccentricity : largest radius present in the host.
     R_max : largest radius whose ball has a nonempty exterior
         (= eccentricity - 1).
-    W : float array of length eccentricity + 1; W[n] is the vertex measure
-        of the closed ball B_n.
+    sphere_measure : float array of length eccentricity + 1; entry k is
+        the vertex measure of the sphere S_k.
+    W : float array, prefix sums of sphere_measure; W[n] is the vertex
+        measure of the closed ball B_n.
     b : float array of length eccentricity; b[k] is the total conductance
         of edges from B_k to its complement.
     M : float array, prefix sums of b (cut-volume sums M_N).
     """
 
-    __slots__ = ("radius_of", "eccentricity", "R_max", "W", "b", "M")
+    __slots__ = ("radius_of", "eccentricity", "R_max", "sphere_measure", "W",
+                 "b", "M")
 
     def __init__(self, graph: WeightedGraph):
         # symmetric: a search along the rows needs no transposed copy
@@ -392,10 +400,11 @@ class BallProfile:
         self.radius_of = radius_of
         self.eccentricity = ecc
         self.R_max = ecc - 1
+        self.sphere_measure = sphere_measure
         self.W = W
         self.b = b
         self.M = M
-        for arr in (radius_of, W, b, M):
+        for arr in (radius_of, sphere_measure, W, b, M):
             arr.setflags(write=False)
 
     def ball_mask(self, R: int) -> np.ndarray:
@@ -415,7 +424,8 @@ class BallProfile:
 
 
 def ball_profile(graph: WeightedGraph) -> BallProfile:
-    """Compute the radial profile (radii, W, b, M, R_max) of a rooted graph."""
+    """Compute the radial profile (radii, sphere measures, W, b, M, R_max)
+    of a rooted graph."""
     return BallProfile(graph)
 
 
@@ -490,7 +500,7 @@ def build_radial_model(sphere_sizes, edge_weight_profile) -> WeightedGraph:
         for k, value in enumerate(values):
             if not rule(type(value)):
                 raise ValueError(f"{name}[{k}] must be {kind}, got {value!r}")
-    weights = [float(w) for w in weights]
+    weights = [_as_float(w) for w in weights]
     if len(sizes) < 2:
         raise ValueError("need at least two spheres")
     if len(weights) != len(sizes) - 1:

@@ -1,6 +1,12 @@
 """Property harnesses for the standalone inequalities, radial shooting for
 test supersolutions, and the suites of the `verify` CLI subcommand.
 
+The shot is one flux recurrence on the ball profile's cut conductances
+b_k and sphere measures, checked once by supersolution_defect.  On a graph
+that is not spherically symmetric the flux balance leaves a defect on the
+first sphere that mixes conductance patterns, and the check fails the shot
+there once that defect is below -defect_tolerance.
+
 Each check returns both sides of its inequality so callers see margins,
 not booleans.  Each side formula is written once, over arrays
 (_picone_sides, _hardy_sides); a check is its one-row case.  The random
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, VerificationError
+from .errors import VerificationError
 from .flows import analyze_ball
 from .graphs import (BallProfile, WeightedGraph, ball_profile, build_lattice,
                      build_tree)
@@ -160,67 +166,23 @@ def positivity_propagation(graph: WeightedGraph, u, p: float,
 class ShootReport:
     """Outcome of radial equality shooting for -lap_p u = u^sigma.
 
-    Failure is a normal outcome, not an exception: positivity breaks at
-    `break_radius`, or the drop into that sphere lies below an ulp of u,
-    so no double can make equality hold there; `reason` says which.  On
-    success, `values` (a read-only float64 array, one value per vertex) is
-    a verified supersolution on the interior ball B_{interior_radius};
-    equality at the outermost sphere is impossible (no outward edges),
-    which is why the interior stops one short of the eccentricity.
+    Failure is a normal outcome, not an exception; `reason` says which
+    one and `break_radius` where.  Either the radial values are no
+    supersolution at `break_radius` (the graph is not spherically
+    symmetric there), or positivity breaks at it, or the drop into that
+    sphere lies below an ulp of u, so no double can make equality hold.
+    On success, `values` (a read-only float64 array, one value per vertex)
+    is a verified supersolution on B_{R_max}, with its least defect
+    `worst_defect`; equality at the outermost sphere is impossible (no
+    outward edges).
     """
 
     success: bool
     values: np.ndarray | None
     radial_values: np.ndarray
     break_radius: int | None
-    interior_radius: int
     worst_defect: float | None
     reason: str | None = None
-
-
-def _radial_layer_weights(graph: WeightedGraph, profile: BallProfile):
-    """Per-sphere (inward, outward, measure) conductances.
-
-    Raises ValueError unless every vertex of a sphere has the same inward
-    and outward conductance: that is what makes a one-dimensional
-    recurrence exact.  The spheres are checked in ascending radius.
-
-    Each vertex's outward (inward) conductance is one np.bincount over the
-    radial edges in edge order: it adds from 0.0 in input order, the sum a
-    loop over the edges makes, so every layer weight is bitwise that sum.
-    """
-    ecc = profile.eccentricity
-    rad = profile.radius_of
-    # same-radius edges carry no radial current and do not enter
-    radial = np.abs(rad[graph.edge_tails] - rad[graph.edge_heads]) == 1
-    u, v = graph.edge_tails[radial], graph.edge_heads[radial]
-    outward = rad[u] < rad[v]
-    inner, outer = np.where(outward, u, v), np.where(outward, v, u)
-    weights = graph.edge_weights[radial]
-    n = graph.vertex_count
-    w_out = np.bincount(inner, weights=weights, minlength=n)
-    w_in = np.bincount(outer, weights=weights, minlength=n)
-
-    # spheres as runs of the vertices sorted by radius, ids ascending; hop
-    # radii take every value 0..ecc, so no run is empty
-    order = np.argsort(rad, kind="stable")
-    sizes = np.bincount(rad)
-    starts = np.cumsum(sizes) - sizes
-    bad = np.zeros(ecc + 1, dtype=bool)
-    layers = []
-    for per_vertex in (w_in, w_out, graph.vertex_measure):
-        vals = per_vertex[order]
-        hi = np.maximum.reduceat(vals, starts)
-        lo = np.minimum.reduceat(vals, starts)
-        scale = np.maximum(1.0, np.maximum(np.abs(hi), np.abs(lo)))
-        bad |= hi - lo > 1e-12 * scale
-        layers.append(vals[starts])
-    if bad.any():
-        k = int(bad.argmax())
-        raise ValueError(
-            f"graph is not spherically symmetric: sphere {k} mixes "
-            f"conductance patterns")
-    return tuple(layers)
 
 
 def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
@@ -228,29 +190,32 @@ def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
                                profile: BallProfile | None = None) -> ShootReport:
     """Shoot a radial solution of -lap_p u = u^sigma outward from u(o) = u0.
 
-    Each radial drop is chosen to make equality hold on the previous
-    sphere, which maximizes reach among radially dominated supersolutions
-    (a heuristic, not a theorem).  Succeeds if u stays positive through
-    the outermost sphere; the result is then a supersolution on
-    B_{eccentricity-1}, checked against supersolution_defect.  u0 must be
+    Each radial drop balances the flux across a cut,
+
+        b_k Phi_p(U_k - U_{k+1}) = sum_{j <= k} mu(S_j) U_j^sigma,
+
+    which is equality on the sphere S_k when the graph is spherically
+    symmetric, and maximizes reach among radially dominated supersolutions
+    (a heuristic, not a theorem).  The shot runs through when u stays
+    positive up to the outermost sphere, and stops at the first radius b
+    where it does not, or where the drop is below an ulp.  One
+    supersolution_defect check then covers the spheres where the flux
+    balance set equality: B_{R_max}, or B_{b-2} for a stop at b.  It
+    succeeds when the shot ran through and the check passed.  u0 must be
     positive: sandwich_upper_bound needs u > 0 on the ball.
     """
     if not u0 > 0.0:
         raise ValueError(f"u0 must be positive, got {u0!r}")
     if profile is None:
         profile = ball_profile(graph)
-    ecc = profile.eccentricity
-    interior_radius = ecc - 1
-
-    layer_in, layer_out, layer_mu = _radial_layer_weights(graph, profile)
     p, sigma = params.p, params.sigma
-    U = np.empty(ecc + 1)
+    U = np.empty(profile.eccentricity + 1)
     U[0] = u0
-    phi_drop = 0.0  # Phi_p of the drop entering the current sphere
-    for k in range(ecc):
-        phi_drop = (layer_in[k] * phi_drop + layer_mu[k] * U[k] ** sigma) \
-            / layer_out[k]
-        drop = phi_drop ** (1.0 / (p - 1.0))
+    flux = 0.0  # out of the ball B_k
+    reason = None
+    for k in range(profile.eccentricity):
+        flux += profile.sphere_measure[k] * U[k] ** sigma
+        drop = (flux / profile.b[k]) ** (1.0 / (p - 1.0))
         U[k + 1] = U[k] - drop
         if U[k + 1] <= 0.0:
             reason = f"positivity breaks at radius {k + 1}"
@@ -259,26 +224,30 @@ def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
                       f"ulp of u = {U[k]:.3e}")
         else:
             continue
-        return ShootReport(success=False, values=None,
-                           radial_values=U[:k + 2].copy(),
-                           break_radius=k + 1,
-                           interior_radius=interior_radius,
-                           worst_defect=None, reason=reason)
-
-    values = as_values(U[profile.radius_of], graph)
-    values.setflags(write=False)
-    # a graph has an edge at its root, so ecc >= 1 and B_{ecc-1} holds the root
-    defects = supersolution_defect(graph, values, params,
-                                   interior=profile.ball_mask(interior_radius))
-    worst = float(defects.min())
-    tol = defect_tolerance(u0, p, sigma)
-    if worst < -tol:
-        raise ConsistencyError(
-            f"shooting recurrence produced defect {worst:.3e} on the "
-            f"interior; expected equality within {tol:.1e}")
-    return ShootReport(success=True, values=values,
-                       radial_values=U.copy(), break_radius=None,
-                       interior_radius=interior_radius, worst_defect=worst)
+        U = U[:k + 2]
+        break
+    break_radius = None if reason is None else U.size - 1
+    # the flux balance set equality on B_checked, whose defects read U up
+    # to radius checked + 1 only
+    checked = profile.R_max if reason is None else U.size - 3
+    values = worst = None
+    if checked >= 0:
+        values = as_values(U[np.minimum(profile.radius_of, checked + 1)],
+                           graph)
+        values.setflags(write=False)
+        ball = profile.ball_mask(checked)
+        defects = supersolution_defect(graph, values, params, interior=ball)
+        worst = float(defects.min())
+        radii = profile.radius_of[ball]
+        low = defects < -defect_tolerance(u0, p, sigma)
+        if low.any():
+            break_radius = int(radii[low].min())
+            reason = (f"not a supersolution at radius {break_radius}: defect "
+                      f"{defects[radii == break_radius].min():.3e}")
+    success = reason is None
+    return ShootReport(success=success, values=values if success else None,
+                       radial_values=U.copy(), break_radius=break_radius,
+                       worst_defect=worst if success else None, reason=reason)
 
 
 def shoot_with_fallback(graph: WeightedGraph, params: ExponentParams,
@@ -286,8 +255,7 @@ def shoot_with_fallback(graph: WeightedGraph, params: ExponentParams,
     """Shoot from each u0 in SHOOT_STARTS until one succeeds.
 
     Returns (u0, ShootReport) for the first start that succeeds, or for the
-    last start when none does.  A graph that is not spherically symmetric
-    raises ValueError at the first start.
+    last start when none does.
     """
     for u0 in SHOOT_STARTS:
         shot = shoot_radial_supersolution(graph, params, u0, profile=profile)
@@ -500,11 +468,11 @@ def sandwich_suite() -> SuiteReport:
     supersolution bound on tree(2, 6): p=2, sigma=3 at R = 2, 3, 4 and
     p=3, sigma=4 at R=3.
 
-    Each (p, sigma) shoots once; the shot is a verified supersolution up
-    to its interior radius.  A ball violates when shooting failed, when R
-    exceeds that radius, or when lower <= L <= upper fails.  worst_margin
-    is the least min(L - lower, upper - L), and None when no ball got that
-    far.  Errors of the bounds propagate.
+    Each (p, sigma) shoots once; the shot is a verified supersolution on
+    B_{R_max}, so on every ball.  A ball violates when shooting failed or
+    when lower <= L <= upper fails.  worst_margin is the least
+    min(L - lower, upper - L), and None when no ball got that far.  Errors
+    of the bounds propagate.
     """
     graph = build_tree(2, 6)
     profile = ball_profile(graph)
@@ -516,11 +484,9 @@ def sandwich_suite() -> SuiteReport:
         u0, shot = shoot_with_fallback(graph, params, profile)
         for R in radii:
             key = f"p{params.p}-sigma{params.sigma}-R{R}"
-            if not shot.success or R > shot.interior_radius:
+            if not shot.success:
                 violations += 1
-                details[key] = ("shooting failed for all tried u0" if not shot.success
-                                else f"R exceeds the verified interior radius "
-                                     f"{shot.interior_radius}")
+                details[key] = "shooting failed for all tried u0"
                 continue
             ball = analyze_ball(graph, profile, R, params)
             lower, L = ball.chain.rhs, ball.chain.L

@@ -30,9 +30,11 @@ from p_potential.operators import ExponentParams
 from test_irregular_growth import _family_graph
 
 CHAIN_ROW_KEYS = {"name", "lower", "upper", "margin", "ok"}
+# g_R(o), the upper side of the Nash-Williams check, is g_center
+NASH_WILLIAMS_KEYS = CHAIN_ROW_KEYS - {"upper"}
 SHARED_BALL_KEYS = {"retained_edges", "path_count", "probability_sum",
                     "max_marginal_deviation", "conservation_defect", "L",
-                    "lower_bound", "chain", "nash_williams"}
+                    "lower_bound", "chain", "g_center", "nash_williams"}
 FLOW_REPORT_KEYS = SHARED_BALL_KEYS | {"R", "p", "sigma", "cut_margin", "per_n"}
 LADDER_ROW_KEYS = SHARED_BALL_KEYS | {
     "R", "g_center", "residual", "iterations", "normalization_dev",
@@ -114,8 +116,11 @@ def test_flow_writes_paths_and_audited_report(workdir, capsys):
     assert set(report) == FLOW_REPORT_KEYS
     assert all(set(row) == CHAIN_ROW_KEYS and row["ok"]
                for row in report["chain"])
-    assert set(report["nash_williams"]) == CHAIN_ROW_KEYS
+    assert set(report["nash_williams"]) == NASH_WILLIAMS_KEYS
     assert report["nash_williams"]["ok"] is True
+    # binary tree, p = 2: g_R(o) = 1 - 2^-(R+1), the cut sum's equality case
+    assert report["g_center"] == pytest.approx(15 / 16, rel=1e-12)
+    assert report["nash_williams"]["margin"] == pytest.approx(0.0, abs=1e-12)
     assert report["path_count"] == len(paths["paths"]) == summary["path_count"]
     assert sum(p["probability"] for p in paths["paths"]) == pytest.approx(1.0)
     assert report["probability_sum"] == pytest.approx(1.0, abs=1e-12)
@@ -222,6 +227,7 @@ def test_report_on_a_symmetric_graph(workdir, capsys):
     assert json.loads(out) == {"out": "r.json", "csv": "r.csv", "ok": True}
     payload = read_json("r.json")
     assert set(payload) == REPORT_KEYS
+    assert set(payload["shoot"]) == {"success", "u0", "worst_defect"}
     assert payload["shoot"]["success"] is True
     assert payload["shoot"]["u0"] == 0.1
     assert [row["R"] for row in payload["ladder"]] == [2, 3, 4]
@@ -232,7 +238,7 @@ def test_report_on_a_symmetric_graph(workdir, capsys):
         assert row["capacity_center"] == pytest.approx(
             row["g_center"] ** -1.0, rel=1e-9)
         assert row["normalization_dev"] <= 1e-9
-        assert set(row["nash_williams"]) == CHAIN_ROW_KEYS
+        assert set(row["nash_williams"]) == NASH_WILLIAMS_KEYS
         assert row["nash_williams"]["ok"] is True
     probe = payload["probe"]
     assert set(probe) == PROBE_KEYS
@@ -255,8 +261,12 @@ def test_report_on_an_asymmetric_graph_has_no_upper_bound(workdir, capsys):
                       "--out-prefix", "r"], capsys)
     assert code == 0
     payload = read_json("r.json")
-    assert payload["shoot"]["success"] is False
-    assert "spherically symmetric" in payload["shoot"]["reason"]
+    # sphere 2 of the lattice mixes corners and axis points: the shot from
+    # each start is no supersolution there
+    shoot = payload["shoot"]
+    assert (shoot["success"], shoot["break_radius"]) == (False, 2)
+    assert shoot["reason"].startswith("not a supersolution at radius 2: ")
+    assert shoot["tried_u0"] == [0.1, 0.05, 0.01]
     assert payload["probe"] is None  # fewer than three radii
     assert all(row["upper_bound"] is None for row in payload["ladder"])
     with open("r.csv", encoding="utf-8") as fh:
@@ -287,7 +297,7 @@ def test_report_labels_the_binary_tree_non_parabolic(workdir, capsys):
         nash_williams = row["nash_williams"]
         assert nash_williams["lower"] == pytest.approx(
             1.0 - 2.0 ** -(row["R"] + 1), rel=1e-12)
-        assert nash_williams["upper"] == pytest.approx(
+        assert row["g_center"] == pytest.approx(
             nash_williams["lower"], rel=1e-10)
 
 
@@ -321,13 +331,25 @@ def test_report_writes_each_ladder_value_once(workdir, capsys):
         cap = [path for path, x in numbers
                if x == pytest.approx(row["capacity_center"], rel=1e-12)]
         assert cap == [("ladder", i, "capacity_center")]
-        # g_R(o) is also the upper side of the Nash-Williams check, whose
-        # lower side (the cut sum) equals it on the tree
-        check = ("ladder", i, "nash_williams")
+        # g_R(o) is also the upper side of the Nash-Williams check, which
+        # writes only its lower side and the margin.  That lower side, the
+        # cut sum, is another number that the tree's equality case can make
+        # equal g_R(o) to the last bit (at R = 9 here)
+        cut_sum = ("ladder", i, "nash_williams", "lower")
         g = [path for path, x in numbers
-             if x == row["g_center"] and path[:3] != check]
+             if x == row["g_center"] and path != cut_sum]
         assert g == [("ladder", i, "g_center")]
-        assert row["nash_williams"]["upper"] == row["g_center"]
+    # flow writes g_R(o) once too, as g_center
+    assert main(["flow", "--graph", "tree12.json", "--R", "3", "--p", "2.5",
+                 "--sigma", "3", "--out-prefix", "f"]) == 0
+    report = read_json("f.report.json")
+    g = [path for path, x in _leaves(report)
+         if isinstance(x, float) and x == report["g_center"]]
+    assert g == [("g_center",)]
+    nash_williams = report["nash_williams"]
+    assert nash_williams["margin"] == pytest.approx(
+        report["g_center"] - nash_williams["lower"], rel=1e-12)
+
 
 
 # the chain rows that do not depend on R: all of them at R = 0

@@ -245,7 +245,11 @@ def test_radial_model_rejects_bad_shape(sizes, weights):
     ([1, 2.7, 4], [1, 1], r"sphere_sizes\[1\] must be an integer"),
     (["1", "2"], ["1.0"], r"sphere_sizes\[0\] must be an integer"),
     ([1, 2], ["1.0"], r"edge_weight_profile\[0\] must be a number"),
-], ids=["truncated-size", "parsed-sizes", "parsed-weight"])
+    # an int past the doubles is an infinite weight, not an OverflowError
+    ([1, 2], [10 ** 400],
+     r"edge_weight_profile\[0\] must be finite and > 0, got inf"),
+], ids=["truncated-size", "parsed-sizes", "parsed-weight",
+        "overflowing-weight"])
 def test_radial_model_neither_truncates_nor_parses(sizes, weights, message):
     with pytest.raises(ValueError, match=message):
         build_radial_model(sizes, weights)

@@ -2,6 +2,7 @@
 checks the random suites sample, and the random suites against those
 checks."""
 
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 from p_potential import (
     IDENTICALLY_ZERO,
     STRICTLY_POSITIVE,
-    ConsistencyError,
     ExponentParams,
     VerificationError,
     WeightedGraph,
@@ -23,6 +23,7 @@ from p_potential import (
     build_lattice,
     build_radial_model,
     build_tree,
+    defect_tolerance,
     positivity_propagation,
     supersolution_defect,
 )
@@ -84,10 +85,10 @@ def test_shooting_gives_a_supersolution_on_the_interior():
     params = ExponentParams(p=3.0, sigma=4.0)
     shot = shoot_radial_supersolution(graph, params, 0.1, profile=profile)
     assert shot.success and shot.break_radius is None
-    assert shot.interior_radius == profile.eccentricity - 1
+    assert shot.reason is None
     assert np.all(np.diff(shot.radial_values) < 0.0)
     assert shot.radial_values[-1] > 0.0
-    interior = profile.ball_mask(shot.interior_radius)
+    interior = profile.ball_mask(profile.R_max)
     defects = supersolution_defect(graph, shot.values, params,
                                    interior=interior)
     assert defects.min() == pytest.approx(shot.worst_defect)
@@ -123,19 +124,17 @@ def test_shooting_fails_where_the_drop_is_below_an_ulp():
     assert u0 == verify.SHOOT_STARTS[-1] and not last.success
 
 
-def test_shooting_still_raises_on_a_wrong_recurrence(monkeypatch):
+def test_shooting_fails_on_a_wrong_recurrence():
     # halving each sphere's measure in the recurrence makes every drop too
-    # small: the shot stays positive, and its defect check catches it
-    real = verify._radial_layer_weights
-
-    def halved_measure(graph, profile):
-        w_in, w_out, mu = real(graph, profile)
-        return w_in, w_out, mu / 2.0
-
-    monkeypatch.setattr(verify, "_radial_layer_weights", halved_measure)
-    with pytest.raises(ConsistencyError, match="shooting recurrence produced"):
-        shoot_radial_supersolution(build_tree(2, 6),
-                                   ExponentParams(p=3.0, sigma=4.0), 0.1)
+    # small: the shot stays positive, and its defect check fails at the root
+    graph = build_tree(2, 6)
+    profile = copy.copy(ball_profile(graph))
+    profile.sphere_measure = profile.sphere_measure / 2.0
+    shot = shoot_radial_supersolution(graph, ExponentParams(p=3.0, sigma=4.0),
+                                      0.1, profile=profile)
+    assert not shot.success and shot.values is None
+    assert shot.break_radius == 0
+    assert shot.reason.startswith("not a supersolution at radius 0: defect ")
 
 
 def test_shooting_edge_cases():
@@ -147,12 +146,17 @@ def test_shooting_edge_cases():
     for u0 in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="positive"):
             shoot_radial_supersolution(tree, params, u0)
-    with pytest.raises(ValueError, match="spherically symmetric"):
-        shoot_radial_supersolution(build_lattice(2, 3), params, 0.1)
+    # a graph that is not spherically symmetric is a failed shot
+    shot = shoot_radial_supersolution(build_lattice(2, 3), params, 0.1)
+    assert not shot.success and shot.break_radius == 2
+    assert shot.reason == "not a supersolution at radius 2: defect -5.101e-04"
 
 
 def _layer_weights_by_edge_loop(graph, profile):
-    """_radial_layer_weights as a loop over the edges (reference)."""
+    """Per-sphere (inward, outward, measure) conductances of one vertex,
+    from a loop over the edges; ValueError unless every vertex of a sphere
+    has the same three, which makes the per-vertex recurrence of
+    _shoot_by_layers exact (reference)."""
     ecc = profile.eccentricity
     rad = profile.radius_of
     w_in = np.zeros(graph.vertex_count)
@@ -173,8 +177,6 @@ def _layer_weights_by_edge_loop(graph, profile):
         for arr, per_vertex in ((layer_in, w_in), (layer_out, w_out),
                                 (layer_mu, graph.vertex_measure)):
             vals = per_vertex[sphere]
-            if vals.size == 0:
-                raise ConsistencyError(f"empty sphere at radius {k}")
             if np.ptp(vals) > 1e-12 * max(1.0, np.abs(vals).max()):
                 raise ValueError(
                     f"graph is not spherically symmetric: sphere {k} mixes "
@@ -183,11 +185,25 @@ def _layer_weights_by_edge_loop(graph, profile):
     return layer_in, layer_out, layer_mu
 
 
-def _outcome(compute, graph):
-    try:
-        return [layer.tobytes() for layer in compute(graph, ball_profile(graph))]
-    except (ValueError, ConsistencyError) as exc:
-        return type(exc), str(exc)
+def _shoot_by_layers(graph, params, u0):
+    """The radial values and the stop radius (None when the shot runs
+    through) of the per-vertex recurrence
+    Phi_p(drop_k) = (in_k Phi_p(drop_{k-1}) + mu_k U_k^sigma) / out_k on
+    _layer_weights_by_edge_loop's weights, which raises unless the graph
+    is spherically symmetric (reference)."""
+    profile = ball_profile(graph)
+    layer_in, layer_out, layer_mu = _layer_weights_by_edge_loop(graph,
+                                                                profile)
+    p, sigma = params.p, params.sigma
+    U = [u0]
+    phi_drop = 0.0
+    for k in range(profile.eccentricity):
+        phi_drop = (layer_in[k] * phi_drop + layer_mu[k] * U[k] ** sigma) \
+            / layer_out[k]
+        U.append(U[k] - phi_drop ** (1.0 / (p - 1.0)))
+        if U[k + 1] <= 0.0 or U[k + 1] == U[k]:
+            return np.array(U), k + 1
+    return np.array(U), None
 
 
 def _thinned_leaf_tree(weight=0.5):
@@ -200,7 +216,15 @@ def _thinned_leaf_tree(weight=0.5):
                                        base.edge_heads, weights)
 
 
-@pytest.mark.parametrize("make, symmetric", [
+def _irregular_path():
+    """The irregular-growth path of the CI report, weights (k+1)^2.75 with
+    three jump edges."""
+    w = np.arange(1, 601, dtype=np.float64) ** 2.75
+    w[[2, 16, 512]] = [16.0 ** 4.5, 512.0 ** 4.5, 65536.0 ** 4.5]
+    return build_radial_model([1] * 601, w)
+
+
+LAYER_GRAPHS = [
     (lambda: build_tree(2, 6), True),
     (lambda: build_tree(3, 5), True),
     (lambda: build_radial_model([1, 3, 6, 6, 12], [0.7, 1 / 3, 2.5, 1e-3]), True),
@@ -211,20 +235,87 @@ def _thinned_leaf_tree(weight=0.5):
     (_thinned_leaf_tree, False),
     (lambda: _thinned_leaf_tree(1.0 + 1e-9), False),
     (lambda: _thinned_leaf_tree(1.0 + 1e-14), True),
-], ids=["tree-2-6", "tree-3-5", "radial", "5-cycle", "lattice-2-3",
-        "thinned-leaf", "leaf-off-by-1e-9", "leaf-off-by-1e-14"])
+]
+LAYER_IDS = ["tree-2-6", "tree-3-5", "radial", "5-cycle", "lattice-2-3",
+             "thinned-leaf", "leaf-off-by-1e-9", "leaf-off-by-1e-14"]
+
+
+@pytest.mark.parametrize("make, symmetric", LAYER_GRAPHS, ids=LAYER_IDS)
 def test_layer_weights_equal_the_edge_loop(make, symmetric):
-    """Bitwise the same three layers, or the same error and message."""
+    """Summed over each sphere, the edge loop's per-vertex conductances
+    are the profile's cut conductances and sphere measures, which the flux
+    recurrence reads: sphere k takes b_{k-1} in and sends b_k out.  On a
+    symmetric graph each is the sphere size times the one vertex's."""
     graph = make()
-    got = _outcome(verify._radial_layer_weights, graph)
-    assert got == _outcome(_layer_weights_by_edge_loop, graph)
-    assert isinstance(got, list) == symmetric
+    profile = ball_profile(graph)
+    sizes = np.bincount(profile.radius_of)
+    try:
+        layers = _layer_weights_by_edge_loop(graph, profile)
+    except ValueError as exc:
+        assert not symmetric and "mixes conductance patterns" in str(exc)
+        return
+    assert symmetric
+    layer_in, layer_out, layer_mu = (sizes * layer for layer in layers)
+    assert layer_in[0] == 0.0 and layer_out[-1] == 0.0
+    np.testing.assert_allclose(layer_in[1:], profile.b, rtol=1e-14)
+    np.testing.assert_allclose(layer_out[:-1], profile.b, rtol=1e-14)
+    np.testing.assert_allclose(layer_mu, profile.sphere_measure, rtol=1e-14)
 
 
 def test_layer_weights_name_the_first_mixed_sphere():
+    """The shot breaks at the sphere the edge loop names first."""
+    params = ExponentParams(p=2.0, sigma=3.0)
     for graph, k in ((build_lattice(2, 3), 2), (_thinned_leaf_tree(), 3)):
         with pytest.raises(ValueError, match=f"sphere {k} mixes"):
-            verify._radial_layer_weights(graph, ball_profile(graph))
+            _layer_weights_by_edge_loop(graph, ball_profile(graph))
+        shot = shoot_radial_supersolution(graph, params, 0.1)
+        assert not shot.success and shot.break_radius == k
+        assert shot.reason.startswith(f"not a supersolution at radius {k}: ")
+
+
+# how the flux recurrence meets the per-vertex one on each graph: bitwise
+# where each sphere's totals are its vertex's times a power of two, or
+# where every sphere is one vertex; within a few ulps where the sphere
+# sizes (3^k on tree(3, 5)) or the weights make the two round differently;
+# where the reference refuses the graph, the shot breaks at the sphere it
+# names, or passes its defect check when the mismatch (the leaf off by
+# 1e-9) is below defect_tolerance
+SHOT_CASES = dict(zip(LAYER_IDS, zip(
+    (make for make, _ in LAYER_GRAPHS),
+    ("bitwise", "ulps", "ulps", "bitwise", "breaks", "breaks", "passes",
+     "ulps"))))
+SHOT_CASES["lattice-1-200"] = (lambda: build_lattice(1, 200), "bitwise")
+SHOT_CASES["irregular-path"] = (_irregular_path, "bitwise")
+
+
+@pytest.mark.parametrize("p, sigma", [(2.0, 3.0), (3.0, 4.0), (1.5, 3.0)])
+@pytest.mark.parametrize("case", SHOT_CASES)
+def test_shot_follows_the_per_vertex_recurrence(case, p, sigma):
+    """The same radial values, success and break radius as the per-vertex
+    recurrence on every symmetric graph, from every start."""
+    make, agreement = SHOT_CASES[case]
+    graph = make()
+    params = ExponentParams(p=p, sigma=sigma)
+    for u0 in verify.SHOOT_STARTS:
+        shot = shoot_radial_supersolution(graph, params, u0)
+        if agreement in ("breaks", "passes"):
+            with pytest.raises(ValueError, match="mixes") as refused:
+                _shoot_by_layers(graph, params, u0)
+            if agreement == "passes":
+                assert shot.success and shot.worst_defect >= \
+                    -defect_tolerance(u0, p, sigma)
+            else:
+                k = int(str(refused.value).split("sphere ")[1].split()[0])
+                assert not shot.success and shot.break_radius == k
+            continue
+        U, stop = _shoot_by_layers(graph, params, u0)
+        if agreement == "bitwise":
+            np.testing.assert_array_equal(shot.radial_values, U)
+        else:
+            np.testing.assert_allclose(shot.radial_values, U,
+                                       rtol=16 * np.finfo(float).eps)
+        assert shot.success == (stop is None)
+        assert shot.break_radius == stop
 
 
 def test_sandwich_suite_squeezes_L():
@@ -263,25 +354,26 @@ def test_sandwich_suite_counts_a_failed_side(monkeypatch):
     assert report.worst_margin == min(-c["L"] for c in report.details.values())
 
 
-def test_sandwich_suite_counts_failed_shots_and_short_interiors(monkeypatch):
+def test_sandwich_suite_counts_failed_shots(monkeypatch):
     real = verify.shoot_with_fallback
 
-    def failing_or_short(graph, params, profile):
+    def failing(graph, params, profile):
         u0, shot = real(graph, params, profile)
         if params.p == 2.0:
             return u0, dataclasses.replace(shot, success=False, values=None,
                                            break_radius=1, worst_defect=None)
-        return u0, dataclasses.replace(shot, interior_radius=2)
+        return u0, shot
 
-    monkeypatch.setattr(verify, "shoot_with_fallback", failing_or_short)
+    monkeypatch.setattr(verify, "shoot_with_fallback", failing)
     report = sandwich_suite()
-    assert (report.trials, report.violations, report.ok) == (4, 4, False)
-    assert report.worst_margin is None
+    assert (report.trials, report.violations, report.ok) == (4, 3, False)
+    ball = report.details.pop("p3.0-sigma4.0-R3")
+    assert report.worst_margin == min(ball["L"] - ball["lower"],
+                                      ball["upper"] - ball["L"]) > 0.0
     assert report.details == {
         "p2.0-sigma3.0-R2": "shooting failed for all tried u0",
         "p2.0-sigma3.0-R3": "shooting failed for all tried u0",
         "p2.0-sigma3.0-R4": "shooting failed for all tried u0",
-        "p3.0-sigma4.0-R3": "R exceeds the verified interior radius 2",
     }
 
 
