@@ -131,7 +131,8 @@ def _ball_fields(ball: BallAnalysis) -> dict:
     """The fields that flow and report both write for one analyzed ball.
     g_R(o) is written once, as g_center: the nash_williams row, whose upper
     side it is, keeps only the cut sum and the margin."""
-    nash_williams = ball.nash_williams
+    nash_williams = _check_rows([ball.nash_williams])[0]
+    g_center = nash_williams.pop("upper")
     return {
         "retained_edges": ball.flow.edge_count,
         "path_count": len(ball.measure),
@@ -141,11 +142,8 @@ def _ball_fields(ball: BallAnalysis) -> dict:
         "L": ball.chain.L,
         "lower_bound": ball.chain.rhs,
         "chain": _check_rows(ball.chain.checks),
-        "g_center": float(ball.green.values[ball.flow.center]),
-        "nash_williams": {"name": nash_williams.name,
-                          "lower": nash_williams.lower,
-                          "margin": nash_williams.margin,
-                          "ok": nash_williams.ok},
+        "g_center": g_center,
+        "nash_williams": nash_williams,
     }
 
 

@@ -273,6 +273,23 @@ def test_report_on_an_asymmetric_graph_has_no_upper_bound(workdir, capsys):
         assert fh.read().splitlines()[1].split(",")[6] == ""
 
 
+def test_report_has_no_upper_bound_where_u_sigma_is_below_the_tolerance(
+        workdir, capsys):
+    # from u0 = 0.01 at sigma = 6, u^sigma is 1e-12, below defect_tolerance's
+    # 1e-10: the lattice's defect at radius 2 fails the shot against a slack
+    # scaled by that vertex's own terms
+    save_graph(build_lattice(2, 6), "lattice26.json")
+    code, _, _ = run(["report", "--graph", "lattice26.json", "--p", "3",
+                      "--sigma", "6", "--R", "2,4", "--trials", "50",
+                      "--out-prefix", "r"], capsys)
+    assert code == 0
+    payload = read_json("r.json")
+    shoot = payload["shoot"]
+    assert (shoot["success"], shoot["break_radius"]) == (False, 2)
+    assert shoot["reason"].startswith("not a supersolution at radius 2: ")
+    assert all(row["upper_bound"] is None for row in payload["ladder"])
+
+
 def test_report_labels_the_binary_tree_non_parabolic(workdir, capsys):
     # g_R(o) = 1 - 2^-(R+1) stays bounded; the template fits the probe
     # used to run labelled this ladder looks-parabolic
@@ -349,7 +366,6 @@ def test_report_writes_each_ladder_value_once(workdir, capsys):
     nash_williams = report["nash_williams"]
     assert nash_williams["margin"] == pytest.approx(
         report["g_center"] - nash_williams["lower"], rel=1e-12)
-
 
 
 # the chain rows that do not depend on R: all of them at R = 0
