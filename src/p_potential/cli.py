@@ -4,17 +4,18 @@ Subcommands: gen (graph files), green (one Dirichlet solve), flow (the
 lower-bound chain on one ball: orient and decompose the unit current and
 audit the chain), criterion (series reports), verify (property suites),
 report (the same chain over a radius ladder, with the probe, the upper
-bound from radial shooting, the series and the suites).  flow and report
+bound from one radial shot, the series and the suites).  flow and report
 both run flows.analyze_ball and only serialize its fields; report derives
 capacity_center = g_center^(1-p) and the probe from the ladder's solves.
 Beside its chain, every analyzed ball writes g_center = g_R(o) and a
 nash_williams row with the chain rows' keys but upper (name, lower,
 margin, ok): the cut sum NW_R = sum_{k=0}^R b_k^(-1/(p-1)) as lower, and
 g_R(o) - NW_R as margin, so g_R(o) is written once.  The probe labels
-growth from the extrapolated tail of that sum.  report's shoot entry says
-whether the radial shot gave a supersolution; when it did not (it broke
-positivity, lost a drop below an ulp, or the graph is not spherically
-symmetric), every upper_bound is null.
+growth from the extrapolated tail of that sum.  report's shoot entry
+writes the shot's start u0, which the ball profile fixes, and whether the
+shot gave a supersolution; when it did not (u0 is below the doubles, a
+drop is below an ulp, or the graph is not spherically symmetric), every
+upper_bound is null.
 
 Every ball is centered at the graph file's root, which is also the pole of
 every Green function; another pole is another graph file's root.  criterion
@@ -48,8 +49,7 @@ from .graphs import (BallProfile, _text_rows, ball_profile, build_lattice,
 from .green import (green_normalization_check, parabolicity_probe,
                     sandwich_upper_bound, solve_green)
 from .operators import ExponentParams, save_vertex_function
-from .verify import (SHOOT_STARTS, check_trials, run_suites,
-                     shoot_with_fallback)
+from .verify import check_trials, run_suites, shoot_radial_supersolution
 
 REPORT_CSV_COLUMNS = ("R", "g_center", "residual", "capacity_center", "L",
                       "lower_bound", "upper_bound", "path_count",
@@ -346,8 +346,15 @@ def _cmd_criterion(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _check_suite_args(args) -> None:
+    """check_trials, and ValueError unless --seed is nonnegative."""
     check_trials(args.trials)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+
+
+def _cmd_verify(args) -> int:
+    _check_suite_args(args)
     reports = run_suites(args.suite, trials=args.trials, seed=args.seed)
     payload = {
         "suites": [asdict(rep) for rep in reports],
@@ -362,7 +369,7 @@ def _cmd_report(args) -> int:
     json_path = args.out_prefix + ".json"
     csv_path = args.out_prefix + ".csv"
     _check_outputs([args.graph], [terms_path, json_path, csv_path])
-    check_trials(args.trials)
+    _check_suite_args(args)
     graph = load_graph(args.graph)
     profile = ball_profile(graph)
     params = ExponentParams(p=args.p, sigma=args.sigma)
@@ -370,13 +377,11 @@ def _cmd_report(args) -> int:
     if any(R < 0 or R > profile.R_max for R in radii):
         raise ValueError(f"radii must lie in [0, {profile.R_max}]")
 
-    u0, shot = shoot_with_fallback(graph, params, profile)
-    if shot.success:
-        shoot_info = {"success": True, "u0": u0,
-                      "worst_defect": shot.worst_defect}
-    else:
-        shoot_info = {"success": False, "break_radius": shot.break_radius,
-                      "reason": shot.reason, "tried_u0": list(SHOOT_STARTS)}
+    shot = shoot_radial_supersolution(graph, params, profile)
+    shoot_info = {"success": shot.success, "u0": shot.radial_values[0],
+                  **({"worst_defect": shot.worst_defect} if shot.success else
+                     {"break_radius": shot.break_radius,
+                      "reason": shot.reason})}
 
     ladder = []
     for R in radii:

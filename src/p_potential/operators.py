@@ -12,7 +12,10 @@ the Dirichlet pairing of f against a test function psi is
 and the p-energy is the pairing of f with itself, sum w |df|^p.  Summation
 by parts makes pairing(f, psi) = sum_x (-lap_p f)(x) psi(x) mu(x) exactly
 on a finite graph.  Every pointwise check reads -lap_p from
-p_laplacian_all, which evaluates it at every vertex at once.
+p_laplacian_all, which evaluates it at every vertex at once.  A
+supersolution of -lap_p u >= u^sigma is judged by one rule, with no
+absolute tolerance: each vertex's supersolution_defect against its
+_defect_slack, the part of that defect rounding accounts for.
 
 A function on the vertices is a plain float64 array, one value per
 vertex id.  Every operator here takes an array-like and passes it through
@@ -38,7 +41,7 @@ from .graphs import WeightedGraph, _text_rows
 class ExponentParams:
     """Exponent pair (p, sigma) with the derived quantities used throughout.
 
-    Requires p > 1 and sigma > p - 1 so that eta = sigma - p + 1 > 0.
+    Requires p > 1 and eta = sigma - p + 1 > 0 in doubles (so sigma > p - 1).
     """
 
     p: float
@@ -46,8 +49,8 @@ class ExponentParams:
 
     def __post_init__(self):
         p, sigma = check_p(self.p), float(self.sigma)
-        if not np.isfinite(sigma) or sigma <= p - 1.0:
-            raise ValueError(f"sigma must be finite and > p - 1 = {p - 1}, got {sigma!r}")
+        if not np.isfinite(sigma) or not sigma - p + 1.0 > 0.0:
+            raise ValueError(f"sigma must be finite and > p - 1 = {p - 1} (eta > 0), got {sigma!r}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "sigma", sigma)
 
@@ -146,12 +149,10 @@ def p_energy(graph: WeightedGraph, f, p: float) -> float:
     return float(np.dot(graph.edge_weights, np.abs(drops) ** p))
 
 
-def defect_tolerance(u_sup: float, p: float,
-                     sigma: float | None = None) -> float:
-    """Absolute tolerance for defect-type checks: 1e-10 scaled by
-    max(1, ||u||_inf ^ max(p-1, sigma)), so never below 1e-10."""
-    exponent = p - 1.0 if sigma is None else max(p - 1.0, sigma)
-    return 1e-10 * max(1.0, float(u_sup) ** exponent)
+def defect_tolerance(u_sup: float, p: float) -> float:
+    """Absolute tolerance for -lap_p u >= 0 at a zero of u: 1e-10 scaled
+    by max(1, ||u||_inf ^ (p-1)), so never below 1e-10."""
+    return 1e-10 * max(1.0, float(u_sup) ** (p - 1.0))
 
 
 def _interior_mask(graph: WeightedGraph, interior) -> np.ndarray:
@@ -178,3 +179,26 @@ def supersolution_defect(graph: WeightedGraph, u, params: ExponentParams,
     mask = _interior_mask(graph, interior)
     lap = p_laplacian_all(graph, values, params.p)
     return -lap[mask] - values[mask] ** params.sigma
+
+
+def _defect_slack(graph: WeightedGraph, values: np.ndarray,
+                  params: ExponentParams) -> np.ndarray:
+    """The part of supersolution_defect at each vertex that rounding
+    accounts for, the one rule for accepting a supersolution: 1e-10 of the
+    terms the defect adds, u^sigma + (1/mu) sum_y w |Phi_p(du)|, plus what
+    rounding each value to a double moves a nonzero drop by, (1/mu) sum_y
+    w (Phi_p(|du| + h) - Phi_p(|du| - h)) with h = eps max(u_x, u_y).
+    Both scale with the vertex, so a defect fails however small u^sigma
+    is, and a vertex passes or fails whichever ball holds it."""
+    p = params.p
+    tails, heads = graph.edge_tails, graph.edge_heads
+    drop = np.abs(values[tails] - values[heads])
+    h = np.where(drop > 0.0, np.finfo(np.float64).eps
+                 * np.maximum(values[tails], values[heads]), 0.0)
+    slack = graph.edge_weights * (1e-10 * drop ** (p - 1.0)
+                                  + (drop + h) ** (p - 1.0)
+                                  - np.maximum(drop - h, 0.0) ** (p - 1.0))
+    per_vertex = np.bincount(np.concatenate((tails, heads)),
+                             weights=np.tile(slack, 2),
+                             minlength=graph.vertex_count)
+    return per_vertex / graph.vertex_measure + 1e-10 * values ** params.sigma

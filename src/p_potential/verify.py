@@ -2,7 +2,8 @@
 test supersolutions, and the suites of the `verify` CLI subcommand.
 
 The shot is one flux recurrence on the ball profile's cut conductances
-b_k and sphere measures, checked once by supersolution_defect.  On a graph
+b_k and sphere measures, from a start u(o) the profile fixes, checked
+once by the per-vertex rule sandwich_upper_bound applies.  On a graph
 that is not spherically symmetric that check fails the shot at the first
 sphere that mixes conductance patterns.
 
@@ -25,16 +26,12 @@ from .flows import analyze_ball
 from .graphs import (BallProfile, WeightedGraph, ball_profile, build_lattice,
                      build_tree)
 from .green import sandwich_upper_bound, solve_green
-from .operators import (ExponentParams, _interior_mask, as_values,
-                        defect_tolerance, p_laplacian_all,
+from .operators import (ExponentParams, _defect_slack, _interior_mask,
+                        as_values, defect_tolerance, p_laplacian_all,
                         supersolution_defect)
 
 STRICTLY_POSITIVE = "strictly positive"
 IDENTICALLY_ZERO = "identically zero on component"
-
-# starting values u(o) for radial shooting, tried in this order
-SHOOT_STARTS = (0.1, 0.05, 0.01)
-
 
 # ---------------------------------------------------------------------------
 # pointwise inequality checks
@@ -165,13 +162,15 @@ def positivity_propagation(graph: WeightedGraph, u, p: float,
 class ShootReport:
     """Outcome of radial equality shooting for -lap_p u = u^sigma.
 
-    Failure is a normal outcome, not an exception; `reason` says which
-    one and `break_radius` where: the radial values are no supersolution
-    there (the graph is not spherically symmetric), or positivity breaks,
-    or the drop into that sphere lies below an ulp of u.  On success,
-    `values` (a read-only float64 array, one value per vertex) is a
-    verified supersolution on B_{R_max}, with least defect `worst_defect`;
-    equality at the outermost sphere is impossible (no outward edges).
+    radial_values[k] is u on the sphere S_k, from radial_values[0] = u0 to
+    the last radius reached.  Failure is a normal outcome, not an
+    exception; `reason` says which one and `break_radius` where: the
+    radial values are no supersolution there (the graph is not spherically
+    symmetric), or the drop into that sphere lies below an ulp of u, or u0
+    lies below the doubles (radius 0).  On success, `values` (a read-only
+    float64 array, one value per vertex) is a verified supersolution on
+    B_{R_max}, with least defect `worst_defect`; equality at the outermost
+    sphere is impossible (no outward edges).
     """
 
     success: bool
@@ -182,70 +181,52 @@ class ShootReport:
     reason: str | None = None
 
 
-def _defect_slack(graph: WeightedGraph, values: np.ndarray,
-                  params: ExponentParams) -> np.ndarray:
-    """The part of a radial shot's supersolution_defect at each vertex
-    that rounding accounts for: 1e-10 of the terms the defect adds,
-    u^sigma + (1/mu) sum_y w |Phi_p(du)|, plus what rounding each U_k
-    moves a nonzero drop by, (1/mu) sum_y w (Phi_p(|du| + h) -
-    Phi_p(|du| - h)) with h = eps max(u_x, u_y).  Both scale with the
-    vertex, so a mismatched sphere fails however small u^sigma is."""
-    p = params.p
-    tails, heads = graph.edge_tails, graph.edge_heads
-    drop = np.abs(values[tails] - values[heads])
-    h = np.where(drop > 0.0, np.finfo(np.float64).eps
-                 * np.maximum(values[tails], values[heads]), 0.0)
-    slack = graph.edge_weights * (1e-10 * drop ** (p - 1.0)
-                                  + (drop + h) ** (p - 1.0)
-                                  - np.maximum(drop - h, 0.0) ** (p - 1.0))
-    per_vertex = np.bincount(np.concatenate((tails, heads)),
-                             weights=np.tile(slack, 2),
-                             minlength=graph.vertex_count)
-    return per_vertex / graph.vertex_measure + 1e-10 * values ** params.sigma
-
-
 def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
-                               u0: float,
                                profile: BallProfile | None = None) -> ShootReport:
-    """Shoot a radial solution of -lap_p u = u^sigma outward from u(o) = u0.
+    """Shoot a radial solution of -lap_p u = u^sigma outward from
+    u(o) = u0 = (2S)^(-r/eta), with S = sum_{k < ecc} (W_k / b_k)^(1/r).
 
     Each radial drop balances the flux across a cut,
 
         b_k Phi_p(U_k - U_{k+1}) = sum_{j <= k} mu(S_j) U_j^sigma,
 
     which is equality on the sphere S_k when the graph is spherically
-    symmetric, and maximizes reach among radially dominated supersolutions
-    (a heuristic, not a theorem).  The shot runs through when u stays
-    positive up to the outermost sphere, and stops at the first radius b
-    where it does not, or where the drop is below an ulp.  One
-    supersolution_defect check then covers the spheres where the flux
-    balance set equality, B_{R_max} or B_{b-2} for a stop at b: each
-    defect against the smaller of _defect_slack and defect_tolerance.  It
-    succeeds when the shot ran through and the check passed.  u0 must be
-    positive: sandwich_upper_bound needs u > 0 on the ball.
+    symmetric.  While U_j <= u0 the flux out of B_k is at most
+    u0^sigma W_k, so the drops sum to at most u0^(sigma/r) S = u0/2, and u
+    stays >= u0/2.  W_0 = b_0 makes S >= 1 and u0 < 1.  S is summed in
+    logarithms, as it can overflow near p = 1 while u0 is still a double;
+    a u0 below the doubles is a failed shot at radius 0.
+
+    The shot stops early only at a radius b whose drop is below an ulp.
+    One supersolution_defect check covers the spheres where the flux
+    balance set equality, B_{R_max} or B_{b-2}, each vertex against its
+    _defect_slack: sandwich_upper_bound's rule, so a successful shot
+    passes it on every ball.
     """
-    if not u0 > 0.0:
-        raise ValueError(f"u0 must be positive, got {u0!r}")
     if profile is None:
         profile = ball_profile(graph)
-    p, sigma = params.p, params.sigma
-    U = np.empty(profile.eccentricity + 1)
-    U[0] = u0
+    sigma, ecc = params.sigma, profile.eccentricity
+    log_s = np.logaddexp.reduce(
+        (np.log(profile.W[:ecc]) - np.log(profile.b)) / params.r)
+    log_u0 = -params.r / params.eta * (np.log(2.0) + log_s)
+    U = np.empty(ecc + 1)
+    U[0] = np.exp(log_u0)
+    if U[0] == 0.0:
+        return ShootReport(success=False, values=None, radial_values=U[:1],
+                           break_radius=0, worst_defect=None,
+                           reason=f"start u0 = exp({log_u0:.3e}) is below "
+                                  f"the doubles")
     flux = 0.0  # out of the ball B_k
     reason = None
-    for k in range(profile.eccentricity):
+    for k in range(ecc):
         flux += profile.sphere_measure[k] * U[k] ** sigma
-        drop = (flux / profile.b[k]) ** (1.0 / (p - 1.0))
+        drop = (flux / profile.b[k]) ** (1.0 / params.r)
         U[k + 1] = U[k] - drop
-        if U[k + 1] <= 0.0:
-            reason = f"positivity breaks at radius {k + 1}"
-        elif U[k + 1] == U[k]:  # a nonzero drop lost to rounding
+        if U[k + 1] == U[k]:  # a nonzero drop lost to rounding
             reason = (f"drop {drop:.3e} into radius {k + 1} is below an "
                       f"ulp of u = {U[k]:.3e}")
-        else:
-            continue
-        U = U[:k + 2]
-        break
+            U = U[:k + 2]
+            break
     break_radius = None if reason is None else U.size - 1
     # the flux balance set equality on B_checked, whose defects read U up
     # to radius checked + 1 only
@@ -259,10 +240,7 @@ def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
         defects = supersolution_defect(graph, values, params, interior=ball)
         worst = float(defects.min())
         radii = profile.radius_of[ball]
-        # past defect_tolerance, sandwich_upper_bound would refuse the
-        # shot even where rounding explains the defect
-        low = defects < -np.minimum(_defect_slack(graph, values, params)[ball],
-                                    defect_tolerance(u0, p, sigma))
+        low = defects < -_defect_slack(graph, values, params)[ball]
         if low.any():
             break_radius = int(radii[low].min())
             reason = (f"not a supersolution at radius {break_radius}: defect "
@@ -271,20 +249,6 @@ def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
     return ShootReport(success=success, values=values if success else None,
                        radial_values=U.copy(), break_radius=break_radius,
                        worst_defect=worst if success else None, reason=reason)
-
-
-def shoot_with_fallback(graph: WeightedGraph, params: ExponentParams,
-                        profile: BallProfile) -> tuple:
-    """Shoot from each u0 in SHOOT_STARTS until one succeeds.
-
-    Returns (u0, ShootReport) for the first start that succeeds, or for the
-    last start when none does.
-    """
-    for u0 in SHOOT_STARTS:
-        shot = shoot_radial_supersolution(graph, params, u0, profile=profile)
-        if shot.success:
-            break
-    return u0, shot
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +455,11 @@ def sandwich_suite() -> SuiteReport:
     supersolution bound on tree(2, 6): p=2, sigma=3 at R = 2, 3, 4 and
     p=3, sigma=4 at R=3.
 
-    Each (p, sigma) shoots once; the shot is a verified supersolution on
-    B_{R_max}, so on every ball.  A ball violates when shooting failed or
-    when lower <= L <= upper fails.  worst_margin is the least
+    Each (p, sigma) shoots once, from the profile's start u0, which
+    details records; the shot is a verified supersolution on B_{R_max},
+    so on every ball.  A ball violates when shooting failed, and its
+    details hold the shot's reason, or when lower <= L <= upper fails.
+    worst_margin is the least
     min(L - lower, upper - L), and None when no ball got that far.  Errors
     of the bounds propagate.
     """
@@ -504,12 +470,12 @@ def sandwich_suite() -> SuiteReport:
     worst = np.inf
     for p, sigma, radii in ((2.0, 3.0, (2, 3, 4)), (3.0, 4.0, (3,))):
         params = ExponentParams(p=p, sigma=sigma)
-        u0, shot = shoot_with_fallback(graph, params, profile)
+        shot = shoot_radial_supersolution(graph, params, profile)
         for R in radii:
             key = f"p{params.p}-sigma{params.sigma}-R{R}"
             if not shot.success:
                 violations += 1
-                details[key] = "shooting failed for all tried u0"
+                details[key] = f"shooting failed: {shot.reason}"
                 continue
             ball = analyze_ball(graph, profile, R, params)
             lower, L = ball.chain.rhs, ball.chain.L
@@ -518,7 +484,7 @@ def sandwich_suite() -> SuiteReport:
             margin = min(L - lower, upper - L)
             worst = min(worst, margin)
             details[key] = {"lower": lower, "L": L, "upper": upper,
-                            "u0": float(u0)}
+                            "u0": float(shot.radial_values[0])}
             if margin <= 0.0:
                 violations += 1
     return SuiteReport(name="sandwich", trials=len(details), violations=violations,

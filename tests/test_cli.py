@@ -22,6 +22,7 @@ from p_potential import (
     build_tree,
     load_graph,
     save_graph,
+    shoot_radial_supersolution,
 )
 from p_potential import cli
 from p_potential.cli import main
@@ -229,7 +230,8 @@ def test_report_on_a_symmetric_graph(workdir, capsys):
     assert set(payload) == REPORT_KEYS
     assert set(payload["shoot"]) == {"success", "u0", "worst_defect"}
     assert payload["shoot"]["success"] is True
-    assert payload["shoot"]["u0"] == 0.1
+    assert payload["shoot"]["u0"] == shoot_radial_supersolution(
+        build_tree(2, 5), ExponentParams(p=2.0, sigma=3.0)).radial_values[0]
     assert [row["R"] for row in payload["ladder"]] == [2, 3, 4]
     for row in payload["ladder"]:
         assert set(row) == LADDER_ROW_KEYS
@@ -261,12 +263,13 @@ def test_report_on_an_asymmetric_graph_has_no_upper_bound(workdir, capsys):
                       "--out-prefix", "r"], capsys)
     assert code == 0
     payload = read_json("r.json")
-    # sphere 2 of the lattice mixes corners and axis points: the shot from
-    # each start is no supersolution there
+    # sphere 2 of the lattice mixes corners and axis points: the shot is
+    # no supersolution there
     shoot = payload["shoot"]
+    assert set(shoot) == {"success", "u0", "break_radius", "reason"}
     assert (shoot["success"], shoot["break_radius"]) == (False, 2)
     assert shoot["reason"].startswith("not a supersolution at radius 2: ")
-    assert shoot["tried_u0"] == [0.1, 0.05, 0.01]
+    assert 0.0 < shoot["u0"] < 1.0
     assert payload["probe"] is None  # fewer than three radii
     assert all(row["upper_bound"] is None for row in payload["ladder"])
     with open("r.csv", encoding="utf-8") as fh:
@@ -275,12 +278,11 @@ def test_report_on_an_asymmetric_graph_has_no_upper_bound(workdir, capsys):
 
 def test_report_has_no_upper_bound_where_u_sigma_is_below_the_tolerance(
         workdir, capsys):
-    # from u0 = 0.01 at sigma = 6, u^sigma is 1e-12, below defect_tolerance's
-    # 1e-10: the lattice's defect at radius 2 fails the shot against a slack
-    # scaled by that vertex's own terms
-    save_graph(build_lattice(2, 6), "lattice26.json")
-    code, _, _ = run(["report", "--graph", "lattice26.json", "--p", "3",
-                      "--sigma", "6", "--R", "2,4", "--trials", "50",
+    # at sigma = 2.1 the lattice's start is about 1e-38, so u^sigma is far
+    # below an absolute 1e-10: the lattice's defect at radius 2 fails the
+    # shot against a slack scaled by that vertex's own terms
+    code, _, _ = run(["report", "--graph", "square.json", "--p", "3",
+                      "--sigma", "2.1", "--R", "2,4", "--trials", "50",
                       "--out-prefix", "r"], capsys)
     assert code == 0
     payload = read_json("r.json")
@@ -375,35 +377,36 @@ CHAIN_ROWS_OF_EVERY_RADIUS = ["path mass expectation <= L",
                               "cut-series lower bound for L"]
 
 
-def test_report_when_the_shot_breaks_positivity(workdir, capsys):
+def test_report_when_the_start_is_below_the_doubles(workdir, capsys):
+    # on lattice(1, 200) at p = 2, sigma = 1.01 the start is
+    # (2 * 200^2)^(-100) = exp(-1129)
     save_graph(build_lattice(1, 200), "path.json")
     code, _, _ = run(["report", "--graph", "path.json", "--p", "2",
-                      "--sigma", "3", "--R", "3,6,9", "--trials", "50",
+                      "--sigma", "1.01", "--R", "3,6,9", "--trials", "50",
                       "--out-prefix", "r"], capsys)
     assert code == 0
     payload = read_json("r.json")
-    assert payload["shoot"] == {"success": False, "break_radius": 132,
-                                "reason": "positivity breaks at radius 132",
-                                "tried_u0": [0.1, 0.05, 0.01]}
+    assert payload["shoot"] == {
+        "success": False, "u0": 0.0, "break_radius": 0,
+        "reason": "start u0 = exp(-1.129e+03) is below the doubles"}
     assert [row["upper_bound"] for row in payload["ladder"]] == [None] * 3
 
 
 def test_report_records_a_shot_whose_drop_is_below_an_ulp(workdir, capsys):
-    # at p = 1.1 the first radial drop from u0 is (u0^2)^10, below ulp(u0)
-    # for every start: each shot fails at radius 1 and the next
-    # start is tried, so the report runs on without an upper bound
-    save_graph(build_lattice(1, 8), "lattice18.json")
-    code, out, _ = run(["report", "--graph", "lattice18.json", "--p", "1.1",
+    # at p = 1.1 the first radial drop, u0 / (2S) with S about 1.9e27 on
+    # lattice(1, 200), is below ulp(u0): the shot fails at radius 1, and
+    # the report runs on without an upper bound
+    save_graph(build_lattice(1, 200), "path.json")
+    code, out, _ = run(["report", "--graph", "path.json", "--p", "1.1",
                         "--sigma", "2", "--R", "2,3", "--trials", "50",
                         "--out-prefix", "r"], capsys)
     assert code == 0
     assert json.loads(out)["ok"] is True
     payload = read_json("r.json")
     assert payload["shoot"] == {
-        "success": False, "break_radius": 1,
-        "reason": "drop 1.000e-40 into radius 1 is below an ulp of "
-                  "u = 1.000e-02",
-        "tried_u0": [0.1, 0.05, 0.01]}
+        "success": False, "u0": 0.03534735942505839, "break_radius": 1,
+        "reason": "drop 9.271e-30 into radius 1 is below an ulp of "
+                  "u = 3.535e-02"}
     assert [row["upper_bound"] for row in payload["ladder"]] == [None, None]
 
 
@@ -636,10 +639,16 @@ PROFILE_ARGV = ["criterion", "--profile", "bad.csv", "--p", "2", "--sigma", "3"]
     (["report", "--graph", "tree.json", "--p", "2", "--sigma", "3",
       "--R", "2,3,4", "--trials", "0"], None, "ValueError",
      "trials must be at least 1, got 0"),
+    (["verify", "--suite", "picone", "--trials", "10", "--seed", "-1"], None,
+     "ValueError", "--seed must be nonnegative, got -1"),
+    (["report", "--graph", "tree.json", "--p", "2", "--sigma", "3",
+      "--R", "2,3,4", "--trials", "10", "--seed", "-1"], None, "ValueError",
+     "--seed must be nonnegative, got -1"),
 ], ids=["bad-radius-list", "radius-above-R_max", "missing-graph",
         "malformed-profile", "short-profile-row", "unparsed-profile-row",
         "repeated-profile-n", "verify-zero-trials", "verify-negative-trials",
-        "verify-positivity-zero-trials", "report-zero-trials"])
+        "verify-positivity-zero-trials", "report-zero-trials",
+        "verify-negative-seed", "report-negative-seed"])
 def test_errors_exit_1_with_json_on_stderr(workdir, capsys, argv, prepare,
                                            error, message):
     if prepare is not None:

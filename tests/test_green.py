@@ -306,7 +306,7 @@ def test_sandwich_upper_bound_rejects_bad_candidates():
         sandwich_upper_bound(graph, prof, green, ones,
                              ExponentParams(p=3, sigma=4))
     # a shot supersolution passes, and the return value is the bound alone
-    shot = shoot_radial_supersolution(graph, params, 0.1, profile=prof)
+    shot = shoot_radial_supersolution(graph, params, profile=prof)
     bound = sandwich_upper_bound(graph, prof, green, shot.values, params)
     ratio = green.values[graph.root] / shot.values[graph.root]
     assert bound == (params.sigma / params.eta) * ratio ** params.eta

@@ -66,8 +66,11 @@ def test_growth_exponent_identity_random():
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+# sigma = 0.25000000000000006 exceeds p - 1 = 0.25, yet sigma - p + 1
+# rounds to 0
 @pytest.mark.parametrize("p, sigma", [(1.0, 2.0), (0.5, 2.0), (2.0, 1.0),
-                                      (2.0, 0.99), (np.nan, 2.0), (2.0, np.inf)])
+                                      (2.0, 0.99), (np.nan, 2.0), (2.0, np.inf),
+                                      (1.25, 0.25000000000000006)])
 def test_exponent_params_validation(p, sigma):
     with pytest.raises(ValueError):
         ExponentParams(p=p, sigma=sigma)
@@ -234,7 +237,7 @@ def test_p_energy_explicit():
 def test_defect_tolerance_scales_with_sup():
     assert defect_tolerance(1.0, 2.0) == 1e-10
     assert defect_tolerance(10.0, 2.0) == pytest.approx(1e-9)
-    assert defect_tolerance(10.0, 3.0, sigma=4.0) == pytest.approx(1e-6)
+    assert defect_tolerance(10.0, 3.0) == pytest.approx(1e-8)
     assert defect_tolerance(0.1, 3.0) == 1e-10  # never below base
 
 

@@ -25,6 +25,8 @@ from p_potential import (
     build_tree,
     defect_tolerance,
     positivity_propagation,
+    sandwich_upper_bound,
+    solve_green,
     supersolution_defect,
 )
 from p_potential import verify
@@ -83,7 +85,7 @@ def test_shooting_gives_a_supersolution_on_the_interior():
     graph = build_tree(2, 6)
     profile = ball_profile(graph)
     params = ExponentParams(p=3.0, sigma=4.0)
-    shot = shoot_radial_supersolution(graph, params, 0.1, profile=profile)
+    shot = shoot_radial_supersolution(graph, params, profile=profile)
     assert shot.success and shot.break_radius is None
     assert shot.reason is None
     assert np.all(np.diff(shot.radial_values) < 0.0)
@@ -96,32 +98,64 @@ def test_shooting_gives_a_supersolution_on_the_interior():
     assert shot.values.dtype == np.float64 and not shot.values.flags.writeable
 
 
-def test_shooting_breaks_from_a_large_start():
-    graph = build_tree(2, 6)
-    shot = shoot_radial_supersolution(graph, ExponentParams(p=2.0, sigma=3.0),
-                                      10.0)
+def _derived_start(graph, params):
+    """(2S)^(-r/eta) with S = sum_{k < ecc} (W_k / b_k)^(1/r), summed
+    directly (reference)."""
+    profile = ball_profile(graph)
+    ratios = profile.W[:profile.eccentricity] / profile.b
+    S = np.sum(ratios ** (1.0 / params.r))
+    return (2.0 * S) ** (-params.r / params.eta)
+
+
+@pytest.mark.parametrize("make, p, sigma", [
+    (lambda: build_tree(2, 6), 2.0, 3.0),
+    (lambda: build_tree(3, 5), 3.0, 3.0),
+    (lambda: build_lattice(1, 8), 1.1, 2.0),
+    (lambda: build_radial_model([1, 3, 6, 6, 12], [0.7, 1 / 3, 2.5, 1e-3]),
+     1.5, 0.6),
+    (lambda: build_lattice(2, 5), 5.0, 10.0),
+], ids=["tree-2-6", "tree-3-5", "lattice-1-8-near-1", "radial", "lattice-2-5"])
+def test_shot_starts_where_the_profile_says(make, p, sigma):
+    """The shot's start is (2S)^(-r/eta), summed in logarithms, and u stays
+    at least half of it wherever the shot reaches."""
+    graph = make()
+    params = ExponentParams(p=p, sigma=sigma)
+    shot = shoot_radial_supersolution(graph, params)
+    u0 = shot.radial_values[0]
+    assert u0 == pytest.approx(_derived_start(graph, params), rel=1e-13)
+    assert 0.0 < u0 < 1.0
+    assert shot.radial_values.min() >= u0 / 2.0
+
+
+def test_shooting_fails_where_the_start_is_below_the_doubles():
+    # lattice(1, 200) at p = 2: W_k / b_k = 2k + 1, so S = 200^2, and at
+    # sigma = 1.01 the start (2S)^(-1/0.01) = exp(-1128.98) underflows
+    graph = build_lattice(1, 200)
+    shot = shoot_radial_supersolution(graph, ExponentParams(p=2.0, sigma=1.01))
     assert not shot.success
     assert shot.values is None and shot.worst_defect is None
-    assert shot.break_radius == 1
-    assert shot.radial_values[-1] <= 0.0
-    assert shot.reason == "positivity breaks at radius 1"
+    assert shot.break_radius == 0
+    np.testing.assert_array_equal(shot.radial_values, [0.0])
+    assert shot.reason == "start u0 = exp(-1.129e+03) is below the doubles"
 
 
 def test_shooting_fails_where_the_drop_is_below_an_ulp():
-    # at p = 1.1 the first drop, (u0^2)^10 on the line, is below ulp(u0):
-    # u stays flat and no double makes equality hold at the root
-    graph = build_lattice(1, 8)
-    profile = ball_profile(graph)
+    # the first drop is u0^(sigma/r) = u0 / (2S); at p = 1.1 on
+    # lattice(1, 200), S = sum_{k < 200} (2k + 1)^10 is about 1.9e27, so it
+    # lies below ulp(u0): u stays flat and no double makes equality hold
+    # at the root
+    graph = build_lattice(1, 200)
     params = ExponentParams(p=1.1, sigma=2.0)
-    shot = shoot_radial_supersolution(graph, params, 0.1, profile=profile)
+    shot = shoot_radial_supersolution(graph, params)
     assert not shot.success
     assert shot.values is None and shot.worst_defect is None
     assert shot.break_radius == 1
-    np.testing.assert_array_equal(shot.radial_values, [0.1, 0.1])
-    assert shot.reason == ("drop 1.000e-20 into radius 1 is below an ulp of "
-                           "u = 1.000e-01")
-    u0, last = verify.shoot_with_fallback(graph, params, profile)
-    assert u0 == verify.SHOOT_STARTS[-1] and not last.success
+    u0 = shot.radial_values[0]
+    np.testing.assert_array_equal(shot.radial_values, [u0, u0])
+    drop = u0 / (2.0 * np.sum(np.arange(1.0, 400.0, 2.0) ** 10))
+    assert f"{drop:.3e}" == "9.271e-30"
+    assert shot.reason == ("drop 9.271e-30 into radius 1 is below an ulp of "
+                           "u = 3.535e-02")
 
 
 def test_shooting_fails_on_a_wrong_recurrence():
@@ -131,7 +165,7 @@ def test_shooting_fails_on_a_wrong_recurrence():
     profile = copy.copy(ball_profile(graph))
     profile.sphere_measure = profile.sphere_measure / 2.0
     shot = shoot_radial_supersolution(graph, ExponentParams(p=3.0, sigma=4.0),
-                                      0.1, profile=profile)
+                                      profile=profile)
     assert not shot.success and shot.values is None
     assert shot.break_radius == 0
     assert shot.reason.startswith("not a supersolution at radius 0: defect ")
@@ -140,29 +174,26 @@ def test_shooting_fails_on_a_wrong_recurrence():
 def test_shooting_edge_cases():
     params = ExponentParams(p=2.0, sigma=3.0)
     tree = build_tree(2, 3)
-    shot = shoot_radial_supersolution(tree, params, 0.1)
+    shot = shoot_radial_supersolution(tree, params)
     assert shot.success and not shot.values.flags.writeable
-    # a zero shot is the zero function, which bounds no L_R
-    for u0 in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="positive"):
-            shoot_radial_supersolution(tree, params, u0)
     # a graph that is not spherically symmetric is a failed shot
-    shot = shoot_radial_supersolution(build_lattice(2, 3), params, 0.1)
+    shot = shoot_radial_supersolution(build_lattice(2, 3), params)
     assert not shot.success and shot.break_radius == 2
-    assert shot.reason == "not a supersolution at radius 2: defect -5.101e-04"
+    assert shot.reason == "not a supersolution at radius 2: defect -7.660e-04"
 
 
 def test_shooting_judges_each_defect_by_its_own_vertex():
-    # from u0 = 0.01 at sigma = 6 the lattice's defect at radius 2 is far
-    # above -defect_tolerance (1e-10) but several times u^sigma = 1e-12:
-    # the slack scales with each vertex's terms, so the shot fails there
+    # at sigma = 2.1 the lattice's start is about 1e-38 and u^sigma about
+    # 1e-80, so its defect at radius 2 is far above -defect_tolerance
+    # (1e-10), yet several times u^sigma there: the slack scales with each
+    # vertex's terms, so the shot fails there
     graph = build_lattice(2, 6)
-    shot = shoot_radial_supersolution(graph, ExponentParams(p=3.0, sigma=6.0),
-                                      0.01)
+    shot = shoot_radial_supersolution(graph, ExponentParams(p=3.0, sigma=2.1))
     assert not shot.success and shot.break_radius == 2
     assert shot.reason.startswith("not a supersolution at radius 2: defect ")
     defect = float(shot.reason.rsplit(" ", 1)[1])
-    assert -defect_tolerance(0.01, 3.0, 6.0) < defect < -0.01 ** 6 / 10
+    u0, u2 = shot.radial_values[[0, 2]]
+    assert -defect_tolerance(u0, 3.0) < defect < -u2 ** 2.1 / 10
 
 
 def _layer_weights_by_edge_loop(graph, profile):
@@ -217,6 +248,36 @@ def _shoot_by_layers(graph, params, u0):
         if U[k + 1] <= 0.0 or U[k + 1] == U[k]:
             return np.array(U), k + 1
     return np.array(U), None
+
+
+def _shoot_by_flux(profile, params, u0):
+    """Radial values of the flux recurrence
+    b_k Phi_p(U_k - U_{k+1}) = sum_{j <= k} mu(S_j) U_j^sigma from a given
+    start, through every sphere of any graph, unchecked (reference)."""
+    U = [u0]
+    flux = 0.0
+    for k in range(profile.eccentricity):
+        flux += profile.sphere_measure[k] * U[k] ** params.sigma
+        U.append(U[k] - (flux / profile.b[k]) ** (1.0 / params.r))
+    return np.array(U)
+
+
+def test_sandwich_upper_bound_judges_each_defect_by_its_own_vertex():
+    """The lattice's radial values from u0 = 0.01 at p = 3, sigma = 6 miss
+    equality at radius 2 by about -5e-13: inside an absolute 1e-10, yet
+    several times u^sigma = 1e-12 there.  The bound refuses them on every
+    ball that holds radius 2."""
+    graph = build_lattice(2, 6)
+    profile = ball_profile(graph)
+    params = ExponentParams(p=3.0, sigma=6.0)
+    U = _shoot_by_flux(profile, params, 0.01)
+    assert U[-1] > 0.0
+    values = U[profile.radius_of]
+    for R in (2, 4):
+        green = solve_green(graph, profile, R, params.p)
+        with pytest.raises(ValueError, match=f"not a supersolution on B_{R}: "
+                                             f"defect -5.329e-13 "):
+            sandwich_upper_bound(graph, profile, green, values, params)
 
 
 def _thinned_leaf_tree(weight=0.5):
@@ -281,7 +342,7 @@ def test_layer_weights_name_the_first_mixed_sphere():
     for graph, k in ((build_lattice(2, 3), 2), (_thinned_leaf_tree(), 3)):
         with pytest.raises(ValueError, match=f"sphere {k} mixes"):
             _layer_weights_by_edge_loop(graph, ball_profile(graph))
-        shot = shoot_radial_supersolution(graph, params, 0.1)
+        shot = shoot_radial_supersolution(graph, params)
         assert not shot.success and shot.break_radius == k
         assert shot.reason.startswith(f"not a supersolution at radius {k}: ")
 
@@ -306,29 +367,78 @@ SHOT_CASES["irregular-path"] = (_irregular_path, "bitwise")
 @pytest.mark.parametrize("case", SHOT_CASES)
 def test_shot_follows_the_per_vertex_recurrence(case, p, sigma):
     """The same radial values, success and break radius as the per-vertex
-    recurrence on every symmetric graph, from every start."""
+    recurrence from the shot's own start, on every symmetric graph."""
     make, agreement = SHOT_CASES[case]
     graph = make()
     params = ExponentParams(p=p, sigma=sigma)
-    for u0 in verify.SHOOT_STARTS:
-        shot = shoot_radial_supersolution(graph, params, u0)
-        if agreement in ("breaks", "passes"):
-            with pytest.raises(ValueError, match="mixes") as refused:
-                _shoot_by_layers(graph, params, u0)
-            if agreement == "passes":
-                assert shot.success
-            else:
-                k = int(str(refused.value).split("sphere ")[1].split()[0])
-                assert not shot.success and shot.break_radius == k
-            continue
-        U, stop = _shoot_by_layers(graph, params, u0)
-        if agreement == "bitwise":
-            np.testing.assert_array_equal(shot.radial_values, U)
+    shot = shoot_radial_supersolution(graph, params)
+    u0 = shot.radial_values[0]
+    if agreement in ("breaks", "passes"):
+        with pytest.raises(ValueError, match="mixes") as refused:
+            _shoot_by_layers(graph, params, u0)
+        if agreement == "passes":
+            assert shot.success
         else:
-            np.testing.assert_allclose(shot.radial_values, U,
-                                       rtol=16 * np.finfo(float).eps)
-        assert shot.success == (stop is None)
-        assert shot.break_radius == stop
+            k = int(str(refused.value).split("sphere ")[1].split()[0])
+            assert not shot.success and shot.break_radius == k
+        return
+    U, stop = _shoot_by_layers(graph, params, u0)
+    if agreement == "bitwise":
+        np.testing.assert_array_equal(shot.radial_values, U)
+    else:
+        np.testing.assert_allclose(shot.radial_values, U,
+                                   rtol=16 * np.finfo(float).eps)
+    assert shot.success == (stop is None)
+    assert shot.break_radius == stop
+
+
+@st.composite
+def _radial_models(draw):
+    """A radial model of up to 12 spheres with nondecreasing sizes and
+    weights within four decades, and p in [1.1, 5], sigma in (p-1, 10]."""
+    steps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=11))
+    sizes = np.cumsum([1, *steps]).tolist()
+    weights = draw(st.lists(st.floats(0.0, 4.0), min_size=len(steps),
+                            max_size=len(steps)))
+    p = draw(st.floats(1.1, 5.0))
+    sigma = draw(st.floats(p - 1.0, 10.0, exclude_min=True)
+                 .filter(lambda sigma: sigma - p + 1.0 > 0.0))
+    return (build_radial_model(sizes, (10.0 ** np.array(weights)).tolist()),
+            ExponentParams(p=p, sigma=sigma))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_radial_models())
+def test_shot_keeps_half_its_start(model):
+    """While U_j <= u0 the flux out of B_k is at most u0^sigma W_k, so the
+    drops sum to at most u0^(sigma/r) S = u0/2: wherever u0 is a positive
+    double, u never falls below u0/2.  With one cut the bound is equality,
+    so the doubles may miss it by the rounding of u0 = exp(log u0), which
+    u0^(sigma/r) amplifies by sigma/r |log u0|, and of the 1/r-th power of
+    each drop."""
+    graph, params = model
+    shot = shoot_radial_supersolution(graph, params)
+    u0 = shot.radial_values[0]
+    if u0 > 0.0:
+        ecc = shot.radial_values.size - 1
+        rounding = 4.0 * np.finfo(np.float64).eps * (
+            params.sigma / params.r * abs(np.log(u0)) + ecc / params.r + 1.0)
+        assert shot.radial_values.min() >= u0 / 2.0 * (1.0 - rounding)
+
+
+@pytest.mark.parametrize("dimension, half_sides", [(2, (2, 3, 6, 10)),
+                                                   (3, (2, 3, 6))])
+def test_no_lattice_shot_passes(dimension, half_sides):
+    """A lattice of dimension 2 or 3 is not spherically symmetric, so no
+    shot on it is a supersolution, at any (p, sigma) of the grid."""
+    for half_side in half_sides:
+        graph = build_lattice(dimension, half_side)
+        profile = ball_profile(graph)
+        for p in (1.1, 1.5, 2.0, 3.0, 5.0):
+            for sigma in (p - 0.99, p - 0.5, p, 2.0 * p, 10.0):
+                shot = shoot_radial_supersolution(
+                    graph, ExponentParams(p=p, sigma=sigma), profile)
+                assert not shot.success, (half_side, p, sigma)
 
 
 def test_sandwich_suite_squeezes_L():
@@ -336,9 +446,12 @@ def test_sandwich_suite_squeezes_L():
     assert report.name == "sandwich"
     assert report.ok and report.violations == 0
     assert report.trials == len(report.details) == 4
-    for case in report.details.values():
+    tree = build_tree(2, 6)
+    for key, case in report.details.items():
         assert case["lower"] < case["L"] < case["upper"]
-        assert case["u0"] == 0.1
+        p, sigma = (2.0, 3.0) if key.startswith("p2.0") else (3.0, 4.0)
+        assert case["u0"] == pytest.approx(
+            _derived_start(tree, ExponentParams(p=p, sigma=sigma)), rel=1e-13)
     assert report.worst_margin == pytest.approx(min(
         min(c["L"] - c["lower"], c["upper"] - c["L"])
         for c in report.details.values()))
@@ -348,13 +461,13 @@ def test_sandwich_suite_shoots_once_per_exponent_pair(monkeypatch):
     starts = []
     real = verify.shoot_radial_supersolution
 
-    def recording(graph, params, u0, profile=None):
-        starts.append((params.p, u0))
-        return real(graph, params, u0, profile=profile)
+    def recording(graph, params, profile=None):
+        starts.append(params.p)
+        return real(graph, params, profile=profile)
 
     monkeypatch.setattr(verify, "shoot_radial_supersolution", recording)
     assert sandwich_suite().ok
-    assert starts == [(2.0, 0.1), (3.0, 0.1)]
+    assert starts == [2.0, 3.0]
 
 
 def test_sandwich_suite_counts_a_failed_side(monkeypatch):
@@ -368,25 +481,26 @@ def test_sandwich_suite_counts_a_failed_side(monkeypatch):
 
 
 def test_sandwich_suite_counts_failed_shots(monkeypatch):
-    real = verify.shoot_with_fallback
+    real = verify.shoot_radial_supersolution
 
     def failing(graph, params, profile):
-        u0, shot = real(graph, params, profile)
+        shot = real(graph, params, profile)
         if params.p == 2.0:
-            return u0, dataclasses.replace(shot, success=False, values=None,
-                                           break_radius=1, worst_defect=None)
-        return u0, shot
+            return dataclasses.replace(shot, success=False, values=None,
+                                       break_radius=1, worst_defect=None,
+                                       reason="made up")
+        return shot
 
-    monkeypatch.setattr(verify, "shoot_with_fallback", failing)
+    monkeypatch.setattr(verify, "shoot_radial_supersolution", failing)
     report = sandwich_suite()
     assert (report.trials, report.violations, report.ok) == (4, 3, False)
     ball = report.details.pop("p3.0-sigma4.0-R3")
     assert report.worst_margin == min(ball["L"] - ball["lower"],
                                       ball["upper"] - ball["L"]) > 0.0
     assert report.details == {
-        "p2.0-sigma3.0-R2": "shooting failed for all tried u0",
-        "p2.0-sigma3.0-R3": "shooting failed for all tried u0",
-        "p2.0-sigma3.0-R4": "shooting failed for all tried u0",
+        "p2.0-sigma3.0-R2": "shooting failed: made up",
+        "p2.0-sigma3.0-R3": "shooting failed: made up",
+        "p2.0-sigma3.0-R4": "shooting failed: made up",
     }
 
 
