@@ -13,9 +13,9 @@ margin, ok): the cut sum NW_R = sum_{k=0}^R b_k^(-1/(p-1)) as lower, and
 g_R(o) - NW_R as margin, so g_R(o) is written once.  The probe labels
 growth from the extrapolated tail of that sum.  report's shoot entry
 writes the shot's start u0, which the ball profile fixes, and whether the
-shot gave a supersolution; when it did not (u0 is below the doubles, a
-drop is below an ulp, or the graph is not spherically symmetric), every
-upper_bound is null.
+shot gave a supersolution; when it did not (u0^sigma is below the
+doubles, a drop is below an ulp, the graph is not spherically symmetric,
+or the doubles cannot resolve u^sigma), every upper_bound is null.
 
 Every ball is centered at the graph file's root, which is also the pole of
 every Green function; another pole is another graph file's root.  criterion

@@ -34,8 +34,8 @@ from .criterion import INCONCLUSIVE, TailEstimate, extrapolate_cut_tail
 from .dirichlet import MinimizeReport, SolveOptions, minimize_p_dirichlet
 from .errors import ConsistencyError, SolverError
 from .graphs import BallProfile, WeightedGraph
-from .operators import (ExponentParams, _defect_slack, as_values, p_energy,
-                        p_laplacian_all, supersolution_defect)
+from .operators import (ExponentParams, as_values, p_energy, p_laplacian_all,
+                        supersolution_shortfall)
 
 # Reported residuals never drop below this: at machine-precision convergence
 # the defect evaluation itself carries rounding noise of this order, and
@@ -168,31 +168,27 @@ def compute_L(graph: WeightedGraph, profile: BallProfile,
 
 def sandwich_upper_bound(graph: WeightedGraph, profile: BallProfile,
                          green: GreenFunction, u, params: ExponentParams):
-    """The upper bound (sigma/eta) * (g_R(o)/u(o))^eta on L_R, for a
-    verified supersolution u.
-
-    u must be nonnegative everywhere, strictly positive on B_R, and satisfy
-    -lap_p u >= u^sigma on B_R: every defect of supersolution_defect within
-    its vertex's _defect_slack.  Otherwise a ValueError names the vertex
-    whose defect falls furthest below its slack.
+    """The upper bound (sigma/eta) (g_R(o)/u(o))^eta / (1 - delta) on L_R,
+    that of the supersolution c u, c^eta = 1 - delta, where delta >= 0 is
+    u's largest supersolution_shortfall on B_R.  u must be nonnegative,
+    positive on B_R, and have delta < 1, or a ValueError names the vertex.
     """
     if params.p != green.p:
         raise ValueError(f"params.p = {params.p} but the Green function has p = {green.p}")
     u_values = as_values(u, graph)
     ball = profile.ball_mask(green.R)
-    defects = supersolution_defect(graph, u_values, params, interior=ball)
-    slack = _defect_slack(graph, u_values, params)[ball]
-    worst = int(np.argmin(defects + slack))
-    if defects[worst] < -slack[worst]:
-        raise ValueError(
-            f"u is not a supersolution on B_{green.R}: defect "
-            f"{defects[worst]:.3e} at vertex {np.flatnonzero(ball)[worst]} "
-            f"(slack {slack[worst]:.1e})")
+    shortfall = supersolution_shortfall(graph, u_values, params, interior=ball)
+    worst = int(np.argmax(shortfall))
+    delta = max(float(shortfall[worst]), 0.0)
+    if not delta < 1.0:
+        raise ValueError(f"u is not a supersolution on B_{green.R}: -lap_p u "
+                         f"falls short of u^sigma by {delta:.3e} of it at "
+                         f"vertex {np.flatnonzero(ball)[worst]}")
     if u_values[ball].min() <= 0.0:
         raise ValueError("u must be strictly positive on the ball")
 
     ratio = green.values[graph.root] / u_values[graph.root]
-    return (params.sigma / params.eta) * ratio ** params.eta
+    return (params.sigma / params.eta) * ratio ** params.eta / (1.0 - delta)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,8 @@ the Dirichlet pairing of f against a test function psi is
 and the p-energy is the pairing of f with itself, sum w |df|^p.  Summation
 by parts makes pairing(f, psi) = sum_x (-lap_p f)(x) psi(x) mu(x) exactly
 on a finite graph.  Every pointwise check reads -lap_p from
-p_laplacian_all, which evaluates it at every vertex at once.  A
-supersolution of -lap_p u >= u^sigma is judged by one rule, with no
-absolute tolerance: each vertex's supersolution_defect against its
-_defect_slack, the part of that defect rounding accounts for.
+p_laplacian_all, which evaluates it at every vertex at once.  One rule,
+supersolution_shortfall, judges every supersolution of -lap_p u >= u^sigma.
 
 A function on the vertices is a plain float64 array, one value per
 vertex id.  Every operator here takes an array-like and passes it through
@@ -181,24 +179,32 @@ def supersolution_defect(graph: WeightedGraph, u, params: ExponentParams,
     return -lap[mask] - values[mask] ** params.sigma
 
 
-def _defect_slack(graph: WeightedGraph, values: np.ndarray,
-                  params: ExponentParams) -> np.ndarray:
-    """The part of supersolution_defect at each vertex that rounding
-    accounts for, the one rule for accepting a supersolution: 1e-10 of the
-    terms the defect adds, u^sigma + (1/mu) sum_y w |Phi_p(du)|, plus what
-    rounding each value to a double moves a nonzero drop by, (1/mu) sum_y
-    w (Phi_p(|du| + h) - Phi_p(|du| - h)) with h = eps max(u_x, u_y).
-    Both scale with the vertex, so a defect fails however small u^sigma
-    is, and a vertex passes or fails whichever ball holds it."""
-    p = params.p
-    tails, heads = graph.edge_tails, graph.edge_heads
+def supersolution_shortfall(graph: WeightedGraph, u, params: ExponentParams,
+                            interior=None, rounding=False) -> np.ndarray:
+    """The fraction of u^sigma by which -lap_p u may fall short of it on
+    the interior (as in supersolution_defect): (u^sigma + lap_p u + e) /
+    u^sigma, +inf for 0/0, with e = 1e-10 (u^sigma + (1/mu) sum_y w
+    |Phi_p(du)|) charged for rounding the evaluation.  Where all are < 1,
+    c u with c^eta = 1 - max(0, largest) is a supersolution.  With
+    rounding, e is credited instead, with what rounding an exact solution
+    to doubles moves the defect by, (1/mu) sum_y w (Phi_p(|du| + h) -
+    Phi_p(|du| - h)), h = eps max(u_x, u_y) on nonzero drops: a shortfall
+    <= 0 then says u may be such a rounding, and certifies nothing."""
+    values = as_values(u, graph)
+    if values.min() < 0.0:
+        raise ValueError(f"u must be nonnegative everywhere; min is {values.min()}")
+    r, tails, heads = params.r, graph.edge_tails, graph.edge_heads
     drop = np.abs(values[tails] - values[heads])
-    h = np.where(drop > 0.0, np.finfo(np.float64).eps
-                 * np.maximum(values[tails], values[heads]), 0.0)
-    slack = graph.edge_weights * (1e-10 * drop ** (p - 1.0)
-                                  + (drop + h) ** (p - 1.0)
-                                  - np.maximum(drop - h, 0.0) ** (p - 1.0))
-    per_vertex = np.bincount(np.concatenate((tails, heads)),
-                             weights=np.tile(slack, 2),
-                             minlength=graph.vertex_count)
-    return per_vertex / graph.vertex_measure + 1e-10 * values ** params.sigma
+    charge = 1e-10 * drop ** r  # per edge, against u; credited if rounding
+    if rounding:
+        h = np.where(drop > 0.0, np.finfo(np.float64).eps
+                     * np.maximum(values[tails], values[heads]), 0.0)
+        charge = -(charge + (drop + h) ** r - np.maximum(drop - h, 0.0) ** r)
+    charge = np.bincount(np.concatenate((tails, heads)),
+                         weights=np.tile(graph.edge_weights * charge, 2),
+                         minlength=graph.vertex_count) / graph.vertex_measure
+    lap = p_laplacian_all(graph, values, params.p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = (1.0 - 1e-10 if rounding else 1.0 + 1e-10) \
+            + (lap + charge) / values ** params.sigma
+    return np.where(np.isnan(delta), np.inf, delta)[_interior_mask(graph, interior)]

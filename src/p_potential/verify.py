@@ -2,10 +2,10 @@
 test supersolutions, and the suites of the `verify` CLI subcommand.
 
 The shot is one flux recurrence on the ball profile's cut conductances
-b_k and sphere measures, from a start u(o) the profile fixes, checked
-once by the per-vertex rule sandwich_upper_bound applies.  On a graph
-that is not spherically symmetric that check fails the shot at the first
-sphere that mixes conductance patterns.
+b_k and sphere measures, from a start the profile fixes, checked once by
+supersolution_shortfall.  On a graph that is not spherically symmetric
+that check fails the shot at the first sphere that mixes conductance
+patterns.
 
 Each check returns both sides of its inequality so callers see margins,
 not booleans.  Each side formula is written once, over arrays
@@ -26,9 +26,9 @@ from .flows import analyze_ball
 from .graphs import (BallProfile, WeightedGraph, ball_profile, build_lattice,
                      build_tree)
 from .green import sandwich_upper_bound, solve_green
-from .operators import (ExponentParams, _defect_slack, _interior_mask,
-                        as_values, defect_tolerance, p_laplacian_all,
-                        supersolution_defect)
+from .operators import (ExponentParams, _interior_mask, as_values,
+                        defect_tolerance, p_laplacian_all,
+                        supersolution_defect, supersolution_shortfall)
 
 STRICTLY_POSITIVE = "strictly positive"
 IDENTICALLY_ZERO = "identically zero on component"
@@ -162,15 +162,14 @@ def positivity_propagation(graph: WeightedGraph, u, p: float,
 class ShootReport:
     """Outcome of radial equality shooting for -lap_p u = u^sigma.
 
-    radial_values[k] is u on the sphere S_k, from radial_values[0] = u0 to
-    the last radius reached.  Failure is a normal outcome, not an
-    exception; `reason` says which one and `break_radius` where: the
-    radial values are no supersolution there (the graph is not spherically
-    symmetric), or the drop into that sphere lies below an ulp of u, or u0
-    lies below the doubles (radius 0).  On success, `values` (a read-only
-    float64 array, one value per vertex) is a verified supersolution on
-    B_{R_max}, with least defect `worst_defect`; equality at the outermost
-    sphere is impossible (no outward edges).
+    radial_values holds u on the spheres S_0 (u0), S_1, ... reached.
+    Failure is a normal outcome, not an exception; `reason` says which
+    one and `break_radius` where: the radial values are no supersolution
+    there, or the drop into that sphere lies below an ulp of u, or
+    u0^sigma below the normal doubles (radius 0).  On success, `values`
+    (a read-only float64 array, one value per vertex) passes
+    sandwich_upper_bound on every ball, with least defect `worst_defect`;
+    equality at the outermost sphere is impossible (no outward edges).
     """
 
     success: bool
@@ -194,14 +193,13 @@ def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
     symmetric.  While U_j <= u0 the flux out of B_k is at most
     u0^sigma W_k, so the drops sum to at most u0^(sigma/r) S = u0/2, and u
     stays >= u0/2.  W_0 = b_0 makes S >= 1 and u0 < 1.  S is summed in
-    logarithms, as it can overflow near p = 1 while u0 is still a double;
-    a u0 below the doubles is a failed shot at radius 0.
+    logarithms, as it can overflow near p = 1 while u0 is a double; the
+    shot fails at radius 0 when u0^sigma is below the normal doubles.
 
     The shot stops early only at a radius b whose drop is below an ulp.
-    One supersolution_defect check covers the spheres where the flux
-    balance set equality, B_{R_max} or B_{b-2}, each vertex against its
-    _defect_slack: sandwich_upper_bound's rule, so a successful shot
-    passes it on every ball.
+    One check covers the spheres where the flux balance set equality,
+    B_{R_max} or B_{b-2}: every supersolution_shortfall must be at most
+    the rounding one, and below 1, so the shot passes sandwich_upper_bound.
     """
     if profile is None:
         profile = ball_profile(graph)
@@ -211,11 +209,11 @@ def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
     log_u0 = -params.r / params.eta * (np.log(2.0) + log_s)
     U = np.empty(ecc + 1)
     U[0] = np.exp(log_u0)
-    if U[0] == 0.0:
+    if U[0] ** sigma < np.finfo(np.float64).tiny:
         return ShootReport(success=False, values=None, radial_values=U[:1],
                            break_radius=0, worst_defect=None,
-                           reason=f"start u0 = exp({log_u0:.3e}) is below "
-                                  f"the doubles")
+                           reason=f"start u0 = exp({log_u0:.3e}) puts "
+                                  f"u0^sigma below the normal doubles")
     flux = 0.0  # out of the ball B_k
     reason = None
     for k in range(ecc):
@@ -240,11 +238,16 @@ def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
         defects = supersolution_defect(graph, values, params, interior=ball)
         worst = float(defects.min())
         radii = profile.radius_of[ball]
-        low = defects < -_defect_slack(graph, values, params)[ball]
+        shortfall = supersolution_shortfall(graph, values, params, ball)
+        low = ~((supersolution_shortfall(graph, values, params, ball,
+                                         rounding=True) <= 0.0)
+                & (shortfall < 1.0))
         if low.any():
             break_radius = int(radii[low].min())
+            sphere = radii == break_radius
             reason = (f"not a supersolution at radius {break_radius}: defect "
-                      f"{defects[radii == break_radius].min():.3e}")
+                      f"{defects[sphere].min():.3e}, short of u^sigma by "
+                      f"{shortfall[sphere].max():.3e} of it")
     success = reason is None
     return ShootReport(success=success, values=values if success else None,
                        radial_values=U.copy(), break_radius=break_radius,
@@ -455,13 +458,11 @@ def sandwich_suite() -> SuiteReport:
     supersolution bound on tree(2, 6): p=2, sigma=3 at R = 2, 3, 4 and
     p=3, sigma=4 at R=3.
 
-    Each (p, sigma) shoots once, from the profile's start u0, which
-    details records; the shot is a verified supersolution on B_{R_max},
-    so on every ball.  A ball violates when shooting failed, and its
-    details hold the shot's reason, or when lower <= L <= upper fails.
-    worst_margin is the least
-    min(L - lower, upper - L), and None when no ball got that far.  Errors
-    of the bounds propagate.
+    Each (p, sigma) shoots once, from the start u0 details records; the
+    shot passes sandwich_upper_bound on every ball.  A ball violates when
+    shooting failed (details hold its reason) or lower <= L <= upper
+    fails.  worst_margin is the least min(L - lower, upper - L), and None
+    when no ball got that far.  Errors of the bounds propagate.
     """
     graph = build_tree(2, 6)
     profile = ball_profile(graph)

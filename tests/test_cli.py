@@ -388,7 +388,8 @@ def test_report_when_the_start_is_below_the_doubles(workdir, capsys):
     payload = read_json("r.json")
     assert payload["shoot"] == {
         "success": False, "u0": 0.0, "break_radius": 0,
-        "reason": "start u0 = exp(-1.129e+03) is below the doubles"}
+        "reason": "start u0 = exp(-1.129e+03) puts u0^sigma below the "
+                  "normal doubles"}
     assert [row["upper_bound"] for row in payload["ladder"]] == [None] * 3
 
 

@@ -25,6 +25,7 @@ from p_potential import (
 )
 from p_potential import green as green_module
 from p_potential.green import capacity
+from p_potential.operators import supersolution_shortfall
 from p_potential.verify import shoot_radial_supersolution
 from test_operators import dirichlet_pairing
 
@@ -305,12 +306,35 @@ def test_sandwich_upper_bound_rejects_bad_candidates():
     with pytest.raises(ValueError, match="params.p"):
         sandwich_upper_bound(graph, prof, green, ones,
                              ExponentParams(p=3, sigma=4))
-    # a shot supersolution passes, and the return value is the bound alone
+    # a shot supersolution passes, and the return value is its bound alone,
+    # charged its shortfall, which is rounding-sized
     shot = shoot_radial_supersolution(graph, params, profile=prof)
     bound = sandwich_upper_bound(graph, prof, green, shot.values, params)
     ratio = green.values[graph.root] / shot.values[graph.root]
-    assert bound == (params.sigma / params.eta) * ratio ** params.eta
+    delta = supersolution_shortfall(graph, shot.values, params,
+                                    prof.ball_mask(2)).max()
+    assert 0.0 < delta < 1e-9
+    assert bound == (params.sigma / params.eta) * ratio ** params.eta \
+        / (1.0 - delta)
     assert compute_L(graph, prof, green, params.sigma) < bound
+
+
+def test_sandwich_upper_bound_refuses_a_function_flat_to_an_ulp():
+    # u = 0.1 - |x| 2^-56 on lattice(1, 8) steps down one ulp per sphere:
+    # harmonic off the root, so -lap_p u falls short of u^sigma by all of
+    # it (and by the charge for rounding the evaluation on top), though at
+    # p = 1.1 each current, (2^-56)^0.1 = 0.02, is twice u^sigma = 0.01
+    graph = build_lattice(1, 8)
+    prof = ball_profile(graph)
+    params = ExponentParams(p=1.1, sigma=2.0)
+    u = 0.1 - prof.radius_of * 2.0 ** -56
+    assert np.all(np.diff(np.unique(u)) == 2.0 ** -56)
+    for R in (2, 7):
+        green = solve_green(graph, prof, R, params.p)
+        with pytest.raises(ValueError, match=f"not a supersolution on B_{R}: "
+                                             f"-lap_p u falls short of "
+                                             f"u\\^sigma by 1\\.0"):
+            sandwich_upper_bound(graph, prof, green, u, params)
 
 
 # ---------------------------------------------------------------------------

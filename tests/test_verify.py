@@ -30,6 +30,7 @@ from p_potential import (
     supersolution_defect,
 )
 from p_potential import verify
+from p_potential.operators import supersolution_shortfall
 from p_potential.verify import (hardy_check, hardy_suite, picone_check,
                                 picone_suite, positivity_suite, run_suites,
                                 sandwich_suite, shoot_radial_supersolution)
@@ -136,7 +137,24 @@ def test_shooting_fails_where_the_start_is_below_the_doubles():
     assert shot.values is None and shot.worst_defect is None
     assert shot.break_radius == 0
     np.testing.assert_array_equal(shot.radial_values, [0.0])
-    assert shot.reason == "start u0 = exp(-1.129e+03) is below the doubles"
+    assert shot.reason == ("start u0 = exp(-1.129e+03) puts u0^sigma below "
+                           "the normal doubles")
+
+
+def test_shooting_fails_where_the_source_is_below_the_doubles():
+    # tree(2, 6) at p = 3, sigma = 2.01: the start exp(-579.5) = 2.2e-252
+    # is a double, but u0^sigma about 1e-507 is not, so the recurrence
+    # cannot add up the source; a drop of 0 would pass for below an ulp
+    graph = build_tree(2, 6)
+    params = ExponentParams(p=3.0, sigma=2.01)
+    shot = shoot_radial_supersolution(graph, params)
+    assert not shot.success and shot.break_radius == 0
+    u0 = shot.radial_values[0]
+    assert u0 == pytest.approx(_derived_start(graph, params), rel=1e-12)
+    assert f"{u0:.1e}" == "2.2e-252"
+    np.testing.assert_array_equal(shot.radial_values, [u0])
+    assert shot.reason == ("start u0 = exp(-5.795e+02) puts u0^sigma below "
+                           "the normal doubles")
 
 
 def test_shooting_fails_where_the_drop_is_below_an_ulp():
@@ -179,19 +197,20 @@ def test_shooting_edge_cases():
     # a graph that is not spherically symmetric is a failed shot
     shot = shoot_radial_supersolution(build_lattice(2, 3), params)
     assert not shot.success and shot.break_radius == 2
-    assert shot.reason == "not a supersolution at radius 2: defect -7.660e-04"
+    assert shot.reason == ("not a supersolution at radius 2: defect -7.660e-04, "
+                           "short of u^sigma by 5.589e-01 of it")
 
 
 def test_shooting_judges_each_defect_by_its_own_vertex():
     # at sigma = 2.1 the lattice's start is about 1e-38 and u^sigma about
     # 1e-80, so its defect at radius 2 is far above -defect_tolerance
-    # (1e-10), yet several times u^sigma there: the slack scales with each
-    # vertex's terms, so the shot fails there
+    # (1e-10), yet half of u^sigma there: the shortfall is a fraction of
+    # each vertex's u^sigma, so the shot fails there
     graph = build_lattice(2, 6)
     shot = shoot_radial_supersolution(graph, ExponentParams(p=3.0, sigma=2.1))
     assert not shot.success and shot.break_radius == 2
     assert shot.reason.startswith("not a supersolution at radius 2: defect ")
-    defect = float(shot.reason.rsplit(" ", 1)[1])
+    defect = float(shot.reason.split("defect ")[1].split(",")[0])
     u0, u2 = shot.radial_values[[0, 2]]
     assert -defect_tolerance(u0, 3.0) < defect < -u2 ** 2.1 / 10
 
@@ -262,11 +281,12 @@ def _shoot_by_flux(profile, params, u0):
     return np.array(U)
 
 
-def test_sandwich_upper_bound_judges_each_defect_by_its_own_vertex():
+def test_sandwich_upper_bound_charges_the_shortfall():
     """The lattice's radial values from u0 = 0.01 at p = 3, sigma = 6 miss
-    equality at radius 2 by about -5e-13: inside an absolute 1e-10, yet
-    several times u^sigma = 1e-12 there.  The bound refuses them on every
-    ball that holds radius 2."""
+    equality at radius 2 by about -5e-13: inside an absolute 1e-10, which
+    took them for a supersolution with the bound 1.67e8, yet 0.534 of
+    u^sigma there.  c u with c^eta = 1 - 0.534 is a supersolution, and the
+    bound is its bound, on every ball that holds radius 2."""
     graph = build_lattice(2, 6)
     profile = ball_profile(graph)
     params = ExponentParams(p=3.0, sigma=6.0)
@@ -274,10 +294,21 @@ def test_sandwich_upper_bound_judges_each_defect_by_its_own_vertex():
     assert U[-1] > 0.0
     values = U[profile.radius_of]
     for R in (2, 4):
+        ball = profile.ball_mask(R)
         green = solve_green(graph, profile, R, params.p)
-        with pytest.raises(ValueError, match=f"not a supersolution on B_{R}: "
-                                             f"defect -5.329e-13 "):
-            sandwich_upper_bound(graph, profile, green, values, params)
+        delta = supersolution_shortfall(graph, values, params, ball).max()
+        assert f"{delta:.3f}" == "0.534"
+        bare = (params.sigma / params.eta) \
+            * (green.values[graph.root] / 0.01) ** params.eta
+        if R == 2:
+            assert f"{bare:.3g}" == "1.67e+08"
+        bound = sandwich_upper_bound(graph, profile, green, values, params)
+        assert bound == bare / (1.0 - delta)
+        scaled = (1.0 - delta) ** (1.0 / params.eta) * values
+        assert supersolution_shortfall(graph, scaled, params, ball).max() \
+            < 1e-9
+        assert sandwich_upper_bound(graph, profile, green, scaled, params) \
+            == pytest.approx(bound, rel=1e-9)
 
 
 def _thinned_leaf_tree(weight=0.5):
@@ -388,6 +419,18 @@ def test_shot_follows_the_per_vertex_recurrence(case, p, sigma):
     else:
         np.testing.assert_allclose(shot.radial_values, U,
                                    rtol=16 * np.finfo(float).eps)
+    if stop is None and not shot.success:
+        # past the path's 2^72 edge the currents dwarf u^sigma by 1e14 at
+        # p = 3, and rounding u to doubles moves the defect by several
+        # u^sigma: the values are within rounding of equality, yet no
+        # supersolution the shortfall can certify
+        assert (case, p) == ("irregular-path", 3.0)
+        assert shot.reason.startswith("not a supersolution at radius 514: ")
+        profile = ball_profile(graph)
+        ball = profile.ball_mask(profile.R_max)
+        assert supersolution_shortfall(graph, U[profile.radius_of], params,
+                                       ball, rounding=True).max() <= 0.0
+        return
     assert shot.success == (stop is None)
     assert shot.break_radius == stop
 
