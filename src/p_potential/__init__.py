@@ -24,12 +24,11 @@ from .green import (LOOKS_NON_PARABOLIC, LOOKS_PARABOLIC, GreenFunction,
                     ProbeReport, compute_L, green_normalization_check,
                     parabolicity_probe, sandwich_upper_bound, solve_green)
 from .operators import (ExponentParams, as_values, defect_tolerance,
-                        p_energy, p_laplacian_all, phi_p, save_vertex_function,
-                        supersolution_defect)
-from .verify import (IDENTICALLY_ZERO, STRICTLY_POSITIVE, ShootReport,
-                     SuiteReport, hardy_check, hardy_suite, picone_check,
-                     picone_suite, positivity_propagation, positivity_suite,
-                     run_suites, sandwich_suite, shoot_radial_supersolution)
+                        p_energy, p_laplacian_all, phi_p, save_vertex_function)
+from .verify import (IDENTICALLY_ZERO, STRICTLY_POSITIVE, SuiteReport,
+                     hardy_check, hardy_suite, picone_check, picone_suite,
+                     positivity_propagation, positivity_suite, run_suites,
+                     sandwich_suite, shoot_radial_supersolution)
 
 __version__ = "0.1.0"
 
@@ -40,8 +39,8 @@ __all__ = [
     "GreenFunction", "IDENTICALLY_ZERO", "INCONCLUSIVE", "LOOKS_NON_PARABOLIC",
     "LOOKS_PARABOLIC", "MidrangeRow", "MinimizeReport", "PathMeasure",
     "PotentialError", "ProbeReport", "ResourceLimitError", "SeriesReport",
-    "ShootReport", "SolveOptions", "SolverError", "StageReport",
-    "STRICTLY_POSITIVE", "SuiteReport", "TailEstimate", "UnitFlow",
+    "SolveOptions", "SolverError", "StageReport", "STRICTLY_POSITIVE",
+    "SuiteReport", "TailEstimate", "UnitFlow",
     "VerificationError", "WeightedGraph", "analyze_ball",
     "as_values", "ball_profile", "build_lattice", "build_radial_model",
     "build_tree", "classify", "compute_L", "cut_series_terms",
@@ -54,5 +53,5 @@ __all__ = [
     "picone_check", "picone_suite", "positivity_propagation",
     "positivity_suite", "run_suites", "sandwich_suite", "sandwich_upper_bound",
     "save_graph", "save_vertex_function", "shoot_radial_supersolution",
-    "solve_green", "supersolution_defect", "volume_series_terms",
+    "solve_green", "volume_series_terms",
 ]

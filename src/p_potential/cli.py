@@ -11,11 +11,12 @@ Beside its chain, every analyzed ball writes g_center = g_R(o) and a
 nash_williams row with the chain rows' keys but upper (name, lower,
 margin, ok): the cut sum NW_R = sum_{k=0}^R b_k^(-1/(p-1)) as lower, and
 g_R(o) - NW_R as margin, so g_R(o) is written once.  The probe labels
-growth from the extrapolated tail of that sum.  report's shoot entry
-writes the shot's start u0, which the ball profile fixes, and whether the
-shot gave a supersolution; when it did not (u0^sigma is below the
-doubles, a drop is below an ulp, the graph is not spherically symmetric,
-or the doubles cannot resolve u^sigma), every upper_bound is null.
+growth from the extrapolated tail of that sum.  report shoots once, and
+sandwich_upper_bound judges the shot on each ladder ball: a ball it
+refuses writes upper_bound null.  report's shoot entry writes the shot's
+start u0, which the ball profile fixes, and as reason the refusal of the
+first refused ladder row, or null.  The shortfall only grows with the
+ball, so that one reason explains every null row.
 
 Every ball is centered at the graph file's root, which is also the pole of
 every Green function; another pole is another graph file's root.  criterion
@@ -378,16 +379,17 @@ def _cmd_report(args) -> int:
         raise ValueError(f"radii must lie in [0, {profile.R_max}]")
 
     shot = shoot_radial_supersolution(graph, params, profile)
-    shoot_info = {"success": shot.success, "u0": shot.radial_values[0],
-                  **({"worst_defect": shot.worst_defect} if shot.success else
-                     {"break_radius": shot.break_radius,
-                      "reason": shot.reason})}
-
+    refusal = None
     ladder = []
     for R in radii:
         ball = analyze_ball(graph, profile, R, params)
         green = ball.green
         fields = _ball_fields(ball)
+        try:
+            upper = sandwich_upper_bound(graph, profile, green, shot, params)
+        except ValueError as exc:
+            upper = None
+            refusal = refusal or str(exc)
         ladder.append({
             **fields,
             "R": R,
@@ -396,9 +398,7 @@ def _cmd_report(args) -> int:
             "normalization_dev": green_normalization_check(graph, green),
             "capacity_center": fields["g_center"] ** (1.0 - params.p),
             "chain_ok": ball.chain.ok,
-            "upper_bound": (sandwich_upper_bound(graph, profile, green,
-                                                 shot.values, params)
-                            if shot.success else None),
+            "upper_bound": upper,
         })
 
     probe = None
@@ -415,7 +415,7 @@ def _cmd_report(args) -> int:
                   "edge_count": graph.edge_count, "root": graph.root,
                   "eccentricity": profile.eccentricity},
         "p": params.p, "sigma": params.sigma, "seed": args.seed,
-        "shoot": shoot_info,
+        "shoot": {"u0": shot[graph.root], "reason": refusal},
         "ladder": ladder,
         "probe": probe,
         "criterion": criterion_payload,

@@ -170,8 +170,12 @@ def sandwich_upper_bound(graph: WeightedGraph, profile: BallProfile,
                          green: GreenFunction, u, params: ExponentParams):
     """The upper bound (sigma/eta) (g_R(o)/u(o))^eta / (1 - delta) on L_R,
     that of the supersolution c u, c^eta = 1 - delta, where delta >= 0 is
-    u's largest supersolution_shortfall on B_R.  u must be nonnegative,
-    positive on B_R, and have delta < 1, or a ValueError names the vertex.
+    u's largest supersolution_shortfall on B_R.  This is the one check of
+    a candidate u, the radial shot included, on the ball it bounds: u must
+    be nonnegative, positive on B_R, and have delta < 1, or a ValueError
+    refuses it, naming the vertex of the largest shortfall.  The shortfall
+    on B_R is at most that on any larger ball, so a refusal on B_R holds
+    on every ball that contains it.
     """
     if params.p != green.p:
         raise ValueError(f"params.p = {params.p} but the Green function has p = {green.p}")

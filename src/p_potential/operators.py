@@ -13,12 +13,13 @@ and the p-energy is the pairing of f with itself, sum w |df|^p.  Summation
 by parts makes pairing(f, psi) = sum_x (-lap_p f)(x) psi(x) mu(x) exactly
 on a finite graph.  Every pointwise check reads -lap_p from
 p_laplacian_all, which evaluates it at every vertex at once.  One rule,
-supersolution_shortfall, judges every supersolution of -lap_p u >= u^sigma.
+supersolution_shortfall, judges every candidate supersolution of
+-lap_p u >= u^sigma, the radial shot included.
 
 A function on the vertices is a plain float64 array, one value per
 vertex id.  Every operator here takes an array-like and passes it through
 as_values, the one check of its shape and finiteness; the Green function
-and the radial shooting result hold theirs as read-only arrays.
+and the radial shot hold theirs as read-only arrays.
 
 Exponent bookkeeping for the source problem -lap_p u >= u^sigma lives in
 ExponentParams: r = p - 1 (degree of the current nonlinearity),
@@ -163,48 +164,27 @@ def _interior_mask(graph: WeightedGraph, interior) -> np.ndarray:
     return mask
 
 
-def supersolution_defect(graph: WeightedGraph, u, params: ExponentParams,
-                         interior=None) -> np.ndarray:
-    """Pointwise defect (-lap_p u)(x) - u(x)^sigma on the interior, a
-    boolean vertex mask (every vertex when None), in vertex order.
-
-    Nonnegative defect everywhere on the interior means u is a supersolution
-    of the source equation there.  Requires u >= 0 on all vertices.
-    """
-    values = as_values(u, graph)
-    if values.min() < 0.0:
-        raise ValueError(f"u must be nonnegative everywhere; min is {values.min()}")
-    mask = _interior_mask(graph, interior)
-    lap = p_laplacian_all(graph, values, params.p)
-    return -lap[mask] - values[mask] ** params.sigma
-
-
 def supersolution_shortfall(graph: WeightedGraph, u, params: ExponentParams,
-                            interior=None, rounding=False) -> np.ndarray:
-    """The fraction of u^sigma by which -lap_p u may fall short of it on
-    the interior (as in supersolution_defect): (u^sigma + lap_p u + e) /
-    u^sigma, +inf for 0/0, with e = 1e-10 (u^sigma + (1/mu) sum_y w
-    |Phi_p(du)|) charged for rounding the evaluation.  Where all are < 1,
-    c u with c^eta = 1 - max(0, largest) is a supersolution.  With
-    rounding, e is credited instead, with what rounding an exact solution
-    to doubles moves the defect by, (1/mu) sum_y w (Phi_p(|du| + h) -
-    Phi_p(|du| - h)), h = eps max(u_x, u_y) on nonzero drops: a shortfall
-    <= 0 then says u may be such a rounding, and certifies nothing."""
+                            interior=None) -> np.ndarray:
+    """The supersolution defect of u as a fraction of u^sigma: how far
+    -lap_p u may fall short of u^sigma on the interior, a boolean vertex
+    mask (every vertex when None), in vertex order.  That is (u^sigma +
+    lap_p u + e) / u^sigma, with e = 1e-10 (u^sigma + (1/mu) sum_y w
+    |Phi_p(du)|) charged for rounding the evaluation, and +inf wherever
+    u^sigma is below the normal doubles, which hold it to less than the
+    relative precision that charge assumes.  Where all are < 1, c u with
+    c^eta = 1 - max(0, largest) is a supersolution.  Requires u >= 0."""
     values = as_values(u, graph)
     if values.min() < 0.0:
         raise ValueError(f"u must be nonnegative everywhere; min is {values.min()}")
-    r, tails, heads = params.r, graph.edge_tails, graph.edge_heads
-    drop = np.abs(values[tails] - values[heads])
-    charge = 1e-10 * drop ** r  # per edge, against u; credited if rounding
-    if rounding:
-        h = np.where(drop > 0.0, np.finfo(np.float64).eps
-                     * np.maximum(values[tails], values[heads]), 0.0)
-        charge = -(charge + (drop + h) ** r - np.maximum(drop - h, 0.0) ** r)
+    tails, heads = graph.edge_tails, graph.edge_heads
+    charge = 1e-10 * np.abs(values[tails] - values[heads]) ** params.r
     charge = np.bincount(np.concatenate((tails, heads)),
                          weights=np.tile(graph.edge_weights * charge, 2),
                          minlength=graph.vertex_count) / graph.vertex_measure
     lap = p_laplacian_all(graph, values, params.p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = (1.0 - 1e-10 if rounding else 1.0 + 1e-10) \
-            + (lap + charge) / values ** params.sigma
-    return np.where(np.isnan(delta), np.inf, delta)[_interior_mask(graph, interior)]
+    source = values ** params.sigma
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        delta = (1.0 + 1e-10) + (lap + charge) / source
+    sound = (source >= np.finfo(np.float64).tiny) & ~np.isnan(delta)
+    return np.where(sound, delta, np.inf)[_interior_mask(graph, interior)]

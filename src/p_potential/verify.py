@@ -2,10 +2,12 @@
 test supersolutions, and the suites of the `verify` CLI subcommand.
 
 The shot is one flux recurrence on the ball profile's cut conductances
-b_k and sphere measures, from a start the profile fixes, checked once by
-supersolution_shortfall.  On a graph that is not spherically symmetric
-that check fails the shot at the first sphere that mixes conductance
-patterns.
+b_k and sphere measures, from a start the profile fixes, and nothing
+else: green.sandwich_upper_bound judges it on each ball it bounds, by
+the one rule supersolution_shortfall, and charges its shortfall to the
+bound or refuses it.  On a graph that is not spherically symmetric the
+shot misses equality on and past the first sphere that mixes
+conductance patterns, so its bound there is charged more, or refused.
 
 Each check returns both sides of its inequality so callers see margins,
 not booleans.  Each side formula is written once, over arrays
@@ -27,8 +29,7 @@ from .graphs import (BallProfile, WeightedGraph, ball_profile, build_lattice,
                      build_tree)
 from .green import sandwich_upper_bound, solve_green
 from .operators import (ExponentParams, _interior_mask, as_values,
-                        defect_tolerance, p_laplacian_all,
-                        supersolution_defect, supersolution_shortfall)
+                        defect_tolerance, p_laplacian_all)
 
 STRICTLY_POSITIVE = "strictly positive"
 IDENTICALLY_ZERO = "identically zero on component"
@@ -158,32 +159,12 @@ def positivity_propagation(graph: WeightedGraph, u, p: float,
 # radial shooting
 
 
-@dataclass(frozen=True)
-class ShootReport:
-    """Outcome of radial equality shooting for -lap_p u = u^sigma.
-
-    radial_values holds u on the spheres S_0 (u0), S_1, ... reached.
-    Failure is a normal outcome, not an exception; `reason` says which
-    one and `break_radius` where: the radial values are no supersolution
-    there, or the drop into that sphere lies below an ulp of u, or
-    u0^sigma below the normal doubles (radius 0).  On success, `values`
-    (a read-only float64 array, one value per vertex) passes
-    sandwich_upper_bound on every ball, with least defect `worst_defect`;
-    equality at the outermost sphere is impossible (no outward edges).
-    """
-
-    success: bool
-    values: np.ndarray | None
-    radial_values: np.ndarray
-    break_radius: int | None
-    worst_defect: float | None
-    reason: str | None = None
-
-
 def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
-                               profile: BallProfile | None = None) -> ShootReport:
-    """Shoot a radial solution of -lap_p u = u^sigma outward from
-    u(o) = u0 = (2S)^(-r/eta), with S = sum_{k < ecc} (W_k / b_k)^(1/r).
+                               profile: BallProfile | None = None) -> np.ndarray:
+    """The radial candidate supersolution u = U_k on the sphere S_k, shot
+    outward from u(o) = U_0 = u0 = (2S)^(-r/eta), with
+    S = sum_{k < ecc} (W_k / b_k)^(1/r), as a read-only float64 array of
+    one value per vertex.
 
     Each radial drop balances the flux across a cut,
 
@@ -193,65 +174,27 @@ def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
     symmetric.  While U_j <= u0 the flux out of B_k is at most
     u0^sigma W_k, so the drops sum to at most u0^(sigma/r) S = u0/2, and u
     stays >= u0/2.  W_0 = b_0 makes S >= 1 and u0 < 1.  S is summed in
-    logarithms, as it can overflow near p = 1 while u0 is a double; the
-    shot fails at radius 0 when u0^sigma is below the normal doubles.
+    logarithms, as it can overflow near p = 1 while u0 is a double.
 
-    The shot stops early only at a radius b whose drop is below an ulp.
-    One check covers the spheres where the flux balance set equality,
-    B_{R_max} or B_{b-2}: every supersolution_shortfall must be at most
-    the rounding one, and below 1, so the shot passes sandwich_upper_bound.
+    Nothing here checks u: sandwich_upper_bound certifies it on each ball
+    by its supersolution_shortfall, or refuses it.  A drop lost to
+    rounding leaves u flat, and a u^sigma below the normal doubles is
+    refused there.
     """
     if profile is None:
         profile = ball_profile(graph)
     sigma, ecc = params.sigma, profile.eccentricity
     log_s = np.logaddexp.reduce(
         (np.log(profile.W[:ecc]) - np.log(profile.b)) / params.r)
-    log_u0 = -params.r / params.eta * (np.log(2.0) + log_s)
     U = np.empty(ecc + 1)
-    U[0] = np.exp(log_u0)
-    if U[0] ** sigma < np.finfo(np.float64).tiny:
-        return ShootReport(success=False, values=None, radial_values=U[:1],
-                           break_radius=0, worst_defect=None,
-                           reason=f"start u0 = exp({log_u0:.3e}) puts "
-                                  f"u0^sigma below the normal doubles")
+    U[0] = np.exp(-params.r / params.eta * (np.log(2.0) + log_s))
     flux = 0.0  # out of the ball B_k
-    reason = None
     for k in range(ecc):
         flux += profile.sphere_measure[k] * U[k] ** sigma
-        drop = (flux / profile.b[k]) ** (1.0 / params.r)
-        U[k + 1] = U[k] - drop
-        if U[k + 1] == U[k]:  # a nonzero drop lost to rounding
-            reason = (f"drop {drop:.3e} into radius {k + 1} is below an "
-                      f"ulp of u = {U[k]:.3e}")
-            U = U[:k + 2]
-            break
-    break_radius = None if reason is None else U.size - 1
-    # the flux balance set equality on B_checked, whose defects read U up
-    # to radius checked + 1 only
-    checked = profile.R_max if reason is None else U.size - 3
-    values = worst = None
-    if checked >= 0:
-        values = as_values(U[np.minimum(profile.radius_of, checked + 1)],
-                           graph)
-        values.setflags(write=False)
-        ball = profile.ball_mask(checked)
-        defects = supersolution_defect(graph, values, params, interior=ball)
-        worst = float(defects.min())
-        radii = profile.radius_of[ball]
-        shortfall = supersolution_shortfall(graph, values, params, ball)
-        low = ~((supersolution_shortfall(graph, values, params, ball,
-                                         rounding=True) <= 0.0)
-                & (shortfall < 1.0))
-        if low.any():
-            break_radius = int(radii[low].min())
-            sphere = radii == break_radius
-            reason = (f"not a supersolution at radius {break_radius}: defect "
-                      f"{defects[sphere].min():.3e}, short of u^sigma by "
-                      f"{shortfall[sphere].max():.3e} of it")
-    success = reason is None
-    return ShootReport(success=success, values=values if success else None,
-                       radial_values=U.copy(), break_radius=break_radius,
-                       worst_defect=worst if success else None, reason=reason)
+        U[k + 1] = U[k] - (flux / profile.b[k]) ** (1.0 / params.r)
+    values = as_values(U[profile.radius_of], graph)
+    values.setflags(write=False)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -455,39 +398,45 @@ def positivity_suite() -> SuiteReport:
 
 def sandwich_suite() -> SuiteReport:
     """Squeeze L_R between analyze_ball's cut-series bound and the
-    supersolution bound on tree(2, 6): p=2, sigma=3 at R = 2, 3, 4 and
-    p=3, sigma=4 at R=3.
+    supersolution bound: on tree(2, 6) at p=2, sigma=3 with R = 2, 3, 4
+    and at p=3, sigma=4 with R=3, and on lattice(2, 5), which is not
+    spherically symmetric, at p=2, sigma=3 with R = 2, 3.
 
-    Each (p, sigma) shoots once, from the start u0 details records; the
-    shot passes sandwich_upper_bound on every ball.  A ball violates when
-    shooting failed (details hold its reason) or lower <= L <= upper
-    fails.  worst_margin is the least min(L - lower, upper - L), and None
-    when no ball got that far.  Errors of the bounds propagate.
+    Each graph and (p, sigma) shoots once, from the start u0 details
+    records, and sandwich_upper_bound judges the shot on each ball.  A
+    ball violates when that refuses the shot (details hold "no certified
+    bound: " and its message) or lower <= L <= upper fails.  worst_margin
+    is the least min(L - lower, upper - L), and None when no ball got that
+    far.  Errors of the lower bound propagate.
     """
-    graph = build_tree(2, 6)
-    profile = ball_profile(graph)
     details = {}
     violations = 0
     worst = np.inf
-    for p, sigma, radii in ((2.0, 3.0, (2, 3, 4)), (3.0, 4.0, (3,))):
-        params = ExponentParams(p=p, sigma=sigma)
-        shot = shoot_radial_supersolution(graph, params, profile)
-        for R in radii:
-            key = f"p{params.p}-sigma{params.sigma}-R{R}"
-            if not shot.success:
-                violations += 1
-                details[key] = f"shooting failed: {shot.reason}"
-                continue
-            ball = analyze_ball(graph, profile, R, params)
-            lower, L = ball.chain.rhs, ball.chain.L
-            upper = sandwich_upper_bound(graph, profile, ball.green,
-                                         shot.values, params)
-            margin = min(L - lower, upper - L)
-            worst = min(worst, margin)
-            details[key] = {"lower": lower, "L": L, "upper": upper,
-                            "u0": float(shot.radial_values[0])}
-            if margin <= 0.0:
-                violations += 1
+    for family, graph, cases in (
+            ("tree", build_tree(2, 6),
+             ((2.0, 3.0, (2, 3, 4)), (3.0, 4.0, (3,)))),
+            ("lattice-2d", build_lattice(2, 5), ((2.0, 3.0, (2, 3)),))):
+        profile = ball_profile(graph)
+        for p, sigma, radii in cases:
+            params = ExponentParams(p=p, sigma=sigma)
+            shot = shoot_radial_supersolution(graph, params, profile)
+            for R in radii:
+                key = f"{family}-p{params.p}-sigma{params.sigma}-R{R}"
+                ball = analyze_ball(graph, profile, R, params)
+                try:
+                    upper = sandwich_upper_bound(graph, profile, ball.green,
+                                                 shot, params)
+                except ValueError as exc:
+                    violations += 1
+                    details[key] = f"no certified bound: {exc}"
+                    continue
+                lower, L = ball.chain.rhs, ball.chain.L
+                margin = min(L - lower, upper - L)
+                worst = min(worst, margin)
+                details[key] = {"lower": lower, "L": L, "upper": upper,
+                                "u0": float(shot[graph.root])}
+                if margin <= 0.0:
+                    violations += 1
     return SuiteReport(name="sandwich", trials=len(details), violations=violations,
                        worst_margin=float(worst), ok=violations == 0,
                        details=details)

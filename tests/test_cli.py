@@ -228,10 +228,11 @@ def test_report_on_a_symmetric_graph(workdir, capsys):
     assert json.loads(out) == {"out": "r.json", "csv": "r.csv", "ok": True}
     payload = read_json("r.json")
     assert set(payload) == REPORT_KEYS
-    assert set(payload["shoot"]) == {"success", "u0", "worst_defect"}
-    assert payload["shoot"]["success"] is True
-    assert payload["shoot"]["u0"] == shoot_radial_supersolution(
-        build_tree(2, 5), ExponentParams(p=2.0, sigma=3.0)).radial_values[0]
+    tree = build_tree(2, 5)
+    assert payload["shoot"] == {
+        "u0": shoot_radial_supersolution(
+            tree, ExponentParams(p=2.0, sigma=3.0))[tree.root],
+        "reason": None}
     assert [row["R"] for row in payload["ladder"]] == [2, 3, 4]
     for row in payload["ladder"]:
         assert set(row) == LADDER_ROW_KEYS
@@ -257,39 +258,43 @@ def test_report_on_a_symmetric_graph(workdir, capsys):
     assert len(lines) == 4
 
 
-def test_report_on_an_asymmetric_graph_has_no_upper_bound(workdir, capsys):
-    code, _, _ = run(["report", "--graph", "square.json", "--p", "2",
-                      "--sigma", "3", "--R", "2,4", "--trials", "200",
-                      "--out-prefix", "r"], capsys)
-    assert code == 0
-    payload = read_json("r.json")
-    # sphere 2 of the lattice mixes corners and axis points: the shot is
-    # no supersolution there
-    shoot = payload["shoot"]
-    assert set(shoot) == {"success", "u0", "break_radius", "reason"}
-    assert (shoot["success"], shoot["break_radius"]) == (False, 2)
-    assert shoot["reason"].startswith("not a supersolution at radius 2: ")
-    assert 0.0 < shoot["u0"] < 1.0
-    assert payload["probe"] is None  # fewer than three radii
-    assert all(row["upper_bound"] is None for row in payload["ladder"])
-    with open("r.csv", encoding="utf-8") as fh:
-        assert fh.read().splitlines()[1].split(",")[6] == ""
-
-
-def test_report_has_no_upper_bound_where_u_sigma_is_below_the_tolerance(
+def test_report_on_an_asymmetric_graph_bounds_the_balls_it_certifies(
         workdir, capsys):
-    # at sigma = 2.1 the lattice's start is about 1e-38, so u^sigma is far
-    # below an absolute 1e-10: the lattice's defect at radius 2 fails the
-    # shot against a slack scaled by that vertex's own terms
-    code, _, _ = run(["report", "--graph", "square.json", "--p", "3",
-                      "--sigma", "2.1", "--R", "2,4", "--trials", "50",
+    # sphere 2 of the lattice mixes corners and axis points: the shot
+    # misses equality there, and its shortfall is charged to the bounds
+    # on B_2 and B_4 until it reaches all of u^sigma on B_8
+    code, _, _ = run(["report", "--graph", "square.json", "--p", "2",
+                      "--sigma", "3", "--R", "2,4,8", "--trials", "200",
                       "--out-prefix", "r"], capsys)
     assert code == 0
     payload = read_json("r.json")
     shoot = payload["shoot"]
-    assert (shoot["success"], shoot["break_radius"]) == (False, 2)
-    assert shoot["reason"].startswith("not a supersolution at radius 2: ")
-    assert all(row["upper_bound"] is None for row in payload["ladder"])
+    assert set(shoot) == {"u0", "reason"}
+    assert 0.0 < shoot["u0"] < 1.0
+    assert shoot["reason"].startswith(
+        "u is not a supersolution on B_8: -lap_p u falls short of u^sigma "
+        "by ")
+    inner, outer = payload["ladder"][:2], payload["ladder"][2]
+    assert all(row["L"] <= row["upper_bound"] for row in inner)
+    assert outer["upper_bound"] is None
+    with open("r.csv", encoding="utf-8") as fh:
+        assert fh.read().splitlines()[3].split(",")[6] == ""
+
+
+def test_report_charges_a_shortfall_relative_to_u_sigma(workdir, capsys):
+    # at sigma = 2.1 the lattice's start is about 1e-38, so u^sigma is far
+    # below an absolute 1e-10: the shortfall at radius 2, half of that
+    # vertex's own u^sigma, is charged to the bound
+    code, _, _ = run(["report", "--graph", "square.json", "--p", "3",
+                      "--sigma", "2.1", "--R", "1,2,4", "--trials", "50",
+                      "--out-prefix", "r"], capsys)
+    assert code == 0
+    payload = read_json("r.json")
+    assert payload["shoot"]["reason"] is None
+    bounds = [row["upper_bound"] for row in payload["ladder"]]
+    assert [f"{bound:.4g}" for bound in bounds] == ["1.298e+05", "2.94e+05",
+                                                    "3.036e+05"]
+    assert all(row["L"] <= row["upper_bound"] for row in payload["ladder"])
 
 
 def test_report_labels_the_binary_tree_non_parabolic(workdir, capsys):
@@ -379,7 +384,8 @@ CHAIN_ROWS_OF_EVERY_RADIUS = ["path mass expectation <= L",
 
 def test_report_when_the_start_is_below_the_doubles(workdir, capsys):
     # on lattice(1, 200) at p = 2, sigma = 1.01 the start is
-    # (2 * 200^2)^(-100) = exp(-1129)
+    # (2 * 200^2)^(-100) = exp(-1129), which is 0 in doubles: u^sigma is
+    # below the normal doubles on every ball
     save_graph(build_lattice(1, 200), "path.json")
     code, _, _ = run(["report", "--graph", "path.json", "--p", "2",
                       "--sigma", "1.01", "--R", "3,6,9", "--trials", "50",
@@ -387,16 +393,16 @@ def test_report_when_the_start_is_below_the_doubles(workdir, capsys):
     assert code == 0
     payload = read_json("r.json")
     assert payload["shoot"] == {
-        "success": False, "u0": 0.0, "break_radius": 0,
-        "reason": "start u0 = exp(-1.129e+03) puts u0^sigma below the "
-                  "normal doubles"}
+        "u0": 0.0,
+        "reason": "u is not a supersolution on B_3: -lap_p u falls short of "
+                  "u^sigma by inf of it at vertex 0"}
     assert [row["upper_bound"] for row in payload["ladder"]] == [None] * 3
 
 
 def test_report_records_a_shot_whose_drop_is_below_an_ulp(workdir, capsys):
     # at p = 1.1 the first radial drop, u0 / (2S) with S about 1.9e27 on
-    # lattice(1, 200), is below ulp(u0): the shot fails at radius 1, and
-    # the report runs on without an upper bound
+    # lattice(1, 200), is below ulp(u0): u is flat at the root, all of
+    # u^sigma short, and the report runs on without an upper bound
     save_graph(build_lattice(1, 200), "path.json")
     code, out, _ = run(["report", "--graph", "path.json", "--p", "1.1",
                         "--sigma", "2", "--R", "2,3", "--trials", "50",
@@ -405,9 +411,9 @@ def test_report_records_a_shot_whose_drop_is_below_an_ulp(workdir, capsys):
     assert json.loads(out)["ok"] is True
     payload = read_json("r.json")
     assert payload["shoot"] == {
-        "success": False, "u0": 0.03534735942505839, "break_radius": 1,
-        "reason": "drop 9.271e-30 into radius 1 is below an ulp of "
-                  "u = 3.535e-02"}
+        "u0": 0.03534735942505839,
+        "reason": "u is not a supersolution on B_2: -lap_p u falls short of "
+                  "u^sigma by 1.000e+00 of it at vertex 0"}
     assert [row["upper_bound"] for row in payload["ladder"]] == [None, None]
 
 

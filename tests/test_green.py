@@ -309,9 +309,9 @@ def test_sandwich_upper_bound_rejects_bad_candidates():
     # a shot supersolution passes, and the return value is its bound alone,
     # charged its shortfall, which is rounding-sized
     shot = shoot_radial_supersolution(graph, params, profile=prof)
-    bound = sandwich_upper_bound(graph, prof, green, shot.values, params)
-    ratio = green.values[graph.root] / shot.values[graph.root]
-    delta = supersolution_shortfall(graph, shot.values, params,
+    bound = sandwich_upper_bound(graph, prof, green, shot, params)
+    ratio = green.values[graph.root] / shot[graph.root]
+    delta = supersolution_shortfall(graph, shot, params,
                                     prof.ball_mask(2)).max()
     assert 0.0 < delta < 1e-9
     assert bound == (params.sigma / params.eta) * ratio ** params.eta \
@@ -335,6 +335,32 @@ def test_sandwich_upper_bound_refuses_a_function_flat_to_an_ulp():
                                              f"-lap_p u falls short of "
                                              f"u\\^sigma by 1\\.0"):
             sandwich_upper_bound(graph, prof, green, u, params)
+
+
+def test_sandwich_upper_bound_refuses_a_subnormal_source():
+    # u = a (25 - |x|^2) on lattice(1, 4) at p = 2, sigma = 2 has
+    # -lap_p u = 2a, some 1e153 times u^sigma, yet at radius 2 u^2 is
+    # 1.9e-308, below the normal doubles, where a relative charge of 1e-10
+    # covers no rounding of it: refused there, and only there
+    graph = build_lattice(1, 4)
+    prof = ball_profile(graph)
+    params = ExponentParams(p=2.0, sigma=2.0)
+    u = 6.5e-156 * (25.0 - prof.radius_of ** 2.0)
+    tiny = np.finfo(np.float64).tiny
+    source = u ** params.sigma
+    assert np.all(-p_laplacian_all(graph, u, 2.0)[prof.ball_mask(3)]
+                  > 1e150 * source[prof.ball_mask(3)])
+    assert source[prof.radius_of == 1].min() >= tiny
+    assert source[prof.radius_of == 2].max() < tiny
+    green = solve_green(graph, prof, 1, params.p)
+    assert sandwich_upper_bound(graph, prof, green, u, params) > 0.0
+    green = solve_green(graph, prof, 2, params.p)
+    vertex = np.flatnonzero(prof.radius_of == 2)[0]
+    with pytest.raises(ValueError, match=f"not a supersolution on B_2: .* "
+                                         f"by inf of it at vertex {vertex}$"):
+        sandwich_upper_bound(graph, prof, green, u, params)
+    # twice u keeps its u^sigma normal, and is certified
+    assert sandwich_upper_bound(graph, prof, green, 2.0 * u, params) > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,9 @@ from p_potential import (
     phi_p,
     save_vertex_function,
     solve_green,
-    supersolution_defect,
     WeightedGraph,
 )
-from p_potential.operators import _vertex_function_bytes
+from p_potential.operators import _vertex_function_bytes, supersolution_shortfall
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +241,32 @@ def test_defect_tolerance_scales_with_sup():
 
 
 def test_supersolution_defect_matches_direct_formula():
+    """supersolution_shortfall, the defect as a fraction of u^sigma, is
+    (u^sigma + lap_p u + 1e-10 (u^sigma + (1/mu) sum_y w |du|^r)) / u^sigma,
+    summed here over each vertex's neighbors, and inf where u^sigma is 0."""
     g = build_lattice(1, 4)
     rng = np.random.default_rng(2)
     u = rng.uniform(0.1, 2.0, size=g.vertex_count)
     params = ExponentParams(p=2.5, sigma=3.0)
+    lap = p_laplacian_all(g, u, 2.5)
+    direct = np.empty(g.vertex_count)
+    for x in range(g.vertex_count):
+        ys, ws = g.neighbors(x)
+        charge = 1e-10 * np.sum(ws * np.abs(u[ys] - u[x]) ** 1.5) \
+            / g.vertex_measure[x]
+        direct[x] = (u[x] ** 3.0 + lap[x] + 1e-10 * u[x] ** 3.0 + charge) \
+            / u[x] ** 3.0
     interior = np.zeros(g.vertex_count, dtype=bool)
     interior[[0, 1, 2]] = True
-    defect = supersolution_defect(g, u, params, interior=interior)
-    direct = -p_laplacian_all(g, u, 2.5)[:3] - u[:3] ** 3.0
-    np.testing.assert_allclose(defect, direct, rtol=1e-13)
-    everywhere = -p_laplacian_all(g, u, 2.5) - u ** 3.0
-    np.testing.assert_allclose(supersolution_defect(g, u, params), everywhere,
+    np.testing.assert_allclose(
+        supersolution_shortfall(g, u, params, interior=interior), direct[:3],
+        rtol=1e-13)
+    np.testing.assert_allclose(supersolution_shortfall(g, u, params), direct,
                                rtol=1e-13)
-    with pytest.raises(ValueError):
-        supersolution_defect(g, u - 5.0, params)
+    u[4] = 0.0
+    assert supersolution_shortfall(g, u, params)[4] == np.inf
+    with pytest.raises(ValueError, match="nonnegative"):
+        supersolution_shortfall(g, u - 5.0, params)
 
 
 @pytest.mark.parametrize("interior", [
@@ -269,8 +280,8 @@ def test_supersolution_defect_takes_only_a_boolean_mask(interior):
     g = build_lattice(1, 4)  # 9 vertices
     params = ExponentParams(p=2.5, sigma=3.0)
     with pytest.raises(ValueError, match="interior must be a boolean mask"):
-        supersolution_defect(g, np.ones(g.vertex_count), params,
-                             interior=interior)
+        supersolution_shortfall(g, np.ones(g.vertex_count), params,
+                                interior=interior)
 
 
 def test_green_function_is_superharmonic_inside_only():

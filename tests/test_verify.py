@@ -1,6 +1,6 @@
-"""Zero propagation, radial shooting, the sandwich suite, the two scalar
-checks the random suites sample, and the random suites against those
-checks."""
+"""Zero propagation, radial shooting and the supersolution bound that
+judges it, the sandwich suite, the two scalar checks the random suites
+sample, and the random suites against those checks."""
 
 import copy
 import dataclasses
@@ -23,13 +23,15 @@ from p_potential import (
     build_lattice,
     build_radial_model,
     build_tree,
+    compute_L,
     defect_tolerance,
+    p_laplacian_all,
     positivity_propagation,
     sandwich_upper_bound,
     solve_green,
-    supersolution_defect,
 )
 from p_potential import verify
+from p_potential.errors import SolverError
 from p_potential.operators import supersolution_shortfall
 from p_potential.verify import (hardy_check, hardy_suite, picone_check,
                                 picone_suite, positivity_suite, run_suites,
@@ -82,21 +84,38 @@ def test_positivity_takes_only_a_boolean_mask_of_the_graph(interior):
         positivity_propagation(PATH5, np.zeros(5), 2.0, interior=interior)
 
 
+def _radial(values, profile):
+    """The one value of a radial function on each sphere S_0, S_1, ..."""
+    radial = np.empty(profile.eccentricity + 1)
+    radial[profile.radius_of] = values
+    return radial
+
+
+def _refusal(graph, profile, R, u, params):
+    """sandwich_upper_bound's refusal of u on B_R, as a message, or None
+    when it certifies u there."""
+    green = solve_green(graph, profile, R, params.p)
+    try:
+        sandwich_upper_bound(graph, profile, green, u, params)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def test_shooting_gives_a_supersolution_on_the_interior():
     graph = build_tree(2, 6)
     profile = ball_profile(graph)
     params = ExponentParams(p=3.0, sigma=4.0)
     shot = shoot_radial_supersolution(graph, params, profile=profile)
-    assert shot.success and shot.break_radius is None
-    assert shot.reason is None
-    assert np.all(np.diff(shot.radial_values) < 0.0)
-    assert shot.radial_values[-1] > 0.0
+    assert shot.dtype == np.float64 and not shot.flags.writeable
+    radial = _radial(shot, profile)
+    np.testing.assert_array_equal(shot, radial[profile.radius_of])
+    assert np.all(np.diff(radial) < 0.0) and radial[-1] > 0.0
     interior = profile.ball_mask(profile.R_max)
-    defects = supersolution_defect(graph, shot.values, params,
-                                   interior=interior)
-    assert defects.min() == pytest.approx(shot.worst_defect)
-    assert np.all(np.abs(defects) <= 1e-12)  # equality on the interior
-    assert shot.values.dtype == np.float64 and not shot.values.flags.writeable
+    defects = -p_laplacian_all(graph, shot, params.p) - shot ** params.sigma
+    assert np.all(np.abs(defects[interior]) <= 1e-12)  # equality there
+    assert supersolution_shortfall(graph, shot, params, interior).max() \
+        < 1e-9
 
 
 def _derived_start(graph, params):
@@ -118,101 +137,137 @@ def _derived_start(graph, params):
 ], ids=["tree-2-6", "tree-3-5", "lattice-1-8-near-1", "radial", "lattice-2-5"])
 def test_shot_starts_where_the_profile_says(make, p, sigma):
     """The shot's start is (2S)^(-r/eta), summed in logarithms, and u stays
-    at least half of it wherever the shot reaches."""
+    at least half of it everywhere."""
     graph = make()
     params = ExponentParams(p=p, sigma=sigma)
     shot = shoot_radial_supersolution(graph, params)
-    u0 = shot.radial_values[0]
+    u0 = shot[graph.root]
     assert u0 == pytest.approx(_derived_start(graph, params), rel=1e-13)
     assert 0.0 < u0 < 1.0
-    assert shot.radial_values.min() >= u0 / 2.0
+    assert shot.min() >= u0 / 2.0
 
 
 def test_shooting_fails_where_the_start_is_below_the_doubles():
     # lattice(1, 200) at p = 2: W_k / b_k = 2k + 1, so S = 200^2, and at
-    # sigma = 1.01 the start (2S)^(-1/0.01) = exp(-1128.98) underflows
+    # sigma = 1.01 the start (2S)^(-1/0.01) = exp(-1128.98) is 0 in
+    # doubles, and so is every u^sigma: refused on every ball
     graph = build_lattice(1, 200)
-    shot = shoot_radial_supersolution(graph, ExponentParams(p=2.0, sigma=1.01))
-    assert not shot.success
-    assert shot.values is None and shot.worst_defect is None
-    assert shot.break_radius == 0
-    np.testing.assert_array_equal(shot.radial_values, [0.0])
-    assert shot.reason == ("start u0 = exp(-1.129e+03) puts u0^sigma below "
-                           "the normal doubles")
+    profile = ball_profile(graph)
+    params = ExponentParams(p=2.0, sigma=1.01)
+    shot = shoot_radial_supersolution(graph, params, profile)
+    np.testing.assert_array_equal(shot, 0.0)
+    for R in (0, 3):
+        assert _refusal(graph, profile, R, shot, params) == (
+            f"u is not a supersolution on B_{R}: -lap_p u falls short of "
+            f"u^sigma by inf of it at vertex {graph.root}")
 
 
 def test_shooting_fails_where_the_source_is_below_the_doubles():
     # tree(2, 6) at p = 3, sigma = 2.01: the start exp(-579.5) = 2.2e-252
     # is a double, but u0^sigma about 1e-507 is not, so the recurrence
-    # cannot add up the source; a drop of 0 would pass for below an ulp
+    # adds up no source and u stays flat; below the normal doubles the
+    # shortfall is inf, so the shot is refused on every ball
     graph = build_tree(2, 6)
+    profile = ball_profile(graph)
     params = ExponentParams(p=3.0, sigma=2.01)
-    shot = shoot_radial_supersolution(graph, params)
-    assert not shot.success and shot.break_radius == 0
-    u0 = shot.radial_values[0]
+    shot = shoot_radial_supersolution(graph, params, profile)
+    u0 = shot[graph.root]
     assert u0 == pytest.approx(_derived_start(graph, params), rel=1e-12)
     assert f"{u0:.1e}" == "2.2e-252"
-    np.testing.assert_array_equal(shot.radial_values, [u0])
-    assert shot.reason == ("start u0 = exp(-5.795e+02) puts u0^sigma below "
-                           "the normal doubles")
+    np.testing.assert_array_equal(shot, u0)
+    for R in (0, 4):
+        assert _refusal(graph, profile, R, shot, params).endswith(
+            f"by inf of it at vertex {graph.root}")
 
 
 def test_shooting_fails_where_the_drop_is_below_an_ulp():
     # the first drop is u0^(sigma/r) = u0 / (2S); at p = 1.1 on
     # lattice(1, 200), S = sum_{k < 200} (2k + 1)^10 is about 1.9e27, so it
-    # lies below ulp(u0): u stays flat and no double makes equality hold
-    # at the root
+    # lies below ulp(u0): u stays flat at the root, which is then
+    # harmonic, all of u^sigma short, and the shot is refused
     graph = build_lattice(1, 200)
+    profile = ball_profile(graph)
     params = ExponentParams(p=1.1, sigma=2.0)
-    shot = shoot_radial_supersolution(graph, params)
-    assert not shot.success
-    assert shot.values is None and shot.worst_defect is None
-    assert shot.break_radius == 1
-    u0 = shot.radial_values[0]
-    np.testing.assert_array_equal(shot.radial_values, [u0, u0])
+    shot = shoot_radial_supersolution(graph, params, profile)
+    u0 = shot[graph.root]
+    assert _radial(shot, profile)[1] == u0
     drop = u0 / (2.0 * np.sum(np.arange(1.0, 400.0, 2.0) ** 10))
     assert f"{drop:.3e}" == "9.271e-30"
-    assert shot.reason == ("drop 9.271e-30 into radius 1 is below an ulp of "
-                           "u = 3.535e-02")
+    assert _refusal(graph, profile, 2, shot, params) == (
+        f"u is not a supersolution on B_2: -lap_p u falls short of u^sigma "
+        f"by 1.000e+00 of it at vertex {graph.root}")
 
 
 def test_shooting_fails_on_a_wrong_recurrence():
-    # halving each sphere's measure in the recurrence makes every drop too
-    # small: the shot stays positive, and its defect check fails at the root
+    # halving each sphere's measure in the recurrence halves every current:
+    # -lap_p u is half of u^sigma, which the bound is charged; dropping
+    # the source leaves u flat, harmonic, and refused at the root
     graph = build_tree(2, 6)
-    profile = copy.copy(ball_profile(graph))
-    profile.sphere_measure = profile.sphere_measure / 2.0
-    shot = shoot_radial_supersolution(graph, ExponentParams(p=3.0, sigma=4.0),
-                                      profile=profile)
-    assert not shot.success and shot.values is None
-    assert shot.break_radius == 0
-    assert shot.reason.startswith("not a supersolution at radius 0: defect ")
+    params = ExponentParams(p=3.0, sigma=4.0)
+    profile = ball_profile(graph)
+    wrong = copy.copy(profile)
+    for scale, shortfall in ((0.5, "5.000e-01"), (0.0, "1.000e+00")):
+        wrong.sphere_measure = profile.sphere_measure * scale
+        shot = shoot_radial_supersolution(graph, params, profile=wrong)
+        delta = supersolution_shortfall(graph, shot, params,
+                                        profile.ball_mask(profile.R_max))
+        assert f"{delta.max():.3e}" == shortfall
+        refusal = _refusal(graph, profile, 3, shot, params)
+        if scale:
+            assert refusal is None
+        else:
+            assert refusal.startswith("u is not a supersolution on B_3: ")
+            assert refusal.endswith(f"at vertex {graph.root}")
 
 
 def test_shooting_edge_cases():
     params = ExponentParams(p=2.0, sigma=3.0)
     tree = build_tree(2, 3)
     shot = shoot_radial_supersolution(tree, params)
-    assert shot.success and not shot.values.flags.writeable
-    # a graph that is not spherically symmetric is a failed shot
-    shot = shoot_radial_supersolution(build_lattice(2, 3), params)
-    assert not shot.success and shot.break_radius == 2
-    assert shot.reason == ("not a supersolution at radius 2: defect -7.660e-04, "
-                           "short of u^sigma by 5.589e-01 of it")
+    assert not shot.flags.writeable
+    # a graph that is not spherically symmetric: the shot misses equality
+    # from sphere 2 on, and is charged that shortfall until it reaches all
+    # of u^sigma on B_4
+    graph = build_lattice(2, 3)
+    profile = ball_profile(graph)
+    shot = shoot_radial_supersolution(graph, params, profile)
+    shortfalls = [supersolution_shortfall(graph, shot, params,
+                                          profile.ball_mask(R)).max()
+                  for R in range(profile.R_max + 1)]
+    assert max(shortfalls[:2]) < 1e-9
+    assert [f"{delta:.4e}" for delta in shortfalls[2:]] == [
+        "5.5887e-01", "5.5887e-01", "1.0016e+00", "1.0016e+00"]
+    green = solve_green(graph, profile, 2, params.p)
+    bare = (params.sigma / params.eta) \
+        * (green.values[graph.root] / shot[graph.root]) ** params.eta
+    assert sandwich_upper_bound(graph, profile, green, shot, params) \
+        == bare / (1.0 - shortfalls[2])
+    assert _refusal(graph, profile, 4, shot, params).startswith(
+        "u is not a supersolution on B_4: ")
 
 
 def test_shooting_judges_each_defect_by_its_own_vertex():
     # at sigma = 2.1 the lattice's start is about 1e-38 and u^sigma about
     # 1e-80, so its defect at radius 2 is far above -defect_tolerance
     # (1e-10), yet half of u^sigma there: the shortfall is a fraction of
-    # each vertex's u^sigma, so the shot fails there
+    # each vertex's u^sigma, and the bound on B_2 is charged it
     graph = build_lattice(2, 6)
-    shot = shoot_radial_supersolution(graph, ExponentParams(p=3.0, sigma=2.1))
-    assert not shot.success and shot.break_radius == 2
-    assert shot.reason.startswith("not a supersolution at radius 2: defect ")
-    defect = float(shot.reason.split("defect ")[1].split(",")[0])
-    u0, u2 = shot.radial_values[[0, 2]]
+    profile = ball_profile(graph)
+    params = ExponentParams(p=3.0, sigma=2.1)
+    shot = shoot_radial_supersolution(graph, params, profile)
+    sphere = profile.radius_of == 2
+    defect = (-p_laplacian_all(graph, shot, 3.0) - shot ** 2.1)[sphere].min()
+    u0, u2 = _radial(shot, profile)[[0, 2]]
     assert -defect_tolerance(u0, 3.0) < defect < -u2 ** 2.1 / 10
+    delta = supersolution_shortfall(graph, shot, params, sphere).max()
+    assert f"{delta:.3f}" == "0.547"
+    assert supersolution_shortfall(graph, shot, params,
+                                   profile.ball_mask(2)).max() == delta
+    green = solve_green(graph, profile, 2, params.p)
+    bare = (params.sigma / params.eta) \
+        * (green.values[graph.root] / u0) ** params.eta
+    assert sandwich_upper_bound(graph, profile, green, shot, params) \
+        == bare / (1.0 - delta)
 
 
 def _layer_weights_by_edge_loop(graph, profile):
@@ -249,8 +304,7 @@ def _layer_weights_by_edge_loop(graph, profile):
 
 
 def _shoot_by_layers(graph, params, u0):
-    """The radial values and the stop radius (None when the shot runs
-    through) of the per-vertex recurrence
+    """The radial values of the per-vertex recurrence
     Phi_p(drop_k) = (in_k Phi_p(drop_{k-1}) + mu_k U_k^sigma) / out_k on
     _layer_weights_by_edge_loop's weights, which raises unless the graph
     is spherically symmetric (reference)."""
@@ -264,9 +318,7 @@ def _shoot_by_layers(graph, params, u0):
         phi_drop = (layer_in[k] * phi_drop + layer_mu[k] * U[k] ** sigma) \
             / layer_out[k]
         U.append(U[k] - phi_drop ** (1.0 / (p - 1.0)))
-        if U[k + 1] <= 0.0 or U[k + 1] == U[k]:
-            return np.array(U), k + 1
-    return np.array(U), None
+    return np.array(U)
 
 
 def _shoot_by_flux(profile, params, u0):
@@ -368,28 +420,28 @@ def test_layer_weights_equal_the_edge_loop(make, symmetric):
 
 
 def test_layer_weights_name_the_first_mixed_sphere():
-    """The shot breaks at the sphere the edge loop names first."""
+    """The shot is equality, to rounding, on the ball inside the sphere the
+    edge loop names first, and misses it on that sphere."""
     params = ExponentParams(p=2.0, sigma=3.0)
     for graph, k in ((build_lattice(2, 3), 2), (_thinned_leaf_tree(), 3)):
+        profile = ball_profile(graph)
         with pytest.raises(ValueError, match=f"sphere {k} mixes"):
-            _layer_weights_by_edge_loop(graph, ball_profile(graph))
-        shot = shoot_radial_supersolution(graph, params)
-        assert not shot.success and shot.break_radius == k
-        assert shot.reason.startswith(f"not a supersolution at radius {k}: ")
+            _layer_weights_by_edge_loop(graph, profile)
+        shot = shoot_radial_supersolution(graph, params, profile)
+        shortfall = supersolution_shortfall(graph, shot, params)
+        assert shortfall[profile.ball_mask(k - 1)].max() < 1e-9
+        assert shortfall[profile.radius_of == k].max() > 0.1
 
 
 # how the flux recurrence meets the per-vertex one on each graph: bitwise
 # where each sphere's totals are its vertex's times a power of two, or
 # where every sphere is one vertex; within a few ulps where the sphere
 # sizes (3^k on tree(3, 5)) or the weights make the two round differently;
-# where the reference refuses the graph, the shot breaks at the sphere it
-# names, or passes its defect check when the mismatch (the leaf off by
-# 1e-9, about 6e-11 of a sphere-3 vertex's outward current) is below the
-# check's 1e-10 relative slack
+# where the graph is not spherically symmetric the reference refuses it
 SHOT_CASES = dict(zip(LAYER_IDS, zip(
     (make for make, _ in LAYER_GRAPHS),
-    ("bitwise", "ulps", "ulps", "bitwise", "breaks", "breaks", "passes",
-     "ulps"))))
+    ("bitwise", "ulps", "ulps", "bitwise", "asymmetric", "asymmetric",
+     "asymmetric", "ulps"))))
 SHOT_CASES["lattice-1-200"] = (lambda: build_lattice(1, 200), "bitwise")
 SHOT_CASES["irregular-path"] = (_irregular_path, "bitwise")
 
@@ -397,42 +449,25 @@ SHOT_CASES["irregular-path"] = (_irregular_path, "bitwise")
 @pytest.mark.parametrize("p, sigma", [(2.0, 3.0), (3.0, 4.0), (1.5, 3.0)])
 @pytest.mark.parametrize("case", SHOT_CASES)
 def test_shot_follows_the_per_vertex_recurrence(case, p, sigma):
-    """The same radial values, success and break radius as the per-vertex
-    recurrence from the shot's own start, on every symmetric graph."""
+    """The shot's values are the flux recurrence's from its own start on
+    every graph, and the per-vertex recurrence's on every symmetric one."""
     make, agreement = SHOT_CASES[case]
     graph = make()
+    profile = ball_profile(graph)
     params = ExponentParams(p=p, sigma=sigma)
-    shot = shoot_radial_supersolution(graph, params)
-    u0 = shot.radial_values[0]
-    if agreement in ("breaks", "passes"):
-        with pytest.raises(ValueError, match="mixes") as refused:
+    shot = shoot_radial_supersolution(graph, params, profile)
+    u0 = shot[graph.root]
+    np.testing.assert_array_equal(
+        shot, _shoot_by_flux(profile, params, u0)[profile.radius_of])
+    if agreement == "asymmetric":
+        with pytest.raises(ValueError, match="mixes"):
             _shoot_by_layers(graph, params, u0)
-        if agreement == "passes":
-            assert shot.success
-        else:
-            k = int(str(refused.value).split("sphere ")[1].split()[0])
-            assert not shot.success and shot.break_radius == k
         return
-    U, stop = _shoot_by_layers(graph, params, u0)
+    U = _shoot_by_layers(graph, params, u0)[profile.radius_of]
     if agreement == "bitwise":
-        np.testing.assert_array_equal(shot.radial_values, U)
+        np.testing.assert_array_equal(shot, U)
     else:
-        np.testing.assert_allclose(shot.radial_values, U,
-                                   rtol=16 * np.finfo(float).eps)
-    if stop is None and not shot.success:
-        # past the path's 2^72 edge the currents dwarf u^sigma by 1e14 at
-        # p = 3, and rounding u to doubles moves the defect by several
-        # u^sigma: the values are within rounding of equality, yet no
-        # supersolution the shortfall can certify
-        assert (case, p) == ("irregular-path", 3.0)
-        assert shot.reason.startswith("not a supersolution at radius 514: ")
-        profile = ball_profile(graph)
-        ball = profile.ball_mask(profile.R_max)
-        assert supersolution_shortfall(graph, U[profile.radius_of], params,
-                                       ball, rounding=True).max() <= 0.0
-        return
-    assert shot.success == (stop is None)
-    assert shot.break_radius == stop
+        np.testing.assert_allclose(shot, U, rtol=16 * np.finfo(float).eps)
 
 
 @st.composite
@@ -453,51 +488,99 @@ def _radial_models(draw):
 @settings(max_examples=300, deadline=None)
 @given(_radial_models())
 def test_shot_keeps_half_its_start(model):
-    """While U_j <= u0 the flux out of B_k is at most u0^sigma W_k, so the
+    """The shot's values are the flux recurrence's from its own start.
+    While U_j <= u0 the flux out of B_k is at most u0^sigma W_k, so the
     drops sum to at most u0^(sigma/r) S = u0/2: wherever u0 is a positive
     double, u never falls below u0/2.  With one cut the bound is equality,
     so the doubles may miss it by the rounding of u0 = exp(log u0), which
     u0^(sigma/r) amplifies by sigma/r |log u0|, and of the 1/r-th power of
     each drop."""
     graph, params = model
-    shot = shoot_radial_supersolution(graph, params)
-    u0 = shot.radial_values[0]
+    profile = ball_profile(graph)
+    shot = shoot_radial_supersolution(graph, params, profile)
+    u0 = shot[graph.root]
+    np.testing.assert_array_equal(
+        shot, _shoot_by_flux(profile, params, u0)[profile.radius_of])
     if u0 > 0.0:
-        ecc = shot.radial_values.size - 1
         rounding = 4.0 * np.finfo(np.float64).eps * (
-            params.sigma / params.r * abs(np.log(u0)) + ecc / params.r + 1.0)
-        assert shot.radial_values.min() >= u0 / 2.0 * (1.0 - rounding)
+            params.sigma / params.r * abs(np.log(u0))
+            + profile.eccentricity / params.r + 1.0)
+        assert shot.min() >= u0 / 2.0 * (1.0 - rounding)
 
 
-@pytest.mark.parametrize("dimension, half_sides", [(2, (2, 3, 6, 10)),
-                                                   (3, (2, 3, 6))])
-def test_no_lattice_shot_passes(dimension, half_sides):
-    """A lattice of dimension 2 or 3 is not spherically symmetric, so no
-    shot on it is a supersolution, at any (p, sigma) of the grid."""
-    for half_side in half_sides:
-        graph = build_lattice(dimension, half_side)
-        profile = ball_profile(graph)
-        for p in (1.1, 1.5, 2.0, 3.0, 5.0):
-            for sigma in (p - 0.99, p - 0.5, p, 2.0 * p, 10.0):
-                shot = shoot_radial_supersolution(
-                    graph, ExponentParams(p=p, sigma=sigma), profile)
-                assert not shot.success, (half_side, p, sigma)
+# nested ladders: each graph's radii run out to where the shot is refused
+# (lattices) or to its last ball (trees); the irregular path's stop short
+# of the jump edge at radius 512, across which the Green solve fails
+SANDWICH_GRAPHS = {
+    "lattice-2-3": (lambda: build_lattice(2, 3), (1, 2, 3, 5)),
+    "lattice-2-6": (lambda: build_lattice(2, 6), (2, 5, 8, 11)),
+    "lattice-2-10": (lambda: build_lattice(2, 10), (2, 6, 12, 19)),
+    "lattice-3-3": (lambda: build_lattice(3, 3), (2, 4, 8)),
+    "lattice-3-6": (lambda: build_lattice(3, 6), (2, 4, 6, 9)),
+    "tree-2-6": (lambda: build_tree(2, 6), (1, 3, 5)),
+    "tree-3-5": (lambda: build_tree(3, 5), (1, 3, 4)),
+    "irregular-path": (_irregular_path, (10, 20, 40, 100)),
+}
+# ROADMAP item 5: on the irregular path the Green solve misses its
+# residual target across the jump edge at radius 2 at p = 1.5, and across
+# the one at radius 16 at p = 2
+_JUMP_EDGE_SOLVES = pytest.mark.xfail(
+    raises=SolverError, strict=True,
+    reason="the Green solve loses relative precision across the irregular "
+           "path's jump edges (ROADMAP item 5)")
+
+
+@pytest.mark.parametrize("case, p", [
+    pytest.param(case, p, id=f"{case}-p{p}", marks=(
+        _JUMP_EDGE_SOLVES if case == "irregular-path" and p <= 2.0 else ()))
+    for case in SANDWICH_GRAPHS for p in (1.5, 2.0, 3.0, 5.0)])
+def test_every_ladder_row_is_refused_or_bounds_L(case, p):
+    """sandwich_upper_bound refuses the shot on a ball or bounds L_R on it,
+    at every sigma of the grid; the shortfall on a ball is at most that on
+    any ball around it, so once refused, the shot stays refused."""
+    make, radii = SANDWICH_GRAPHS[case]
+    graph = make()
+    profile = ball_profile(graph)
+    greens = {R: solve_green(graph, profile, R, p) for R in radii}
+    for sigma in (p - 0.5, p, 2.0 * p):
+        params = ExponentParams(p=p, sigma=sigma)
+        shot = shoot_radial_supersolution(graph, params, profile)
+        refused = None
+        for R in radii:
+            try:
+                bound = sandwich_upper_bound(graph, profile, greens[R], shot,
+                                             params)
+            except ValueError as exc:
+                assert str(exc).startswith(
+                    f"u is not a supersolution on B_{R}: "), exc
+                refused = R
+                continue
+            assert refused is None, (sigma, R, refused)
+            assert compute_L(graph, profile, greens[R], sigma) <= bound, \
+                (sigma, R)
 
 
 def test_sandwich_suite_squeezes_L():
     report = sandwich_suite()
     assert report.name == "sandwich"
     assert report.ok and report.violations == 0
-    assert report.trials == len(report.details) == 4
-    tree = build_tree(2, 6)
+    assert report.trials == len(report.details) == 6
+    graphs = {"tree": build_tree(2, 6), "lattice-2d": build_lattice(2, 5)}
     for key, case in report.details.items():
         assert case["lower"] < case["L"] < case["upper"]
-        p, sigma = (2.0, 3.0) if key.startswith("p2.0") else (3.0, 4.0)
+        family, p, sigma, _ = key.rsplit("-", 3)
+        params = ExponentParams(p=float(p[1:]), sigma=float(sigma[5:]))
         assert case["u0"] == pytest.approx(
-            _derived_start(tree, ExponentParams(p=p, sigma=sigma)), rel=1e-13)
+            _derived_start(graphs[family], params), rel=1e-13)
     assert report.worst_margin == pytest.approx(min(
         min(c["L"] - c["lower"], c["upper"] - c["L"])
         for c in report.details.values()))
+    # lattice(2, 5) is not spherically symmetric: its bounds are charged
+    # the shot's shortfall, and still above L
+    lattice = {key: case for key, case in report.details.items()
+               if key.startswith("lattice-2d-")}
+    assert [f"{c['L']:.3g}" for c in lattice.values()] == ["0.296", "0.475"]
+    assert [f"{c['upper']:.4g}" for c in lattice.values()] == ["125", "154.7"]
 
 
 def test_sandwich_suite_shoots_once_per_exponent_pair(monkeypatch):
@@ -505,12 +588,12 @@ def test_sandwich_suite_shoots_once_per_exponent_pair(monkeypatch):
     real = verify.shoot_radial_supersolution
 
     def recording(graph, params, profile=None):
-        starts.append(params.p)
+        starts.append((graph.vertex_count, params.p))
         return real(graph, params, profile=profile)
 
     monkeypatch.setattr(verify, "shoot_radial_supersolution", recording)
     assert sandwich_suite().ok
-    assert starts == [2.0, 3.0]
+    assert starts == [(127, 2.0), (127, 3.0), (121, 2.0)]
 
 
 def test_sandwich_suite_counts_a_failed_side(monkeypatch):
@@ -519,40 +602,41 @@ def test_sandwich_suite_counts_a_failed_side(monkeypatch):
     monkeypatch.setattr(verify, "sandwich_upper_bound",
                         lambda *args: 0.0)
     report = sandwich_suite()
-    assert (report.trials, report.violations, report.ok) == (4, 4, False)
+    assert (report.trials, report.violations, report.ok) == (6, 6, False)
     assert report.worst_margin == min(-c["L"] for c in report.details.values())
 
 
 def test_sandwich_suite_counts_failed_shots(monkeypatch):
+    # a shot of zeros at p = 2 is refused on every ball it would bound
     real = verify.shoot_radial_supersolution
 
     def failing(graph, params, profile):
         shot = real(graph, params, profile)
-        if params.p == 2.0:
-            return dataclasses.replace(shot, success=False, values=None,
-                                       break_radius=1, worst_defect=None,
-                                       reason="made up")
-        return shot
+        return np.zeros_like(shot) if params.p == 2.0 else shot
 
     monkeypatch.setattr(verify, "shoot_radial_supersolution", failing)
     report = sandwich_suite()
-    assert (report.trials, report.violations, report.ok) == (4, 3, False)
-    ball = report.details.pop("p3.0-sigma4.0-R3")
+    assert (report.trials, report.violations, report.ok) == (6, 5, False)
+    ball = report.details.pop("tree-p3.0-sigma4.0-R3")
     assert report.worst_margin == min(ball["L"] - ball["lower"],
                                       ball["upper"] - ball["L"]) > 0.0
     assert report.details == {
-        "p2.0-sigma3.0-R2": "shooting failed: made up",
-        "p2.0-sigma3.0-R3": "shooting failed: made up",
-        "p2.0-sigma3.0-R4": "shooting failed: made up",
-    }
+        f"{family}-p2.0-sigma3.0-R{R}":
+            f"no certified bound: u is not a supersolution on B_{R}: -lap_p "
+            f"u falls short of u^sigma by inf of it at vertex {root}"
+        for family, root, radii in (("tree", 0, (2, 3, 4)),
+                                    ("lattice-2d", 0, (2, 3)))
+        for R in radii}
 
 
 def test_sandwich_suite_propagates_errors_of_the_bounds(monkeypatch):
+    # the lower bound's errors propagate; the upper bound's refusals are
+    # violations (test_sandwich_suite_counts_failed_shots)
     def refuse(*args):
-        raise ValueError("candidate refused")
+        raise SolverError("no Green function")
 
-    monkeypatch.setattr(verify, "sandwich_upper_bound", refuse)
-    with pytest.raises(ValueError, match="candidate refused"):
+    monkeypatch.setattr(verify, "analyze_ball", refuse)
+    with pytest.raises(SolverError, match="no Green function"):
         sandwich_suite()
 
 
