@@ -23,8 +23,8 @@ from .graphs import (BallProfile, WeightedGraph, ball_profile, build_lattice,
 from .green import (LOOKS_NON_PARABOLIC, LOOKS_PARABOLIC, GreenFunction,
                     ProbeReport, compute_L, green_normalization_check,
                     parabolicity_probe, sandwich_upper_bound, solve_green)
-from .operators import (ExponentParams, as_values, defect_tolerance,
-                        p_energy, p_laplacian_all, phi_p, save_vertex_function)
+from .operators import (ExponentParams, as_values, p_energy, p_laplacian_all,
+                        phi_p, save_vertex_function)
 from .verify import (IDENTICALLY_ZERO, STRICTLY_POSITIVE, SuiteReport,
                      hardy_check, hardy_suite, picone_check, picone_suite,
                      positivity_propagation, positivity_suite, run_suites,
@@ -44,8 +44,7 @@ __all__ = [
     "VerificationError", "WeightedGraph", "analyze_ball",
     "as_values", "ball_profile", "build_lattice", "build_radial_model",
     "build_tree", "classify", "compute_L", "cut_series_terms",
-    "cut_volume_check", "decompose_paths", "defect_tolerance",
-    "dyadic_blocks", "edge_marginals",
+    "cut_volume_check", "decompose_paths", "dyadic_blocks", "edge_marginals",
     "empirical_lower_bound", "exponent_identity", "extrapolate_cut_tail",
     "flow_checks", "green_normalization_check", "hardy_check", "hardy_suite",
     "load_graph", "midrange_cut_bound", "minimize_p_dirichlet", "orient_flow",

@@ -24,7 +24,7 @@ from p_potential import (
     save_graph,
     shoot_radial_supersolution,
 )
-from p_potential import cli
+from p_potential import cli, verify
 from p_potential.cli import main
 from p_potential.flows import PathMeasure
 from p_potential.operators import ExponentParams
@@ -44,8 +44,7 @@ CRITERION_KEYS = {"p", "sigma", "horizon", "classification", "fitted_beta",
                   "fitted_gamma", "fit_error", "partial_sum",
                   "exponent_identity", "terms_csv", "cut_series", "dyadic",
                   "cut_volume_margin", "midrange", "source"}
-REPORT_KEYS = {"graph", "p", "sigma", "seed", "shoot", "ladder", "probe",
-               "criterion", "verify", "ok"}
+REPORT_KEYS = {"graph", "p", "sigma", "shoot", "ladder", "probe", "criterion"}
 PROBE_KEYS = {"increments", "label", "tail"}
 
 
@@ -222,10 +221,10 @@ def test_verify_writes_no_margin_as_null(workdir, capsys, suite, trials,
 
 def test_report_on_a_symmetric_graph(workdir, capsys):
     code, out, _ = run(["report", "--graph", "tree.json", "--p", "2",
-                        "--sigma", "3", "--R", "2,3,4", "--trials", "200",
-                        "--out-prefix", "r"], capsys)
+                        "--sigma", "3", "--R", "2,3,4", "--out-prefix", "r"],
+                       capsys)
     assert code == 0
-    assert json.loads(out) == {"out": "r.json", "csv": "r.csv", "ok": True}
+    assert json.loads(out) == {"out": "r.json", "csv": "r.csv"}
     payload = read_json("r.json")
     assert set(payload) == REPORT_KEYS
     tree = build_tree(2, 5)
@@ -249,8 +248,6 @@ def test_report_on_a_symmetric_graph(workdir, capsys):
     assert probe["tail"]["model"] == "geometric"
     assert probe["increments"] == np.diff(
         [row["g_center"] for row in payload["ladder"]]).tolist()
-    assert [s["name"] for s in payload["verify"]] == [
-        "picone", "hardy", "positivity", "sandwich"]
     with open("r.csv", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     assert lines[0] == ("R,g_center,residual,capacity_center,L,lower_bound,"
@@ -264,8 +261,8 @@ def test_report_on_an_asymmetric_graph_bounds_the_balls_it_certifies(
     # misses equality there, and its shortfall is charged to the bounds
     # on B_2 and B_4 until it reaches all of u^sigma on B_8
     code, _, _ = run(["report", "--graph", "square.json", "--p", "2",
-                      "--sigma", "3", "--R", "2,4,8", "--trials", "200",
-                      "--out-prefix", "r"], capsys)
+                      "--sigma", "3", "--R", "2,4,8", "--out-prefix", "r"],
+                     capsys)
     assert code == 0
     payload = read_json("r.json")
     shoot = payload["shoot"]
@@ -286,8 +283,8 @@ def test_report_charges_a_shortfall_relative_to_u_sigma(workdir, capsys):
     # below an absolute 1e-10: the shortfall at radius 2, half of that
     # vertex's own u^sigma, is charged to the bound
     code, _, _ = run(["report", "--graph", "square.json", "--p", "3",
-                      "--sigma", "2.1", "--R", "1,2,4", "--trials", "50",
-                      "--out-prefix", "r"], capsys)
+                      "--sigma", "2.1", "--R", "1,2,4", "--out-prefix", "r"],
+                     capsys)
     assert code == 0
     payload = read_json("r.json")
     assert payload["shoot"]["reason"] is None
@@ -303,8 +300,8 @@ def test_report_labels_the_binary_tree_non_parabolic(workdir, capsys):
     assert main(["gen", "--family", "tree", "--branching", "2", "--depth",
                  "12", "--out", "tree12.json"]) == 0
     code, _, _ = run(["report", "--graph", "tree12.json", "--p", "2",
-                      "--sigma", "3", "--R", "3,5,7,9", "--trials", "200",
-                      "--out-prefix", "r"], capsys)
+                      "--sigma", "3", "--R", "3,5,7,9", "--out-prefix", "r"],
+                     capsys)
     assert code == 0
     payload = read_json("r.json")
     assert payload["probe"]["label"] == "looks-non-parabolic"
@@ -344,7 +341,7 @@ def test_report_writes_each_ladder_value_once(workdir, capsys):
     assert main(["gen", "--family", "tree", "--branching", "2", "--depth",
                  "12", "--out", "tree12.json"]) == 0
     code, _, _ = run(["report", "--graph", "tree12.json", "--p", "2.5",
-                      "--sigma", "3", "--R", "3,5,7,9,10,11", "--trials", "50",
+                      "--sigma", "3", "--R", "3,5,7,9,10,11",
                       "--out-prefix", "r"], capsys)
     assert code == 0
     payload = read_json("r.json")
@@ -388,8 +385,8 @@ def test_report_when_the_start_is_below_the_doubles(workdir, capsys):
     # below the normal doubles on every ball
     save_graph(build_lattice(1, 200), "path.json")
     code, _, _ = run(["report", "--graph", "path.json", "--p", "2",
-                      "--sigma", "1.01", "--R", "3,6,9", "--trials", "50",
-                      "--out-prefix", "r"], capsys)
+                      "--sigma", "1.01", "--R", "3,6,9", "--out-prefix", "r"],
+                     capsys)
     assert code == 0
     payload = read_json("r.json")
     assert payload["shoot"] == {
@@ -404,11 +401,10 @@ def test_report_records_a_shot_whose_drop_is_below_an_ulp(workdir, capsys):
     # lattice(1, 200), is below ulp(u0): u is flat at the root, all of
     # u^sigma short, and the report runs on without an upper bound
     save_graph(build_lattice(1, 200), "path.json")
-    code, out, _ = run(["report", "--graph", "path.json", "--p", "1.1",
-                        "--sigma", "2", "--R", "2,3", "--trials", "50",
-                        "--out-prefix", "r"], capsys)
+    code, _, _ = run(["report", "--graph", "path.json", "--p", "1.1",
+                      "--sigma", "2", "--R", "2,3", "--out-prefix", "r"],
+                     capsys)
     assert code == 0
-    assert json.loads(out)["ok"] is True
     payload = read_json("r.json")
     assert payload["shoot"] == {
         "u0": 0.03534735942505839,
@@ -449,11 +445,9 @@ def test_criterion_on_a_graph_of_eccentricity_one(eccentricity_one, capsys):
 
 
 def test_report_on_a_graph_of_eccentricity_one(eccentricity_one, capsys):
-    code, out, _ = run(["report", "--graph", "l11.json", "--p", "2",
-                        "--sigma", "3", "--R", "0", "--trials", "50",
-                        "--out-prefix", "r"], capsys)
+    code, _, _ = run(["report", "--graph", "l11.json", "--p", "2",
+                      "--sigma", "3", "--R", "0", "--out-prefix", "r"], capsys)
     assert code == 0
-    assert json.loads(out)["ok"] is True
     payload = read_json("r.json")
     [row] = payload["ladder"]
     assert [c["name"] for c in row["chain"]] == CHAIN_ROWS_OF_EVERY_RADIUS
@@ -643,19 +637,12 @@ PROFILE_ARGV = ["criterion", "--profile", "bad.csv", "--p", "2", "--sigma", "3"]
      "trials must be at least 1, got -3"),
     (["verify", "--suite", "positivity", "--trials", "0"], None, "ValueError",
      "trials must be at least 1, got 0"),
-    (["report", "--graph", "tree.json", "--p", "2", "--sigma", "3",
-      "--R", "2,3,4", "--trials", "0"], None, "ValueError",
-     "trials must be at least 1, got 0"),
     (["verify", "--suite", "picone", "--trials", "10", "--seed", "-1"], None,
      "ValueError", "--seed must be nonnegative, got -1"),
-    (["report", "--graph", "tree.json", "--p", "2", "--sigma", "3",
-      "--R", "2,3,4", "--trials", "10", "--seed", "-1"], None, "ValueError",
-     "--seed must be nonnegative, got -1"),
 ], ids=["bad-radius-list", "radius-above-R_max", "missing-graph",
         "malformed-profile", "short-profile-row", "unparsed-profile-row",
         "repeated-profile-n", "verify-zero-trials", "verify-negative-trials",
-        "verify-positivity-zero-trials", "report-zero-trials",
-        "verify-negative-seed", "report-negative-seed"])
+        "verify-positivity-zero-trials", "verify-negative-seed"])
 def test_errors_exit_1_with_json_on_stderr(workdir, capsys, argv, prepare,
                                            error, message):
     if prepare is not None:
@@ -692,7 +679,7 @@ def test_errors_exit_1_with_json_on_stderr(workdir, capsys, argv, prepare,
       "--out-prefix", "x"], ["x.terms.csv"],
      "output 'x.terms.csv' is the same file as the input 'x.terms.csv'"),
     (["report", "--graph", "x.json", "--p", "2", "--sigma", "3",
-      "--R", "2,3,4", "--trials", "10", "--out-prefix", "x"], ["x.json"],
+      "--R", "2,3,4", "--out-prefix", "x"], ["x.json"],
      "output 'x.json' is the same file as the input 'x.json'"),
 ], ids=["green-sidecar-over-graph", "green-csv-over-graph",
         "green-csv-and-sidecar", "flow-report-over-graph",
@@ -744,7 +731,7 @@ NO_FIT = ("fitted_beta", "fitted_gamma", "fit_error")
       "--out-prefix", "c"], "c.json", [(key,) for key in NO_FIT]),
     (_saved("t3.json", lambda: build_tree(2, 3)),
      ["report", "--graph", "t3.json", "--p", "2", "--sigma", "3",
-      "--R", "1,2", "--trials", "200", "--out-prefix", "r"], "r.json",
+      "--R", "1,2", "--out-prefix", "r"], "r.json",
      [("criterion", key) for key in NO_FIT]),
 ], ids=["report-infinite-tail", "criterion-infinite-tail",
         "criterion-profile-no-fit", "report-no-fit"])
@@ -798,13 +785,35 @@ def test_same_argv_writes_identical_bytes(workdir, capsys):
         ["criterion", "--graph", "tree.json", "--p", "3", "--sigma", "4",
          "--out-prefix", "c"],
         ["report", "--graph", "tree.json", "--p", "3", "--sigma", "4",
-         "--R", "2,3,4", "--trials", "200", "--seed", "7",
-         "--out-prefix", "r"],
+         "--R", "2,3,4", "--seed", "7", "--out-prefix", "r"],
     ]
     first = _run_in(workdir / "a", argvs, capsys)
     second = _run_in(workdir / "b", argvs, capsys)
     assert len(first) == 10
     assert first == second
+
+
+def test_report_reads_no_seed_and_runs_no_suite(workdir, capsys, monkeypatch):
+    # the verify batteries read no graph, p or sigma, so report runs none
+    # of them and draws nothing at random: its --seed is inert
+    def no_suites(*args, **kwargs):
+        raise AssertionError("report ran the verify suites")
+
+    monkeypatch.setattr(verify, "run_suites", no_suites)
+    monkeypatch.setattr(cli, "run_suites", no_suites)
+    argv = ["report", "--graph", "tree.json", "--p", "3", "--sigma", "4",
+            "--R", "2,3,4", "--out-prefix", "r"]
+    files = []
+    for seed in ("0", "7"):
+        assert main(argv + ["--seed", seed]) == 0
+        files.append([Path("r" + suffix).read_bytes()
+                      for suffix in (".json", ".csv", ".terms.csv")])
+    assert files[0] == files[1]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--trials", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trials" in capsys.readouterr().err
 
 
 
@@ -839,7 +848,7 @@ def test_every_payload_reaches_the_dump_as_plain_values(workdir, capsys,
              "--out-prefix", "w"],
             ["verify", "--trials", "300", "--seed", "2"],
             ["report", "--graph", "square.json", "--p", "3", "--sigma", "4",
-             "--R", "2,3", "--trials", "200", "--out-prefix", "r"]):
+             "--R", "2,3", "--out-prefix", "r"]):
         assert main(argv) == 0, argv
     capsys.readouterr()
     # flow's paths file is written from the packed arrays, not through

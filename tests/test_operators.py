@@ -15,7 +15,6 @@ from p_potential import (
     build_lattice,
     build_tree,
     ball_profile,
-    defect_tolerance,
     p_energy,
     p_laplacian_all,
     phi_p,
@@ -23,7 +22,8 @@ from p_potential import (
     solve_green,
     WeightedGraph,
 )
-from p_potential.operators import _vertex_function_bytes, supersolution_shortfall
+from p_potential.operators import (_vertex_function_bytes, defect_tolerance,
+                                  supersolution_shortfall)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from p_potential import (
     build_radial_model,
     build_tree,
     compute_L,
-    defect_tolerance,
     p_laplacian_all,
     positivity_propagation,
     sandwich_upper_bound,
@@ -32,7 +31,7 @@ from p_potential import (
 )
 from p_potential import verify
 from p_potential.errors import SolverError
-from p_potential.operators import supersolution_shortfall
+from p_potential.operators import defect_tolerance, supersolution_shortfall
 from p_potential.verify import (hardy_check, hardy_suite, picone_check,
                                 picone_suite, positivity_suite, run_suites,
                                 sandwich_suite, shoot_radial_supersolution)
