@@ -46,7 +46,7 @@ import numpy as np
 
 from . import criterion as crit
 from .errors import PotentialError
-from .flows import BallAnalysis, PathMeasure, analyze_ball
+from .flows import BallAnalysis, PathMeasure, _path_blocks, analyze_ball
 from .graphs import (BallProfile, _text_rows, ball_profile, build_lattice,
                      build_radial_model, build_tree, load_graph, save_graph)
 from .green import (green_normalization_check, parabolicity_probe,
@@ -95,9 +95,12 @@ def _paths_bytes(measure: PathMeasure, R: int, p: float,
     "probability": ...}, ...]}, made from the packed arrays.
 
     json writes an int as its repr and a finite float with float.__repr__
-    (p, sigma and every probability are finite).  The vertex rows come from
-    _text_rows; each path's header and footer are spliced in at the byte
-    offset of its end.  Every path has at least one vertex.
+    (p, sigma and every probability are finite).  The paths are formatted
+    and joined one block of whole paths at a time (flows._path_blocks), so
+    no temporary grows with the measure; only the blocks' bytes and the
+    file's are whole.  A block's vertex rows come from _text_rows; each
+    path's header and footer are spliced in at the byte offset of its end.
+    Every path has at least one vertex.
     """
     head = ('{\n  "R": %d,\n  "boundary": %d,\n  "center": %d,\n  "p": %s,\n'
             '  "paths": [' % (R, measure.boundary_id, measure.center,
@@ -105,18 +108,23 @@ def _paths_bytes(measure: PathMeasure, R: int, p: float,
     tail = ('\n  "sigma": %s\n}\n' % float.__repr__(sigma)).encode()
     if len(measure) == 0:
         return head + b"]," + tail
-    rows = _text_rows(b" " * 8, measure.vertices, b",\n")
-    flat = rows[rows != 0].tobytes()
-    # byte offsets of the paths' ends in flat, each path's last ",\n" cut off
-    ends = np.cumsum(np.count_nonzero(rows, axis=1))[measure.offsets[1:] - 1]
-    starts, stops = [0, *ends[:-1].tolist()], (ends - 2).tolist()
-    chunks = []
-    for prob, start, stop in zip(measure.probabilities.tolist(), starts, stops):
-        chunks += (b'\n    {\n      "probability": %s,\n      "vertices": [\n'
-                   % float.__repr__(prob).encode(), flat[start:stop],
-                   b"\n      ]\n    },")
-    chunks[-1] = b"\n      ]\n    }\n  ],"
-    return b"".join((head, *chunks, tail))
+    blocks = [head]
+    for paths, offsets, vertices in _path_blocks(measure):
+        rows = _text_rows(b" " * 8, vertices, b",\n")
+        flat = rows[rows != 0].tobytes()
+        # byte offsets of the paths' ends in flat, each path's last ",\n" cut off
+        ends = np.cumsum(np.count_nonzero(rows, axis=1))[offsets[1:] - 1]
+        starts, stops = [0, *ends[:-1].tolist()], (ends - 2).tolist()
+        chunks = []
+        for prob, start, stop in zip(measure.probabilities[paths].tolist(),
+                                     starts, stops):
+            chunks += (b'\n    {\n      "probability": %s,\n      "vertices": [\n'
+                       % float.__repr__(prob).encode(), flat[start:stop],
+                       b"\n      ]\n    },")
+        if paths.stop == len(measure):
+            chunks[-1] = b"\n      ]\n    }\n  ],"
+        blocks.append(b"".join(chunks))
+    return b"".join((*blocks, tail))
 
 
 def _csv_cell(value):

@@ -20,8 +20,12 @@ runs the whole chain on one ball: solve, orient, decompose, audit, and
 then checks the Nash-Williams cut bound g_R(o) >= sum_{k=0}^R b_k^(-1/r).
 
 A PathMeasure holds its paths packed: one flat vertex array, path offsets
-and probabilities, the layout the audit and the edge marginals read in
-whole-array passes; tuples of vertex ids are a derived view.
+and probabilities; tuples of vertex ids are a derived view.  The audit,
+the edge marginals and the paths writer walk the packed paths one block of
+whole paths at a time (_path_blocks): every per-vertex array is one
+block's, so their memory does not grow with the measure.  What stays whole
+is one vector per path and, in the audit, the (paths, R) candidate
+matrices its witnesses read in C order.
 """
 
 from __future__ import annotations
@@ -40,6 +44,9 @@ from .operators import ExponentParams
 # residual flow below this fraction of the largest edge flow is treated as
 # floating point dust during path extraction
 CRUMB_FRACTION = 1e-13
+# packed path vertices per block that the audit, the edge marginals and the
+# paths writer walk at a time; a longer path is a block of its own
+_BLOCK_VERTICES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -206,6 +213,22 @@ class PathMeasure:
         return [tuple(flat[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
+def _path_blocks(measure: PathMeasure):
+    """The packed paths in blocks of whole paths, in path order: each
+    block holds at most _BLOCK_VERTICES vertices, or is one longer path.
+    Yields (paths, offsets, vertices): the slice of the block's path
+    indices, its path offsets counted from 0, and its packed vertices."""
+    first = 0
+    while first < len(measure):
+        start = measure.offsets[first]
+        stop = int(np.searchsorted(measure.offsets, start + _BLOCK_VERTICES,
+                                   side="right")) - 1
+        stop = max(stop, first + 1)
+        yield (slice(first, stop), measure.offsets[first:stop + 1] - start,
+               measure.vertices[start:measure.offsets[stop]])
+        first = stop
+
+
 def _step_starts(offsets: np.ndarray) -> np.ndarray:
     """Flat indices i whose step i -> i + 1 stays inside one packed path."""
     inside = np.ones(int(offsets[-1]), dtype=bool)
@@ -288,24 +311,29 @@ def decompose_paths(flow: UnitFlow) -> PathMeasure:
 def edge_marginals(flow: UnitFlow, measure: PathMeasure) -> np.ndarray:
     """Per-edge mass sum_{paths through e} prob, aligned with flow arrays.
 
-    Raises ConsistencyError naming the first path step that is not a
-    retained edge of the flow.
+    The steps are looked up one block of paths at a time, and np.add.at
+    adds each step's probability into its edge in path order, as one
+    bincount over every step would.  Raises ConsistencyError naming the
+    first path step that is not a retained edge of the flow.
     """
     # orient_flow sorts edges by (tail, head), so these keys are sorted
     width = flow.boundary_id + 1
     keys = flow.tails * width + flow.heads
-    starts = _step_starts(measure.offsets)
-    tails, heads = measure.vertices[starts], measure.vertices[starts + 1]
-    wanted = tails * width + heads
-    ids = np.searchsorted(keys, wanted)
-    missing = keys[np.minimum(ids, keys.size - 1)] != wanted
-    if missing.any():
-        i = int(np.argmax(missing))
-        raise ConsistencyError(
-            f"path step {tails[i]} -> {heads[i]} is not a retained edge "
-            f"of the flow")
-    weights = np.repeat(measure.probabilities, np.diff(measure.offsets) - 1)
-    return np.bincount(ids, weights=weights, minlength=flow.edge_count)
+    marginals = np.zeros(flow.edge_count)
+    for paths, offsets, vertices in _path_blocks(measure):
+        starts = _step_starts(offsets)
+        tails, heads = vertices[starts], vertices[starts + 1]
+        wanted = tails * width + heads
+        ids = np.searchsorted(keys, wanted)
+        missing = keys[np.minimum(ids, keys.size - 1)] != wanted
+        if missing.any():
+            i = int(np.argmax(missing))
+            raise ConsistencyError(
+                f"path step {tails[i]} -> {heads[i]} is not a retained edge "
+                f"of the flow")
+        np.add.at(marginals, ids, np.repeat(measure.probabilities[paths],
+                                            np.diff(offsets) - 1))
+    return marginals
 
 
 def _first_exits(radii: np.ndarray, offsets: np.ndarray, R: int) -> np.ndarray:
@@ -347,10 +375,43 @@ def _pow_each(x: np.ndarray, exponent: float) -> np.ndarray:
 
     math.pow runs once per distinct float64 bit pattern of x and is
     scattered back, so each entry is bitwise the scalar pow of its value.
+    The audit passes a block of a candidate matrix's columns at a time
+    (_column_blocks), so the distinct values are found, and the powers
+    held, per block, never over the whole matrix.
     """
     distinct, which = _distinct_values(x)
     powers = np.array([math.pow(v, exponent) for v in distinct], dtype=np.float64)
     return powers[which].reshape(x.shape)
+
+
+def _column_blocks(matrix: np.ndarray):
+    """The columns of a (paths, R) candidate matrix, in order, in blocks
+    of whole columns of at most _BLOCK_VERTICES entries (or one column).
+    Each block is a view of matrix.T, so _pow_each of it gives one
+    contiguous row per column."""
+    width = max(1, _BLOCK_VERTICES // max(1, matrix.shape[0]))
+    for start in range(0, matrix.shape[1], width):
+        yield matrix[:, start:start + width].T
+
+
+def _one_path_sums(values: np.ndarray, drops: np.ndarray, offsets: np.ndarray,
+                   params: ExponentParams) -> tuple:
+    """Per path of one block of packed paths, with their values and drops:
+    the mass sum_i V_i^sigma / delta_i^r over its steps, and
+    sum_{j=1}^{m-2} j^r V_j^eta, the one-path rhs without c.  Raises
+    ValueError when a step does not descend."""
+    lengths = np.diff(offsets)
+    starts = _step_starts(offsets)
+    step_drops = drops[starts]
+    if np.any(step_drops <= 0.0):
+        raise ValueError("path values must be strictly decreasing")
+    mass = _path_sums(values[starts] ** params.sigma / step_drops ** params.r,
+                      lengths - 1)
+    j = (np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths)
+         ).astype(np.float64)
+    inner = starts[j[starts] > 0.0]
+    return mass, _path_sums(j[inner] ** params.r * values[inner] ** params.eta,
+                            lengths - 2)
 
 
 @dataclass(frozen=True)
@@ -416,36 +477,62 @@ def empirical_lower_bound(graph: WeightedGraph, profile: BallProfile,
     depend on n, and the first reach of radius n is tau_n = alpha_{n-1} + 1,
     so one pass over the packed paths finds every alpha_k, and the exit
     moment E[delta_{alpha_k}^-r] is checked once per k.  The one-path lhs
-    is the per-path mass.  Each record is bitwise what a loop over
-    (path, n) gives, since exact ties decide several witnesses: per-path
-    sums add pairwise like np.sum, powers of single values use math.pow
-    (scalar pow, as the loop did; math.pow runs once per distinct value,
-    and the same input gives the same output) and powers of arrays stay
-    array powers, and each witness is the first minimum in the loop's
-    order (path-major, then n; ascending k; ascending n), which is the C
-    order in which _witness, the one witness rule of every row, takes it.
+    is the per-path mass.
 
-    Raises VerificationError naming the first failing step.
+    The pass runs one block of whole paths at a time (_path_blocks), and
+    every per-vertex array is the block's.  It fills the per-path vectors
+    (mass, the one-path rhs) and the (paths, R) candidate matrices: the
+    value at tau_n, the exit drop across cut k and its sub-sum from n.
+    Those stay whole, since each witness reads them in C order, and the
+    powers of the candidates are taken one block of columns (of n or k)
+    at a time.
+
+    Each record is bitwise what a loop over (path, n) gives, since exact
+    ties decide several witnesses: per-path sums add pairwise like np.sum,
+    powers of single values use math.pow (scalar pow, as the loop did;
+    math.pow runs once per distinct value, and the same input gives the
+    same output) and powers of arrays stay array powers, and each witness
+    is the first minimum in the loop's order (path-major, then n;
+    ascending k; ascending n), which is the C order in which _witness, the
+    one witness rule of every row, takes it.  A block holds whole paths,
+    and every sum and power is one per path or per entry, so the blocks
+    change no operand and no order.
+
+    Raises ValueError when a step of some path does not descend in g,
+    before any other check; ConsistencyError when R >= 1 and some path
+    never crosses a cut k <= R outward; VerificationError naming the first
+    failing step.
     """
     if params.p != green.p:
         raise ValueError("params.p differs from the Green function's p")
     R, r, sigma, eta = green.R, params.r, params.sigma, params.eta
     g = green.values
     probs = measure.probabilities
-    offsets = measure.offsets
-    lengths = np.diff(offsets)
     checks: list = []
 
-    # packed per-vertex values (the boundary sentinel is vertex_count: 0)
-    # and drops[i] = values[i] - values[i + 1] for every step start i
-    values = np.append(g, 0.0)[measure.vertices]
-    drops = -np.diff(values)
-    starts = _step_starts(offsets)
-    step_drops = drops[starts]
-    if np.any(step_drops <= 0.0):
-        raise ValueError("path values must be strictly decreasing")
+    # the boundary sentinel is vertex_count: value 0 at radius R + 1
+    padded_g = np.append(g, 0.0)
+    padded_radius = np.append(profile.radius_of, R + 1)
+    mass, steps = np.empty(len(measure)), np.empty(len(measure))
+    g_tau, exit_drop, sub = (np.empty((len(measure), R)) for _ in range(3))
+    crosses = True
+    for paths, offsets, vertices in _path_blocks(measure):
+        # drops[i] = values[i] - values[i + 1] for every step start i
+        values = padded_g[vertices]
+        drops = -np.diff(values)
+        mass[paths], steps[paths] = _one_path_sums(values, drops, offsets,
+                                                   params)
+        if R >= 1 and crosses:
+            alpha = _first_exits(padded_radius[vertices], offsets, R)
+            crosses = not np.any(alpha < 0)
+            if crosses:
+                g_tau[paths] = values[alpha[:, :-1] + 1]   # V at tau_n
+                block_drop = drops[alpha[:, 1:]]            # k = 1..R
+                exit_drop[paths] = block_drop
+                for n in range(1, R + 1):
+                    sub[paths, n - 1] = np.ascontiguousarray(
+                        block_drop[:, n - 1:]).sum(axis=1)
 
-    mass = _path_sums(values[starts] ** sigma / step_drops ** r, lengths - 1)
     expected_mass = float(np.dot(probs, mass))
     L = compute_L(graph, profile, green, sigma)
     checks.append(_witness("path mass expectation <= L", expected_mass, L))
@@ -456,46 +543,36 @@ def empirical_lower_bound(graph: WeightedGraph, profile: BallProfile,
     checks.append(_witness("path mass identity (1e-9 relative)", identity_gap,
                            1e-9 * max(1.0, abs(edge_mass))))
 
-    # sum_{j=1}^{m-2} j^r V_j^eta per path: the one-path rhs without c
-    j = (np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths)
-         ).astype(np.float64)
-    inner = starts[j[starts] > 0.0]
-    steps = _path_sums(j[inner] ** r * values[inner] ** eta, lengths - 2)
     hardy_rhs = params.c_hardy * steps
     checks.append(_witness("one-path estimate (worst path)", hardy_rhs, mass))
 
+    per_n = []
+    rhs = 0.0
     if R >= 1:
-        radii = np.append(profile.radius_of, R + 1)[measure.vertices]
-        alpha = _first_exits(radii, offsets, R)
-        if np.any(alpha < 0):
+        if not crosses:
             raise ConsistencyError(
                 "a path from the center never crosses some cut k <= R outward")
-        g_tau = values[alpha[:, :-1].T + 1]       # (R, paths): V at tau_n
-        exit_drop = drops[alpha[:, 1:]]            # (paths, R): k = 1..R
-
-        sub = np.empty((len(measure), R))
-        for n in range(1, R + 1):
-            sub[:, n - 1] = np.ascontiguousarray(exit_drop[:, n - 1:]).sum(axis=1)
         checks.append(_witness("exit drops form a sub-sum (worst path, n)",
-                               sub, g_tau.T))
+                               sub, g_tau))
 
         dominated = np.zeros(len(measure))
-        for n, row in enumerate(_pow_each(g_tau, eta), start=1):
+        rows = (row for block in _column_blocks(g_tau)
+                for row in _pow_each(block, eta))
+        for n, row in enumerate(rows, start=1):
             dominated += float(n) ** r * row
         checks.append(_witness("step indices dominate radii (worst path)",
                                dominated, steps))
 
         ey = np.array([float(np.dot(probs, row))
-                       for row in _pow_each(exit_drop.T, -r)])
+                       for block in _column_blocks(exit_drop)
+                       for row in _pow_each(block, -r)])
         bounds = profile.b[1:R + 1]
         checks.append(_witness("exit moment <= cut conductance (worst n, k)",
                                ey, bounds))
 
-        per_n = []
-        rhs = 0.0
         for n in range(1, R + 1):
             tail = np.sum(profile.b[n:R + 1] ** (-1.0 / r)) ** eta
-            moment = float(np.dot(probs, g_tau[n - 1] ** eta))
+            moment = float(np.dot(probs, g_tau[:, n - 1] ** eta))
             term = params.c_hardy * float(n) ** r * tail
             rhs += term
             per_n.append({"n": n, "cut_tail": float(tail),
@@ -503,9 +580,6 @@ def empirical_lower_bound(graph: WeightedGraph, profile: BallProfile,
         checks.append(_witness("convexity step (worst n)",
                                [row["cut_tail"] for row in per_n],
                                [row["exit_moment"] for row in per_n]))
-    else:
-        per_n = []
-        rhs = 0.0
 
     checks.append(_witness("cut-series lower bound for L", rhs, L))
 

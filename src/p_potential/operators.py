@@ -11,10 +11,10 @@ the Dirichlet pairing of f against a test function psi is
 
 and the p-energy is the pairing of f with itself, sum w |df|^p.  Summation
 by parts makes pairing(f, psi) = sum_x (-lap_p f)(x) psi(x) mu(x) exactly
-on a finite graph.  Every pointwise check reads -lap_p from
-p_laplacian_all, which evaluates it at every vertex at once.  One rule,
-supersolution_shortfall, judges every candidate supersolution of
--lap_p u >= u^sigma, the radial shot included.
+on a finite graph.  p_laplacian_all evaluates lap_p at every vertex at
+once.  One rule, supersolution_shortfall, judges every candidate
+supersolution of -lap_p u >= u^sigma, the radial shot included; it sums
+the same terms over the edges of its interior alone.
 
 A function on the vertices is a plain float64 array, one value per
 vertex id.  Every operator here takes an array-like and passes it through
@@ -122,22 +122,25 @@ def phi_p(t, p: float):
     return result if result.ndim else float(result)
 
 
-def _edge_currents(graph: WeightedGraph, values: np.ndarray, p: float) -> np.ndarray:
-    """w_e * phi_p(values[u] - values[v]) over the canonical edge arrays."""
-    drops = values[graph.edge_tails] - values[graph.edge_heads]
-    return graph.edge_weights * phi_p(drops, p)
+def _net_currents(values: np.ndarray, p: float, tails: np.ndarray,
+                  heads: np.ndarray, weights: np.ndarray,
+                  vertex_count: int) -> np.ndarray:
+    """sum_y w(x,y) phi_p(values[y] - values[x]) at every vertex x, over
+    the given edges: the currents into x minus those out of x, each sum
+    added in the order the edges are given."""
+    currents = weights * phi_p(values[tails] - values[heads], p)
+    # current flows tail -> head when values[tail] > values[head]
+    return (np.bincount(heads, weights=currents, minlength=vertex_count)
+            - np.bincount(tails, weights=currents, minlength=vertex_count))
 
 
 def p_laplacian_all(graph: WeightedGraph, f, p: float) -> np.ndarray:
     """lap_p f at every vertex (vectorized over edges)."""
     p = check_p(p)
     values = as_values(f, graph)
-    currents = _edge_currents(graph, values, p)
-    n = graph.vertex_count
-    # current flows tail -> head when values[tail] > values[head]
-    net = (np.bincount(graph.edge_heads, weights=currents, minlength=n)
-           - np.bincount(graph.edge_tails, weights=currents, minlength=n))
-    return net / graph.vertex_measure
+    return _net_currents(values, p, graph.edge_tails, graph.edge_heads,
+                         graph.edge_weights, graph.vertex_count) \
+        / graph.vertex_measure
 
 
 def p_energy(graph: WeightedGraph, f, p: float) -> float:
@@ -173,18 +176,25 @@ def supersolution_shortfall(graph: WeightedGraph, u, params: ExponentParams,
     |Phi_p(du)|) charged for rounding the evaluation, and +inf wherever
     u^sigma is below the normal doubles, which hold it to less than the
     relative precision that charge assumes.  Where all are < 1, c u with
-    c^eta = 1 - max(0, largest) is a supersolution.  Requires u >= 0."""
+    c^eta = 1 - max(0, largest) is a supersolution.  Requires u >= 0.
+
+    Both sums run over the edges incident to the interior alone, in
+    canonical order, so each interior vertex adds the same terms in the
+    same order as over every edge."""
     values = as_values(u, graph)
     if values.min() < 0.0:
         raise ValueError(f"u must be nonnegative everywhere; min is {values.min()}")
-    tails, heads = graph.edge_tails, graph.edge_heads
+    mask = _interior_mask(graph, interior)
+    near = mask[graph.edge_tails] | mask[graph.edge_heads]
+    tails, heads = graph.edge_tails[near], graph.edge_heads[near]
+    weights, n = graph.edge_weights[near], graph.vertex_count
     charge = 1e-10 * np.abs(values[tails] - values[heads]) ** params.r
     charge = np.bincount(np.concatenate((tails, heads)),
-                         weights=np.tile(graph.edge_weights * charge, 2),
-                         minlength=graph.vertex_count) / graph.vertex_measure
-    lap = p_laplacian_all(graph, values, params.p)
-    source = values ** params.sigma
+                         weights=np.tile(weights * charge, 2), minlength=n)
+    measure = graph.vertex_measure[mask]
+    lap = _net_currents(values, params.p, tails, heads, weights, n)[mask] / measure
+    source = values[mask] ** params.sigma
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        delta = (1.0 + 1e-10) + (lap + charge) / source
+        delta = (1.0 + 1e-10) + (lap + charge[mask] / measure) / source
     sound = (source >= np.finfo(np.float64).tiny) & ~np.isnan(delta)
-    return np.where(sound, delta, np.inf)[_interior_mask(graph, interior)]
+    return np.where(sound, delta, np.inf)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -29,10 +30,13 @@ from p_potential import (
     orient_flow,
     solve_green,
 )
+from p_potential import flows
+from p_potential.cli import _paths_bytes
 from p_potential.flows import (CRUMB_FRACTION, _first_exits, _pow_each,
                                _witness)
 
 from _rounding import gamma as _gamma
+from test_verify import _traced_peak
 
 CHAIN_CHECK_NAMES = [
     "path mass expectation <= L",
@@ -842,6 +846,114 @@ def test_chain_rejects_tampered_measure():
                                  probabilities=measure.probabilities * 0.5)
     with pytest.raises(VerificationError, match="path mass identity"):
         empirical_lower_bound(graph, prof, green, flow, shaved, params)
+
+
+def _audit_case(graph, R, p, sigma):
+    """(graph, profile, green, flow, measure, params) of B_R."""
+    params = ExponentParams(p=p, sigma=sigma)
+    prof, green, flow = _solve_flow(graph, R, p)
+    return graph, prof, green, flow, decompose_paths(flow), params
+
+
+def _blocked_outputs(graph, prof, green, flow, measure, params):
+    """The pickled chain report, the marginals' and the paths file's bytes."""
+    report = empirical_lower_bound(graph, prof, green, flow, measure, params)
+    return (pickle.dumps((report.checks, report.per_n, report.L, report.rhs)),
+            edge_marginals(flow, measure).tobytes(),
+            _paths_bytes(measure, green.R, params.p, params.sigma))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("graph_factory, R", [
+    (lambda: build_tree(2, 8), 6),
+    (lambda: build_lattice(2, 12), 9),
+    (lambda: build_lattice(3, 5), 4),
+])
+def test_blocks_change_no_bit(graph_factory, R, p, monkeypatch):
+    """One path per block, blocks of about a third of the measure, and one
+    block of more than the whole measure give bitwise the same chain rows,
+    marginals and paths file as the default blocks."""
+    case = _audit_case(graph_factory(), R, p, p + 1.0)
+    size = case[4].vertices.size
+    want = _blocked_outputs(*case)
+    for block in (1, size // 3, size + 1):
+        monkeypatch.setattr(flows, "_BLOCK_VERTICES", block)
+        assert _blocked_outputs(*case) == want
+
+
+def _repacked(measure, paths):
+    """measure with its paths replaced by the given vertex tuples."""
+    lengths = [len(path) for path in paths]
+    return dataclasses.replace(
+        measure,
+        vertices=np.array([v for path in paths for v in path], dtype=np.int64),
+        offsets=np.cumsum([0, *lengths], dtype=np.int64))
+
+
+def _refusal_case(defects):
+    """B_2 of tree(2, 4) at p=2, sigma=3, with each path index in defects
+    made to "stall" (its second vertex repeated) or "cut short" (to the
+    center and its next vertex)."""
+    graph, prof, green, flow, measure, params = _audit_case(
+        build_tree(2, 4), 2, 2.0, 3.0)
+    paths = measure.paths
+    for bad, defect in defects.items():
+        path = paths[bad]
+        paths[bad] = path[:2] + path[1:] if defect == "stall" else path[:2]
+    return graph, prof, green, flow, _repacked(measure, paths), params
+
+
+STALLED = "^path values must be strictly decreasing$"
+SHORT = "^a path from the center never crosses some cut k <= R outward$"
+
+
+@pytest.mark.parametrize("block", [1, flows._BLOCK_VERTICES])
+@pytest.mark.parametrize("bad", [0, -1])
+@pytest.mark.parametrize("defect, error, message", [
+    ("stall", ValueError, STALLED),
+    ("cut short", ConsistencyError, SHORT),
+])
+def test_audit_refuses_a_bad_path_in_any_block(defect, error, message, bad,
+                                               block, monkeypatch):
+    """With one path per block the bad path is in the first or the last
+    block; with the default blocks, in the one block."""
+    monkeypatch.setattr(flows, "_BLOCK_VERTICES", block)
+    with pytest.raises(error, match=message):
+        empirical_lower_bound(*_refusal_case({bad: defect}))
+
+
+@pytest.mark.parametrize("block", [1, flows._BLOCK_VERTICES])
+def test_a_stalled_path_is_refused_before_a_short_one(block, monkeypatch):
+    """Every step's descent is checked before any cut crossing, so a short
+    path in the first block does not hide a stalled one in the last."""
+    monkeypatch.setattr(flows, "_BLOCK_VERTICES", block)
+    with pytest.raises(ValueError, match=STALLED):
+        empirical_lower_bound(*_refusal_case({0: "cut short", -1: "stall"}))
+
+
+def test_audit_peak_is_the_candidates_plus_a_few_blocks(monkeypatch):
+    """On the lattice2d-report workload's largest ball, the audit and the
+    marginals hold the per-path vectors, the candidate matrices and one
+    block's per-vertex arrays, not the whole measure's."""
+    case = _audit_case(build_lattice(2, 40), 24, 3.0, 4.0)
+    flow, measure = case[3], case[4]
+
+    def audit_and_marginals():
+        empirical_lower_bound(*case)
+        edge_marginals(flow, measure)
+
+    # in bytes: five float64 matrices of paths x (R + 1) (the three
+    # candidate matrices, the witness's upper - lower, and the per-path
+    # vectors, fewer than R + 1 of them); sixteen arrays of 8 bytes per
+    # block vertex (the block's values and drops, and the temporaries of
+    # its sums, its first exits, its marginal lookups and the powers of
+    # one block of candidate columns)
+    bound = 8 * (5 * len(measure) * 25 + 16 * flows._BLOCK_VERTICES)
+    assert _traced_peak(audit_and_marginals) <= bound
+
+    # the whole measure walked as one block does not fit
+    monkeypatch.setattr(flows, "_BLOCK_VERTICES", measure.vertices.size)
+    assert _traced_peak(audit_and_marginals) > bound
 
 
 # ---------------------------------------------------------------------------

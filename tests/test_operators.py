@@ -269,6 +269,22 @@ def test_supersolution_defect_matches_direct_formula():
         supersolution_shortfall(g, u - 5.0, params)
 
 
+@pytest.mark.parametrize("graph", [build_lattice(2, 8), build_tree(2, 6)],
+                         ids=["lattice", "tree"])
+@pytest.mark.parametrize("p, sigma", [(1.5, 2.0), (2.0, 3.0), (3.0, 4.7)])
+def test_shortfall_on_a_ball_is_bitwise_the_whole_graphs(graph, p, sigma):
+    """On B_R the shortfall sums over the edges at B_R alone, yet each ball
+    vertex gets bitwise the value it has when every edge is summed."""
+    prof = ball_profile(graph)
+    u = np.random.default_rng(5).uniform(0.1, 2.0, size=graph.vertex_count)
+    params = ExponentParams(p=p, sigma=sigma)
+    whole = supersolution_shortfall(graph, u, params)
+    for R in (0, 1, 3, 5):
+        ball = prof.ball_mask(R)
+        assert supersolution_shortfall(graph, u, params, ball).tobytes() \
+            == whole[ball].tobytes()
+
+
 @pytest.mark.parametrize("interior", [
     [0, 1, 2],                                   # vertex ids
     np.array([0, 1, 2]),
