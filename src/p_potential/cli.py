@@ -88,27 +88,24 @@ def _print_json(payload, fh=None) -> None:
     fh.write("\n")
 
 
-def _paths_bytes(measure: PathMeasure, R: int, p: float,
-                 sigma: float) -> bytes:
+def _paths_bytes(measure: PathMeasure, R: int, p: float, sigma: float):
     """The bytes _dump_json writes for flow's paths payload {"R", "p",
     "sigma", "center", "boundary", "paths": [{"vertices": [...],
-    "probability": ...}, ...]}, made from the packed arrays.
+    "probability": ...}, ...]}, made from the packed arrays, in pieces: the
+    head, one piece per block of whole paths (flows._path_blocks), and the
+    tail.
 
     json writes an int as its repr and a finite float with float.__repr__
-    (p, sigma and every probability are finite).  The paths are formatted
-    and joined one block of whole paths at a time (flows._path_blocks), so
-    no temporary grows with the measure; only the blocks' bytes and the
-    file's are whole.  A block's vertex rows come from _text_rows; each
-    path's header and footer are spliced in at the byte offset of its end.
-    Every path has at least one vertex.
+    (p, sigma and every probability are finite).  Each block is formatted
+    on its own, so no piece and no temporary grows with the measure, and a
+    writer that writes each piece as it comes holds one block.  A block's
+    vertex rows come from _text_rows; each path's header and footer are
+    spliced in at the byte offset of its end.  Every path has at least one
+    vertex.
     """
-    head = ('{\n  "R": %d,\n  "boundary": %d,\n  "center": %d,\n  "p": %s,\n'
-            '  "paths": [' % (R, measure.boundary_id, measure.center,
-                              float.__repr__(p))).encode()
-    tail = ('\n  "sigma": %s\n}\n' % float.__repr__(sigma)).encode()
-    if len(measure) == 0:
-        return head + b"]," + tail
-    blocks = [head]
+    yield ('{\n  "R": %d,\n  "boundary": %d,\n  "center": %d,\n  "p": %s,\n'
+           '  "paths": [' % (R, measure.boundary_id, measure.center,
+                             float.__repr__(p))).encode()
     for paths, offsets, vertices in _path_blocks(measure):
         rows = _text_rows(b" " * 8, vertices, b",\n")
         flat = rows[rows != 0].tobytes()
@@ -123,8 +120,10 @@ def _paths_bytes(measure: PathMeasure, R: int, p: float,
                        b"\n      ]\n    },")
         if paths.stop == len(measure):
             chunks[-1] = b"\n      ]\n    }\n  ],"
-        blocks.append(b"".join(chunks))
-    return b"".join((*blocks, tail))
+        yield b"".join(chunks)
+    if len(measure) == 0:
+        yield b"],"  # the empty paths list's close
+    yield ('\n  "sigma": %s\n}\n' % float.__repr__(sigma)).encode()
 
 
 def _csv_cell(value):
@@ -237,7 +236,7 @@ def _cmd_flow(args) -> int:
     flow = ball.flow
 
     with open(paths_path, "wb") as fh:
-        fh.write(_paths_bytes(ball.measure, flow.R, flow.p, params.sigma))
+        fh.writelines(_paths_bytes(ball.measure, flow.R, flow.p, params.sigma))
     _dump_json(report_path, {
         **_ball_fields(ball),
         "R": flow.R, "p": flow.p, "sigma": params.sigma,

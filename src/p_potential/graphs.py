@@ -12,9 +12,12 @@ Generators build finite truncations of standard infinite families
 indexed by a radius R are only meaningful for R <= R_max, the largest
 radius whose ball still has a nonempty exterior in the truncation.
 
-The constructor fills the symmetric CSR adjacency straight from the
-sorted edge arrays, with no copy of the edge list in both orientations.  A
-graph file holds the bytes json.dumps writes for the graph.  save_graph
+A graph holds its three edge columns, the vertex measure and the hop
+radius of every vertex, and nothing else.  The constructor fills a
+symmetric CSR adjacency straight from the sorted edge arrays, with no copy
+of the edge list in both orientations; one search along it from the root
+gives the radii and its row sums give the measure, and then it is dropped.
+A graph file holds the bytes json.dumps writes for the graph.  save_graph
 writes them, and load_graph parses and certifies them, one block of
 _BLOCK_EDGES rows at a time, so neither holds a second byte string of the
 whole file; load_graph drops the file's bytes before it builds the graph.
@@ -206,13 +209,14 @@ class WeightedGraph:
     """Immutable connected weighted graph with dense vertex ids 0..n-1.
 
     Edges are stored once in canonical form (u < v, sorted lexicographically).
-    The constructor validates structure and precomputes the symmetric CSR
-    adjacency and the vertex measure.  The adjacency is filled straight from
-    the sorted edge columns: row x lists its smaller neighbours, then its
-    larger ones, with the bytes and index dtypes of scipy's COO -> CSR
-    conversion.  Every array the graph holds (the edge columns,
-    `vertex_measure` and the `data`, `indices` and `indptr` of `adjacency`)
-    is its own and read-only.
+    The constructor validates structure and computes the vertex measure and
+    `radius_of`, the int64 hop distance of every vertex from the root.  Both
+    come from a symmetric CSR adjacency that lives only inside the
+    constructor: one unweighted search from the root finds the radii, and
+    an unreached vertex means the graph is disconnected; the measure is the
+    adjacency's row sums, with the bits of scipy's COO -> CSR conversion.
+    Every array the graph holds (the edge columns, `vertex_measure` and
+    `radius_of`) is its own and read-only.
 
     Each edge is a sequence (u, v, weight).  The endpoints, vertex_count and
     root are ints or numpy integers, never bools; a weight is an int or a
@@ -225,7 +229,7 @@ class WeightedGraph:
     """
 
     __slots__ = ("vertex_count", "root", "edge_tails", "edge_heads",
-                 "edge_weights", "adjacency", "vertex_measure")
+                 "edge_weights", "vertex_measure", "radius_of")
 
     def __init__(self, vertex_count: int, edges, root: int = 0):
         # the count is checked before the scan, whose messages name it
@@ -250,7 +254,7 @@ class WeightedGraph:
 
         Columns that arrive in canonical order, as a certified file's do,
         are not sorted again; the graph stores copies of them, made once the
-        adjacency is built.  Otherwise the sort makes new arrays.  Either
+        adjacency is dropped.  Otherwise the sort makes new arrays.  Either
         way the caller's arrays stay writable, and no array of the graph
         shares their memory.
         """
@@ -284,16 +288,19 @@ class WeightedGraph:
         if tails.size < vertex_count - 1:
             raise _disconnected(vertex_count, tails, heads, weights)
         adjacency = _symmetric_csr(vertex_count, tails, heads, weights)
-        # the adjacency is symmetric, so the vertices a search along its rows
-        # reaches from the root are the root's component
-        reached = csgraph.breadth_first_order(adjacency, root, directed=True,
-                                              return_predecessors=False)
-        if reached.size != vertex_count:
+        # the adjacency is symmetric, so a search along its rows needs no
+        # transposed copy, and the vertices it leaves at an infinite distance
+        # are those outside the root's component
+        radius_of = csgraph.dijkstra(adjacency, directed=True, unweighted=True,
+                                     indices=root)
+        if np.isinf(radius_of).any():
             raise _disconnected(vertex_count, tails, heads, weights)
+        radius_of = radius_of.astype(np.int64)
 
         with np.errstate(over="ignore"):
             vertex_measure = np.asarray(adjacency.sum(axis=1)).ravel()
             total = float(vertex_measure.sum())
+        del adjacency
         overflows = ~np.isfinite(vertex_measure)
         if overflows.any():
             raise GraphValidationError(
@@ -306,7 +313,7 @@ class WeightedGraph:
                 "total measure (sum of the vertex measures) overflows")
         if canonical:
             # the caller's arrays stay its own and writable; copied last, when
-            # the adjacency's temporaries are gone
+            # the adjacency is gone
             tails, heads, weights = tails.copy(), heads.copy(), weights.copy()
 
         object.__setattr__(self, "vertex_count", vertex_count)
@@ -314,10 +321,9 @@ class WeightedGraph:
         object.__setattr__(self, "edge_tails", tails)
         object.__setattr__(self, "edge_heads", heads)
         object.__setattr__(self, "edge_weights", weights)
-        object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "vertex_measure", vertex_measure)
-        for arr in (tails, heads, weights, vertex_measure,
-                    adjacency.data, adjacency.indices, adjacency.indptr):
+        object.__setattr__(self, "radius_of", radius_of)
+        for arr in (tails, heads, weights, vertex_measure, radius_of):
             arr.setflags(write=False)
 
     def __setattr__(self, name, value):
@@ -332,12 +338,6 @@ class WeightedGraph:
         """Canonical edge list as (u, v, weight) tuples with u < v."""
         return list(zip(self.edge_tails.tolist(), self.edge_heads.tolist(),
                         self.edge_weights.tolist()))
-
-    def neighbors(self, x: int):
-        """Neighbor ids and the corresponding edge weights of vertex x."""
-        row = self.adjacency
-        start, stop = row.indptr[x], row.indptr[x + 1]
-        return row.indices[start:stop], row.data[start:stop]
 
     def __eq__(self, other):
         if not isinstance(other, WeightedGraph):
@@ -354,11 +354,16 @@ class WeightedGraph:
 
 
 class BallProfile:
-    """Radial structure of a rooted graph.
+    """Radial structure of a rooted graph, read from the radii its
+    constructor found: the profile runs no search of its own.  The sphere
+    and cut sums add each bin's terms in vertex and edge order with
+    np.add.at, which reads the graph's read-only arrays in place (bincount
+    would copy them) and gives bincount's bits.
 
     Attributes
     ----------
-    radius_of : int array, hop distance from the root per vertex.
+    radius_of : the graph's read-only int64 array, hop distance from the
+        root per vertex.
     eccentricity : largest radius present in the host.
     R_max : largest radius whose ball has a nonempty exterior
         (= eccentricity - 1).
@@ -375,26 +380,24 @@ class BallProfile:
                  "b", "M")
 
     def __init__(self, graph: WeightedGraph):
-        # symmetric: a search along the rows needs no transposed copy
-        radius_of = csgraph.dijkstra(graph.adjacency, directed=True,
-                                     unweighted=True,
-                                     indices=graph.root).astype(np.int64)
+        radius_of = graph.radius_of
         ecc = int(radius_of.max())
 
         # narrowest type for every radius: edge arrays stay small beside the
-        # adjacency.  Adjacent radii differ by at most one (a hop metric).
+        # edge columns.  Adjacent radii differ by at most one (a hop metric).
         radii = radius_of.astype(np.min_scalar_type(ecc))
         ru, rv = radii[graph.edge_tails], radii[graph.edge_heads]
 
-        sphere_measure = np.bincount(radius_of, weights=graph.vertex_measure,
-                                     minlength=ecc + 1)
+        sphere_measure = np.zeros(ecc + 1)
+        np.add.at(sphere_measure, radius_of, graph.vertex_measure)
         W = np.cumsum(sphere_measure)
 
         # edges inside a sphere cross no cut: bin ecc, dropped
         cut_level = np.minimum(ru, rv)
         cut_level[ru == rv] = ecc
-        b = np.bincount(cut_level, weights=graph.edge_weights,
-                        minlength=ecc + 1)[:ecc]
+        b = np.zeros(ecc + 1)
+        np.add.at(b, cut_level, graph.edge_weights)
+        b = b[:ecc]
         M = np.cumsum(b)
 
         self.radius_of = radius_of
@@ -404,7 +407,7 @@ class BallProfile:
         self.W = W
         self.b = b
         self.M = M
-        for arr in (radius_of, sphere_measure, W, b, M):
+        for arr in (sphere_measure, W, b, M):
             arr.setflags(write=False)
 
     def ball_mask(self, R: int) -> np.ndarray:

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import VerificationError
 from .flows import analyze_ball
-from .graphs import (BallProfile, WeightedGraph, ball_profile, build_lattice,
-                     build_tree)
+from .graphs import (BallProfile, WeightedGraph, _symmetric_csr, ball_profile,
+                     build_lattice, build_tree)
 from .green import sandwich_upper_bound, solve_green
 from .operators import (ExponentParams, _interior_mask, as_values,
                         defect_tolerance, p_laplacian_all)
@@ -117,8 +117,11 @@ def positivity_propagation(graph: WeightedGraph, u, p: float,
     pinched to zero; on a connected region that one step forces u to vanish
     identically or to have had no zero at all.  So the step is checked once
     at every zero of the region, in descending vertex id, and no sweep is
-    needed: a region neighbor it pinches is itself a zero.  Returns one of
-    the two verdict strings.  A positive neighbor of a superharmonic zero,
+    needed: a region neighbor it pinches is itself a zero.  The neighbors
+    come from a symmetric CSR adjacency built once per call, whose row x
+    lists x's smaller neighbors, then its larger ones; the graph keeps
+    none.  Returns one of the two verdict strings.  A positive neighbor of
+    a superharmonic zero (the first in row order at the first such zero),
     or a region its zero set does not cover, raises VerificationError; a
     zero where superharmonicity fails raises ValueError.
     """
@@ -136,12 +139,15 @@ def positivity_propagation(graph: WeightedGraph, u, p: float,
     if not zero.any():
         return STRICTLY_POSITIVE
 
+    adjacency = _symmetric_csr(graph.vertex_count, graph.edge_tails,
+                               graph.edge_heads, graph.edge_weights)
+    indptr, indices = adjacency.indptr, adjacency.indices
     for x in np.flatnonzero(zero)[::-1]:
         if neg_lap[x] < -dtol:
             raise ValueError(
                 f"u has a zero at vertex {x} where -lap_p u = "
                 f"{neg_lap[x]:.3e} < 0; superharmonicity fails there")
-        for y in graph.neighbors(x)[0]:
+        for y in indices[indptr[x]:indptr[x + 1]]:
             if values[y] > ztol:
                 raise VerificationError(
                     f"superharmonic zero at vertex {x} has strictly positive "
@@ -382,7 +388,8 @@ def positivity_suite() -> SuiteReport:
     # the witness
     graph = build_lattice(1, 3)
     bad = np.zeros(graph.vertex_count)
-    bad[int(graph.neighbors(graph.root)[0][0])] = 1e-6
+    # edge 0 joins the root, vertex 0, to its first neighbor
+    bad[graph.edge_heads[0]] = 1e-6
     try:
         verdict = positivity_propagation(graph, bad, 3.0)
     except VerificationError:

@@ -898,7 +898,7 @@ def _packed_paths(draw):
        p=st.floats(allow_nan=False, allow_infinity=False),
        sigma=st.floats(allow_nan=False, allow_infinity=False))
 def test_paths_bytes_are_the_json_dump_of_the_payload(measure, R, p, sigma):
-    assert cli._paths_bytes(measure, R, p, sigma) == _paths_by_json_dump(
+    assert b"".join(cli._paths_bytes(measure, R, p, sigma)) == _paths_by_json_dump(
         measure, R, p, sigma)
 
 

@@ -179,7 +179,8 @@ def test_kept_out_conductance_is_at_most_the_measure(p, seed):
     out = np.bincount(flow.tails, weights=flow.conductance,
                       minlength=graph.vertex_count)
     # both sums of positive terms, each within gamma_deg of its exact value
-    gam = _gamma(int(np.diff(graph.adjacency.indptr).max()))
+    degree = np.bincount(np.concatenate((graph.edge_tails, graph.edge_heads)))
+    gam = _gamma(int(degree.max()))
     assert np.all(out * (1.0 - gam) <= graph.vertex_measure * (1.0 + gam))
 
 
@@ -860,7 +861,7 @@ def _blocked_outputs(graph, prof, green, flow, measure, params):
     report = empirical_lower_bound(graph, prof, green, flow, measure, params)
     return (pickle.dumps((report.checks, report.per_n, report.L, report.rhs)),
             edge_marginals(flow, measure).tobytes(),
-            _paths_bytes(measure, green.R, params.p, params.sigma))
+            b"".join(_paths_bytes(measure, green.R, params.p, params.sigma)))
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -954,6 +955,26 @@ def test_audit_peak_is_the_candidates_plus_a_few_blocks(monkeypatch):
     # the whole measure walked as one block does not fit
     monkeypatch.setattr(flows, "_BLOCK_VERTICES", measure.vertices.size)
     assert _traced_peak(audit_and_marginals) > bound
+
+
+def test_paths_writer_holds_one_block(tmp_path, monkeypatch):
+    """flow writes its paths file a piece at a time, so on the
+    lattice2d-report workload's largest ball the writer holds one block's
+    rows and pieces (sixteen arrays of 8 bytes per block vertex), not the
+    file's bytes."""
+    _, _, green, _, measure, params = _audit_case(build_lattice(2, 40), 24,
+                                                   3.0, 4.0)
+    path = tmp_path / "paths.json"
+
+    def write():
+        with open(path, "wb") as fh:
+            fh.writelines(_paths_bytes(measure, green.R, params.p, params.sigma))
+
+    bound = 8 * 16 * flows._BLOCK_VERTICES
+    assert _traced_peak(write) <= bound
+    # the whole measure formatted as one block does not fit
+    monkeypatch.setattr(flows, "_BLOCK_VERTICES", measure.vertices.size)
+    assert _traced_peak(write) > bound
 
 
 # ---------------------------------------------------------------------------

@@ -47,14 +47,15 @@ def test_vertex_measure_is_weighted_degree():
     assert g.vertex_measure.tolist() == [2.0, 2.5, 0.5]
 
 
-def test_neighbors_returns_ids_and_weights():
-    g = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 3.0), (2, 3, 2.0)])
-    ids, weights = g.neighbors(0)
-    assert ids.tolist() == [1, 2]
-    assert weights.tolist() == [1.0, 3.0]
-    ids, weights = g.neighbors(3)
-    assert ids.tolist() == [2]
-    assert weights.tolist() == [2.0]
+def test_graph_holds_its_edges_once_and_the_hop_radii():
+    g = WeightedGraph(4, [(2, 3, 2.0), (0, 2, 3.0), (1, 0, 1.0)])
+    assert g.edge_tails.tolist() == [0, 0, 2]
+    assert g.edge_heads.tolist() == [1, 2, 3]
+    assert g.edge_weights.tolist() == [1.0, 3.0, 2.0]
+    assert g.radius_of.dtype == np.int64
+    assert g.radius_of.tolist() == [0, 1, 1, 2]
+    assert WeightedGraph(4, g.edges, root=3).radius_of.tolist() == [2, 3, 1, 0]
+    assert not hasattr(g, "adjacency") and not hasattr(g, "neighbors")
 
 
 def test_graph_is_immutable():
@@ -65,14 +66,11 @@ def test_graph_is_immutable():
         g.edge_weights[0] = 2.0
 
 
-def test_graph_measure_and_adjacency_are_read_only():
+def test_graph_measure_and_radii_are_read_only():
     g = build_lattice(2, 2)
-    for arr in (g.vertex_measure, g.adjacency.data, g.adjacency.indices,
-                g.adjacency.indptr):
+    for arr in (g.vertex_measure, g.radius_of):
         with pytest.raises(ValueError):
             arr[0] = 5
-    with pytest.raises(ValueError):
-        g.neighbors(0)[1][0] = 5.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -319,6 +317,54 @@ def test_profile_type():
     assert isinstance(ball_profile(build_tree(2, 2)), BallProfile)
 
 
+def _random_weighted_graph(seed):
+    """A random spanning tree with extra edges, weights over twelve decades,
+    each edge in a random orientation, in random order, with a random root."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 300))
+    pairs = {(int(rng.integers(v)), v) for v in range(1, n)}
+    pairs |= {(min(a, b), max(a, b)) for a, b
+              in rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2)).tolist()
+              if a != b}
+    edges = [(v, u, w) if flip else (u, v, w) for (u, v), flip, w in zip(
+        sorted(pairs), rng.random(len(pairs)) < 0.5,
+        (10.0 ** rng.uniform(-6, 6, len(pairs))).tolist())]
+    edges = [edges[k] for k in rng.permutation(len(edges))]
+    return WeightedGraph(n, edges, root=int(rng.integers(n)))
+
+
+# lattices of dimension 1-4, trees, a radial model and random weighted graphs
+SUM_GRAPHS = [
+    pytest.param(lambda: build_lattice(1, 7), id="lattice-1-7"),
+    pytest.param(lambda: build_lattice(2, 6), id="lattice-2-6"),
+    pytest.param(lambda: build_lattice(3, 4), id="lattice-3-4"),
+    pytest.param(lambda: build_lattice(4, 3), id="lattice-4-3"),
+    pytest.param(lambda: build_tree(2, 6), id="tree-2-6"),
+    pytest.param(lambda: build_tree(3, 4), id="tree-3-4"),
+    pytest.param(lambda: build_radial_model([1, 3, 3, 6, 12],
+                                            [1 / 3, 1e-7, 123.456, 2.5]),
+                 id="radial"),
+    *(pytest.param(lambda seed=seed: _random_weighted_graph(seed),
+                   id=f"random-{seed}") for seed in range(8)),
+]
+
+
+@pytest.mark.parametrize("make", SUM_GRAPHS)
+def test_profile_sums_are_the_bincounts(make):
+    """np.add.at sums each sphere and cut in the order np.bincount does,
+    bit for bit (reference)."""
+    graph = make()
+    prof = ball_profile(graph)
+    rad, ecc = graph.radius_of, prof.eccentricity
+    sphere = np.bincount(rad, weights=graph.vertex_measure, minlength=ecc + 1)
+    ru, rv = rad[graph.edge_tails], rad[graph.edge_heads]
+    level = np.where(ru == rv, ecc, np.minimum(ru, rv))
+    b = np.bincount(level, weights=graph.edge_weights, minlength=ecc + 1)[:ecc]
+    for got, want in ((prof.sphere_measure, sphere), (prof.W, np.cumsum(sphere)),
+                      (prof.b, b), (prof.M, np.cumsum(b))):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # round trips
 
@@ -406,18 +452,32 @@ def _graph_by_edge_loop(vertex_count, edges, root=0):
         tails[i], heads[i], weights[i] = u, v, w
     order = np.lexsort((heads, tails))
     tails, heads, weights = tails[order], heads[order], weights[order]
-    adjacency = sp.csr_matrix((np.concatenate([weights, weights]),
-                               (np.concatenate([tails, heads]),
-                                np.concatenate([heads, tails]))),
-                              shape=(vertex_count, vertex_count))
+    adjacency = _coo_adjacency(vertex_count, tails, heads, weights)
     graph = object.__new__(WeightedGraph)
     for name, value in (("vertex_count", vertex_count), ("root", root),
                         ("edge_tails", tails), ("edge_heads", heads),
-                        ("edge_weights", weights), ("adjacency", adjacency),
+                        ("edge_weights", weights),
                         ("vertex_measure",
-                         np.asarray(adjacency.sum(axis=1)).ravel())):
+                         np.asarray(adjacency.sum(axis=1)).ravel()),
+                        ("radius_of", _radii_by_search(adjacency, root))):
         object.__setattr__(graph, name, value)
     return graph
+
+
+def _coo_adjacency(vertex_count, tails, heads, weights):
+    """scipy's COO -> CSR conversion of both orientations of the edges
+    (reference): the adjacency whose row sums give the vertex measure's
+    bits."""
+    return sp.csr_matrix((np.concatenate([weights, weights]),
+                          (np.concatenate([tails, heads]),
+                           np.concatenate([heads, tails]))),
+                         shape=(vertex_count, vertex_count))
+
+
+def _radii_by_search(adjacency, root):
+    """csgraph's unweighted undirected search from the root (reference)."""
+    return csgraph.dijkstra(adjacency, directed=False, unweighted=True,
+                            indices=root).astype(np.int64)
 
 
 def _save_by_json_dump(graph) -> bytes:
@@ -440,12 +500,20 @@ def _json_dump_bytes(vertex_count, root, tails, heads, weights) -> bytes:
 
 
 def _assert_same_graph(graph, ref):
+    """The same arrays, bit for bit, and the constructor's CSR of the
+    graph's edges is scipy's COO -> CSR conversion of the reference's."""
     assert graph == ref
-    for name in ("edge_tails", "edge_heads", "edge_weights", "vertex_measure"):
+    for name in ("edge_tails", "edge_heads", "edge_weights", "vertex_measure",
+                 "radius_of"):
         got, want = getattr(graph, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    adjacency = graphs_module._symmetric_csr(
+        graph.vertex_count, graph.edge_tails, graph.edge_heads,
+        graph.edge_weights)
+    reference = _coo_adjacency(ref.vertex_count, ref.edge_tails,
+                               ref.edge_heads, ref.edge_weights)
     for name in ("indptr", "indices", "data"):
-        got, want = getattr(graph.adjacency, name), getattr(ref.adjacency, name)
+        got, want = getattr(adjacency, name), getattr(reference, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
@@ -838,9 +906,8 @@ def _adjacency_by_coo(vertex_count, edges):
     """The adjacency and vertex measure as scipy's COO -> CSR conversion
     of both orientations of the canonical edges built them (reference)."""
     rows = sorted((min(u, v), max(u, v), w) for u, v, w in edges)
-    u, v, w = (np.array(column) for column in zip(*rows))
-    u2, v2, w2 = (np.concatenate(pair) for pair in ((u, v), (v, u), (w, w)))
-    adjacency = sp.csr_matrix((w2, (u2, v2)), shape=(vertex_count, vertex_count))
+    adjacency = _coo_adjacency(vertex_count,
+                               *(np.array(column) for column in zip(*rows)))
     return adjacency, np.asarray(adjacency.sum(axis=1)).ravel()
 
 
@@ -888,14 +955,27 @@ def test_direct_csr_is_the_coo_conversion(case):
     in_order = edges == sorted((min(u, v), max(u, v), w) for u, v, w in edges)
     assert graphs_module._in_canonical_order(tails, heads) == in_order
     adjacency, measure = _adjacency_by_coo(n, edges)
+    direct = graphs_module._symmetric_csr(n, graph.edge_tails, graph.edge_heads,
+                                          graph.edge_weights)
     for name in ("indptr", "indices", "data"):
-        got, want = getattr(graph.adjacency, name), getattr(adjacency, name)
+        got, want = getattr(direct, name), getattr(adjacency, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    assert graph.adjacency.has_canonical_format == adjacency.has_canonical_format
-    assert graph.adjacency.has_canonical_format
+    assert direct.has_canonical_format == adjacency.has_canonical_format
+    assert direct.has_canonical_format
     assert (graph.vertex_measure.dtype == measure.dtype
             and graph.vertex_measure.tobytes() == measure.tobytes())
     assert graph == WeightedGraph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_shaped_edge_lists(), data=st.data())
+def test_radius_of_is_the_search_on_the_coo_conversion(case, data):
+    n, edges = case
+    root = data.draw(st.integers(0, n - 1))
+    graph = WeightedGraph(n, edges, root=root)
+    want = _radii_by_search(_adjacency_by_coo(n, edges)[0], root)
+    assert graph.radius_of.dtype == np.int64
+    assert graph.radius_of.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["canonical", "reversed"])
@@ -908,8 +988,7 @@ def test_from_columns_leaves_the_callers_arrays_alone(reverse):
     kept = [column.copy() for column in (tails, heads, weights)]
     graph = WeightedGraph._from_columns(base.vertex_count, tails, heads, weights)
     owned = (graph.edge_tails, graph.edge_heads, graph.edge_weights,
-             graph.vertex_measure, graph.adjacency.data,
-             graph.adjacency.indices, graph.adjacency.indptr)
+             graph.vertex_measure, graph.radius_of)
     for column, copy in zip((tails, heads, weights), kept):
         assert column.flags.writeable
         assert not any(np.shares_memory(column, array) for array in owned)
@@ -1025,8 +1104,7 @@ def test_two_blocks_and_one_edge_are_certified(tmp_path, two_blocks_and_one_edge
 def _graph_nbytes(graph):
     return sum(array.nbytes for array in (
         graph.edge_tails, graph.edge_heads, graph.edge_weights,
-        graph.vertex_measure, graph.adjacency.data, graph.adjacency.indices,
-        graph.adjacency.indptr))
+        graph.vertex_measure, graph.radius_of))
 
 
 def test_graph_io_holds_one_block_beyond_the_file_and_the_graph(tmp_path,
@@ -1062,14 +1140,25 @@ def test_graph_io_holds_one_block_beyond_the_file_and_the_graph(tmp_path,
     assert traced < columns + size
 
 
+def test_a_graph_retains_its_columns_measure_and_radii():
+    """Once built, a graph holds three edge columns and two per-vertex
+    arrays of 8 bytes an entry, and no adjacency."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph = build_lattice(3, 16)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 8 * (3 * graph.edge_count + 2 * graph.vertex_count) + 65536
+
+
 def test_ball_profile_makes_no_copy_of_the_adjacency():
-    """The hop distances come from a search along the rows of the symmetric
-    adjacency, with no transposed copy of its data and indices."""
+    """The profile reads the graph's radii, runs no search and builds no
+    adjacency, and sums over the graph's read-only arrays in place: its
+    peak stays below one edge column's bytes."""
     graph = build_lattice(3, 16)
-    adjacency = graph.adjacency
     profiles = []
     peak = _traced_peak(lambda: profiles.append(ball_profile(graph)))
-    assert peak < adjacency.data.nbytes + adjacency.indices.nbytes
-    undirected = csgraph.dijkstra(adjacency, directed=False, unweighted=True,
-                                  indices=graph.root)
-    assert np.array_equal(profiles[0].radius_of, undirected)
+    assert peak < graph.edge_tails.nbytes
+    assert profiles[0].radius_of is graph.radius_of

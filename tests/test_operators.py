@@ -24,6 +24,7 @@ from p_potential import (
 )
 from p_potential.operators import (_vertex_function_bytes, defect_tolerance,
                                   supersolution_shortfall)
+from test_graphs import SUM_GRAPHS
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +193,20 @@ def test_p2_laplacian_matches_dense_oracle():
                                rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("make", SUM_GRAPHS)
+def test_p_laplacian_sums_are_the_bincounts(make, p):
+    """np.add.at sums each vertex's currents in the order np.bincount does,
+    bit for bit (reference)."""
+    g = make()
+    f = np.random.default_rng(5).uniform(-2.0, 2.0, size=g.vertex_count)
+    tails, heads, n = g.edge_tails, g.edge_heads, g.vertex_count
+    currents = g.edge_weights * phi_p(f[tails] - f[heads], p)
+    want = (np.bincount(heads, weights=currents, minlength=n)
+            - np.bincount(tails, weights=currents, minlength=n)) / g.vertex_measure
+    assert p_laplacian_all(g, f, p).tobytes() == want.tobytes()
+
+
 def dirichlet_pairing(graph, f, psi, p: float) -> float:
     """sum over edges of w * phi_p(f(u) - f(v)) * (psi(u) - psi(v)): the
     Dirichlet pairing, the summation-by-parts oracle for p_laplacian_all
@@ -251,7 +266,10 @@ def test_supersolution_defect_matches_direct_formula():
     lap = p_laplacian_all(g, u, 2.5)
     direct = np.empty(g.vertex_count)
     for x in range(g.vertex_count):
-        ys, ws = g.neighbors(x)
+        # x's edges, in canonical order: its smaller neighbours, then its larger
+        at = (g.edge_tails == x) | (g.edge_heads == x)
+        ys = np.where(g.edge_tails[at] == x, g.edge_heads[at], g.edge_tails[at])
+        ws = g.edge_weights[at]
         charge = 1e-10 * np.sum(ws * np.abs(u[ys] - u[x]) ** 1.5) \
             / g.vertex_measure[x]
         direct[x] = (u[x] ** 3.0 + lap[x] + 1e-10 * u[x] ** 3.0 + charge) \

@@ -5,6 +5,7 @@ sample, and the random suites against those checks."""
 import copy
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -65,6 +66,17 @@ def test_positivity_rejects_a_superharmonic_zero_with_a_positive_neighbor():
     u = np.array([0.0, 0.0, 1e-6, 0.0, 0.0])
     with pytest.raises(VerificationError, match="strictly positive neighbor 2"):
         positivity_propagation(PATH5, u, 3.0)
+
+
+def test_positivity_names_the_first_witness_in_row_order():
+    # zeros 1 and 3, each between positive values within defect_tolerance
+    # (-lap_2 u = -1e-11): the descending scan meets vertex 3 first, and
+    # its row lists neighbor 2 before neighbor 4
+    u = np.array([1e-11, 0.0, 1e-11, 0.0, 1e-11])
+    message = ("superharmonic zero at vertex 3 has strictly positive neighbor "
+               "2 (u = 1.000e-11): zero propagation is violated")
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        positivity_propagation(PATH5, u, 2.0)
 
 
 def test_positivity_rejects_a_region_its_zero_set_does_not_connect():
