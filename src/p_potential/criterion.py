@@ -13,6 +13,14 @@ of those moves is implemented here with its constant computed explicitly.
 No finite computation decides divergence, so classify() fits
 t_n ~ c * n^(-beta) (log n)^(-gamma) and reports a three-way verdict with
 declared margins, never a bare boolean.
+
+Both growth fits here, classify()'s and extrapolate_cut_tail()'s, are
+least-squares problems of one or two regressors and an intercept over at
+most a few thousand points.  _least_squares solves them in closed form
+(centring, then modified Gram-Schmidt) with dot products alone, so no
+LAPACK routine is called: the first call of one (numpy's lstsq, which
+polyfit calls too, or scipy's) maps close to a megabyte of its library
+into the process, more than either fit needs.
 """
 
 from __future__ import annotations
@@ -115,6 +123,44 @@ def cut_series_terms(b, params: ExponentParams, R: int) -> np.ndarray:
         return n ** params.r * _cut_tails(b, params.r, 1, R) ** params.eta
 
 
+def _least_squares(columns, y):
+    """Least-squares fit of y by an intercept plus the given columns, as
+    (coef, residual): coef[0] is the intercept, coef[j] the weight of
+    columns[j - 1], and residual is y minus the fit.
+
+    The columns and y are centred, which takes the intercept out of the
+    problem; the centred columns are orthogonalized by modified
+    Gram-Schmidt, with y carried along as one more column, so that what
+    is left of y is the residual; the weights come from back substitution
+    on the triangular factor, and the intercept from the means.  With
+    y's column carried along, this is backward stable like a Householder
+    QR solve (Bjorck, BIT 7, 1967), and it takes only dot products: no
+    LAPACK routine is called, so none is loaded into the process.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    m = len(columns)
+    means = np.array([column.mean() for column in columns])
+    tri = np.zeros((m, m))
+    projected = np.empty(m)
+    basis = []
+    centre = y.mean()
+    residual = y - centre
+    for j, column in enumerate(columns):
+        v = column - means[j]
+        for i, q in enumerate(basis):
+            tri[i, j] = q @ v
+            v = v - tri[i, j] * q
+        tri[j, j] = np.sqrt(v @ v)
+        q = v / tri[j, j]
+        basis.append(q)
+        projected[j] = q @ residual
+        residual = residual - projected[j] * q
+    weights = np.empty(m)
+    for j in range(m - 1, -1, -1):
+        weights[j] = (projected[j] - tri[j, j + 1:] @ weights[j + 1:]) / tri[j, j]
+    return np.concatenate(([centre - means @ weights], weights)), residual
+
+
 @dataclass(frozen=True)
 class TailEstimate:
     """Extrapolated continuation of sum_{k>R} b_k^(-1/r).
@@ -133,7 +179,12 @@ class TailEstimate:
 
 def extrapolate_cut_tail(b, params: ExponentParams, R: int) -> TailEstimate:
     """Fit the tail growth of b on the last quarter of levels 1..R and
-    estimate the truncated remainder of the inner sums."""
+    estimate the truncated remainder of the inner sums.
+
+    Each model is a line through the points (k, log b_k) or
+    (log k, log b_k), fitted by _least_squares, with no LAPACK call; the
+    model with the smaller sum of squared residuals is kept.
+    """
     b = np.asarray(b, dtype=np.float64)
     if R < 4 or b.size < R + 1:
         raise ValueError("need at least levels 1..4 to extrapolate")
@@ -144,27 +195,27 @@ def extrapolate_cut_tail(b, params: ExponentParams, R: int) -> TailEstimate:
     ks = np.arange(k0, R + 1, dtype=np.float64)
     logs = np.log(b[k0:R + 1])
 
-    geo = np.polyfit(ks, logs, 1)
-    geo_sse = float(np.sum((np.polyval(geo, ks) - logs) ** 2))
-    pow_ = np.polyfit(np.log(ks), logs, 1)
-    pow_sse = float(np.sum((np.polyval(pow_, np.log(ks)) - logs) ** 2))
+    geo, geo_residual = _least_squares([ks], logs)
+    geo_sse = float(np.sum(geo_residual ** 2))
+    pow_, pow_residual = _least_squares([np.log(ks)], logs)
+    pow_sse = float(np.sum(pow_residual ** 2))
 
     r = params.r
     if geo_sse <= pow_sse:
-        slope = float(geo[0])
+        slope = float(geo[1])
         ratio = np.exp(-slope / r)
         if slope <= 0.0 or ratio >= 1.0:  # flat to fp precision: no decay
             extra = np.inf
         else:
-            first = np.exp(-np.polyval(geo, R + 1.0) / r)
+            first = np.exp(-(geo[0] + slope * (R + 1.0)) / r)
             extra = float(first / (1.0 - ratio))
         return TailEstimate(model="geometric", slope=slope, extra=extra,
                             fit_error=np.sqrt(geo_sse / ks.size))
-    slope = float(pow_[0])
+    slope = float(pow_[1])
     if slope / r <= 1.0:
         extra = np.inf
     else:
-        amp = np.exp(-pow_[1] / r)
+        amp = np.exp(-pow_[0] / r)
         extra = float(amp * (R + 0.5) ** (1.0 - slope / r) / (slope / r - 1.0))
     return TailEstimate(model="power", slope=slope, extra=extra,
                         fit_error=np.sqrt(pow_sse / ks.size))
@@ -288,7 +339,9 @@ def midrange_cut_bound(profile: BallProfile, params: ExponentParams,
 def classify(terms) -> SeriesReport:
     """Fit t_n ~ c * n^(-beta) (log n)^(-gamma) and call the series.
 
-    The horizon is len(terms); the regression runs on its top half.
+    The horizon is len(terms); the regression of log t_n on log n and
+    log log n runs on its top half, solved by _least_squares with no
+    LAPACK call.
     With margin = CLASSIFY_MARGIN = 0.05 the verdict is: diverges when
     beta < 1 - margin, or beta is within margin of 1 and
     gamma <= 1 - margin; converges when beta > 1 + margin, or beta is
@@ -310,12 +363,10 @@ def classify(terms) -> SeriesReport:
     n = np.arange(lo, horizon + 1, dtype=np.float64)
     window = terms[lo - 1:]
     if n.size >= 3 and window.all():
-        y = np.log(window)
-        design = np.column_stack([np.ones_like(n), -np.log(n),
-                                  -np.log(np.log(n))])
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        coef, residual = _least_squares([-np.log(n), -np.log(np.log(n))],
+                                        np.log(window))
         beta, gamma = float(coef[1]), float(coef[2])
-        fit_error = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
+        fit_error = float(np.sqrt(np.mean(residual ** 2)))
     else:
         beta, gamma, fit_error = np.nan, np.nan, np.nan
 

@@ -15,8 +15,10 @@ radius whose ball still has a nonempty exterior in the truncation.
 A graph holds its three edge columns, the vertex measure and the hop
 radius of every vertex, and nothing else.  The constructor fills a
 symmetric CSR adjacency straight from the sorted edge arrays, with no copy
-of the edge list in both orientations; one search along it from the root
-gives the radii and its row sums give the measure, and then it is dropped.
+of the edge list in both orientations; one breadth-first search along it
+from the root gives a tree of shortest paths, whose depths, by pointer
+doubling over its parents, are the radii; the adjacency's row sums give the
+measure, and then it is dropped.
 A graph file holds the bytes json.dumps writes for the graph.  save_graph
 writes them, and load_graph parses and certifies them, one block of
 _BLOCK_EDGES rows at a time, so neither holds a second byte string of the
@@ -205,6 +207,28 @@ def _disconnected(vertex_count: int, tails: np.ndarray, heads: np.ndarray,
                                 f"({pieces + vertex_count - touched.size} components)")
 
 
+def _depths(ancestor: np.ndarray, root: int) -> np.ndarray:
+    """The int64 depth of every vertex of a tree given by its parents
+    (ancestor[root] is overwritten), by pointer doubling (Wyllie's list
+    ranking): each round adds the depth so far of a vertex's ancestor to
+    its own and jumps to the ancestor's ancestor, until every ancestor is
+    the root, so ceil(log2(height)) rounds over whole arrays.
+
+    The result is a copy made once the rounds' arrays are freed, so the
+    array a graph keeps is not left among their holes: without it, the
+    peak resident memory of four green solves on lattice(3,16) varied by
+    up to 0.8 MB from one process to the next.
+    """
+    ancestor[root] = root
+    depth = np.ones(ancestor.size, dtype=np.int64)
+    depth[root] = 0
+    while (ancestor != root).any():
+        depth += depth[ancestor]
+        ancestor = ancestor[ancestor]
+    del ancestor
+    return depth.copy()
+
+
 class WeightedGraph:
     """Immutable connected weighted graph with dense vertex ids 0..n-1.
 
@@ -212,9 +236,12 @@ class WeightedGraph:
     The constructor validates structure and computes the vertex measure and
     `radius_of`, the int64 hop distance of every vertex from the root.  Both
     come from a symmetric CSR adjacency that lives only inside the
-    constructor: one unweighted search from the root finds the radii, and
-    an unreached vertex means the graph is disconnected; the measure is the
-    adjacency's row sums, with the bits of scipy's COO -> CSR conversion.
+    constructor.  One breadth-first search from the root gives each
+    vertex's parent in a tree of shortest paths, and the radii are the
+    tree's depths, by pointer doubling over the parents (_depths); a
+    vertex the search leaves out means the graph is disconnected.  The
+    measure is the adjacency's row sums, with the bits of scipy's
+    COO -> CSR conversion.
     Every array the graph holds (the edge columns, `vertex_measure` and
     `radius_of`) is its own and read-only.
 
@@ -289,13 +316,14 @@ class WeightedGraph:
             raise _disconnected(vertex_count, tails, heads, weights)
         adjacency = _symmetric_csr(vertex_count, tails, heads, weights)
         # the adjacency is symmetric, so a search along its rows needs no
-        # transposed copy, and the vertices it leaves at an infinite distance
-        # are those outside the root's component
-        radius_of = csgraph.dijkstra(adjacency, directed=True, unweighted=True,
-                                     indices=root)
-        if np.isinf(radius_of).any():
+        # transposed copy, and the vertices it leaves out are those outside
+        # the root's component
+        order, parent = csgraph.breadth_first_order(
+            adjacency, root, directed=True, return_predecessors=True)
+        if order.size < vertex_count:
             raise _disconnected(vertex_count, tails, heads, weights)
-        radius_of = radius_of.astype(np.int64)
+        radius_of = _depths(parent.astype(np.intp), root)
+        del order, parent
 
         with np.errstate(over="ignore"):
             vertex_measure = np.asarray(adjacency.sum(axis=1)).ravel()

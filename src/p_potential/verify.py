@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import VerificationError
 from .flows import analyze_ball
-from .graphs import (BallProfile, WeightedGraph, _symmetric_csr, ball_profile,
-                     build_lattice, build_tree)
+from .graphs import (BallProfile, WeightedGraph, ball_profile, build_lattice,
+                     build_tree)
 from .green import sandwich_upper_bound, solve_green
 from .operators import (ExponentParams, _interior_mask, as_values,
                         defect_tolerance, p_laplacian_all)
@@ -116,14 +116,13 @@ def positivity_propagation(graph: WeightedGraph, u, p: float,
     None).  At a zero of u where -lap_p u >= 0, every neighbor value is
     pinched to zero; on a connected region that one step forces u to vanish
     identically or to have had no zero at all.  So the step is checked once
-    at every zero of the region, in descending vertex id, and no sweep is
-    needed: a region neighbor it pinches is itself a zero.  The neighbors
-    come from a symmetric CSR adjacency built once per call, whose row x
-    lists x's smaller neighbors, then its larger ones; the graph keeps
-    none.  Returns one of the two verdict strings.  A positive neighbor of
-    a superharmonic zero (the first in row order at the first such zero),
-    or a region its zero set does not cover, raises VerificationError; a
-    zero where superharmonicity fails raises ValueError.
+    at every zero of the region, over the edge columns at once, and no
+    sweep is needed: a region neighbor it pinches is itself a zero.
+    Returns one of the two verdict strings.  The largest zero where the
+    step fails decides: where superharmonicity fails it raises ValueError;
+    otherwise a positive neighbor (its smallest-id one, the first in the
+    row that lists smaller neighbors, then larger ones) raises
+    VerificationError.  So does a region its zero set does not cover.
     """
     values = as_values(u, graph)
     region = _interior_mask(graph, interior)
@@ -139,20 +138,26 @@ def positivity_propagation(graph: WeightedGraph, u, p: float,
     if not zero.any():
         return STRICTLY_POSITIVE
 
-    adjacency = _symmetric_csr(graph.vertex_count, graph.edge_tails,
-                               graph.edge_heads, graph.edge_weights)
-    indptr, indices = adjacency.indptr, adjacency.indices
-    for x in np.flatnonzero(zero)[::-1]:
-        if neg_lap[x] < -dtol:
+    tails, heads = graph.edge_tails, graph.edge_heads
+    positive = values > ztol
+    beside = np.zeros(graph.vertex_count, dtype=bool)
+    beside[tails[positive[heads]]] = True
+    beside[heads[positive[tails]]] = True
+    failing = zero & (neg_lap < -dtol)
+    deciding = np.flatnonzero(failing | (zero & beside))
+    if deciding.size:
+        x = int(deciding[-1])
+        if failing[x]:
             raise ValueError(
                 f"u has a zero at vertex {x} where -lap_p u = "
                 f"{neg_lap[x]:.3e} < 0; superharmonicity fails there")
-        for y in indices[indptr[x]:indptr[x + 1]]:
-            if values[y] > ztol:
-                raise VerificationError(
-                    f"superharmonic zero at vertex {x} has strictly positive "
-                    f"neighbor {y} (u = {values[y]:.3e}): zero propagation "
-                    f"is violated")
+        # x's row: its smaller neighbors, then its larger ones, each ascending
+        row = np.concatenate((tails[heads == x], heads[tails == x]))
+        y = int(row[positive[row]][0])
+        raise VerificationError(
+            f"superharmonic zero at vertex {x} has strictly positive "
+            f"neighbor {y} (u = {values[y]:.3e}): zero propagation "
+            f"is violated")
 
     if zero[region].all():
         return IDENTICALLY_ZERO

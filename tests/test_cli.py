@@ -817,6 +817,46 @@ def test_report_reads_no_seed_and_runs_no_suite(workdir, capsys, monkeypatch):
 
 
 
+def _refuse_lapack(monkeypatch):
+    """Replace every public numpy.linalg function, numpy.polyfit and
+    scipy.linalg.lstsq with one that raises."""
+    import scipy.linalg
+
+    def raiser(name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+        return refuse
+
+    names = [name for name in np.linalg.__all__
+             if not isinstance(getattr(np.linalg, name), type)]
+    assert "lstsq" in names and "norm" in names
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, raiser(f"numpy.linalg.{name}"))
+    monkeypatch.setattr(np, "polyfit", raiser("numpy.polyfit"))
+    monkeypatch.setattr(scipy.linalg, "lstsq", raiser("scipy.linalg.lstsq"))
+
+
+def test_report_and_criterion_call_no_lapack(tmp_path, monkeypatch, capsys):
+    # the probe's and the series' fits are solved by criterion's own
+    # least squares, so the report path never loads LAPACK
+    monkeypatch.chdir(tmp_path)
+    save_graph(build_lattice(2, 40), "lattice.json")
+    _refuse_lapack(monkeypatch)
+    code, _, err = run(["report", "--graph", "lattice.json", "--p", "3",
+                        "--sigma", "4", "--R", "8,16,24", "--out-prefix", "r"],
+                       capsys)
+    assert code == 0, err
+    report = read_json("r.json")
+    assert report["probe"]["tail"] is not None
+    assert np.isfinite(report["criterion"]["fitted_beta"])
+    code, _, err = run(["criterion", "--graph", "lattice.json", "--p", "3",
+                        "--sigma", "4", "--out-prefix", "c"], capsys)
+    assert code == 0, err
+    criterion = read_json("c.json")
+    assert criterion["cut_series"]["tail_extrapolation"] is not None
+    assert np.isfinite(criterion["fitted_beta"])
+
+
 # ---------------------------------------------------------------------------
 # the JSON writer and the console script
 

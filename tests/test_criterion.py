@@ -11,6 +11,7 @@ from p_potential import (
     ExponentParams,
     ball_profile,
     build_lattice,
+    build_radial_model,
     build_tree,
     classify,
     cut_series_terms,
@@ -22,7 +23,9 @@ from p_potential import (
     volume_series_terms,
 )
 
+from p_potential import criterion
 from _rounding import gamma as _gamma
+from test_irregular_growth import _family_graph
 
 P23 = ExponentParams(p=2, sigma=3)
 
@@ -348,6 +351,147 @@ def test_tail_extrapolation_degenerate_and_validation():
     assert est.extra == np.inf
     with pytest.raises(ValueError):
         extrapolate_cut_tail(np.ones(10), P23, 3)
+
+
+# ---------------------------------------------------------------------------
+# the fits' least squares against LAPACK
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _backward_error(design):
+    """The backward error m n u that Householder QR, and modified
+    Gram-Schmidt with the data carried as one more column, commit on an
+    m x n least-squares problem (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thms 19.13 and 20.3), with their small
+    constant taken as 1.  It also covers the few roundings that make the
+    design's columns and the data from exact values."""
+    return design.size * _EPS
+
+
+def _perturbation_bounds(design, y, coef, residual_norm):
+    """Bounds on |x' - x| and on | |r'| - |r| | for the solution x and the
+    residual r of a backward stable solve, by Wedin's theorem (Higham,
+    Thm 20.1) with relative perturbations eps = _backward_error(design):
+
+        |x' - x| <= kappa eps / (1 - kappa eps)
+                    * (2 |x| + (kappa + 1) |r| / |A|),
+        |r' - r| <= (1 + 2 kappa) eps |y|,
+
+    from the design's condition number kappa and the data's norm |y|."""
+    eps = _backward_error(design)
+    singular = np.linalg.svd(design, compute_uv=False)
+    kappa = singular[0] / singular[-1]
+    assert kappa * eps < 0.5, (kappa, eps)
+    coef_bound = (kappa * eps / (1.0 - kappa * eps)
+                  * (2.0 * np.linalg.norm(coef)
+                     + (kappa + 1.0) * residual_norm / singular[0]))
+    return coef_bound, (1.0 + 2.0 * kappa) * eps * np.linalg.norm(y)
+
+
+def _assert_agrees_with_lstsq(columns, y, coef, residual):
+    """A fit (coef, residual) of criterion._least_squares against numpy's
+    LAPACK lstsq on the same design [1, columns...]: both are backward
+    stable, so each lies within the perturbation bounds of the exact
+    solution, and they lie within twice those bounds of each other."""
+    design = np.column_stack([np.ones_like(y)] + list(columns))
+    want, *_ = np.linalg.lstsq(design, y, rcond=None)
+    want_norm = np.linalg.norm(y - design @ want)
+    coef_bound, residual_bound = _perturbation_bounds(design, y, want,
+                                                      want_norm)
+    assert np.linalg.norm(coef - want) <= 2.0 * coef_bound, (coef, want)
+    assert abs(np.linalg.norm(residual) - want_norm) <= 2.0 * residual_bound
+    # the residual is y minus the fit, to the same bound
+    np.testing.assert_allclose(residual, y - design @ coef, rtol=0.0,
+                               atol=2.0 * residual_bound)
+
+
+def _recorded_fits(monkeypatch):
+    """Every (columns, y, coef, residual) of a call of _least_squares
+    inside criterion."""
+    calls = []
+    solve = criterion._least_squares
+
+    def recording(columns, y):
+        coef, residual = solve(columns, y)
+        calls.append((list(columns), y, coef, residual))
+        return coef, residual
+
+    monkeypatch.setattr(criterion, "_least_squares", recording)
+    return calls
+
+
+_PROBE_GRAPHS = {
+    "lattice1": build_lattice(1, 40),
+    "lattice2": build_lattice(2, 20),
+    "lattice3": build_lattice(3, 10),
+    "lattice4": build_lattice(4, 4),
+    "tree": build_tree(2, 12),
+    "irregular-path": _family_graph(3.0, 6.0),
+    "radial": build_radial_model([1, 3, 9] + [27] * 60,
+                                 np.geomspace(1.0, 1e-6, 62)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROBE_GRAPHS))
+def test_the_probe_fits_agree_with_lapack(name, monkeypatch):
+    profile = ball_profile(_PROBE_GRAPHS[name])
+    calls = _recorded_fits(monkeypatch)
+    radii = range(4, profile.R_max + 1)
+    for R in radii:
+        extrapolate_cut_tail(profile.b, P23, R)
+    assert len(calls) == 2 * len(radii)  # a geometric and a power fit each
+    for call in calls:
+        _assert_agrees_with_lstsq(*call)
+
+
+_SERIES = {
+    "harmonic": lambda n: 1.0 / n,
+    "log-squared": lambda n: 1.0 / (n * np.log(n + 1.0) ** 2),
+    "log-boundary": lambda n: 1.0 / (n * np.log(n + 1.0)),
+    "power-1.03": lambda n: n ** -1.03,
+    "power-1.07": lambda n: n ** -1.07,
+    "power-1.4": lambda n: 7.3 * n ** -1.4,
+    "cubic-volume": lambda n: volume_series_terms(
+        np.concatenate(([1.0], n ** 3)), P23),
+}
+_HORIZONS = np.unique(np.geomspace(64, 4096, 25).astype(int)).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(_SERIES))
+def test_the_classify_fits_agree_with_lapack(name, monkeypatch):
+    calls = _recorded_fits(monkeypatch)
+    for horizon in _HORIZONS:
+        classify(_SERIES[name](np.arange(1.0, horizon + 1.0)))
+    assert len(calls) == len(_HORIZONS)
+    for call in calls:
+        _assert_agrees_with_lstsq(*call)
+
+
+def _assert_recovers(columns, y, exact):
+    """A fit of data the model holds exactly lies within Wedin's bound
+    (zero residual) of the exact coefficients."""
+    coef, residual = criterion._least_squares(columns, y)
+    design = np.column_stack([np.ones_like(y)] + list(columns))
+    coef_bound, residual_bound = _perturbation_bounds(design, y, exact, 0.0)
+    assert np.linalg.norm(coef - exact) <= coef_bound, (coef, exact)
+    assert np.linalg.norm(residual) <= residual_bound
+
+
+def test_the_fits_recover_exact_data():
+    # b_k = 2^(k+1) on every window of the probe, geometric and power
+    # fits of exact lines, and t_n = 1/n on every window of classify
+    for R in range(4, 400):
+        k0 = max(1, R - max(3, R // 4))
+        ks = np.arange(k0, R + 1, dtype=np.float64)
+        log2 = np.log(2.0)
+        _assert_recovers([ks], (ks + 1.0) * log2, np.array([log2, log2]))
+        _assert_recovers([np.log(ks)], 3.0 - 2.5 * np.log(ks),
+                         np.array([3.0, -2.5]))
+    for horizon in _HORIZONS:
+        n = np.arange(max(2, horizon // 2), horizon + 1, dtype=np.float64)
+        _assert_recovers([-np.log(n), -np.log(np.log(n))], -np.log(n),
+                         np.array([0.0, 1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------

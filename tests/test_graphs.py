@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse import csgraph
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import p_potential.graphs as graphs_module
@@ -967,11 +967,26 @@ def test_direct_csr_is_the_coo_conversion(case):
     assert graph == WeightedGraph(n, edges)
 
 
+def _case_of(graph):
+    return graph.vertex_count, graph.edges
+
+
+_RADIAL_BRANCHING = build_radial_model([1, 3, 9, 27] + [81] * 60,
+                                       np.geomspace(1.0, 1e3, 63))
+
+
+# the 4001-vertex path from its centre and from an end, a radial path of
+# 4001 vertices and a branching radial model: up to 12 doubling rounds
 @settings(max_examples=300, deadline=None)
-@given(case=_shaped_edge_lists(), data=st.data())
-def test_radius_of_is_the_search_on_the_coo_conversion(case, data):
+@given(case=_shaped_edge_lists(), pick=st.integers(0, 2 ** 32))
+@example(case=_case_of(build_lattice(1, 2000)), pick=2000)
+@example(case=_case_of(build_lattice(1, 2000)), pick=0)
+@example(case=_case_of(build_radial_model([1] * 4001, np.ones(4000))), pick=0)
+@example(case=_case_of(_RADIAL_BRANCHING), pick=0)
+@example(case=_case_of(_RADIAL_BRANCHING), pick=4000)
+def test_radius_of_is_the_search_on_the_coo_conversion(case, pick):
     n, edges = case
-    root = data.draw(st.integers(0, n - 1))
+    root = pick % n
     graph = WeightedGraph(n, edges, root=root)
     want = _radii_by_search(_adjacency_by_coo(n, edges)[0], root)
     assert graph.radius_of.dtype == np.int64

@@ -11,6 +11,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +33,8 @@ from p_potential import (
 )
 from p_potential import verify
 from p_potential.errors import SolverError
-from p_potential.operators import defect_tolerance, supersolution_shortfall
+from p_potential.operators import (_interior_mask, as_values,
+                                   defect_tolerance, supersolution_shortfall)
 from p_potential.verify import (hardy_check, hardy_suite, picone_check,
                                 picone_suite, positivity_suite, run_suites,
                                 sandwich_suite, shoot_radial_supersolution)
@@ -93,6 +95,73 @@ def test_positivity_rejects_a_region_its_zero_set_does_not_connect():
 def test_positivity_takes_only_a_boolean_mask_of_the_graph(interior):
     with pytest.raises(ValueError, match="interior must be a boolean mask"):
         positivity_propagation(PATH5, np.zeros(5), 2.0, interior=interior)
+
+
+def _positivity_by_rows(graph, u, p, interior=None):
+    """positivity_propagation as a loop over the zeros in descending id,
+    each walking its row of scipy's symmetric CSR adjacency in order
+    (reference)."""
+    values = as_values(u, graph)
+    region = _interior_mask(graph, interior)
+    if np.any(values[region] < 0.0):
+        raise ValueError("u must be nonnegative on the region")
+    scale = float(np.abs(values).max())
+    ztol = 1e-12 * max(scale, 1e-300)
+    dtol = defect_tolerance(scale, p)
+    neg_lap = -p_laplacian_all(graph, values, p)
+    zero = (values <= ztol) & region
+    if not zero.any():
+        return STRICTLY_POSITIVE
+    n, tails, heads = graph.vertex_count, graph.edge_tails, graph.edge_heads
+    adjacency = sp.csr_matrix((np.ones(2 * tails.size),
+                               (np.concatenate([tails, heads]),
+                                np.concatenate([heads, tails]))), shape=(n, n))
+    for x in np.flatnonzero(zero)[::-1]:
+        if neg_lap[x] < -dtol:
+            raise ValueError(
+                f"u has a zero at vertex {x} where -lap_p u = "
+                f"{neg_lap[x]:.3e} < 0; superharmonicity fails there")
+        for y in adjacency.indices[adjacency.indptr[x]:adjacency.indptr[x + 1]]:
+            if values[y] > ztol:
+                raise VerificationError(
+                    f"superharmonic zero at vertex {x} has strictly positive "
+                    f"neighbor {y} (u = {values[y]:.3e}): zero propagation "
+                    f"is violated")
+    if zero[region].all():
+        return IDENTICALLY_ZERO
+    raise VerificationError(
+        "zeros propagate on part of the region only; the region is not "
+        "connected through its zero set")
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except (ValueError, VerificationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_positivity_is_the_row_loop():
+    # random zero patterns beside positive values far below, near and
+    # above the zero tolerance, on graphs whose rows hold several smaller
+    # and larger neighbors; every outcome occurs
+    rng = np.random.default_rng(20261020)
+    graphs = [PATH5, build_lattice(2, 3), build_tree(3, 3),
+              build_radial_model([1, 2, 4, 4], [1.0, 0.5, 2.0])]
+    seen = set()
+    for _ in range(600):
+        graph = graphs[rng.integers(len(graphs))]
+        n = graph.vertex_count
+        levels = np.array([0.0, 0.0, 1e-13, 1e-11, 1e-6, 1.0])
+        u = levels[rng.integers(levels.size, size=n)]
+        p = float(rng.choice([1.5, 2.0, 3.0]))
+        interior = None if rng.random() < 0.5 else rng.random(n) < 0.7
+        got = _outcome(positivity_propagation, graph, u, p, interior)
+        assert got == _outcome(_positivity_by_rows, graph, u, p, interior)
+        seen.add(got if isinstance(got, str) else (got[0], got[1].split()[0]))
+    assert seen == {STRICTLY_POSITIVE, IDENTICALLY_ZERO, ("ValueError", "u"),
+                    ("VerificationError", "superharmonic"),
+                    ("VerificationError", "zeros")}, seen
 
 
 def _radial(values, profile):
