@@ -248,6 +248,18 @@ def decompose_paths(flow: UnitFlow) -> PathMeasure:
     zeroes the edge it came in on.  The walk runs on Python lists (the
     same float arithmetic as on arrays) and writes the packed arrays of
     PathMeasure directly.
+
+    Each step branches on the out-degree of the current vertex, the
+    commonest first: with two out-edges it compares their residuals and
+    keeps the first unless the second is strictly larger; with one it
+    takes it; with none it is a dead end; with three or more it takes
+    max and then index over the residual slice, both of which return the
+    first maximum.  Every branch thus picks the first maximum of the
+    residuals in edge order, which is the smaller head (out-edges are
+    sorted by head), exactly as max-then-index over every slice would.
+    Exact ties are common on symmetric balls, and the tie rule decides
+    which paths come out, hence the paths file and the audit's tied
+    witnesses; so no branch may break a tie another way.
     """
     m = flow.edge_count
     if m == 0:
@@ -271,20 +283,33 @@ def decompose_paths(flow: UnitFlow) -> PathMeasure:
                 "residual flow not exhausted after edge-count rounds")
         cur = center
         edge_idx: list = []
-        dead_end = False
+        take = edge_idx.append
+        steps = 0
         while cur != boundary:
             lo = indptr[cur]
-            seg = residual[lo:indptr[cur + 1]]
-            best = max(seg) if seg else 0.0
+            width = indptr[cur + 1] - lo
+            if width == 2:
+                best, second = residual[lo], residual[lo + 1]
+                pick = lo
+                if second > best:  # a tie keeps the first
+                    best, pick = second, lo + 1
+            elif width == 1:
+                pick = lo
+                best = residual[lo]
+            elif width == 0:
+                break  # dead end: no out-edge at all
+            else:
+                seg = residual[lo:lo + width]
+                best = max(seg)
+                pick = lo + seg.index(best)  # first maximum: the smaller head
             if best <= crumb_threshold:
-                dead_end = True
                 break
-            pick = lo + seg.index(best)  # first maximum: the smaller head
-            edge_idx.append(pick)
+            take(pick)
             cur = heads[pick]
-            if len(edge_idx) > m:
+            steps += 1
+            if steps > m:
                 raise ConsistencyError("walk exceeded edge count; flow not acyclic")
-        if dead_end:
+        if cur != boundary:
             if not edge_idx:
                 break  # center exhausted: decomposition complete
             residual[edge_idx[-1]] = 0.0  # conservation says this is dust
