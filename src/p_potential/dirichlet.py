@@ -139,10 +139,14 @@ class _Problem:
       the two off-diagonal blocks) in any column of at most 16 COO entries,
       where scipy's in-column sort is stable.  Off-diagonal entries are
       placed directly.
-    - Newton directions: see the factorization rule in the module
-      docstring.  `_pattern` lays out H and, once the first `splu(H)` has
+    - Pattern: `_pattern` lays out H and, once the first `splu(H)` has
       fixed the column order, the column-permuted matrix that later steps
-      factor; both are filled from the same terms in the same order.
+      factor; both are filled from the same terms in the same order.  Each
+      entry's data slot is the rank of its int64 key col * n + row among
+      the distinct keys, from `np.unique`; int64, because the keys of
+      SuperLU's int32 column order wrap in int32 past 46,340 unknowns.
+    - Newton directions: see the factorization rule in the module
+      docstring.
     """
 
     def __init__(self, graph: WeightedGraph, free_mask: np.ndarray,
@@ -169,8 +173,7 @@ class _Problem:
         self._term_edges = np.concatenate([tail_terms, head_terms])
         self._term_rows = np.concatenate([self.pu[tail_terms], self.pv[head_terms]])
         # off-diagonal entries: (pu, pv) of each edge inside, then (pv, pu)
-        both = np.flatnonzero(self.u_free & self.v_free)
-        self._off_edges = np.concatenate([both, both])
+        self._both = np.flatnonzero(self.u_free & self.v_free)
         self._indptr, self._indices, self._slots = self._pattern(
             np.arange(self.n_free))
         self._perm_c = None      # the first factorization's column order
@@ -180,21 +183,25 @@ class _Problem:
     def _pattern(self, perm_c: np.ndarray):
         """The CSC pattern of the Hessian's entries (the diagonal terms, then
         both off-diagonal blocks) with column j moved to perm_c[j]: indptr,
-        indices and each entry's data slot."""
+        indices and each entry's data slot.
+
+        An entry's slot is the rank of its key col * n + row among the
+        distinct keys, which orders the slots by column and then by row.
+        The keys are int64: SuperLU's perm_c is int32, and col * n in int32
+        wraps once n passes 46,340.
+        """
         n = self.n_free
-        both = self._off_edges[:self._off_edges.size // 2]
+        both = self._both
         rows = np.concatenate([self._term_rows, self.pu[both], self.pv[both]])
-        cols = perm_c[np.concatenate([self._term_rows, self.pv[both], self.pu[both]])]
+        keys = perm_c[np.concatenate([self._term_rows, self.pv[both], self.pu[both]])]
+        keys = keys.astype(np.int64, copy=False)
+        keys *= n
+        keys += rows
+        keys, slots = np.unique(keys, return_inverse=True)
         index_dtype = np.int32 if max(rows.size, n) <= np.iinfo(np.int32).max else np.int64
-        by_slot = np.lexsort((rows, cols))
-        row_of, col_of = rows[by_slot], cols[by_slot]
-        first = np.ones(by_slot.size, dtype=bool)
-        first[1:] = (row_of[1:] != row_of[:-1]) | (col_of[1:] != col_of[:-1])
-        slots = np.empty(by_slot.size, dtype=np.int64)
-        slots[by_slot] = np.cumsum(first) - 1
         indptr = np.zeros(n + 1, dtype=index_dtype)
-        np.cumsum(np.bincount(col_of[first], minlength=n), out=indptr[1:])
-        return indptr, row_of[first].astype(index_dtype), slots
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        return indptr, (keys % n).astype(index_dtype), slots
 
     def objective(self, values: np.ndarray, sm: _Smoothing) -> float:
         drops = values[self.eu] - values[self.ev]
@@ -215,7 +222,7 @@ class _Problem:
         n_terms = self._term_edges.size
         data = np.bincount(slots[:n_terms], weights=coeff[self._term_edges],
                            minlength=self._indices.size)
-        data[slots[n_terms:]] = -coeff[self._off_edges]
+        data[slots[n_terms:].reshape(2, -1)] = -coeff[self._both]
         return data
 
     def hessian(self, values: np.ndarray, sm: _Smoothing) -> sp.csc_matrix:
@@ -233,12 +240,16 @@ class _Problem:
             lu = spla.splu(self.hessian(values, sm))
             # a copy: the view would keep this factor alive for the solve
             self._perm_c = lu.perm_c.copy()
+            direction = lu.solve(rhs)
+            # freed first, so the factor and _pattern's temporaries are
+            # never alive at once
+            del lu
             indptr, indices, self._permuted_slots = self._pattern(self._perm_c)
             self._permuted = sp.csc_matrix(
                 (np.zeros(indices.size), indices, indptr),
                 shape=(self.n_free, self.n_free))
             self._permuted.has_canonical_format = True
-            return lu.solve(rhs)
+            return direction
         self._permuted.data = self._hessian_data(values, sm, self._permuted_slots)
         lu = spla.splu(self._permuted, permc_spec="NATURAL")
         return lu.solve(rhs)[self._perm_c]

@@ -13,12 +13,12 @@ indexed by a radius R are only meaningful for R <= R_max, the largest
 radius whose ball still has a nonempty exterior in the truncation.
 
 A graph holds its three edge columns, the vertex measure and the hop
-radius of every vertex, and nothing else.  The constructor fills a
-symmetric CSR adjacency straight from the sorted edge arrays, with no copy
-of the edge list in both orientations; one breadth-first search along it
-from the root gives a tree of shortest paths, whose depths, by pointer
-doubling over its parents, are the radii; the adjacency's row sums give the
-measure, and then it is dropped.
+radius of every vertex, and nothing else.  The sorted edge arrays are
+already the CSR of the adjacency's upper triangle, and scipy's sum of that
+triangle and its transpose is the constructor's symmetric adjacency; one
+breadth-first search along it from the root gives a tree of shortest paths,
+whose depths, by pointer doubling over its parents, are the radii; the
+adjacency's row sums give the measure, and then it is dropped.
 A graph file holds the bytes json.dumps writes for the graph.  save_graph
 writes them, and load_graph parses and certifies them, one block of
 _BLOCK_EDGES rows at a time, so neither holds a second byte string of the
@@ -162,35 +162,21 @@ def _in_canonical_order(tails: np.ndarray, heads: np.ndarray) -> bool:
 
 def _symmetric_csr(vertex_count: int, tails: np.ndarray, heads: np.ndarray,
                    weights: np.ndarray) -> sp.csr_matrix:
-    """The symmetric adjacency of edges in canonical order, as scipy's
-    COO -> CSR conversion of both orientations builds it: sorted rows,
-    int32 index arrays where the counts fit, the same bytes.
+    """The symmetric adjacency of edges in canonical order, with the bytes of
+    scipy's COO -> CSR conversion of both orientations: sorted rows, int32
+    index arrays where the counts fit.
 
-    Row x lists its smaller neighbours first, the edges with head x in tail
-    order, which a stable argsort by head gives; its larger neighbours
-    follow, the edges with tail x, already in head order.  The rows are
-    filled through a mask of the larger-neighbour slots, with no copy of
-    the edge list in both orientations.
+    Canonical edges are already the rows of the upper triangle, each row's
+    heads in increasing order, so their CSR is the edge columns themselves
+    with `indptr` from a count of the tails.  scipy's sum of that triangle
+    and its transpose builds the rest: the triangles share no entry, so
+    every weight is copied, never added.
     """
-    count = tails.size
-    index = (np.int32 if max(2 * count, vertex_count) <= np.iinfo(np.int32).max
-             else np.int64)
-    smaller = np.bincount(heads, minlength=vertex_count)
-    larger = np.bincount(tails, minlength=vertex_count)
-    indptr = np.zeros(vertex_count + 1, dtype=index)
-    np.cumsum(smaller + larger, out=indptr[1:])
-    slots = np.repeat(np.tile([False, True], vertex_count),
-                      np.column_stack((smaller, larger)).ravel())
-    indices = np.empty(2 * count, dtype=index)
-    data = np.empty(2 * count)
-    indices[slots] = heads
-    data[slots] = weights
-    by_head = np.argsort(heads, kind="stable")
-    np.logical_not(slots, out=slots)
-    indices[slots] = tails[by_head]
-    data[slots] = weights[by_head]
-    return sp.csr_matrix((data, indices, indptr),
-                         shape=(vertex_count, vertex_count))
+    indptr = np.zeros(vertex_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=vertex_count), out=indptr[1:])
+    upper = sp.csr_matrix((weights, heads, indptr),
+                          shape=(vertex_count, vertex_count))
+    return upper + upper.T
 
 
 def _disconnected(vertex_count: int, tails: np.ndarray, heads: np.ndarray,
@@ -236,12 +222,13 @@ class WeightedGraph:
     The constructor validates structure and computes the vertex measure and
     `radius_of`, the int64 hop distance of every vertex from the root.  Both
     come from a symmetric CSR adjacency that lives only inside the
-    constructor.  One breadth-first search from the root gives each
-    vertex's parent in a tree of shortest paths, and the radii are the
-    tree's depths, by pointer doubling over the parents (_depths); a
-    vertex the search leaves out means the graph is disconnected.  The
-    measure is the adjacency's row sums, with the bits of scipy's
-    COO -> CSR conversion.
+    constructor: scipy's sum of the upper triangle, whose CSR the canonical
+    edge columns are, and its transpose (_symmetric_csr).  One
+    breadth-first search from the root gives each vertex's parent in a
+    tree of shortest paths, and the radii are the tree's depths, by
+    pointer doubling over the parents (_depths); a vertex the search
+    leaves out means the graph is disconnected.  The measure is the
+    adjacency's row sums, with the bits of scipy's COO -> CSR conversion.
     Every array the graph holds (the edge columns, `vertex_measure` and
     `radius_of`) is its own and read-only.
 

@@ -344,6 +344,68 @@ def test_no_factor_outlives_its_newton_step(monkeypatch):
     assert held_elsewhere() == []
 
 
+
+def _pattern_by_lexsort(problem, perm_c):
+    """The Hessian's CSC pattern with column j moved to perm_c[j], by a
+    lexsort of the (row, column) pairs and a flag on each pair's first
+    entry (reference)."""
+    n = problem.n_free
+    both = problem._both
+    rows = np.concatenate([problem._term_rows, problem.pu[both], problem.pv[both]])
+    cols = perm_c[np.concatenate([problem._term_rows, problem.pv[both], problem.pu[both]])]
+    index_dtype = np.int32 if max(rows.size, n) <= np.iinfo(np.int32).max else np.int64
+    by_slot = np.lexsort((rows, cols))
+    row_of, col_of = rows[by_slot], cols[by_slot]
+    first = np.ones(by_slot.size, dtype=bool)
+    first[1:] = (row_of[1:] != row_of[:-1]) | (col_of[1:] != col_of[:-1])
+    slots = np.empty(by_slot.size, dtype=np.int64)
+    slots[by_slot] = np.cumsum(first) - 1
+    indptr = np.zeros(n + 1, dtype=index_dtype)
+    np.cumsum(np.bincount(col_of[first], minlength=n), out=indptr[1:])
+    return indptr, row_of[first].astype(index_dtype), slots
+
+
+def _assert_same_pattern(problem, perm_c):
+    for got, want in zip(problem._pattern(perm_c), _pattern_by_lexsort(problem, perm_c)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def _perm_cs(n, seed):
+    """The identity order and a random int32 order, SuperLU's perm_c dtype."""
+    rng = np.random.default_rng(seed)
+    return np.arange(n), rng.permutation(n).astype(np.int32)
+
+
+@pytest.mark.parametrize("name", list(DIRECTION_BALLS))
+def test_pattern_is_the_lexsort_pattern(name):
+    _, _, problem = _direction_problem(name)
+    for perm_c in _perm_cs(problem.n_free, 3):
+        _assert_same_pattern(problem, perm_c)
+
+
+def test_pattern_of_an_empty_free_set():
+    graph = build_lattice(2, 3)
+    problem = _Problem(graph, np.zeros(graph.vertex_count, bool),
+                       np.zeros(graph.vertex_count))
+    assert problem.n_free == 0 and problem._indptr.tolist() == [0]
+    _assert_same_pattern(problem, np.arange(0))
+
+
+def test_pattern_past_the_int32_keys():
+    # 47,125 unknowns: col * n + row passes 2**31 - 1, so keys formed in
+    # SuperLU's int32 would wrap
+    graph = build_lattice(2, 160)
+    ball = ball_profile(graph).ball_mask(153)
+    source = np.zeros(graph.vertex_count)
+    source[graph.root] = 1.0
+    problem = _Problem(graph, ball, source)
+    assert problem.n_free == 47_125
+    assert (problem.n_free - 1) * problem.n_free > np.iinfo(np.int32).max
+    for perm_c in _perm_cs(problem.n_free, 4):
+        _assert_same_pattern(problem, perm_c)
+
+
 def test_fallback_counts():
     graph = build_lattice(2, 6)
     ball = ball_profile(graph).ball_mask(4)

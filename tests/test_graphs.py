@@ -944,8 +944,25 @@ def _shaped_edge_lists(draw):
     return n, edges
 
 
+def _case_of(graph):
+    return graph.vertex_count, graph.edges
+
+
+_RADIAL_BRANCHING = build_radial_model([1, 3, 9, 27] + [81] * 60,
+                                       np.geomspace(1.0, 1e3, 63))
+
+# a hub of 200 leaves, 100 on each side of it, whose distinct weights span
+# six decades: past numpy's 8-way pairwise reduce, the hub's measure
+# depends on the order of its row
+_STAR_200 = (201, [(min(100, x), max(100, x), 10.0 ** (6 * (37 * x % 201) / 200))
+                   for x in range(201) if x != 100])
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=_shaped_edge_lists())
+@example(case=_case_of(build_lattice(3, 16)))
+@example(case=_case_of(_RADIAL_BRANCHING))
+@example(case=_STAR_200)
 def test_direct_csr_is_the_coo_conversion(case):
     n, edges = case
     tails, heads, weights = (np.array(column) for column in zip(*edges))
@@ -965,14 +982,6 @@ def test_direct_csr_is_the_coo_conversion(case):
     assert (graph.vertex_measure.dtype == measure.dtype
             and graph.vertex_measure.tobytes() == measure.tobytes())
     assert graph == WeightedGraph(n, edges)
-
-
-def _case_of(graph):
-    return graph.vertex_count, graph.edges
-
-
-_RADIAL_BRANCHING = build_radial_model([1, 3, 9, 27] + [81] * 60,
-                                       np.geomspace(1.0, 1e3, 63))
 
 
 # the 4001-vertex path from its centre and from an end, a radial path of
