@@ -20,9 +20,12 @@ breadth-first search along it from the root gives a tree of shortest paths,
 whose depths, by pointer doubling over its parents, are the radii; the
 adjacency's row sums give the measure, and then it is dropped.
 A graph file holds the bytes json.dumps writes for the graph.  save_graph
-writes them, and load_graph parses and certifies them, one block of
-_BLOCK_EDGES rows at a time, so neither holds a second byte string of the
-whole file; load_graph drops the file's bytes before it builds the graph.
+writes them and load_graph parses them, one block of _BLOCK_EDGES rows at a
+time, so neither holds a second byte string of the whole file.  load_graph
+certifies the layout from the bytes it parses: each separator where the
+writer puts it, each number its repr.  That holds exactly when the file is
+the writer's bytes for the parsed arrays.  load_graph drops the file's
+bytes before it builds the graph.
 Every array file's rows (graph, Green CSV, paths, terms) come from _text_rows.
 """
 
@@ -631,9 +634,12 @@ def _graph_blocks(vertex_count: int, root: int, tails: np.ndarray,
 
 def _parse_ids(body: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     """The decimal integers body[starts[i]:stops[i]], or None when a field
-    is empty, longer than _ID_DIGITS or holds a byte that is not a digit."""
+    is not their repr: empty, longer than _ID_DIGITS, holding a byte that is
+    not a digit, or starting with a 0 that is not the whole field."""
     lengths = stops - starts
     if lengths.min() < 1 or lengths.max() > _ID_DIGITS:
+        return None
+    if ((body[starts] == ord("0")) & (lengths > 1)).any():
         return None
     values = np.zeros(starts.size, dtype=np.int64)
     for k in range(int(lengths.max())):
@@ -647,8 +653,9 @@ def _parse_ids(body: np.ndarray, starts: np.ndarray, stops: np.ndarray):
 
 def _parse_weights(body: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     """float() of each token body[starts[i]:stops[i]], each distinct token
-    parsed once, or None when a token is empty, longer than _WEIGHT_CHARS,
-    not a number to float() or not finite."""
+    parsed once, or None when a token is not the repr of that float (which
+    rules out "1_0", "+1.0", "1.00", "1e0", " 1.0" and a NUL byte) or the
+    float is not finite."""
     lengths = stops - starts
     if lengths.min() < 1 or lengths.max() > _WEIGHT_CHARS:
         return None
@@ -658,23 +665,43 @@ def _parse_weights(body: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     tokens[columns >= lengths[:, None]] = 0
     distinct, which = np.unique(tokens.view(f"S{width}").ravel(),
                                 return_inverse=True)
+    texts = distinct.tolist()
     try:
-        values = np.array([float(token) for token in distinct.tolist()])
+        values = [float(token) for token in texts]
     except ValueError:
         return None
+    # texts lose a token's trailing NUL bytes; its length keeps them
+    if ([repr(value).encode() for value in values] != texts
+            or not np.array_equal(np.char.str_len(distinct)[which], lengths)):
+        return None
+    values = np.array(values)
     if not np.isfinite(values).all():
         return None
     return values[which]
 
 
-def _parse_rows(body: np.ndarray, opens: np.ndarray):
+def _parse_rows(body: np.ndarray, opens: np.ndarray, ends_file: bool):
     """(tails, heads, weights) of the rows "[u, v, w]" that start at the
-    offsets opens of body, each followed by ", " but the file's last one,
-    or None when the separators do not fall as in such rows."""
+    offsets opens of body, or None unless body is exactly the rows
+    save_graph writes for them, each followed by ", " but the file's last.
+
+    Each row's "]" must sit 3 bytes before the next row's "[" or, in the
+    file's last block, be the last byte; there must be 3 commas a row, less
+    the file's last ", ", each followed by a space; and every token must be
+    its value's repr, so it holds neither a bracket nor a comma.  Then, row
+    by row from offset 0, each row's first two commas follow its tail and
+    head, and its third can only be the byte after its "]": one byte later
+    no space would follow it, and past the next "[" that row's tail would
+    hold it.  So body is the writer's bytes.
+    """
     closes = np.flatnonzero(body == ord("]"))
     commas = np.flatnonzero(body == ord(","))
     count = opens.size
-    if closes.size != count or commas.size not in (3 * count - 1, 3 * count):
+    if closes.size != count or commas.size != 3 * count - ends_file:
+        return None
+    if (body.take(commas + 1, mode="clip") != ord(" ")).any():
+        return None
+    if not np.array_equal(closes + 3, np.append(opens[1:], body.size + 2 * ends_file)):
         return None
     first, second = commas[0::3], commas[1::3]
     tails = _parse_ids(body, opens + 1, first)
@@ -692,8 +719,11 @@ def _canonical_columns(data: bytes):
     The rows are found by their "[" and parsed a block of _BLOCK_EDGES at a
     time: the separators are found with numpy, the endpoints parsed by
     digit arithmetic and each distinct weight token by float().  The parse
-    is then certified by writing the arrays back, block by block, and
-    comparing each piece with the file's bytes where it should sit.
+    certifies the layout as it reads it: the file is _HEAD, then rows from
+    its first byte on, each joined to the next by ", " (_parse_rows), then
+    _TAIL; every id and count is its int's repr and every weight its
+    float's.  Those are the only bytes json.dumps writes for these values,
+    so the checks hold exactly when the file equals the writer's bytes.
     Certified data json-parses to exactly these values, because an int's
     repr is exact and a finite float's repr round-trips.
     """
@@ -701,13 +731,13 @@ def _canonical_columns(data: bytes):
     if end < len(_HEAD) or not data.startswith(_HEAD):
         return None
     tail = _TAIL.fullmatch(data, end)
-    if tail is None:
+    if tail is None or any(b"%d" % int(x) != x for x in tail.groups()):
         return None
     body = np.frombuffer(data, dtype=np.uint8, count=end - len(_HEAD),
                          offset=len(_HEAD))
     opens = np.flatnonzero(body == ord("["))
     count = opens.size
-    if count == 0:
+    if count == 0 or opens[0] != 0:
         return None
     tails = np.empty(count, dtype=np.int64)
     heads = np.empty(count, dtype=np.int64)
@@ -716,20 +746,12 @@ def _canonical_columns(data: bytes):
         stop = min(start + _BLOCK_EDGES, count)
         first = opens[start]
         last = opens[stop] if stop < count else body.size
-        rows = _parse_rows(body[first:last], opens[start:stop] - first)
+        rows = _parse_rows(body[first:last], opens[start:stop] - first,
+                           stop == count)
         if rows is None:
             return None
         tails[start:stop], heads[start:stop], weights[start:stop] = rows
-    del opens
-    vertex_count, root = int(tail[2]), int(tail[1])
-    at = 0
-    for piece in _graph_blocks(vertex_count, root, tails, heads, weights):
-        if not data.startswith(piece, at):
-            return None
-        at += len(piece)
-    if at != len(data):
-        return None
-    return vertex_count, tails, heads, weights, root
+    return int(tail[2]), tails, heads, weights, int(tail[1])
 
 
 def save_graph(graph: WeightedGraph, path) -> None:
@@ -755,9 +777,12 @@ def _json_edge_ok(item) -> bool:
 def load_graph(path) -> WeightedGraph:
     """Read a graph written by save_graph, validating structure.
 
-    A file in save_graph's exact layout is parsed from its bytes and
-    certified by writing the parsed arrays back, one block of rows at a
-    time; it gives the graph, or the error, that the JSON route below gives.
+    A file in save_graph's exact layout is parsed from its bytes, one block
+    of rows at a time, and certified by the same pass: each separator must
+    sit where save_graph puts it and each id, count and weight must be its
+    value's repr, which holds exactly when the file is save_graph's bytes
+    for the parsed values.  It gives the graph, or the error, that the JSON
+    route below gives.
     The file's bytes are dropped before that graph is built, so the peak
     beyond the file and the graph is one block's parse.  Any other file is
     parsed with json.load.

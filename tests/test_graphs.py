@@ -828,7 +828,20 @@ NON_CANONICAL_FILES = {
     "thousands-of-digits": _variant(vertex_count=int("9" * 4000)),
     "negative-id": _variant(edges=[[-1, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]]),
     "leading-zero-id": _CANONICAL.replace("[2, 3,", "[02, 3,"),
+    "leading-zero-head": _CANONICAL.replace("[0, 3,", "[0, 03,"),
+    "count-leading-zero": _CANONICAL.replace('"vertex_count": 4', '"vertex_count": 04'),
     "exponent-weight": _CANONICAL.replace("2.0]", "2e0]"),
+    "underscore-one-weight": _CANONICAL.replace("2.0]", "1_0]"),
+    "plus-weight": _CANONICAL.replace("2.0]", "+1.0]"),
+    "trailing-zero-weight": _CANONICAL.replace("2.0]", "1.00]"),
+    "one-exponent-weight": _CANONICAL.replace("2.0]", "1e0]"),
+    "leading-zero-weight": _CANONICAL.replace("2.0]", "01.0]"),
+    "spaced-weight": _CANONICAL.replace("2.0]", " 1.0]"),
+    "nul-after-weight": _CANONICAL.replace("2.0]", "2.0\0]"),
+    "space-before-rows": _CANONICAL.replace('[[', '[ ['),
+    "joiner-no-space": _CANONICAL.replace("], [1,", "],[1,"),
+    "joiner-space-before-comma": _CANONICAL.replace("], [1,", "] ,[1,"),
+    "comma-after-last-row": _CANONICAL.replace("2.0]]", "2.0], ]"),
     "upper-exponent": _CANONICAL.replace("1e-07", "1E-07"),
     "overflow-weight": _CANONICAL.replace("2.0]", "1e400]"),
     "nan-weight": _CANONICAL.replace("2.0]", "NaN]"),
@@ -896,6 +909,158 @@ def test_edited_files_load_as_json_loads_them(tmp_path, edits):
     path = tmp_path / "g.json"
     path.write_bytes(bytes(data))
     _assert_loads_as_json_does(path)
+
+
+# ---------------------------------------------------------------------------
+# the layout certificate against the write-back certificate it replaced
+
+
+def _ids_by_digits(body, starts, stops):
+    """The digits of each field as an int64, leading zeros allowed."""
+    lengths = stops - starts
+    if lengths.min() < 1 or lengths.max() > graphs_module._ID_DIGITS:
+        return None
+    values = np.zeros(starts.size, dtype=np.int64)
+    for k in range(int(lengths.max())):
+        inside = k < lengths
+        digit = body[np.minimum(starts + k, body.size - 1)].astype(np.int64) - 48
+        if (inside & ((digit < 0) | (digit > 9))).any():
+            return None
+        values = np.where(inside, values * 10 + digit, values)
+    return values
+
+
+def _weights_by_float(body, starts, stops):
+    """float() of each token, any spelling float() takes."""
+    lengths = stops - starts
+    if lengths.min() < 1 or lengths.max() > graphs_module._WEIGHT_CHARS:
+        return None
+    width = int(lengths.max())
+    columns = np.arange(width)
+    tokens = body[np.minimum(starts[:, None] + columns, body.size - 1)]
+    tokens[columns >= lengths[:, None]] = 0
+    distinct, which = np.unique(tokens.view(f"S{width}").ravel(),
+                                return_inverse=True)
+    try:
+        values = np.array([float(token) for token in distinct.tolist()])
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values[which]
+
+
+def _rows_by_separator_counts(body, opens):
+    """The rows' columns, with the commas only counted, not placed."""
+    closes = np.flatnonzero(body == ord("]"))
+    commas = np.flatnonzero(body == ord(","))
+    count = opens.size
+    if closes.size != count or commas.size not in (3 * count - 1, 3 * count):
+        return None
+    first, second = commas[0::3], commas[1::3]
+    tails = _ids_by_digits(body, opens + 1, first)
+    heads = _ids_by_digits(body, first + 2, second)
+    weights = _weights_by_float(body, second + 2, closes)
+    if tails is None or heads is None or weights is None:
+        return None
+    return tails, heads, weights
+
+
+def _canonical_columns_by_write_back(data):
+    """_canonical_columns as it certified a lenient parse by writing the
+    arrays back with _graph_blocks and comparing bytes (reference)."""
+    end = data.rfind(b'], "root": ')
+    if end < len(graphs_module._HEAD) or not data.startswith(graphs_module._HEAD):
+        return None
+    tail = graphs_module._TAIL.fullmatch(data, end)
+    if tail is None:
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, count=end - len(graphs_module._HEAD),
+                         offset=len(graphs_module._HEAD))
+    opens = np.flatnonzero(body == ord("["))
+    count = opens.size
+    if count == 0:
+        return None
+    tails = np.empty(count, dtype=np.int64)
+    heads = np.empty(count, dtype=np.int64)
+    weights = np.empty(count)
+    block = graphs_module._BLOCK_EDGES
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        first = opens[start]
+        last = opens[stop] if stop < count else body.size
+        rows = _rows_by_separator_counts(body[first:last], opens[start:stop] - first)
+        if rows is None:
+            return None
+        tails[start:stop], heads[start:stop], weights[start:stop] = rows
+    vertex_count, root = int(tail[2]), int(tail[1])
+    at = 0
+    for piece in graphs_module._graph_blocks(vertex_count, root, tails, heads, weights):
+        if not data.startswith(piece, at):
+            return None
+        at += len(piece)
+    if at != len(data):
+        return None
+    return vertex_count, tails, heads, weights, root
+
+
+def _assert_same_columns(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got[0] == want[0] and got[4] == want[4]
+    assert all(type(g) is int for g in (got[0], got[4]))
+    for g, w in zip(got[1:4], want[1:4]):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def _path_of_600_decades():
+    """A path of 13 edges whose weights run from 1e-300 to 1e300."""
+    return build_radial_model([1] * 14, np.geomspace(1e-300, 1e300, 13) / 3.0)
+
+
+_FUZZ_GRAPHS = {
+    "lattice-2-5": lambda: build_lattice(2, 5),
+    "tree-2-4": lambda: build_tree(2, 4),
+    "radial-1e-300": lambda: build_radial_model([1, 3, 9, 27], [1.0, 0.5, 1e-300]),
+    "path-600-decades": _path_of_600_decades,
+}
+_FUZZ_BYTES = np.frombuffer(b'0123456789[],. -+e_"xInfaN:E\n', dtype=np.uint8)
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])
+@pytest.mark.parametrize("name", list(_FUZZ_GRAPHS))
+def test_layout_certificate_is_the_write_back(monkeypatch, name, block):
+    """1-3 random byte edits (replace, insert, delete) of a canonical file:
+    both certificates give None, or the same counts and the same arrays."""
+    if block is not None:
+        monkeypatch.setattr(graphs_module, "_BLOCK_EDGES", block)
+    graph = _FUZZ_GRAPHS[name]()
+    canonical = b"".join(graphs_module._graph_blocks(
+        graph.vertex_count, graph.root, graph.edge_tails, graph.edge_heads,
+        graph.edge_weights))
+    want = _canonical_columns_by_write_back(canonical)
+    assert want is not None
+    _assert_same_columns(graphs_module._canonical_columns(canonical), want)
+    rng = np.random.default_rng([list(_FUZZ_GRAPHS).index(name), block or 0])
+    accepted = 0
+    for _ in range(400):
+        data = bytearray(canonical)
+        for _ in range(rng.integers(1, 4)):
+            at = int(rng.integers(len(data)))
+            kind = rng.integers(3)
+            if kind == 0:
+                data[at] = rng.choice(_FUZZ_BYTES)
+            elif kind == 1:
+                data.insert(at, rng.choice(_FUZZ_BYTES))
+            else:
+                del data[at]
+        data = bytes(data)
+        want = _canonical_columns_by_write_back(data)
+        _assert_same_columns(graphs_module._canonical_columns(data), want)
+        accepted += want is not None
+    assert accepted > 0  # some edits keep the layout: ids and weights
 
 
 # ---------------------------------------------------------------------------
@@ -1083,6 +1248,7 @@ _BLOCK_EDITS = {
     "block-2-first-row-digit": ("first-row", -1, b"x"),
     "separator-space": ("boundary", -1, b"\n"),
     "separator-comma": ("boundary", -2, b" "),
+    "block-2-first-row-leading-zero": ("boundary", 1, b"0"),
     "tail-space": ("tail", len(b'], "root":'), b"\n"),
     "tail-brace": ("end", -2, b"]"),
 }
