@@ -25,10 +25,8 @@ from .green import (LOOKS_NON_PARABOLIC, LOOKS_PARABOLIC, GreenFunction,
                     parabolicity_probe, sandwich_upper_bound, solve_green)
 from .operators import (ExponentParams, as_values, p_energy, p_laplacian_all,
                         phi_p, save_vertex_function)
-from .verify import (IDENTICALLY_ZERO, STRICTLY_POSITIVE, SuiteReport,
-                     hardy_check, hardy_suite, picone_check, picone_suite,
-                     positivity_propagation, positivity_suite, run_suites,
-                     sandwich_suite, shoot_radial_supersolution)
+from .verify import (SuiteReport, run_suites, sandwich_suite,
+                     shoot_radial_supersolution)
 
 __version__ = "0.1.0"
 
@@ -36,21 +34,20 @@ __all__ = [
     "BallAnalysis", "BallProfile", "ChainReport", "CheckRecord",
     "ConsistencyError", "CONVERGES", "DIVERGES", "DyadicReport",
     "ExponentParams", "GraphFormatError", "GraphValidationError",
-    "GreenFunction", "IDENTICALLY_ZERO", "INCONCLUSIVE", "LOOKS_NON_PARABOLIC",
+    "GreenFunction", "INCONCLUSIVE", "LOOKS_NON_PARABOLIC",
     "LOOKS_PARABOLIC", "MidrangeRow", "MinimizeReport", "PathMeasure",
     "PotentialError", "ProbeReport", "ResourceLimitError", "SeriesReport",
-    "SolveOptions", "SolverError", "StageReport", "STRICTLY_POSITIVE",
+    "SolveOptions", "SolverError", "StageReport",
     "SuiteReport", "TailEstimate", "UnitFlow",
     "VerificationError", "WeightedGraph", "analyze_ball",
     "as_values", "ball_profile", "build_lattice", "build_radial_model",
     "build_tree", "classify", "compute_L", "cut_series_terms",
     "cut_volume_check", "decompose_paths", "dyadic_blocks", "edge_marginals",
     "empirical_lower_bound", "exponent_identity", "extrapolate_cut_tail",
-    "flow_checks", "green_normalization_check", "hardy_check", "hardy_suite",
+    "flow_checks", "green_normalization_check",
     "load_graph", "midrange_cut_bound", "minimize_p_dirichlet", "orient_flow",
     "p_energy", "p_laplacian_all", "parabolicity_probe", "phi_p",
-    "picone_check", "picone_suite", "positivity_propagation",
-    "positivity_suite", "run_suites", "sandwich_suite", "sandwich_upper_bound",
+    "run_suites", "sandwich_suite", "sandwich_upper_bound",
     "save_graph", "save_vertex_function", "shoot_radial_supersolution",
     "solve_green", "volume_series_terms",
 ]

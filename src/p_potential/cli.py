@@ -2,8 +2,8 @@
 
 Subcommands: gen (graph files), green (one Dirichlet solve), flow (the
 lower-bound chain on one ball: orient and decompose the unit current and
-audit the chain), criterion (series reports), verify (the property
-suites, which read no graph file), report (the same chain over a radius
+audit the chain), criterion (series reports), verify (runs the sandwich
+battery, which reads no graph file), report (the same chain over a radius
 ladder, with the probe, the upper bound from one radial shot and the
 series: only what its graph, p and sigma determine).  flow and report
 both run flows.analyze_ball and only serialize its fields; report derives
@@ -27,9 +27,8 @@ horizon is the profile's last n.
 No subcommand writes over its input or over another of its outputs.
 
 Determinism contract: identical argv produce byte-identical output files.
-All JSON is written with sorted keys and no timestamps.  Only verify draws
-at random, every draw from its single --seed; report's files depend on no
-seed.
+All JSON is written with sorted keys and no timestamps.  Nothing draws at
+random; report's --seed is read and ignored.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from .graphs import (BallProfile, _text_rows, ball_profile, build_lattice,
 from .green import (green_normalization_check, parabolicity_probe,
                     sandwich_upper_bound, solve_green)
 from .operators import ExponentParams, save_vertex_function
-from .verify import check_trials, run_suites, shoot_radial_supersolution
+from .verify import run_suites, shoot_radial_supersolution
 
 REPORT_CSV_COLUMNS = ("R", "g_center", "residual", "capacity_center", "L",
                       "lower_bound", "upper_bound", "path_count",
@@ -357,10 +356,7 @@ def _cmd_criterion(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    check_trials(args.trials)
-    if args.seed < 0:
-        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-    reports = run_suites(args.suite, trials=args.trials, seed=args.seed)
+    reports = run_suites()
     payload = {
         "suites": [asdict(rep) for rep in reports],
         "ok": all(rep.ok for rep in reports),
@@ -484,12 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            dest="out_prefix")
     criterion.set_defaults(func=_cmd_criterion)
 
-    verify = sub.add_parser("verify", help="run property suites")
-    verify.add_argument("--suite", default="all",
-                        choices=["picone", "hardy", "positivity", "sandwich",
-                                 "all"])
-    verify.add_argument("--trials", type=int, default=100_000)
-    verify.add_argument("--seed", type=int, default=0)
+    verify = sub.add_parser("verify", help="run the sandwich battery")
     verify.set_defaults(func=_cmd_verify)
 
     report = sub.add_parser(

@@ -77,6 +77,8 @@ def volume_series_terms(W, params: ExponentParams) -> np.ndarray:
     """t_n = n^(p*sigma/(p-1)-1) / W_n^(eta/r) for n = 1..len(W)-1.
 
     W is indexed by radius; W[0] is ignored (the series starts at n = 1).
+    W_n = mu(B(o, n)) never decreases, so a step down raises ValueError
+    naming its n, as dyadic_blocks does for M; equal steps are allowed.
     Through _power_quotient, a term reads 0.0 only where its true value is
     below the smallest double.
     """
@@ -86,6 +88,11 @@ def volume_series_terms(W, params: ExponentParams) -> np.ndarray:
     body = W[1:]
     if np.any(body <= 0.0) or not np.all(np.isfinite(body)):
         raise ValueError("volumes W_n must be positive and finite for n >= 1")
+    down = np.flatnonzero(np.diff(body) < 0.0)
+    if down.size:
+        n = int(down[0]) + 2
+        raise ValueError(f"volumes W_n must be nondecreasing: W_{n} = "
+                         f"{float(W[n])!r} < W_{n - 1} = {float(W[n - 1])!r}")
     n = np.arange(1, W.size, dtype=np.float64)
     return _power_quotient(n, params.growth_exponent, body,
                            params.eta / params.r)

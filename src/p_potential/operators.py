@@ -155,12 +155,6 @@ def p_energy(graph: WeightedGraph, f, p: float) -> float:
     return float(np.dot(graph.edge_weights, np.abs(drops) ** p))
 
 
-def defect_tolerance(u_sup: float, p: float) -> float:
-    """Absolute tolerance for -lap_p u >= 0 at a zero of u: 1e-10 scaled
-    by max(1, ||u||_inf ^ (p-1)), so never below 1e-10."""
-    return 1e-10 * max(1.0, float(u_sup) ** (p - 1.0))
-
-
 def _interior_mask(graph: WeightedGraph, interior) -> np.ndarray:
     """interior as a boolean vertex mask (every vertex when None), or ValueError."""
     if interior is None:

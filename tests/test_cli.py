@@ -28,6 +28,7 @@ from p_potential import cli, verify
 from p_potential.cli import main
 from p_potential.flows import PathMeasure
 from p_potential.operators import ExponentParams
+import _lemmas
 from test_irregular_growth import _family_graph
 
 CHAIN_ROW_KEYS = {"name", "lower", "upper", "margin", "ok"}
@@ -191,13 +192,24 @@ def test_the_pole_and_the_horizon_are_not_options(workdir, capsys, argv):
 
 
 def test_verify_prints_suites(workdir, capsys):
-    code, out, _ = run(["verify", "--suite", "hardy", "--trials", "300",
-                        "--seed", "4"], capsys)
+    code, out, _ = run(["verify"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True
-    assert [s["name"] for s in payload["suites"]] == ["hardy"]
-    assert payload["suites"][0]["trials"] == 300
+    [suite] = payload["suites"]
+    assert (suite["name"], suite["trials"]) == ("sandwich", 6)
+
+
+@pytest.mark.parametrize("option", [["--suite", "sandwich"], ["--trials", "10"],
+                                    ["--seed", "0"]],
+                         ids=["suite", "trials", "seed"])
+def test_verify_takes_no_options(workdir, capsys, option):
+    # nothing in the program draws at random, so verify has no seed, trial
+    # count or suite to choose
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _strict_json(text):
@@ -211,9 +223,14 @@ def _strict_json(text):
     ("picone", "1", {"trials": 1, "worst_margin": None}),
     ("positivity", "1", {"trials": 19, "worst_margin": None}),
 ])
-def test_verify_writes_no_margin_as_null(workdir, capsys, suite, trials,
-                                         expected):
-    code, out, _ = run(["verify", "--suite", suite, "--trials", trials], capsys)
+def test_verify_writes_no_margin_as_null(workdir, capsys, monkeypatch, suite,
+                                         trials, expected):
+    # the lemma batteries, whose reports have no margin, are test helpers
+    # now; verify's writer prints them in place of the sandwich
+    batteries = {"picone": lambda: _lemmas.picone_suite(int(trials), seed=0),
+                 "positivity": _lemmas.positivity_suite}
+    monkeypatch.setattr(cli, "run_suites", lambda: [batteries[suite]()])
+    code, out, _ = run(["verify"], capsys)
     assert code == 0
     [report] = _strict_json(out)["suites"]
     assert {key: report[key] for key in expected} == expected
@@ -631,18 +648,11 @@ PROFILE_ARGV = ["criterion", "--profile", "bad.csv", "--p", "2", "--sigma", "3"]
      "bad.csv: line 3: row ['2', 'x'] is malformed"),
     (PROFILE_ARGV, _write("bad.csv", "n,W\n1,4\n2,9\n2,9\n"), "ValueError",
      "bad.csv: line 4: row ['2', '9'] repeats n = 2"),
-    (["verify", "--suite", "picone", "--trials", "0"], None, "ValueError",
-     "trials must be at least 1, got 0"),
-    (["verify", "--suite", "hardy", "--trials", "-3"], None, "ValueError",
-     "trials must be at least 1, got -3"),
-    (["verify", "--suite", "positivity", "--trials", "0"], None, "ValueError",
-     "trials must be at least 1, got 0"),
-    (["verify", "--suite", "picone", "--trials", "10", "--seed", "-1"], None,
-     "ValueError", "--seed must be nonnegative, got -1"),
+    (PROFILE_ARGV, _write("bad.csv", "n,W\n1,4\n2,3\n3,9\n"), "ValueError",
+     "volumes W_n must be nondecreasing: W_2 = 3.0 < W_1 = 4.0"),
 ], ids=["bad-radius-list", "radius-above-R_max", "missing-graph",
         "malformed-profile", "short-profile-row", "unparsed-profile-row",
-        "repeated-profile-n", "verify-zero-trials", "verify-negative-trials",
-        "verify-positivity-zero-trials", "verify-negative-seed"])
+        "repeated-profile-n", "decreasing-profile"])
 def test_errors_exit_1_with_json_on_stderr(workdir, capsys, argv, prepare,
                                            error, message):
     if prepare is not None:
@@ -886,7 +896,7 @@ def test_every_payload_reaches_the_dump_as_plain_values(workdir, capsys,
              "--out-prefix", "c"],
             ["criterion", "--profile", "W.csv", "--p", "2", "--sigma", "3",
              "--out-prefix", "w"],
-            ["verify", "--trials", "300", "--seed", "2"],
+            ["verify"],
             ["report", "--graph", "square.json", "--p", "3", "--sigma", "4",
              "--R", "2,3", "--out-prefix", "r"]):
         assert main(argv) == 0, argv

@@ -1,5 +1,7 @@
 """Series terms, dyadic comparisons, and the divergence classifier."""
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -50,6 +52,13 @@ def test_volume_terms_validation():
         volume_series_terms([1.0, 0.0], P23)
     with pytest.raises(ValueError):
         volume_series_terms([1.0, np.inf], P23)
+    # W_n = mu(B(o, n)) never decreases: the first step down is named, an
+    # equal step is allowed, and W_0 is ignored like the rest of the series
+    message = "volumes W_n must be nondecreasing: W_3 = 4.0 < W_2 = 9.0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        volume_series_terms([1.0, 4.0, 9.0, 4.0, 2.0], P23)
+    flat = volume_series_terms([99.0, 4.0, 4.0, 9.0], P23)
+    assert flat.shape == (3,) and np.all(flat > 0.0)
 
 
 def test_cut_terms_constant_conductance():

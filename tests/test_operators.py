@@ -22,8 +22,9 @@ from p_potential import (
     solve_green,
     WeightedGraph,
 )
-from p_potential.operators import (_vertex_function_bytes, defect_tolerance,
+from p_potential.operators import (_vertex_function_bytes,
                                   supersolution_shortfall)
+from _lemmas import defect_tolerance
 from test_graphs import SUM_GRAPHS
 
 

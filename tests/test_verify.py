@@ -1,6 +1,8 @@
 """Zero propagation, radial shooting and the supersolution bound that
 judges it, the sandwich suite, the two scalar checks the random suites
-sample, and the random suites against those checks."""
+sample, and the random suites against those checks.  The lemma batteries
+(Picone, Hardy, positivity) live in the test helper _lemmas; the program
+keeps only the shot and the sandwich."""
 
 import copy
 import dataclasses
@@ -15,9 +17,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _lemmas
+from _lemmas import (IDENTICALLY_ZERO, STRICTLY_POSITIVE, defect_tolerance,
+                     hardy_check, hardy_suite, picone_check, picone_suite,
+                     positivity_propagation, positivity_suite)
 from p_potential import (
-    IDENTICALLY_ZERO,
-    STRICTLY_POSITIVE,
     ExponentParams,
     VerificationError,
     WeightedGraph,
@@ -27,17 +31,15 @@ from p_potential import (
     build_tree,
     compute_L,
     p_laplacian_all,
-    positivity_propagation,
     sandwich_upper_bound,
     solve_green,
 )
 from p_potential import verify
 from p_potential.errors import SolverError
 from p_potential.operators import (_interior_mask, as_values,
-                                   defect_tolerance, supersolution_shortfall)
-from p_potential.verify import (hardy_check, hardy_suite, picone_check,
-                                picone_suite, positivity_suite, run_suites,
-                                sandwich_suite, shoot_radial_supersolution)
+                                   supersolution_shortfall)
+from p_potential.verify import (run_suites, sandwich_suite,
+                                shoot_radial_supersolution)
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +736,7 @@ def test_positivity_suite_details_every_case():
 def test_positivity_suite_counts_every_wrong_verdict(monkeypatch):
     # a harness that calls everything strictly positive misses the three
     # zero functions and accepts the zero beside a positive value
-    monkeypatch.setattr(verify, "positivity_propagation",
+    monkeypatch.setattr(_lemmas, "positivity_propagation",
                         lambda *args, **kwargs: STRICTLY_POSITIVE)
     report = positivity_suite()
     assert (report.trials, report.violations, report.ok) == (19, 4, False)
@@ -752,7 +754,7 @@ def test_positivity_suite_rejects_with_the_witness(monkeypatch):
             raised.append(exc)
             raise
 
-    monkeypatch.setattr(verify, "positivity_propagation", recording)
+    monkeypatch.setattr(_lemmas, "positivity_propagation", recording)
     assert positivity_suite().ok
     [error] = raised
     assert type(error) is VerificationError
@@ -770,22 +772,9 @@ def test_positivity_suite_does_not_read_a_value_error_as_a_rejection(
             raise ValueError("superharmonicity fails")
         return IDENTICALLY_ZERO
 
-    monkeypatch.setattr(verify, "positivity_propagation", refuse)
+    monkeypatch.setattr(_lemmas, "positivity_propagation", refuse)
     with pytest.raises(ValueError, match="superharmonicity fails"):
         positivity_suite()
-
-
-def test_run_suites_seeds_only_the_random_suites(monkeypatch):
-    calls = []
-    for name in ("picone", "hardy", "positivity", "sandwich"):
-        monkeypatch.setattr(verify, f"{name}_suite",
-                            lambda *args, name=name, **kwargs: calls.append(
-                                (name, args, kwargs)) or name)
-    assert run_suites("all", trials=7, seed=3) == [
-        "picone", "hardy", "positivity", "sandwich"]
-    assert calls == [("picone", (), {"trials": 7, "seed": 3}),
-                     ("hardy", (), {"trials": 7, "seed": 3}),
-                     ("positivity", (), {}), ("sandwich", (), {})]
 
 
 def test_suite_report_stores_an_inf_margin_as_none():
@@ -795,11 +784,35 @@ def test_suite_report_stores_an_inf_margin_as_none():
     assert picone_suite(trials=1, seed=0).worst_margin is None
 
 
-def test_run_suites_runs_one_suite_by_name():
-    [report] = run_suites("hardy", trials=10, seed=3)
-    assert report == hardy_suite(trials=10, seed=3)
-    with pytest.raises(ValueError, match="unknown suite 'nope'"):
-        run_suites("nope", trials=10, seed=0)
+def test_run_suites_is_the_sandwich_suite(monkeypatch):
+    monkeypatch.setattr(verify, "sandwich_suite", lambda: "sandwich")
+    assert run_suites() == ["sandwich"]
+
+
+# each battery's (trials, violations, worst_margin) as the program's verify
+# subcommand reported it before the lemma batteries left the program: at
+# its default --trials 100000 --seed 0, the Picone battery also at its own
+# default of a million draws and at one draw
+BATTERY_RESULTS = {
+    "picone-1000000": (picone_suite, (1_000_000, 0, 8.335377001888793e-08)),
+    "picone-100000": (lambda: picone_suite(100_000, 0),
+                      (100_000, 0, 2.4149531722642765e-06)),
+    "picone-1": (lambda: picone_suite(1, 0), (1, 0, None)),
+    "hardy-100000": (lambda: hardy_suite(100_000, 0),
+                     (100_000, 0, 0.5014367391889815)),
+    "positivity": (positivity_suite, (19, 0, None)),
+    "sandwich": (sandwich_suite, (6, 0, 0.28434726271460964)),
+}
+
+
+@pytest.mark.parametrize("case", BATTERY_RESULTS)
+def test_batteries_keep_their_results(case):
+    run, expected = BATTERY_RESULTS[case]
+    report = run()
+    assert report.ok
+    got = (report.trials, report.violations, report.worst_margin)
+    # repr tells a float from an equal-valued neighbour and None from 0.0
+    assert repr(got) == repr(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +885,7 @@ def test_picone_near_tie_margin_is_the_exact_one():
     assert rhs - lhs == pytest.approx(float(exact_rhs - exact_lhs), rel=1e-2)
     # the block evaluation takes the same gaps, and its relative margin is
     # the exact one, not a violation
-    worst, violations = verify._picone_block(
+    worst, violations = _lemmas._picone_block(
         *(np.array([v]) for v in (p, sigma, a, b, s, t)))
     assert violations == 0
     assert worst == pytest.approx(exact_margin, rel=1e-6)
@@ -884,7 +897,7 @@ def test_picone_near_tie_margin_is_the_exact_one():
     (2.0, 1.0, 3.0), (3.0, 0.0, 2.0), (0.0, 3.0, 2.0), (5.0, 5.0, 2.0),
 ])
 def test_power_gap_matches_mpmath(s, t, x):
-    gap = float(verify._power_gap(s, t, x))
+    gap = float(_lemmas._power_gap(s, t, x))
     with mpmath.workdps(60):
         exact = mpmath.mpf(s) ** mpmath.mpf(x) - mpmath.mpf(t) ** mpmath.mpf(x)
         assert abs(gap - exact) <= 4e-16 * abs(exact)
@@ -952,7 +965,7 @@ def test_hardy_sides_are_hardy_check_bitwise():
     checks = []
     for n, block in blocks.items():
         lhs_check, rhs_check = _hardy_check_each(block, r[lengths == n])
-        lhs, rhs = verify._hardy_sides(block, r[lengths == n])
+        lhs, rhs = _lemmas._hardy_sides(block, r[lengths == n])
         assert lhs.tobytes() == lhs_check.tobytes()
         assert rhs.tobytes() == rhs_check.tobytes()
         checks.append(rhs_check)
@@ -991,7 +1004,7 @@ def test_hardy_margin_is_relative_when_the_sides_are_below_one(monkeypatch):
     # where the absolute margin lhs - rhs would read the bound as tight
     lhs, rhs = hardy_check(np.array([1e3, 2e3]), 1.0)
     assert rhs < lhs < 1.0
-    monkeypatch.setattr(verify, "_hardy_sides", lambda block, r: (
+    monkeypatch.setattr(_lemmas, "_hardy_sides", lambda block, r: (
         np.full(r.size, lhs), np.full(r.size, rhs)))
     report = hardy_suite(trials=50, seed=0)
     assert report.worst_margin == (lhs - rhs) / lhs
@@ -1049,7 +1062,7 @@ def _picone_draws(rng, n, first=0):
 
 
 def _gap_by_cases(s, t, x):
-    """s^x - t^x as verify._power_gap takes it, one case at a time by
+    """s^x - t^x as _lemmas._power_gap takes it, one case at a time by
     boolean selection: 0 at s = t, s^x at t = 0, -t^x at s = 0, and
     otherwise sign(L) max(s, t)^x (-expm1(-x |L|)) with
     L = log1p((s - t) / t) for t/2 <= s <= 2t and log s - log t beyond."""
@@ -1098,7 +1111,7 @@ def _picone_sides(p, sigma, a, b, s, t):
 
 def _picone_by_chunk(trials, seed, chunk=200_000):
     """picone_suite with its tuples drawn and evaluated chunk at a time:
-    200,000, as it used to, or verify._PICONE_BLOCK, as it does."""
+    200,000, as it used to, or _lemmas._PICONE_BLOCK, as it does."""
     rng = np.random.default_rng(seed)
     worst = np.inf
     violations = 0
@@ -1126,7 +1139,7 @@ def test_picone_tie_violates_unless_both_sides_are_zero():
     a, b = np.array([2.0, 1e300]), np.array([1.0, 0.0])
     s = t = np.array([1.5, 1.5])
     with np.errstate(over="ignore", invalid="ignore"):
-        worst, violations = verify._picone_block(p, sigma, a, b, s, t)
+        worst, violations = _lemmas._picone_block(p, sigma, a, b, s, t)
     assert (worst, violations) == (np.inf, 1)
 
 
@@ -1135,10 +1148,10 @@ def test_picone_margin_is_unchanged_by_scaling_a_and_b():
     relative margin stays put when a and b shrink by 2^-40.  A margin
     scaled by max(1, |lhs|, |rhs|) is absolute below 1 and shrinks too."""
     rng = np.random.default_rng(0)
-    p, sigma, a, b, s, t = _picone_draws(rng, verify._PICONE_BLOCK)
-    worst, violations = verify._picone_block(p, sigma, a, b, s, t)
+    p, sigma, a, b, s, t = _picone_draws(rng, _lemmas._PICONE_BLOCK)
+    worst, violations = _lemmas._picone_block(p, sigma, a, b, s, t)
     small = 2.0 ** -40
-    scaled = verify._picone_block(p, sigma, a * small, b * small, s, t)
+    scaled = _lemmas._picone_block(p, sigma, a * small, b * small, s, t)
     assert scaled[0] == pytest.approx(worst, rel=1e-9, abs=0.0)
     assert violations == scaled[1] == 0
     assert 0.0 < worst < 2.0
@@ -1151,7 +1164,7 @@ def test_picone_margin_skips_tuples_with_both_sides_zero():
     a, b = np.array([0.0, 2.0]), np.array([0.0, 1.0])
     s, t = np.array([2.0, 2.0]), np.array([1.0, 1.0])
     with np.errstate(invalid="raise"):
-        worst, violations = verify._picone_block(p, sigma, a, b, s, t)
+        worst, violations = _lemmas._picone_block(p, sigma, a, b, s, t)
     lhs, rhs = picone_check(2.0, 1.0, 2.0, 1.0, ExponentParams(2.0, 3.0))
     assert violations == 0
     assert worst == (rhs - lhs) / max(abs(lhs), abs(rhs))
@@ -1165,29 +1178,30 @@ def test_picone_suite_equals_the_chunk_evaluation(monkeypatch, trials, seed):
     """Up to one block the draws are those of the 200,000-tuple chunks;
     beyond it, each block is drawn on its own."""
     sizes = []
-    real = verify._picone_block
+    real = _lemmas._picone_block
 
     def recording(p, *rest):
         sizes.append(p.size)
         return real(p, *rest)
 
-    monkeypatch.setattr(verify, "_picone_block", recording)
+    monkeypatch.setattr(_lemmas, "_picone_block", recording)
     if trials is None:
         report = picone_suite(seed=seed)
         trials = 1_000_000
     else:
         report = picone_suite(trials=trials, seed=seed)
-    chunk = 200_000 if trials <= verify._PICONE_BLOCK else verify._PICONE_BLOCK
+    block = _lemmas._PICONE_BLOCK
+    chunk = 200_000 if trials <= block else block
     expected = _picone_by_chunk(trials, seed, chunk)
     assert dataclasses.astuple(report) == dataclasses.astuple(expected)
-    assert sum(sizes) == trials and max(sizes) <= verify._PICONE_BLOCK
+    assert sum(sizes) == trials and max(sizes) <= block
 
 
 def test_picone_suite_peak_is_a_few_blocks():
     trials, seed = 1_000_000, 0
     # in bytes: twenty vectors of one float64 per tuple of a block (the six
     # draws, and the temporaries of _picone_block, each its inputs' size)
-    bound = 8 * 20 * verify._PICONE_BLOCK
+    bound = 8 * 20 * _lemmas._PICONE_BLOCK
     assert _traced_peak(lambda: picone_suite(trials, seed)) <= bound
 
     # tuples drawn 200,000 at a time do not fit
