@@ -19,6 +19,14 @@ start u0, which the ball profile fixes, and as reason the refusal of the
 first refused ladder row, or null.  The shortfall only grows with the
 ball, so that one reason explains every null row.
 
+green solves on the subgraph induced by B_{R+1} (graphs._ball_graph),
+which holds every edge the problem on B_R reads.  While it solves, green
+holds that subgraph, its profile, the host id of each of its vertices and
+the host's root and vertex count, and no other part of the host graph.
+The CSV lifts g back to one value per host vertex, zero outside B_R; its
+bytes and the sidecar's are those of the solve on the host graph.  flow
+and report write host ids from their solves on the whole host graph.
+
 Every ball is centered at the graph file's root, which is also the pole of
 every Green function; another pole is another graph file's root.  criterion
 and report sum the volume series over every n the profile holds, so its
@@ -46,8 +54,9 @@ import numpy as np
 from . import criterion as crit
 from .errors import PotentialError
 from .flows import BallAnalysis, PathMeasure, _path_blocks, analyze_ball
-from .graphs import (BallProfile, _text_rows, ball_profile, build_lattice,
-                     build_radial_model, build_tree, load_graph, save_graph)
+from .graphs import (BallProfile, _ball_graph, _text_rows, ball_profile,
+                     build_lattice, build_radial_model, build_tree,
+                     load_graph, save_graph)
 from .green import (green_normalization_check, parabolicity_probe,
                     sandwich_upper_bound, solve_green)
 from .operators import ExponentParams, save_vertex_function
@@ -203,14 +212,21 @@ def _cmd_green(args) -> int:
     _check_outputs([args.graph], [args.out, sidecar])
     graph = load_graph(args.graph)
     profile = ball_profile(graph)
-    green = solve_green(graph, profile, args.R, args.p)
-    save_vertex_function(green.values, args.out)
+    # the solve reads only edges with an endpoint in B_R, all inside
+    # B_{R+1}, so the host graph goes before it starts
+    ball, host_ids = _ball_graph(graph, profile, args.R)
+    root, vertex_count = graph.root, graph.vertex_count
+    del graph, profile
+    green = solve_green(ball, ball_profile(ball), args.R, args.p)
+    values = np.zeros(vertex_count)
+    values[host_ids] = green.values
+    save_vertex_function(values, args.out)
     stages = green.solver_report.stages
-    value_at_center = float(green.values[graph.root])
+    value_at_center = float(values[root])
     _dump_json(sidecar, {
         "R": green.R,
         "p": green.p,
-        "center": graph.root,
+        "center": root,
         "residual": green.residual,
         "iterations": green.solver_report.total_iterations,
         "eps_schedule": [st.eps for st in stages],
@@ -257,6 +273,9 @@ def _load_profile_csv(path: str) -> np.ndarray:
 
     A row that does not start with an integer n and a number W, or that
     repeats an n, raises ValueError naming the path, the line and the row.
+    A file that starts at n = 0 must have W_0 <= W_1, since W_0 = mu(o)
+    is part of W_1: the series reads no W_0, so it is checked here, in
+    the words of criterion.volume_series_terms' check of the rest.
     """
     volumes = {}
     with open(path, newline="") as fh:
@@ -280,6 +299,9 @@ def _load_profile_csv(path: str) -> np.ndarray:
     ns = sorted(volumes)
     if ns[0] not in (0, 1) or ns != list(range(ns[0], ns[0] + len(ns))):
         raise ValueError(f"{path}: n must be contiguous from 0 or 1")
+    if ns[0] == 0 and len(ns) > 1 and volumes[0] > volumes[1]:
+        raise ValueError(f"volumes W_n must be nondecreasing: W_1 = "
+                         f"{volumes[1]!r} < W_0 = {volumes[0]!r}")
     W = np.empty(ns[-1] + 1)
     W[0] = volumes[ns[0]]  # placeholder when the file starts at n = 1
     W[ns] = [volumes[n] for n in ns]

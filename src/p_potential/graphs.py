@@ -450,6 +450,29 @@ def ball_profile(graph: WeightedGraph) -> BallProfile:
     return BallProfile(graph)
 
 
+def _ball_graph(graph: WeightedGraph, profile: BallProfile, R: int):
+    """The subgraph induced by B_{R+1}, and the host id of each of its
+    vertices, in increasing order; ValueError (the profile's words) for an
+    R outside [0, R_max].
+
+    Its vertex i is host vertex host_ids[i].  The renumbering is monotone,
+    so the edges stay in canonical order, and the root's shortest paths
+    stay inside the ball, so every radius is the host's.  Every edge with
+    an endpoint in B_R lies in the subgraph, so the Dirichlet problem on
+    B_R is the host's; only the measure of the rim S_{R+1} differs.
+    """
+    profile._check_radius(R)
+    inside = profile.radius_of <= R + 1
+    host_ids = np.flatnonzero(inside)
+    new_id = np.cumsum(inside) - 1
+    keep = inside[graph.edge_tails] & inside[graph.edge_heads]
+    ball = WeightedGraph._from_columns(
+        host_ids.size, new_id[graph.edge_tails[keep]],
+        new_id[graph.edge_heads[keep]], graph.edge_weights[keep],
+        root=int(new_id[graph.root]))
+    return ball, host_ids
+
+
 def _check_budget(requested: int, what: str):
     budget = max_vertex_budget()
     if requested > budget:

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import struct
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -23,12 +24,16 @@ from p_potential import (
     load_graph,
     save_graph,
     shoot_radial_supersolution,
+    solve_green,
 )
 from p_potential import cli, verify
+from p_potential import green as green_module
 from p_potential.cli import main
+from p_potential.dirichlet import minimize_p_dirichlet
 from p_potential.flows import PathMeasure
-from p_potential.operators import ExponentParams
+from p_potential.operators import ExponentParams, _vertex_function_bytes
 import _lemmas
+from test_flows import _random_connected_graph
 from test_irregular_growth import _family_graph
 
 CHAIN_ROW_KEYS = {"name", "lower", "upper", "margin", "ok"}
@@ -106,6 +111,87 @@ def test_green_writes_values_and_sidecar(workdir, capsys):
     assert len(lines) == 1 + build_tree(2, 5).vertex_count
 
 
+# green solves on the subgraph induced by B_{R+1}; its files are those of
+# the solve on the whole host graph, at R = 0, 1, R_max - 1 and R_max.
+# lattice(3, 8)'s R_max - 1 and R_max take about 0.1 s a solve at p = 2,
+# 1.1-1.6 s at p = 3 and 12.5 s at p = 1.5, so at p != 2 it runs R = 0 and
+# 1 alone; lattice(3, 4) reaches its corners at every p in about a second.
+BALL_SOLVE_GRAPHS = {
+    "lattice-3-8": lambda: build_lattice(3, 8),
+    "lattice-3-4": lambda: build_lattice(3, 4),
+    "tree-2-8": lambda: build_tree(2, 8),
+    "radial-1-3-9-27": lambda: build_radial_model([1, 3, 9, 27],
+                                                  [1.0, 0.5, 2.0]),
+    **{f"random-{seed}": (lambda seed=seed: _random_connected_graph(
+        np.random.default_rng(seed))) for seed in range(8)},
+}
+
+
+def _ball_solve_radii(name, p, R_max):
+    radii = {0, 1} if name == "lattice-3-8" and p != 2.0 else {
+        0, 1, R_max - 1, R_max}
+    return sorted(radii & set(range(R_max + 1)))
+
+
+def _host_green_files(graph, R, p):
+    """The CSV and sidecar bytes of the solve on the whole host graph: what
+    green wrote before it solved on B_{R+1}."""
+    green = solve_green(graph, ball_profile(graph), R, p)
+    report = green.solver_report
+    sidecar = io.StringIO()
+    cli._print_json({
+        "R": green.R, "p": green.p, "center": graph.root,
+        "residual": green.residual, "iterations": report.total_iterations,
+        "eps_schedule": [stage.eps for stage in report.stages],
+        "stage_iterations": [stage.iterations for stage in report.stages],
+        "energy": report.energy,
+        "value_at_center": float(green.values[graph.root]),
+    }, sidecar)
+    return _vertex_function_bytes(green.values), sidecar.getvalue().encode()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("name", BALL_SOLVE_GRAPHS)
+def test_green_on_the_ball_writes_the_host_solve_bytes(tmp_path, monkeypatch,
+                                                       capsys, name, p):
+    monkeypatch.chdir(tmp_path)
+    graph = BALL_SOLVE_GRAPHS[name]()
+    save_graph(graph, "host.json")
+    R_max = ball_profile(graph).R_max
+    for R in _ball_solve_radii(name, p, R_max):
+        code, _, _ = run(["green", "--graph", "host.json", "--R", str(R),
+                          "--p", str(p), "--out", "g.csv"], capsys)
+        assert code == 0
+        csv_bytes, sidecar_bytes = _host_green_files(graph, R, p)
+        assert Path("g.csv").read_bytes() == csv_bytes, R
+        assert Path("g.json").read_bytes() == sidecar_bytes, R
+
+
+def test_green_lets_the_host_graph_go_before_it_solves(workdir, capsys,
+                                                      monkeypatch):
+    # a live graph holds its five arrays, and its profile holds radius_of,
+    # so all five arrays dead means the host graph and its profile are gone
+    hosts, alive = [], []
+
+    def load(path):
+        graph = load_graph(path)
+        hosts.extend(weakref.ref(getattr(graph, name)) for name in (
+            "edge_tails", "edge_heads", "edge_weights", "vertex_measure",
+            "radius_of"))
+        return graph
+
+    def minimize(*args, **kwargs):
+        alive.append([ref() is not None for ref in hosts])
+        return minimize_p_dirichlet(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_graph", load)
+    monkeypatch.setattr(green_module, "minimize_p_dirichlet", minimize)
+    code, _, _ = run(["green", "--graph", "tree.json", "--R", "3", "--p", "3",
+                      "--out", "g.csv"], capsys)
+    assert code == 0
+    assert alive == [[False] * 5]
+
+
 def test_flow_writes_paths_and_audited_report(workdir, capsys):
     code, out, _ = run(["flow", "--graph", "tree.json", "--R", "3",
                         "--p", "2", "--sigma", "3", "--out-prefix", "f"],
@@ -157,6 +243,19 @@ def test_criterion_from_profile_csv(workdir, capsys):
     assert payload["horizon"] == 79
     for key in ("cut_series", "dyadic", "cut_volume_margin", "midrange"):
         assert payload[key] is None
+
+
+@pytest.mark.parametrize("rows", ["0,4\n1,4\n2,5\n3,9\n", "1,4\n2,4\n3,9\n"],
+                         ids=["W0-equals-W1", "from-n-1"])
+def test_criterion_profile_may_take_an_equal_step(workdir, capsys, rows):
+    # only a decrease is refused: an equal step passes at n = 1, W_1 = W_0,
+    # as volume_series_terms lets it pass at every n >= 2
+    with open("W.csv", "w", encoding="utf-8") as fh:
+        fh.write("n,W\n" + rows)
+    code, _, _ = run(["criterion", "--profile", "W.csv", "--p", "2",
+                      "--sigma", "3", "--out-prefix", "c"], capsys)
+    assert code == 0
+    assert read_json("c.json")["horizon"] == 3
 
 
 def test_criterion_sums_over_the_whole_profile(workdir, capsys):
@@ -650,9 +749,18 @@ PROFILE_ARGV = ["criterion", "--profile", "bad.csv", "--p", "2", "--sigma", "3"]
      "bad.csv: line 4: row ['2', '9'] repeats n = 2"),
     (PROFILE_ARGV, _write("bad.csv", "n,W\n1,4\n2,3\n3,9\n"), "ValueError",
      "volumes W_n must be nondecreasing: W_2 = 3.0 < W_1 = 4.0"),
+    (PROFILE_ARGV, _write("bad.csv", "n,W\n0,9\n1,4\n2,5\n3,9\n"),
+     "ValueError", "volumes W_n must be nondecreasing: W_1 = 4.0 < W_0 = 9.0"),
+    # green checks R against the host profile before it builds B_{R+1}
+    (["green", "--graph", "tree.json", "--R", "5", "--p", "2", "--out",
+      "g.csv"], None, "ValueError", "radius 5 exceeds R_max = 4"),
+    (["green", "--graph", "tree.json", "--R", "-1", "--p", "2", "--out",
+      "g.csv"], None, "ValueError",
+     "radius must be a nonnegative integer, got -1"),
 ], ids=["bad-radius-list", "radius-above-R_max", "missing-graph",
         "malformed-profile", "short-profile-row", "unparsed-profile-row",
-        "repeated-profile-n", "decreasing-profile"])
+        "repeated-profile-n", "decreasing-profile", "profile-W0-above-W1",
+        "green-radius-above-R_max", "green-negative-radius"])
 def test_errors_exit_1_with_json_on_stderr(workdir, capsys, argv, prepare,
                                            error, message):
     if prepare is not None:

@@ -1,6 +1,7 @@
-"""The float Green solve against the exact p = 2 oracle of _exact, and the
-identities the exact unit current satisfies on four balls: it never steps
-inward in hop radius, and every cut edge carries it."""
+"""The float Green solve against the exact p = 2 oracle of _exact, the
+identities the exact unit current satisfies on four balls (it never steps
+inward in hop radius, and every cut edge carries it), and the chain's L_R
+and cut-series lower bound against their exact values."""
 
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from _exact import green_exact
-from p_potential import ball_profile, build_lattice, build_tree, solve_green
+from p_potential import (ExponentParams, analyze_ball, ball_profile,
+                         build_lattice, build_tree, solve_green)
 
 # (graph, R, exact g_R(o)); on the tree g_R(o) is the Nash-Williams sum
 # sum_{k <= 4} 2^-(k + 1) = 31/32
@@ -69,3 +71,43 @@ def test_exact_current_steps_outward_across_every_cut_edge(ball):
             if drop > 0:
                 retained[radius[x]] += Fraction(w)
     assert retained == [Fraction(b) for b in profile.b[:R + 1].tolist()]
+
+
+def _exact_L_and_rhs(graph, R, exact, sigma):
+    """L_R = sum_{B_R} g^sigma mu and the cut-series lower bound
+    c sum_{n=1}^R n^r (sum_{k=n}^R b_k^(-1/r))^eta at p = 2, exactly: there
+    r = 1, eta = sigma - 1 and c = 2^-p (eta/r)^r = eta/4, so with an
+    integer sigma both are rational.  mu and b_k are exact sums of the
+    weights."""
+    mu = {x: Fraction(0) for x in exact}
+    b = [Fraction(0)] * (R + 1)
+    radius = ball_profile(graph).radius_of.tolist()
+    for x, y, w in zip(graph.edge_tails.tolist(), graph.edge_heads.tolist(),
+                       graph.edge_weights.tolist()):
+        for v in (x, y):
+            if v in mu:
+                mu[v] += Fraction(w)
+        k = min(radius[x], radius[y])
+        if radius[x] != radius[y] and k <= R:
+            b[k] += Fraction(w)
+    eta = sigma - 1
+    L = sum(g ** sigma * mu[x] for x, g in exact.items())
+    rhs = sum(Fraction(eta, 4) * n * sum(1 / b_k for b_k in b[n:]) ** eta
+              for n in range(1, R + 1))
+    return L, rhs
+
+
+@pytest.mark.parametrize("sigma", [2, 3, 5])
+def test_chain_L_and_lower_bound_are_within_the_bound(ball, sigma):
+    # bench/outputs.py's tolerance, r |B_R| max(1, sigma) / (p - 1) + 64
+    # eps relative, with an exact reference (no defect of its own): a
+    # defect of r moves g by at most r |B_R| relative (above), and L, a sum
+    # of g^sigma, by sigma times that.  The lower bound reads only b.
+    graph, profile, R, _, exact = ball
+    analysis = analyze_ball(graph, profile, R, ExponentParams(2.0, sigma))
+    tol = Fraction(analysis.green.residual * len(exact) * max(1, sigma)
+                   + 64 * np.finfo(np.float64).eps)
+    L, rhs = _exact_L_and_rhs(graph, R, exact, sigma)
+    assert 0 < rhs < L
+    for value, want in ((analysis.chain.L, L), (analysis.chain.rhs, rhs)):
+        assert abs(Fraction(value) - want) <= tol * want

@@ -306,6 +306,32 @@ def test_ball_mask_and_radius_validation():
         prof.ball_mask(-1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: build_lattice(2, 3),
+    lambda: build_tree(2, 4),
+    lambda: WeightedGraph(6, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0),
+                              (3, 4, 0.5), (0, 4, 3.0), (4, 5, 1.5)], root=2),
+], ids=["lattice-2-3", "tree-2-4", "cycle-with-tail"])
+def test_ball_graph_is_the_subgraph_induced_by_the_next_ball(make):
+    graph = make()
+    profile = ball_profile(graph)
+    radius = profile.radius_of
+    for R in range(profile.R_max + 1):
+        ball, host_ids = graphs_module._ball_graph(graph, profile, R)
+        assert host_ids.tolist() == np.flatnonzero(radius <= R + 1).tolist()
+        assert ball.root == host_ids.tolist().index(graph.root)
+        assert ball.radius_of.tolist() == radius[host_ids].tolist()
+        assert ball_profile(ball).R_max == R
+        induced = [(u, v, w) for u, v, w in graph.edges
+                   if radius[u] <= R + 1 and radius[v] <= R + 1]
+        assert [(int(host_ids[u]), int(host_ids[v]), w)
+                for u, v, w in ball.edges] == induced
+    for R, message in ((profile.R_max + 1, "exceeds R_max"),
+                       (-1, "nonnegative integer")):
+        with pytest.raises(ValueError, match=message):
+            graphs_module._ball_graph(graph, profile, R)
+
+
 def test_profile_arrays_read_only():
     prof = ball_profile(build_tree(2, 2))
     for arr in (prof.W, prof.b, prof.M, prof.radius_of):
