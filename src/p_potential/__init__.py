@@ -22,11 +22,11 @@ from .graphs import (BallProfile, WeightedGraph, ball_profile, build_lattice,
                      build_radial_model, build_tree, load_graph, save_graph)
 from .green import (LOOKS_NON_PARABOLIC, LOOKS_PARABOLIC, GreenFunction,
                     ProbeReport, compute_L, green_normalization_check,
-                    parabolicity_probe, sandwich_upper_bound, solve_green)
+                    parabolicity_probe, sandwich_upper_bound,
+                    shoot_radial_supersolution, solve_green)
 from .operators import (ExponentParams, as_values, p_energy, p_laplacian_all,
                         phi_p, save_vertex_function)
-from .verify import (SuiteReport, run_suites, sandwich_suite,
-                     shoot_radial_supersolution)
+from .verify import SuiteReport, run_suites, sandwich_suite
 
 __version__ = "0.1.0"
 

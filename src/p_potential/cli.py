@@ -19,6 +19,10 @@ start u0, which the ball profile fixes, and as reason the refusal of the
 first refused ladder row, or null.  The shortfall only grows with the
 ball, so that one reason explains every null row.
 
+report's ladder holds distinct radii in [0, R_max] (graphs._check_radius,
+the check every ball reads), in any order, and its rows keep that order;
+the probe runs only on three or more increasing radii, and is null else.
+
 green solves on the subgraph induced by B_{R+1} (graphs._ball_graph),
 which holds every edge the problem on B_R reads.  While it solves, green
 holds that subgraph, its profile, the host id of each of its vertices and
@@ -54,13 +58,14 @@ import numpy as np
 from . import criterion as crit
 from .errors import PotentialError
 from .flows import BallAnalysis, PathMeasure, _path_blocks, analyze_ball
-from .graphs import (BallProfile, _ball_graph, _text_rows, ball_profile,
-                     build_lattice, build_radial_model, build_tree,
-                     load_graph, save_graph)
+from .graphs import (BallProfile, _ball_graph, _check_radius, _text_rows,
+                     ball_profile, build_lattice, build_radial_model,
+                     build_tree, load_graph, save_graph)
 from .green import (green_normalization_check, parabolicity_probe,
-                    sandwich_upper_bound, solve_green)
+                    sandwich_upper_bound, shoot_radial_supersolution,
+                    solve_green)
 from .operators import ExponentParams, save_vertex_function
-from .verify import run_suites, shoot_radial_supersolution
+from .verify import run_suites
 
 REPORT_CSV_COLUMNS = ("R", "g_center", "residual", "capacity_center", "L",
                       "lower_bound", "upper_bound", "path_count",
@@ -211,12 +216,11 @@ def _cmd_green(args) -> int:
     sidecar = os.path.splitext(args.out)[0] + ".json"
     _check_outputs([args.graph], [args.out, sidecar])
     graph = load_graph(args.graph)
-    profile = ball_profile(graph)
     # the solve reads only edges with an endpoint in B_R, all inside
     # B_{R+1}, so the host graph goes before it starts
-    ball, host_ids = _ball_graph(graph, profile, args.R)
+    ball, host_ids = _ball_graph(graph, args.R)
     root, vertex_count = graph.root, graph.vertex_count
-    del graph, profile
+    del graph
     green = solve_green(ball, ball_profile(ball), args.R, args.p)
     values = np.zeros(vertex_count)
     values[host_ids] = green.values
@@ -396,8 +400,10 @@ def _cmd_report(args) -> int:
     profile = ball_profile(graph)
     params = ExponentParams(p=args.p, sigma=args.sigma)
     radii = _parse_list(args.R, int, "integer")
-    if any(R < 0 or R > profile.R_max for R in radii):
-        raise ValueError(f"radii must lie in [0, {profile.R_max}]")
+    for R in radii:
+        _check_radius(R, profile.R_max)
+        if radii.count(R) > 1:
+            raise ValueError(f"radius {R} repeats in the ladder")
 
     shot = shoot_radial_supersolution(graph, params, profile)
     refusal = None
@@ -423,7 +429,7 @@ def _cmd_report(args) -> int:
         })
 
     probe = None
-    if len(radii) >= 3 and all(b > a for a, b in zip(radii, radii[1:])):
+    if len(radii) >= 3 and radii == sorted(radii):
         probe = asdict(parabolicity_probe(
             radii, [row["g_center"] for row in ladder], profile.b, params))
 

@@ -430,14 +430,8 @@ class BallProfile:
 
     def ball_mask(self, R: int) -> np.ndarray:
         """Boolean mask of the closed ball B_R."""
-        self._check_radius(R)
+        _check_radius(R, self.R_max)
         return self.radius_of <= R
-
-    def _check_radius(self, R: int):
-        if not _integer_type(type(R)) or R < 0:
-            raise ValueError(f"radius must be a nonnegative integer, got {R!r}")
-        if R > self.R_max:
-            raise ValueError(f"radius {R} exceeds R_max = {self.R_max}")
 
     def __repr__(self):
         return (f"BallProfile(vertices={self.radius_of.size}, "
@@ -450,10 +444,18 @@ def ball_profile(graph: WeightedGraph) -> BallProfile:
     return BallProfile(graph)
 
 
-def _ball_graph(graph: WeightedGraph, profile: BallProfile, R: int):
-    """The subgraph induced by B_{R+1}, and the host id of each of its
-    vertices, in increasing order; ValueError (the profile's words) for an
-    R outside [0, R_max].
+def _check_radius(R, R_max: int) -> None:
+    """The one radius check: ValueError unless R is an integer in [0, R_max]."""
+    if not _integer_type(type(R)) or R < 0:
+        raise ValueError(f"radius must be a nonnegative integer, got {R!r}")
+    if R > R_max:
+        raise ValueError(f"radius {R} exceeds R_max = {R_max}")
+
+
+def _ball_graph(graph: WeightedGraph, R: int):
+    """The subgraph induced by B_{R+1}, read from the graph's radii, and
+    the host id of each of its vertices, in increasing order; ValueError
+    (_check_radius) for an R outside [0, R_max].
 
     Its vertex i is host vertex host_ids[i].  The renumbering is monotone,
     so the edges stay in canonical order, and the root's shortest paths
@@ -461,8 +463,8 @@ def _ball_graph(graph: WeightedGraph, profile: BallProfile, R: int):
     an endpoint in B_R lies in the subgraph, so the Dirichlet problem on
     B_R is the host's; only the measure of the rim S_{R+1} differs.
     """
-    profile._check_radius(R)
-    inside = profile.radius_of <= R + 1
+    _check_radius(R, int(graph.radius_of.max()) - 1)
+    inside = graph.radius_of <= R + 1
     host_ids = np.flatnonzero(inside)
     new_id = np.cumsum(inside) - 1
     keep = inside[graph.edge_tails] & inside[graph.edge_heads]

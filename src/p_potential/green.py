@@ -13,8 +13,8 @@ of another graph file.
 
 Also here: the p-capacity of a set inside B_R, the weighted power sum
 L_R = sum_{B_R} g_R^sigma mu, the supersolution upper bound
-L_R <= (sigma/eta) (g_R(o)/u(o))^eta, and a finite-scale parabolicity
-probe.  The probe reads the Nash-Williams cut bound
+L_R <= (sigma/eta) (g_R(o)/u(o))^eta, the radial shot u it judges, and a
+finite-scale parabolicity probe.  The probe reads the Nash-Williams cut bound
 
     g_R(o) >= NW_R = sum_{k=0}^R b_k^(-1/(p-1)),
 
@@ -33,9 +33,9 @@ import numpy as np
 from .criterion import INCONCLUSIVE, TailEstimate, extrapolate_cut_tail
 from .dirichlet import MinimizeReport, SolveOptions, minimize_p_dirichlet
 from .errors import ConsistencyError, SolverError
-from .graphs import BallProfile, WeightedGraph
-from .operators import (ExponentParams, as_values, p_energy, p_laplacian_all,
-                        supersolution_shortfall)
+from .graphs import BallProfile, WeightedGraph, ball_profile
+from .operators import (ExponentParams, _incident_edges, _net_currents,
+                        as_values, p_energy, supersolution_shortfall)
 
 # Reported residuals never drop below this: at machine-precision convergence
 # the defect evaluation itself carries rounding noise of this order, and
@@ -104,12 +104,12 @@ def green_normalization_check(graph: WeightedGraph,
     Summation by parts gives pairing(g, psi) - psi(o) = sum over B_R
     of defect * psi with defect = mu (-lap_p g) - 1_{o}, so the
     supremum is the l1 norm of that defect on B_R, attained at
-    psi = sign(defect).
+    psi = sign(defect); only the edges that touch B_R enter the sums.
     """
-    ball = green.values != 0.0
-    ball[graph.root] = True  # support of g is exactly B_R
-    defect = -p_laplacian_all(graph, green.values, green.p) \
-        * graph.vertex_measure
+    ball = graph.radius_of <= green.R
+    net = _net_currents(green.values, green.p, *_incident_edges(graph, ball),
+                        graph.vertex_count)
+    defect = -(net / graph.vertex_measure) * graph.vertex_measure
     defect[graph.root] -= 1.0
     return float(np.abs(defect[ball]).sum())
 
@@ -193,6 +193,46 @@ def sandwich_upper_bound(graph: WeightedGraph, profile: BallProfile,
 
     ratio = green.values[graph.root] / u_values[graph.root]
     return (params.sigma / params.eta) * ratio ** params.eta / (1.0 - delta)
+
+
+def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
+                               profile: BallProfile | None = None) -> np.ndarray:
+    """The radial candidate supersolution u = U_k on the sphere S_k, shot
+    outward from u(o) = U_0 = u0 = (2S)^(-r/eta), with
+    S = sum_{k < ecc} (W_k / b_k)^(1/r), as a read-only float64 array of
+    one value per vertex.
+
+    Each radial drop balances the flux across a cut,
+
+        b_k Phi_p(U_k - U_{k+1}) = sum_{j <= k} mu(S_j) U_j^sigma,
+
+    which is equality on the sphere S_k when the graph is spherically
+    symmetric.  On any other graph u misses equality on and past the first
+    sphere that mixes conductance patterns, so its bound there is charged
+    more, or refused.  While U_j <= u0 the flux out of B_k is at most
+    u0^sigma W_k, so the drops sum to at most u0^(sigma/r) S = u0/2, and u
+    stays >= u0/2.  W_0 = b_0 makes S >= 1 and u0 < 1.  S is summed in
+    logarithms, as it can overflow near p = 1 while u0 is a double.
+
+    Nothing here checks u: sandwich_upper_bound certifies it on each ball
+    by its supersolution_shortfall, or refuses it.  A drop lost to
+    rounding leaves u flat, and a u^sigma below the normal doubles is
+    refused there.
+    """
+    if profile is None:
+        profile = ball_profile(graph)
+    sigma, ecc = params.sigma, profile.eccentricity
+    log_s = np.logaddexp.reduce(
+        (np.log(profile.W[:ecc]) - np.log(profile.b)) / params.r)
+    U = np.empty(ecc + 1)
+    U[0] = np.exp(-params.r / params.eta * (np.log(2.0) + log_s))
+    flux = 0.0  # out of the ball B_k
+    for k in range(ecc):
+        flux += profile.sphere_measure[k] * U[k] ** sigma
+        U[k + 1] = U[k] - (flux / profile.b[k]) ** (1.0 / params.r)
+    values = as_values(U[profile.radius_of], graph)
+    values.setflags(write=False)
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,14 @@ def _interior_mask(graph: WeightedGraph, interior) -> np.ndarray:
     return mask
 
 
+def _incident_edges(graph: WeightedGraph, mask: np.ndarray):
+    """Tails, heads and weights of the edges with an endpoint in mask, in
+    canonical order: every vertex of mask keeps all its edges, in the same
+    order, so its sums over them add the same terms as over every edge."""
+    near = mask[graph.edge_tails] | mask[graph.edge_heads]
+    return graph.edge_tails[near], graph.edge_heads[near], graph.edge_weights[near]
+
+
 def supersolution_shortfall(graph: WeightedGraph, u, params: ExponentParams,
                             interior=None) -> np.ndarray:
     """The supersolution defect of u as a fraction of u^sigma: how far
@@ -176,16 +184,14 @@ def supersolution_shortfall(graph: WeightedGraph, u, params: ExponentParams,
     relative precision that charge assumes.  Where all are < 1, c u with
     c^eta = 1 - max(0, largest) is a supersolution.  Requires u >= 0.
 
-    Both sums run over the edges incident to the interior alone, in
-    canonical order, so each interior vertex adds the same terms in the
-    same order as over every edge."""
+    Both sums run over the edges incident to the interior alone
+    (_incident_edges)."""
     values = as_values(u, graph)
     if values.min() < 0.0:
         raise ValueError(f"u must be nonnegative everywhere; min is {values.min()}")
     mask = _interior_mask(graph, interior)
-    near = mask[graph.edge_tails] | mask[graph.edge_heads]
-    tails, heads = graph.edge_tails[near], graph.edge_heads[near]
-    weights, n = graph.edge_weights[near], graph.vertex_count
+    tails, heads, weights = _incident_edges(graph, mask)
+    n = graph.vertex_count
     charge = 1e-10 * np.abs(values[tails] - values[heads]) ** params.r
     charge = np.bincount(np.concatenate((tails, heads)),
                          weights=np.tile(weights * charge, 2), minlength=n)

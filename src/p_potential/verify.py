@@ -1,17 +1,8 @@
-"""Radial shooting for test supersolutions, and the sandwich battery of
-the `verify` CLI subcommand.
-
-The shot is one flux recurrence on the ball profile's cut conductances
-b_k and sphere measures, from a start the profile fixes, and nothing
-else: green.sandwich_upper_bound judges it on each ball it bounds, by
-the one rule supersolution_shortfall, and charges its shortfall to the
-bound or refuses it.  On a graph that is not spherically symmetric the
-shot misses equality on and past the first sphere that mixes
-conductance patterns, so its bound there is charged more, or refused.
-
-The sandwich battery squeezes L_R between the chain's lower bound and
-the shot's upper bound on fixed small balls, and reports the least
-margin; no margin at all reads as None.  Nothing here draws at random.
+"""The sandwich battery of the `verify` CLI subcommand: it squeezes L_R
+between the chain's lower bound and the upper bound that the radial shot
+(green.shoot_radial_supersolution) gives on fixed small balls, and reports
+the least margin; no margin at all reads as None.  Nothing here draws at
+random.
 """
 
 from __future__ import annotations
@@ -21,57 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flows import analyze_ball
-from .graphs import (BallProfile, WeightedGraph, ball_profile, build_lattice,
-                     build_tree)
-from .green import sandwich_upper_bound
-from .operators import ExponentParams, as_values
-
-
-# ---------------------------------------------------------------------------
-# radial shooting
-
-
-def shoot_radial_supersolution(graph: WeightedGraph, params: ExponentParams,
-                               profile: BallProfile | None = None) -> np.ndarray:
-    """The radial candidate supersolution u = U_k on the sphere S_k, shot
-    outward from u(o) = U_0 = u0 = (2S)^(-r/eta), with
-    S = sum_{k < ecc} (W_k / b_k)^(1/r), as a read-only float64 array of
-    one value per vertex.
-
-    Each radial drop balances the flux across a cut,
-
-        b_k Phi_p(U_k - U_{k+1}) = sum_{j <= k} mu(S_j) U_j^sigma,
-
-    which is equality on the sphere S_k when the graph is spherically
-    symmetric.  While U_j <= u0 the flux out of B_k is at most
-    u0^sigma W_k, so the drops sum to at most u0^(sigma/r) S = u0/2, and u
-    stays >= u0/2.  W_0 = b_0 makes S >= 1 and u0 < 1.  S is summed in
-    logarithms, as it can overflow near p = 1 while u0 is a double.
-
-    Nothing here checks u: sandwich_upper_bound certifies it on each ball
-    by its supersolution_shortfall, or refuses it.  A drop lost to
-    rounding leaves u flat, and a u^sigma below the normal doubles is
-    refused there.
-
-    report shoots through this function.  It lives in verify, not beside
-    sandwich_upper_bound in green, because the benchmark's tracer
-    (bench/spans.py) wraps verify.shoot_radial_supersolution by name; it
-    moves when the tracer stops naming it.
-    """
-    if profile is None:
-        profile = ball_profile(graph)
-    sigma, ecc = params.sigma, profile.eccentricity
-    log_s = np.logaddexp.reduce(
-        (np.log(profile.W[:ecc]) - np.log(profile.b)) / params.r)
-    U = np.empty(ecc + 1)
-    U[0] = np.exp(-params.r / params.eta * (np.log(2.0) + log_s))
-    flux = 0.0  # out of the ball B_k
-    for k in range(ecc):
-        flux += profile.sphere_measure[k] * U[k] ** sigma
-        U[k + 1] = U[k] - (flux / profile.b[k]) ** (1.0 / params.r)
-    values = as_values(U[profile.radius_of], graph)
-    values.setflags(write=False)
-    return values
+from .graphs import ball_profile, build_lattice, build_tree
+from .green import sandwich_upper_bound, shoot_radial_supersolution
+from .operators import ExponentParams
 
 
 # ---------------------------------------------------------------------------

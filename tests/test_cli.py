@@ -169,8 +169,8 @@ def test_green_on_the_ball_writes_the_host_solve_bytes(tmp_path, monkeypatch,
 
 def test_green_lets_the_host_graph_go_before_it_solves(workdir, capsys,
                                                       monkeypatch):
-    # a live graph holds its five arrays, and its profile holds radius_of,
-    # so all five arrays dead means the host graph and its profile are gone
+    # a live graph holds its five arrays, so all five dead means the host
+    # graph is gone; green builds no profile of it
     hosts, alive = [], []
 
     def load(path):
@@ -190,6 +190,22 @@ def test_green_lets_the_host_graph_go_before_it_solves(workdir, capsys,
                       "--out", "g.csv"], capsys)
     assert code == 0
     assert alive == [[False] * 5]
+
+
+def test_green_profiles_the_ball_alone(workdir, capsys, monkeypatch):
+    # green reads B_{R+1} and checks R by the host's radii: the one profile
+    # it builds is that of the subgraph it solves on
+    profiled = []
+
+    def profile(graph):
+        profiled.append(graph.vertex_count)
+        return ball_profile(graph)
+
+    monkeypatch.setattr(cli, "ball_profile", profile)
+    code, _, _ = run(["green", "--graph", "tree.json", "--R", "2", "--p", "2",
+                      "--out", "g.csv"], capsys)
+    assert code == 0
+    assert profiled == [15]  # B_3 of tree(2, 5)
 
 
 def test_flow_writes_paths_and_audited_report(workdir, capsys):
@@ -436,6 +452,29 @@ def test_report_labels_the_binary_tree_non_parabolic(workdir, capsys):
             1.0 - 2.0 ** -(row["R"] + 1), rel=1e-12)
         assert row["g_center"] == pytest.approx(
             nash_williams["lower"], rel=1e-10)
+
+
+def test_report_keeps_an_unordered_ladder_in_order(workdir, capsys):
+    # distinct radii in any order are a ladder; the probe needs them
+    # increasing, so this one has none
+    assert main(["gen", "--family", "tree", "--branching", "2", "--depth",
+                 "6", "--out", "tree6.json"]) == 0
+    code, _, _ = run(["report", "--graph", "tree6.json", "--p", "2",
+                      "--sigma", "3", "--R", "4,2,3", "--out-prefix", "r"],
+                     capsys)
+    assert code == 0
+    payload = read_json("r.json")
+    assert [row["R"] for row in payload["ladder"]] == [4, 2, 3]
+    assert payload["probe"] is None
+    with open("r.csv", encoding="utf-8") as fh:
+        rows = fh.read().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["4", "2", "3"]
+    with open("r.json", encoding="utf-8") as fh:
+        assert '"probe": null' in fh.read()
+    # g_R(o) = 1 - 2^-(R+1) on the binary tree at p = 2, row by row
+    np.testing.assert_allclose(
+        [row["g_center"] for row in payload["ladder"]],
+        [1.0 - 2.0 ** -(R + 1) for R in (4, 2, 3)], rtol=1e-10)
 
 
 def _leaves(obj, path=()):
@@ -737,7 +776,12 @@ PROFILE_ARGV = ["criterion", "--profile", "bad.csv", "--p", "2", "--sigma", "3"]
     (["report", "--graph", "tree.json", "--p", "2", "--sigma", "3",
       "--R", "2,x"], None, "ValueError", None),
     (["report", "--graph", "tree.json", "--p", "2", "--sigma", "3",
-      "--R", "2,99"], None, "ValueError", None),
+      "--R", "2,99"], None, "ValueError", "radius 99 exceeds R_max = 4"),
+    (["report", "--graph", "tree.json", "--p", "2", "--sigma", "3",
+      "--R", "2,-1"], None, "ValueError",
+     "radius must be a nonnegative integer, got -1"),
+    (["report", "--graph", "tree.json", "--p", "2", "--sigma", "3",
+      "--R", "4,2,4"], None, "ValueError", "radius 4 repeats in the ladder"),
     (["green", "--graph", "missing.json", "--R", "2", "--p", "2",
       "--out", "g.csv"], None, "FileNotFoundError", None),
     (PROFILE_ARGV, _malformed_profile, "ValueError", None),
@@ -751,13 +795,14 @@ PROFILE_ARGV = ["criterion", "--profile", "bad.csv", "--p", "2", "--sigma", "3"]
      "volumes W_n must be nondecreasing: W_2 = 3.0 < W_1 = 4.0"),
     (PROFILE_ARGV, _write("bad.csv", "n,W\n0,9\n1,4\n2,5\n3,9\n"),
      "ValueError", "volumes W_n must be nondecreasing: W_1 = 4.0 < W_0 = 9.0"),
-    # green checks R against the host profile before it builds B_{R+1}
+    # green checks R against the host's radii before it builds B_{R+1}
     (["green", "--graph", "tree.json", "--R", "5", "--p", "2", "--out",
       "g.csv"], None, "ValueError", "radius 5 exceeds R_max = 4"),
     (["green", "--graph", "tree.json", "--R", "-1", "--p", "2", "--out",
       "g.csv"], None, "ValueError",
      "radius must be a nonnegative integer, got -1"),
-], ids=["bad-radius-list", "radius-above-R_max", "missing-graph",
+], ids=["bad-radius-list", "radius-above-R_max", "negative-radius",
+        "repeated-radius", "missing-graph",
         "malformed-profile", "short-profile-row", "unparsed-profile-row",
         "repeated-profile-n", "decreasing-profile", "profile-W0-above-W1",
         "green-radius-above-R_max", "green-negative-radius"])

@@ -317,7 +317,7 @@ def test_ball_graph_is_the_subgraph_induced_by_the_next_ball(make):
     profile = ball_profile(graph)
     radius = profile.radius_of
     for R in range(profile.R_max + 1):
-        ball, host_ids = graphs_module._ball_graph(graph, profile, R)
+        ball, host_ids = graphs_module._ball_graph(graph, R)
         assert host_ids.tolist() == np.flatnonzero(radius <= R + 1).tolist()
         assert ball.root == host_ids.tolist().index(graph.root)
         assert ball.radius_of.tolist() == radius[host_ids].tolist()
@@ -329,7 +329,7 @@ def test_ball_graph_is_the_subgraph_induced_by_the_next_ball(make):
     for R, message in ((profile.R_max + 1, "exceeds R_max"),
                        (-1, "nonnegative integer")):
         with pytest.raises(ValueError, match=message):
-            graphs_module._ball_graph(graph, profile, R)
+            graphs_module._ball_graph(graph, R)
 
 
 def test_profile_arrays_read_only():

@@ -15,6 +15,7 @@ from p_potential import (
     WeightedGraph,
     ball_profile,
     build_lattice,
+    build_radial_model,
     build_tree,
     compute_L,
     green_normalization_check,
@@ -24,9 +25,8 @@ from p_potential import (
     solve_green,
 )
 from p_potential import green as green_module
-from p_potential.green import capacity
+from p_potential.green import capacity, shoot_radial_supersolution
 from p_potential.operators import supersolution_shortfall
-from p_potential.verify import shoot_radial_supersolution
 from test_operators import dirichlet_pairing
 
 PS = (1.5, 2.0, 3.0)
@@ -177,6 +177,48 @@ def test_normalization_check_bounds_random_test_functions(p):
         sampled = abs(dirichlet_pairing(graph, green.values, psi, p)
                       - psi[graph.root])
         assert sampled <= dev * (1.0 + 1e-10)
+
+
+def test_normalization_check_reads_B_R_by_radius():
+    # g zeroed at one vertex of S_2 still lives on B_3: the defect is summed
+    # over all of B_3, not over the support of g, which misses half of it
+    graph = build_tree(2, 5)
+    prof = ball_profile(graph)
+    green = solve_green(graph, prof, 3, 2.0)
+    values = green.values.copy()
+    values[np.flatnonzero(prof.radius_of == 2)[0]] = 0.0
+    dev = green_normalization_check(
+        graph, dataclasses.replace(green, values=values))
+    defect = -p_laplacian_all(graph, values, 2.0) * graph.vertex_measure
+    defect[graph.root] -= 1.0
+    assert dev == pytest.approx(1.125, rel=1e-12)
+    assert dev == pytest.approx(np.abs(defect[prof.ball_mask(3)]).sum(),
+                                rel=1e-14)
+    support = values != 0.0
+    assert np.abs(defect[support]).sum() == pytest.approx(0.5625, rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_tree(2, 8),
+    lambda: build_lattice(2, 12),
+    lambda: build_lattice(3, 5),
+    lambda: build_radial_model([1, 3, 6, 12, 12, 24, 24, 24],
+                               [1.0, 0.5, 2.0, 1.0, 3.0, 0.25, 1.0]),
+], ids=["tree-2-8", "lattice-2-12", "lattice-3-5", "radial"])
+def test_normalization_check_of_a_solve_sums_its_support_over_every_edge(make):
+    # a solve is positive on B_R and zero off it, so B_R is its support; the
+    # edges that touch B_R give each of its vertices the terms, in the
+    # order, of the sum over every edge: the same bits
+    graph = make()
+    prof = ball_profile(graph)
+    for p in PS:
+        for R in range(prof.R_max + 1):
+            green = solve_green(graph, prof, R, p)
+            defect = (-p_laplacian_all(graph, green.values, p)
+                      * graph.vertex_measure)
+            defect[graph.root] -= 1.0
+            everywhere = float(np.abs(defect[green.values != 0.0]).sum())
+            assert green_normalization_check(graph, green) == everywhere, (p, R)
 
 
 def test_the_pole_is_the_graph_root():

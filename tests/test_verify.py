@@ -2,7 +2,7 @@
 judges it, the sandwich suite, the two scalar checks the random suites
 sample, and the random suites against those checks.  The lemma batteries
 (Picone, Hardy, positivity) live in the test helper _lemmas; the program
-keeps only the shot and the sandwich."""
+keeps only the shot, beside the bound in green, and the sandwich."""
 
 import copy
 import dataclasses
@@ -32,14 +32,14 @@ from p_potential import (
     compute_L,
     p_laplacian_all,
     sandwich_upper_bound,
+    shoot_radial_supersolution,
     solve_green,
 )
 from p_potential import verify
 from p_potential.errors import SolverError
 from p_potential.operators import (_interior_mask, as_values,
                                    supersolution_shortfall)
-from p_potential.verify import (run_suites, sandwich_suite,
-                                shoot_radial_supersolution)
+from p_potential.verify import run_suites, sandwich_suite
 
 
 # ---------------------------------------------------------------------------
